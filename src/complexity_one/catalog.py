@@ -35,7 +35,8 @@ from .chardata import (
     local_model_data,
     validate_mu,
 )
-from .errors import UnknownEntryError
+from .errors import ConsistencyError, UnknownEntryError
+from .io import chardata_from_dict, read_json
 from .lattice import IntVector, vec
 from .quasitoric import (
     CharacteristicFunction,
@@ -118,7 +119,8 @@ def octahedron_sponge(squares: bool = True) -> SpongeComplex:
 
 def _sum_zero_coords(v: tuple[int, ...]) -> IntVector:
     """Coordinates of a sum-zero vector in the basis e_i - e_last."""
-    assert sum(v) == 0
+    if sum(v) != 0:
+        raise ConsistencyError(f"{v} is not a sum-zero vector")
     return IntVector(v[:-1])
 
 
@@ -340,10 +342,7 @@ def load(name: str) -> CatalogEntry:
     if override_dir:
         path = os.path.join(override_dir, f"{name}.json")
         if os.path.exists(path):
-            from .io import chardata_from_dict, loads
-
-            with open(path, "r", encoding="ascii") as fh:
-                data = chardata_from_dict(loads(fh.read()), where=path)
+            data = chardata_from_dict(read_json(path), where=path)
             return CatalogEntry(
                 name=name, description=f"external entry from {path}", data=data
             )
@@ -358,30 +357,27 @@ def load(name: str) -> CatalogEntry:
 
 def verify(entry: CatalogEntry) -> ValidationReport:
     """Run every applicable validator on an entry and check expected values."""
-    entries: list[CheckResult] = []
     cd = entry.data
-
-    def record(check: str, ok: bool, detail: str = "") -> None:
-        entries.append(CheckResult(check, "pass" if ok else "fail", detail))
-
     sponge_rep = validate_sponge(cd.sponge)
-    record("sponge-valid", sponge_rep.ok, "; ".join(e.detail for e in sponge_rep.failures()[:3]))
     mu_rep = validate_mu(cd)
-    record("mu-valid", mu_rep.ok, "; ".join(e.detail for e in mu_rep.failures()[:3]))
-    record("compatibility", compatibility_check(cd))
     co_rep = cocycle_check(cd)
-    record("cocycle", co_rep.ok, "; ".join(e.detail for e in co_rep.failures()[:3]))
+    entries = [
+        CheckResult.of("sponge-valid", sponge_rep.ok, sponge_rep.summary(3)),
+        CheckResult.of("mu-valid", mu_rep.ok, mu_rep.summary(3)),
+        CheckResult.of("compatibility", compatibility_check(cd)),
+        CheckResult.of("cocycle", co_rep.ok, co_rep.summary(3)),
+    ]
 
     cycle_ok = None
     if co_rep.ok:
         cycle = assemble_euler_cycle(cd)
         cycle_ok = cycle.is_cycle
-        record("euler-cycle", cycle.is_cycle)
+        entries.append(CheckResult.of("euler-cycle", cycle.is_cycle))
     else:
-        record("euler-cycle", False, "cocycle relations fail")
+        entries.append(CheckResult.of("euler-cycle", False, "cocycle relations fail"))
 
     stars_ok = all(face_star(cd.sponge, c.id).is_local for c in cd.sponge.cells)
-    record("face-stars", stars_ok)
+    entries.append(CheckResult.of("face-stars", stars_ok))
 
     for vid in sorted(entry.weight_systems):
         ws = entry.weight_systems[vid]
@@ -389,28 +385,28 @@ def verify(entry: CatalogEntry) -> ValidationReport:
         strict = is_strictly_appropriate(ws)
         exp_strict = entry.expected.get("strictly_appropriate")
         if exp_strict is not None:
-            record(f"strict[{vid}]", strict == exp_strict, f"c = {list(cc.c)}")
+            ok = strict == exp_strict
+            entries.append(CheckResult.of(f"strict[{vid}]", ok, f"c = {list(cc.c)}"))
         exp_abs = entry.expected.get("cramer_abs")
         if exp_abs is not None:
-            record(
-                f"cramer-abs[{vid}]",
-                sorted(abs(x) for x in cc.c) == sorted(exp_abs),
-                f"c = {list(cc.c)}",
-            )
+            ok = sorted(abs(x) for x in cc.c) == sorted(exp_abs)
+            entries.append(CheckResult.of(f"cramer-abs[{vid}]", ok, f"c = {list(cc.c)}"))
 
     exp_counts = entry.expected.get("cells_per_dim")
     if exp_counts is not None:
         got = [len(cd.sponge.cells_of_dim(d)) for d in range(cd.n - 1)]
-        record("cells-per-dim", got == list(exp_counts), f"got {got}, expected {list(exp_counts)}")
+        detail = f"got {got}, expected {list(exp_counts)}"
+        entries.append(CheckResult.of("cells-per-dim", got == list(exp_counts), detail))
     exp_betti = entry.expected.get("betti")
     if exp_betti is not None:
         got_b = list(homology(cd.sponge).betti)
-        record("betti", got_b == list(exp_betti), f"got {got_b}, expected {list(exp_betti)}")
+        detail = f"got {got_b}, expected {list(exp_betti)}"
+        entries.append(CheckResult.of("betti", got_b == list(exp_betti), detail))
     exp_fixed = entry.expected.get("fixed_points")
     if exp_fixed is not None:
         got_f = len(cd.sponge.cells_of_dim(0))
-        record("fixed-points", got_f == exp_fixed, f"got {got_f}")
+        entries.append(CheckResult.of("fixed-points", got_f == exp_fixed, f"got {got_f}"))
     exp_cycle = entry.expected.get("euler_cycle")
     if exp_cycle is not None and cycle_ok is not None:
-        record("euler-cycle-expected", cycle_ok == exp_cycle)
+        entries.append(CheckResult.of("euler-cycle-expected", cycle_ok == exp_cycle))
     return ValidationReport(tuple(entries))

@@ -87,7 +87,6 @@ class OrbitType:
     face_id: str | None  # None stands for the free stratum
     stabilizer_span: tuple[IntVector, ...]
     orbit_dim: int
-    quotient_rank: int
 
 
 def validate_mu(cd: CharacteristicData) -> ValidationReport:
@@ -97,15 +96,8 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
     must span a rank n-1-k sublattice, and distinct facets through a common
     face must carry distinct directions.
     """
-    entries: list[CheckResult] = []
     sponge_report = validate_sponge(cd.sponge)
-    entries.append(
-        CheckResult(
-            "sponge",
-            "pass" if sponge_report.ok else "fail",
-            "" if sponge_report.ok else "; ".join(e.detail for e in sponge_report.failures()[:4]),
-        )
-    )
+    entries = [CheckResult.of("sponge", sponge_report.ok, sponge_report.summary(4))]
     if not sponge_report.ok:
         return ValidationReport(tuple(entries))
 
@@ -123,7 +115,8 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
             domain_bad.append(f"mu({fid}) is zero")
         elif not v.is_primitive():
             domain_bad.append(f"mu({fid}) is not primitive")
-    if entries_and(domain_bad, entries, "mu-domain"):
+    entries += CheckResult.from_violations("mu-domain", domain_bad)
+    if domain_bad:
         return ValidationReport(tuple(entries))
 
     rank_bad = []
@@ -140,17 +133,8 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
                     rank_bad.append(
                         f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
                     )
-    entries_and(rank_bad, entries, "mu-rank")
+    entries += CheckResult.from_violations("mu-rank", rank_bad)
     return ValidationReport(tuple(entries))
-
-
-def entries_and(violations: list[str], entries: list[CheckResult], name: str) -> bool:
-    if violations:
-        for v in violations:
-            entries.append(CheckResult(name, "fail", v))
-        return True
-    entries.append(CheckResult(name, "pass"))
-    return False
 
 
 def compatibility_check(cd: CharacteristicData) -> bool:
@@ -186,11 +170,9 @@ def cocycle_check(cd: CharacteristicData) -> ValidationReport:
     +-1-signed vanishing combination, and the stored signs, twisted by the
     incidence orientation, must realize it up to one global sign per face.
     """
-    entries: list[CheckResult] = []
     codim1 = cd.sponge.cells_of_dim(cd.n - 3) if cd.n >= 3 else ()
     if not codim1:
-        entries.append(CheckResult("cocycle", "pass", "no codimension-one faces"))
-        return ValidationReport(tuple(entries))
+        return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
     bad = []
     for cell in codim1:
         through = cd.sponge.facets_containing(cell.id)
@@ -214,8 +196,7 @@ def cocycle_check(cd: CharacteristicData) -> ValidationReport:
                 f"face {cell.id}: stored signs do not match the vanishing pattern "
                 f"(facets {', '.join(through)})"
             )
-    entries_and(bad, entries, "cocycle")
-    return ValidationReport(tuple(entries))
+    return ValidationReport(CheckResult.from_violations("cocycle", bad))
 
 
 def orbit_types(cd: CharacteristicData) -> list[OrbitType]:
@@ -232,16 +213,10 @@ def orbit_types(cd: CharacteristicData) -> list[OrbitType]:
             basis = tuple(h.row(i) for i in range(h.rows) if not h.row(i).is_zero())
         else:
             basis = ()
-        r = len(basis)
         out.append(
-            OrbitType(
-                face_id=cell.id,
-                stabilizer_span=basis,
-                orbit_dim=cd.n - 1 - r,
-                quotient_rank=cd.n - 1 - r,
-            )
+            OrbitType(face_id=cell.id, stabilizer_span=basis, orbit_dim=cd.n - 1 - len(basis))
         )
-    out.append(OrbitType(face_id=None, stabilizer_span=(), orbit_dim=cd.n - 1, quotient_rank=cd.n - 1))
+    out.append(OrbitType(face_id=None, stabilizer_span=(), orbit_dim=cd.n - 1))
     return out
 
 
@@ -261,9 +236,7 @@ def assemble_euler_cycle(cd: CharacteristicData) -> EulerCycle:
     """
     report = cocycle_check(cd)
     if not report.ok:
-        raise ValidationError(
-            "cocycle relations fail: " + "; ".join(e.detail for e in report.failures()[:4])
-        )
+        raise ValidationError("cocycle relations fail: " + report.summary(4))
     chain = {fid: cd.euler_coefficient(fid) for fid in cd.sponge.facet_ids}
     flag = weighted_cycle_check(cd.sponge, chain)
     determines = cd.ambient.kind == "sphere" or (

@@ -64,7 +64,6 @@ class Fingerprint:
     cells_per_dim: tuple[int, ...]
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    rank_profile: tuple[tuple[int, tuple[int, ...]], ...]
     pair_indices: tuple[int, ...]
 
 
@@ -81,13 +80,6 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
     s = cd.sponge
     counts = tuple(len(s.cells_of_dim(d)) for d in range(max(s.n - 1, 1)))
     h = homology(s)
-    profile = []
-    for d in range(max(s.n - 1, 1)):
-        ranks = []
-        for cell in s.cells_of_dim(d):
-            vs = [cd.mu[f] for f in s.facets_containing(cell.id)]
-            ranks.append(lattice_rank(stack_rows(vs, cols=cd.n - 1)) if vs else 0)
-        profile.append((d, tuple(sorted(ranks))))
     pair_idx = []
     if s.n >= 3:
         for cell in s.cells_of_dim(s.n - 3):
@@ -101,7 +93,6 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
         cells_per_dim=counts,
         betti=h.betti,
         torsion=h.torsion,
-        rank_profile=tuple(profile),
         pair_indices=tuple(sorted(pair_idx)),
     )
 
@@ -111,9 +102,7 @@ def _require_validated(cd: CharacteristicData, tag: str) -> None:
     # cycle is a property of the data, not an admissibility requirement
     rep = validate_mu(cd)
     if not rep.ok:
-        raise PreconditionError(
-            f"{tag} is not validated: " + "; ".join(e.detail for e in rep.failures()[:3])
-        )
+        raise PreconditionError(f"{tag} is not validated: " + rep.summary(3))
     if not compatibility_check(cd):
         raise PreconditionError(f"{tag} carries malformed local Euler data")
 
@@ -337,7 +326,7 @@ def compare(cd1: CharacteristicData, cd2: CharacteristicData) -> ComparisonResul
         )
     f1, f2 = canonical_invariants(cd1), canonical_invariants(cd2)
     if f1 != f2:
-        for name in ("cells_per_dim", "betti", "torsion", "rank_profile", "pair_indices"):
+        for name in ("cells_per_dim", "betti", "torsion", "pair_indices"):
             if getattr(f1, name) != getattr(f2, name):
                 return ComparisonResult(
                     "inequivalent",

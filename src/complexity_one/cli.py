@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands ingest JSON files, run validators and pipelines, and emit
-reports in text or canonical JSON.  Exit codes: 0 all checks pass, 1 some
-validation failed or the comparison is not an equivalence, 2 malformed
-input or bad arguments.
+reports in text or canonical JSON.  Every subcommand yields pass/fail
+checks; the exit code is 0 when all of them pass, 1 when some check fails
+(a failed validation, or a comparison that is not an equivalence), and 2
+for malformed input or bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import catalog as catalog_mod
 from .chardata import assemble_euler_cycle, cocycle_check, compatibility_check, validate_mu
@@ -21,103 +22,58 @@ from .io import (
     chardata_from_dict,
     chardata_to_dict,
     lambda_from_dict,
-    loads,
     polytope_from_dict,
+    read_json,
     sponge_from_dict,
     weight_system_from_dict,
 )
 from .lattice import IntVector
 from .quasitoric import SubtorusChoice, find_strict_subtorus, reduce as quasitoric_reduce
-from .sponge import homology, validate_sponge
+from .sponge import CheckResult, ValidationReport, homology, validate_sponge
 from .weights import cramer_coefficients, is_general_position, is_strictly_appropriate
 
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return loads(fh.read())
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+_INPUT_ARGS = ("file", "first", "second", "polytope", "lam", "name")
 
 
-class Report:
-    def __init__(self, command: str, inputs: list[str]):
-        self.command = command
-        self.inputs = inputs
-        self.results: list[dict] = []
-
-    def add(self, check: str, ok: bool, detail: str = "") -> None:
-        self.results.append(
-            {"check": check, "status": "pass" if ok else "fail", "detail": detail}
-        )
-
-    def extend(self, entries) -> None:
-        for e in entries:
-            self.results.append({"check": e.check, "status": e.status, "detail": e.detail})
-
-    @property
-    def ok(self) -> bool:
-        return all(r["status"] == "pass" for r in self.results)
-
-    def emit(self, fmt: str, out=None) -> None:
-        out = out if out is not None else sys.stdout
-        if fmt == "json":
-            payload = {
-                "command": self.command,
-                "inputs": self.inputs,
-                "results": sorted(self.results, key=lambda r: r["check"]),
-            }
-            out.write(canonical_json(payload) + "\n")
-        else:
-            for r in sorted(self.results, key=lambda r: r["check"]):
-                status = r["status"].upper()
-                line = f"{status:4} {r['check']}"
-                if r["detail"]:
-                    line += f": {r['detail']}"
-                out.write(line + "\n")
-
-
-def _cmd_validate_weights(args, report: Report) -> None:
-    ws = weight_system_from_dict(_read_json(args.file), args.file)
+def _cmd_validate_weights(args) -> Iterator[CheckResult]:
+    ws = weight_system_from_dict(read_json(args.file), args.file)
     cc = cramer_coefficients(ws)
-    report.add("well-formed", True, f"n={ws.n}")
-    report.add("cramer", True, f"c_tilde={list(cc.c_tilde)} c={list(cc.c)} gcd={cc.c_gcd}")
+    yield CheckResult.of("well-formed", True, f"n={ws.n}")
+    cramer = f"c_tilde={list(cc.c_tilde)} c={list(cc.c)} gcd={cc.c_gcd}"
+    yield CheckResult.of("cramer", True, cramer)
     gp = is_general_position(ws)
-    report.add("general-position", gp)
+    yield CheckResult.of("general-position", gp)
     if gp:
-        report.add("strictly-appropriate", is_strictly_appropriate(ws), f"c={list(cc.c)}")
+        yield CheckResult.of("strictly-appropriate", is_strictly_appropriate(ws), f"c={list(cc.c)}")
     else:
-        report.add("strictly-appropriate", False, "not in general position")
+        yield CheckResult.of("strictly-appropriate", False, "not in general position")
 
 
-def _cmd_validate_sponge(args, report: Report) -> None:
-    s = sponge_from_dict(_read_json(args.file), args.file)
-    report.extend(validate_sponge(s).entries)
+def _cmd_validate_sponge(args) -> Iterator[CheckResult]:
+    s = sponge_from_dict(read_json(args.file), args.file)
+    yield from validate_sponge(s).entries
 
 
-def _cmd_validate_chardata(args, report: Report) -> None:
-    cd = chardata_from_dict(_read_json(args.file), args.file)
+def _cmd_validate_chardata(args) -> Iterator[CheckResult]:
+    cd = chardata_from_dict(read_json(args.file), args.file)
     rep = validate_mu(cd)
-    report.extend(rep.entries)
-    report.add("compatibility", compatibility_check(cd))
+    yield from rep.entries
+    yield CheckResult.of("compatibility", compatibility_check(cd))
     co = cocycle_check(cd)
-    report.extend(co.entries)
+    yield from co.entries
     if rep.ok and co.ok:
         cyc = assemble_euler_cycle(cd)
-        report.add("euler-cycle", cyc.is_cycle)
-        report.add(
-            "determines-class",
-            True,
-            "yes" if cyc.determines_class else "not pinned by ambient",
-        )
+        yield CheckResult.of("euler-cycle", cyc.is_cycle)
+        pinned = "yes" if cyc.determines_class else "not pinned by ambient"
+        yield CheckResult.of("determines-class", True, pinned)
 
 
-def _cmd_homology(args, report: Report) -> None:
-    s = sponge_from_dict(_read_json(args.file), args.file)
+def _cmd_homology(args) -> Iterator[CheckResult]:
+    s = sponge_from_dict(read_json(args.file), args.file)
     h = homology(s)
-    report.add("betti", True, " ".join(str(b) for b in h.betti))
+    yield CheckResult.of("betti", True, " ".join(str(b) for b in h.betti))
     tor = {d: list(t) for d, t in enumerate(h.torsion) if t}
-    report.add("torsion", True, str(tor) if tor else "none")
+    yield CheckResult.of("torsion", True, str(tor) if tor else "none")
 
 
 def _parse_alpha(text: str) -> IntVector:
@@ -127,38 +83,38 @@ def _parse_alpha(text: str) -> IntVector:
         raise InputFormatError(f"--alpha must be comma-separated integers, got {text!r}") from exc
 
 
-def _cmd_reduce(args, report: Report) -> int:
-    p = polytope_from_dict(_read_json(args.polytope), args.polytope)
-    lam = lambda_from_dict(_read_json(args.lam), args.lam)
+def _cmd_reduce(args) -> Iterator[CheckResult]:
+    p = polytope_from_dict(read_json(args.polytope), args.polytope)
+    lam = lambda_from_dict(read_json(args.lam), args.lam)
     if args.alpha:
         st = SubtorusChoice.from_alpha(_parse_alpha(args.alpha))
     else:
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:
-            report.add("subtorus", False, f"no strict subtorus with entries up to {args.alpha_bound}")
-            return 1
+            yield CheckResult.of(
+                "subtorus", False, f"no strict subtorus with entries up to {args.alpha_bound}"
+            )
+            return
         st = found[0]
-        report.add("subtorus", True, f"alpha={list(st.alpha)}")
+        yield CheckResult.of("subtorus", True, f"alpha={list(st.alpha)}")
     cd = quasitoric_reduce(p, lam, st)
-    report.add("reduce", True, f"sponge cells={len(cd.sponge.cells)}")
-    rep = validate_mu(cd)
-    report.extend(rep.entries)
-    report.add("compatibility", compatibility_check(cd))
-    report.extend(cocycle_check(cd).entries)
-    report.add("euler-cycle", assemble_euler_cycle(cd).is_cycle)
+    yield CheckResult.of("reduce", True, f"sponge cells={len(cd.sponge.cells)}")
+    yield from validate_mu(cd).entries
+    yield CheckResult.of("compatibility", compatibility_check(cd))
+    yield from cocycle_check(cd).entries
+    yield CheckResult.of("euler-cycle", assemble_euler_cycle(cd).is_cycle)
     payload = canonical_json(chardata_to_dict(cd)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(payload)
-        report.add("output", True, args.output)
+        yield CheckResult.of("output", True, args.output)
     else:
         sys.stdout.write(payload)
-    return 0 if report.ok else 1
 
 
-def _cmd_compare(args, report: Report) -> int:
-    cd1 = chardata_from_dict(_read_json(args.first), args.first)
-    cd2 = chardata_from_dict(_read_json(args.second), args.second)
+def _cmd_compare(args) -> Iterator[CheckResult]:
+    cd1 = chardata_from_dict(read_json(args.first), args.first)
+    cd2 = chardata_from_dict(read_json(args.second), args.second)
     result = compare(cd1, cd2)
     detail = result.certificate
     if result.verdict == "equivalent" and result.witness is not None:
@@ -170,25 +126,22 @@ def _cmd_compare(args, report: Report) -> int:
                 "global_sign": result.witness.global_sign,
             }
         )
-    report.add("verdict", result.verdict == "equivalent", f"{result.verdict.capitalize()}")
+    yield CheckResult.of("verdict", result.equivalent, result.verdict.capitalize())
     if detail:
-        report.add("detail", result.verdict == "equivalent", detail)
-    return 0 if result.verdict == "equivalent" else 1
+        yield CheckResult.of("detail", result.equivalent, detail)
 
 
-def _cmd_catalog(args, report: Report) -> int:
+def _cmd_catalog(args) -> Iterator[CheckResult]:
     if args.list or not args.name:
         for name in catalog_mod.names():
-            report.add(f"entry[{name}]", True, "available")
-        return 0
+            yield CheckResult.of(f"entry[{name}]", True, "available")
+        return
     entry = catalog_mod.load(args.name)
-    rep = catalog_mod.verify(entry)
-    report.extend(rep.entries)
+    yield from catalog_mod.verify(entry).entries
     if args.export:
         with open(args.export, "w", encoding="ascii") as fh:
             fh.write(canonical_json(chardata_to_dict(entry.data)) + "\n")
-        report.add("export", True, args.export)
-    return 0 if rep.ok else 1
+        yield CheckResult.of("export", True, args.export)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,12 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-weights", help="weight system JSON: Cramer data and strictness")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate_weights)
     p = sub.add_parser("validate-sponge", help="sponge JSON: incidence and counting axioms")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate_sponge)
     p = sub.add_parser("validate-chardata", help="characteristic data JSON: all validators")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate_chardata)
     p = sub.add_parser("homology", help="sponge JSON: cellular homology")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_homology)
 
     p = sub.add_parser("reduce", help="quasitoric reduction to a subtorus")
     p.add_argument("--polytope", required=True)
@@ -214,53 +171,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help="comma-separated character, e.g. 1,1,-1")
     p.add_argument("--alpha-bound", type=int, default=3)
     p.add_argument("--output", "-o", default=None)
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("compare", help="decide cellular equivalence of two chardata files")
     p.add_argument("first")
     p.add_argument("second")
+    p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("catalog", help="verify or export built-in examples")
     p.add_argument("name", nargs="?")
     p.add_argument("--list", action="store_true")
     p.add_argument("--export", default=None)
+    p.set_defaults(run=_cmd_catalog)
     return parser
 
 
+def _emit(args, report: ValidationReport, out) -> None:
+    if args.format == "json":
+        inputs = [v for k, v in sorted(vars(args).items()) if k in _INPUT_ARGS and v]
+        payload = {"command": args.command, "inputs": inputs, "results": report.to_dict()}
+        out.write(canonical_json(payload) + "\n")
+        return
+    for e in report.entries:
+        out.write(f"{e.status.upper():4} {e.check}" + (f": {e.detail}" if e.detail else "") + "\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = Report(args.command, [v for k, v in sorted(vars(args).items()) if k in ("file", "first", "second", "polytope", "lam", "name") and v])
+    args = build_parser().parse_args(argv)
+    entries: list[CheckResult] = []
+    malformed = False
     try:
-        if args.command == "validate-weights":
-            _cmd_validate_weights(args, report)
-            code = 0 if report.ok else 1
-        elif args.command == "validate-sponge":
-            _cmd_validate_sponge(args, report)
-            code = 0 if report.ok else 1
-        elif args.command == "validate-chardata":
-            _cmd_validate_chardata(args, report)
-            code = 0 if report.ok else 1
-        elif args.command == "homology":
-            _cmd_homology(args, report)
-            code = 0 if report.ok else 1
-        elif args.command == "reduce":
-            code = _cmd_reduce(args, report)
-        elif args.command == "compare":
-            code = _cmd_compare(args, report)
-        elif args.command == "catalog":
-            code = _cmd_catalog(args, report)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return 2
+        for entry in args.run(args):
+            entries.append(entry)
     except (InputFormatError, UnknownEntryError) as exc:
-        report.add("input", False, str(exc))
-        report.emit(args.format, sys.stderr if args.format == "text" else sys.stdout)
-        return 2
+        malformed = True
+        entries.append(CheckResult.of("input", False, str(exc)))
     except ComplexityOneError as exc:
-        report.add("error", False, f"{type(exc).__name__}: {exc}")
-        report.emit(args.format)
-        return 1
-    report.emit(args.format)
+        entries.append(CheckResult.of("error", False, f"{type(exc).__name__}: {exc}"))
+    report = ValidationReport(tuple(sorted(entries, key=lambda e: e.check)))
+    code = 2 if malformed else 0 if report.ok else 1
+    _emit(args, report, sys.stderr if malformed and args.format == "text" else sys.stdout)
     return code
 
 

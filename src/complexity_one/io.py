@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .chardata import Ambient, CharacteristicData
+from .chardata import AMBIENT_KINDS, Ambient, CharacteristicData
 from .errors import InputFormatError
 from .lattice import IntVector
 from .quasitoric import CharacteristicFunction, SimplePolytope
-from .sponge import Cell, SpongeComplex, ValidationReport
+from .sponge import Cell, SpongeComplex
 from .weights import WeightSystem
 
 _I64_MAX = 2**63 - 1
@@ -51,6 +51,15 @@ def loads(text: str) -> Any:
         ) from exc
 
 
+def read_json(path: str) -> Any:
+    """Parse an ASCII JSON file; unreadable or non-ASCII files are malformed input."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
@@ -76,6 +85,8 @@ def weight_system_from_dict(data: Mapping, where: str = "weight system") -> Weig
     weights = data["weights"]
     if not isinstance(weights, list):
         raise InputFormatError(f"{where}.weights: expected a list")
+    if len(weights) != n or any(not isinstance(w, list) or len(w) != n - 1 for w in weights):
+        raise InputFormatError(f"{where}.weights: expected {n} lists of {n - 1} integers")
     return WeightSystem(n=n, weights=tuple(_vector(w, f"{where}.weights[{i}]") for i, w in enumerate(weights)))
 
 
@@ -97,6 +108,8 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     if not isinstance(data, Mapping) or "n" not in data or "cells" not in data:
         raise InputFormatError(f"{where}: need keys 'n', 'cells', 'incidence'")
     n = _decode_int(data["n"], f"{where}.n")
+    if not isinstance(data["cells"], list):
+        raise InputFormatError(f"{where}.cells: expected a list")
     cells = []
     for i, c in enumerate(data["cells"]):
         if not isinstance(c, Mapping) or "id" not in c or "dim" not in c:
@@ -121,13 +134,16 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
 
 
 def chardata_to_dict(cd: CharacteristicData) -> dict:
-    return {
+    out = {
         "n": cd.n,
         "sponge": sponge_to_dict(cd.sponge),
         "mu": {fid: _int_list(cd.mu[fid]) for fid in sorted(cd.mu)},
         "euler_sign": {fid: cd.euler_sign[fid] for fid in sorted(cd.euler_sign)},
         "ambient": cd.ambient.kind,
     }
+    if not cd.ambient.boundary_trivial:
+        out["boundary_trivial"] = False  # only when false: files with the default keep their bytes
+    return out
 
 
 def chardata_from_dict(data: Mapping, where: str = "chardata") -> CharacteristicData:
@@ -143,10 +159,13 @@ def chardata_from_dict(data: Mapping, where: str = "chardata") -> Characteristic
         str(k): _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()
     }
     ambient = data["ambient"]
-    if ambient not in ("sphere", "product", "abstract"):
+    if ambient not in AMBIENT_KINDS:
         raise InputFormatError(f"{where}.ambient: unknown kind {ambient!r}")
+    boundary_trivial = data.get("boundary_trivial", True)
+    if not isinstance(boundary_trivial, bool):
+        raise InputFormatError(f"{where}.boundary_trivial: expected a boolean")
     return CharacteristicData(
-        n=n, sponge=sponge, mu=mu, euler_sign=signs, ambient=Ambient(str(ambient))
+        n=n, sponge=sponge, mu=mu, euler_sign=signs, ambient=Ambient(ambient, boundary_trivial)
     )
 
 
@@ -163,6 +182,10 @@ def polytope_from_dict(data: Mapping, where: str = "polytope") -> SimplePolytope
         if not isinstance(data, Mapping) or key not in data:
             raise InputFormatError(f"{where}: missing key {key!r}")
     n = _decode_int(data["n"], f"{where}.n")
+    if not isinstance(data["facets"], list) or not isinstance(data["vertices"], list):
+        raise InputFormatError(f"{where}: 'facets' and 'vertices' must be lists")
+    if not all(isinstance(v, list) for v in data["vertices"]):
+        raise InputFormatError(f"{where}.vertices: each vertex is a list of facet ids")
     facets = tuple(str(f) for f in data["facets"])
     vertices = tuple(frozenset(str(f) for f in v) for v in data["vertices"])
     return SimplePolytope(n=n, facets=facets, vertices=vertices)
@@ -178,7 +201,3 @@ def lambda_from_dict(data: Mapping, where: str = "lambda") -> CharacteristicFunc
     return CharacteristicFunction(
         {str(k): _vector(v, f"{where}[{k}]") for k, v in data.items()}
     )
-
-
-def report_to_results(report: ValidationReport) -> list[dict]:
-    return report.to_dict()

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateInputError, DimensionMismatchError
+from .errors import ConsistencyError, DegenerateInputError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,6 @@ class IntMatrix:
                 out.append([sum(ri[k] * other.entry(k, j) for k in range(self.cols)) for j in range(other.cols)])
             return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
         return NotImplemented
-
-    def apply(self, v: IntVector) -> IntVector:
-        return self @ v
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.row_list()!r})"
@@ -383,23 +380,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 def _check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
     m, n = a.rows, a.cols
-    if m and n:
-        prod = dec.u @ a @ dec.v
-        assert prod.entries == dec.d.entries, "U*A*V != D"
-    if m:
-        assert abs(determinant(dec.u)) == 1, "U not unimodular"
-    if n:
-        assert abs(determinant(dec.v)) == 1, "V not unimodular"
+    if m and n and (dec.u @ a @ dec.v).entries != dec.d.entries:
+        raise ConsistencyError("Smith check: U*A*V != D")
+    if m and abs(determinant(dec.u)) != 1:
+        raise ConsistencyError("Smith check: U not unimodular")
+    if n and abs(determinant(dec.v)) != 1:
+        raise ConsistencyError("Smith check: V not unimodular")
     diag = dec.diagonal()
     for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] and diag[i + 1] % diag[i] == 0, "divisibility chain broken"
-        else:
-            pass
+        if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
+            raise ConsistencyError("Smith check: divisibility chain broken")
     for i in range(dec.d.rows):
         for j in range(dec.d.cols):
-            if i != j:
-                assert dec.d.entry(i, j) == 0, "D not diagonal"
+            if i != j and dec.d.entry(i, j) != 0:
+                raise ConsistencyError("Smith check: D not diagonal")
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -502,7 +496,8 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     for j in range(n):
         e = IntVector(tuple(1 if i == j else 0 for i in range(n)))
         x = solve_exact(a, e)
-        assert x is not None
+        if x is None:
+            raise ConsistencyError("determinant +-1 matrix has no integral inverse column")
         cols.append(x)
     return IntMatrix.from_cols([list(c) for c in cols])
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .chardata import Ambient, CharacteristicData, Chart, data_from_charts
 from .errors import (
@@ -164,30 +164,21 @@ class SubtorusChoice:
 
 def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationReport:
     """Determinant condition at vertices, basis-extension condition at faces."""
-    entries: list[CheckResult] = []
-    missing = [f for f in p.facets if f not in lam.values]
+    missing = [f"facet {f} has no lambda value" for f in p.facets if f not in lam.values]
+    entries = list(CheckResult.from_violations("lambda-domain", missing))
     if missing:
-        for f in missing:
-            entries.append(CheckResult("lambda-domain", "fail", f"facet {f} has no lambda value"))
         return ValidationReport(tuple(entries))
-    entries.append(CheckResult("lambda-domain", "pass"))
-    bad_dim = [f for f in p.facets if lam[f].dim != p.n]
+    bad_dim = [f"lambda({f}) has dim {lam[f].dim}" for f in p.facets if lam[f].dim != p.n]
+    entries += CheckResult.from_violations("lambda-dim", bad_dim)
     if bad_dim:
-        for f in bad_dim:
-            entries.append(CheckResult("lambda-dim", "fail", f"lambda({f}) has dim {lam[f].dim}"))
         return ValidationReport(tuple(entries))
-    entries.append(CheckResult("lambda-dim", "pass"))
 
     vertex_bad = []
     for v in p._vertex_list:
         det = determinant(stack_rows([lam[f] for f in sorted(v)]))
         if det not in (1, -1):
             vertex_bad.append(f"vertex {sorted(v)}: determinant {det}")
-    if vertex_bad:
-        for d in vertex_bad:
-            entries.append(CheckResult("vertex-determinant", "fail", d))
-    else:
-        entries.append(CheckResult("vertex-determinant", "pass"))
+    entries += CheckResult.from_violations("vertex-determinant", vertex_bad)
 
     face_bad = []
     for k in range(1, p.n):
@@ -195,11 +186,7 @@ def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationR
             vs = [lam[f] for f in sorted(face)]
             if not is_unimodular_extension(vs, p.n):
                 face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
-    if face_bad:
-        for d in face_bad:
-            entries.append(CheckResult("face-extension", "fail", d))
-    else:
-        entries.append(CheckResult("face-extension", "pass"))
+    entries += CheckResult.from_violations("face-extension", face_bad)
     return ValidationReport(tuple(entries))
 
 
@@ -218,7 +205,8 @@ def vertex_weights(
     for i in range(p.n):
         e = IntVector(tuple(1 if t == i else 0 for t in range(p.n)))
         x = solve_exact(mat, e)
-        assert x is not None
+        if x is None:
+            raise ConsistencyError(f"vertex {v}: no integral dual basis")
         out.append(x)
     return out
 
@@ -233,10 +221,14 @@ def find_strict_subtorus(
     """
     if any(f not in lam.values for f in p.facets):
         raise InputFormatError("lambda must cover every facet")
-    lams = [lam[f] for f in sorted(p.facets)]
-    out = []
-    seen = set()
-    for cand in product(range(-search_bound, search_bound + 1), repeat=p.n):
+    return list(_strict_subtori([lam[f] for f in sorted(p.facets)], p.n, search_bound))
+
+
+def _strict_subtori(
+    lams: Sequence[IntVector], n: int, search_bound: int
+) -> Iterator[SubtorusChoice]:
+    """Canonical primitive alpha within the bound pairing to +-1 with every lam, in search order."""
+    for cand in product(range(-search_bound, search_bound + 1), repeat=n):
         v = IntVector(cand)
         if v.is_zero() or v.content() != 1:
             continue
@@ -244,10 +236,7 @@ def find_strict_subtorus(
         if lead < 0:
             continue  # +-v are the same subtorus; keep the canonical sign
         if all(abs(v.dot(l)) == 1 for l in lams):
-            if cand not in seen:
-                seen.add(cand)
-                out.append(SubtorusChoice.from_alpha(v))
-    return out
+            yield SubtorusChoice.from_alpha(v)
 
 
 def induced_mu(lam1: IntVector, lam2: IntVector, st: SubtorusChoice) -> IntVector:
@@ -312,9 +301,7 @@ def reduce(
     """
     star = validate_star(p, lam)
     if not star.ok:
-        raise StarConditionError(
-            "; ".join(e.detail for e in star.failures()[:4]) or "star condition fails"
-        )
+        raise StarConditionError(star.summary(4) or "star condition fails")
     pairings = {f: st.pairing(lam[f]) for f in p.facets}
     bad = [f for f, x in pairings.items() if abs(x) != 1]
     if bad:
@@ -418,19 +405,13 @@ class CellManifold:
         return tuple(sorted(t for t in self.top_cells if cell in self.closure(t)))
 
     def validate_simple(self) -> ValidationReport:
-        entries: list[CheckResult] = []
         bad = []
         for c, d in self.cells:
             want = self.n - d
             got = len(self.top_cells_containing(c))
             if got != want:
                 bad.append(f"{d}-cell {c} lies in {got} top cells, expected {want}")
-        if bad:
-            for b in bad:
-                entries.append(CheckResult("simple-subdivision", "fail", b))
-        else:
-            entries.append(CheckResult("simple-subdivision", "pass"))
-        return ValidationReport(tuple(entries))
+        return ValidationReport(CheckResult.from_violations("simple-subdivision", bad))
 
     def skeleton_sponge(self, ambient: str = "product") -> SpongeComplex:
         cells = [(c, d) for c, d in self.cells if d <= self.n - 2]
@@ -464,7 +445,7 @@ def cell_manifold_data(
     """
     rep = m.validate_simple()
     if not rep.ok:
-        raise ValidationError("; ".join(e.detail for e in rep.failures()[:4]))
+        raise ValidationError(rep.summary(4))
     values = lam.values if isinstance(lam, CharacteristicFunction) else {
         str(k): IntVector(tuple(v)) for k, v in dict(lam).items()
     }
@@ -476,21 +457,9 @@ def cell_manifold_data(
         if not is_unimodular_extension([values[t] for t in tops], m.n):
             raise StarConditionError(f"top-cell values at {c} do not extend to a basis")
     if st is None:
-        lams = [values[t] for t in m.top_cells]
-        found = None
-        for cand in product(range(-search_bound, search_bound + 1), repeat=m.n):
-            v = IntVector(cand)
-            if v.is_zero() or v.content() != 1:
-                continue
-            lead = next(x for x in cand if x != 0)
-            if lead < 0:
-                continue
-            if all(abs(v.dot(l)) == 1 for l in lams):
-                found = SubtorusChoice.from_alpha(v)
-                break
-        if found is None:
+        st = next(_strict_subtori([values[t] for t in m.top_cells], m.n, search_bound), None)
+        if st is None:
             raise DegenerateInputError("no strict subtorus within the search bound")
-        st = found
     else:
         bad = [t for t in m.top_cells if abs(st.pairing(values[t])) != 1]
         if bad:

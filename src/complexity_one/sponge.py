@@ -40,6 +40,15 @@ class CheckResult:
     status: str  # "pass" | "fail"
     detail: str = ""
 
+    @classmethod
+    def of(cls, check: str, ok: bool, detail: str = "") -> CheckResult:
+        return cls(check, "pass" if ok else "fail", detail)
+
+    @classmethod
+    def from_violations(cls, check: str, violations: Sequence[str]) -> tuple[CheckResult, ...]:
+        """One failing entry per violation, or a single passing entry when there are none."""
+        return tuple(cls(check, "fail", v) for v in violations) or (cls(check, "pass"),)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -51,6 +60,10 @@ class ValidationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(e for e in self.entries if e.status != "pass")
+
+    def summary(self, limit: int) -> str:
+        """The first `limit` failure details joined by "; " ("" for a passing report)."""
+        return "; ".join(e.detail for e in self.failures()[:limit])
 
     def to_dict(self) -> list[dict]:
         return [{"check": e.check, "status": e.status, "detail": e.detail} for e in self.entries]
@@ -274,22 +287,13 @@ def local_model_sponge(n: int) -> SpongeComplex:
 
 def validate_sponge(s: SpongeComplex) -> ValidationReport:
     """Check the sponge axioms; violations become report entries, not errors."""
-    entries: list[CheckResult] = []
-
-    def check(name: str, violations: list[str]) -> None:
-        if violations:
-            for v in violations:
-                entries.append(CheckResult(name, "fail", v))
-        else:
-            entries.append(CheckResult(name, "pass"))
-
     dim_bad = []
     if s.n < 2:
         dim_bad.append(f"n must be >= 2, got {s.n}")
     for c in s.cells:
         if not 0 <= c.dim <= s.n - 2:
             dim_bad.append(f"cell {c.id} has dim {c.dim} outside 0..{s.n - 2}")
-    check("cell-dims", dim_bad)
+    entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
     structure_bad = []
     for c in s.cells:
@@ -316,9 +320,9 @@ def validate_sponge(s: SpongeComplex) -> ValidationReport:
     for key in s.incidence:
         if key not in s.by_id:
             structure_bad.append(f"incidence key {key} is not a cell")
-    check("incidence-structure", structure_bad)
+    entries += CheckResult.from_violations("incidence-structure", structure_bad)
 
-    check("boundary-squared", s.boundary_squared_defects())
+    entries += CheckResult.from_violations("boundary-squared", s.boundary_squared_defects())
 
     count_bad = []
     if not structure_bad:
@@ -331,7 +335,7 @@ def validate_sponge(s: SpongeComplex) -> ValidationReport:
                     count_bad.append(
                         f"cell {c.id} (dim {c.dim}) lies in {got} cells of dim {d}, expected {want}"
                     )
-    check("upper-counts", count_bad)
+    entries += CheckResult.from_violations("upper-counts", count_bad)
     return ValidationReport(tuple(entries))
 
 

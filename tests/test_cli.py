@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from complexity_one.catalog import load, simplex_lambda, simplex_polytope
+from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
+from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
 from complexity_one.cli import main
+from complexity_one.errors import InputFormatError
 from complexity_one.io import (
     canonical_json,
     chardata_from_dict,
@@ -123,6 +126,26 @@ class TestCommands:
         code = main(["validate-weights", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("validate-sponge", b'{"n":3,"cells":5}'),
+            ("homology", b'{"n":3,"cells":5}'),
+            ("validate-weights", b'{"n":3,\xff"weights":[]}'),
+            ("validate-weights", b'{"n":3,"weights":[[1,0],[0,1],[1]]}'),
+            ("catalog", b'{"n":3,\xff"weights":[]}'),
+        ],
+        ids=["sponge-int-cells", "homology-int-cells", "non-ascii", "ragged-weights", "catalog-non-ascii"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, command, content):
+        # a catalog name resolves to <dir>/<name>.json through the override directory
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        monkeypatch.setenv("COMPLEXITY_ONE_CATALOG", str(tmp_path))
+        code = main([command, "bad" if command == "catalog" else str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("FAIL input: ")
+
 
 class TestRoundTrip:
     def test_emitted_chardata_revalidates_identically(self, workdir, capsys):
@@ -153,6 +176,26 @@ class TestRoundTrip:
         assert code1 == code2 == 0
         assert first.replace(str(out_file), "X") == second.replace(str(workdir / "cd2.json"), "X")
 
+    @pytest.mark.parametrize("name", names())
+    def test_catalog_chardata_round_trip(self, name):
+        cd = load(name).data
+        text = canonical_json(chardata_to_dict(cd))
+        back = chardata_from_dict(loads(text))
+        assert canonical_json(chardata_to_dict(back)) == text
+        assert back.ambient == cd.ambient and "boundary_trivial" not in loads(text)
+
+    def test_boundary_trivial_false_round_trips(self):
+        cd = load("f3").data
+        cd = CharacteristicData(cd.n, cd.sponge, cd.mu, cd.euler_sign, Ambient("product", False))
+        data = loads(canonical_json(chardata_to_dict(cd)))
+        assert data["boundary_trivial"] is False
+        back = chardata_from_dict(data)
+        assert back.ambient == Ambient("product", False)
+        assert not assemble_euler_cycle(back).determines_class
+        data["boundary_trivial"] = 0
+        with pytest.raises(InputFormatError):
+            chardata_from_dict(data)
+
     def test_big_integer_encoding(self):
         from complexity_one.io import _decode_int, _encode_int
 
@@ -160,3 +203,69 @@ class TestRoundTrip:
         assert _encode_int(big) == str(big)
         assert _decode_int(str(big), "t") == big
         assert _encode_int(12) == 12
+
+
+# Exact stdout, stderr and exit code of every command, in text and in JSON
+# format, recorded before the report and exit-code handling were unified.
+# The work directory is written as $DIR.
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    ws = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
+    (d / "weights.json").write_text(canonical_json(weight_system_to_dict(ws)))
+    (d / "delta3.json").write_text(canonical_json(polytope_to_dict(simplex_polytope())))
+    (d / "lam.json").write_text(canonical_json(lambda_to_dict(simplex_lambda())))
+    g42 = chardata_to_dict(load("g42").data)
+    (d / "g42.json").write_text(canonical_json(g42))
+    (d / "g42sponge.json").write_text(canonical_json(g42["sponge"]))
+    cp3 = chardata_to_dict(load("cp3-reduction").data)
+    (d / "cp3.json").write_text(canonical_json(cp3))
+    for data, path in ((cp3, d / "cp3-flipped.json"), (g42, d / "catalog" / "g42.json")):
+        fid = sorted(data["euler_sign"])[0]
+        data["euler_sign"][fid] = -data["euler_sign"][fid]
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(canonical_json(data))
+    return d
+
+
+def golden_cases(d) -> dict:
+    """Case name -> (arguments, environment); each runs in text and JSON format."""
+    reduce = ["reduce", "--polytope", f"{d}/delta3.json", "--lambda", f"{d}/lam.json"]
+    return {
+        "validate-weights": (["validate-weights", f"{d}/weights.json"], {}),
+        "validate-sponge": (["validate-sponge", f"{d}/g42sponge.json"], {}),
+        "validate-chardata": (["validate-chardata", f"{d}/g42.json"], {}),
+        "homology": (["homology", f"{d}/g42sponge.json"], {}),
+        "reduce-alpha": (reduce + ["--alpha", "1,1,-1", "-o", f"{d}/reduced.json"], {}),
+        "reduce-search": (reduce, {}),
+        "reduce-no-subtorus": (reduce + ["--alpha-bound", "0"], {}),
+        "compare-equivalent": (["compare", f"{d}/g42.json", f"{d}/g42.json"], {}),
+        "compare-flipped": (["compare", f"{d}/cp3.json", f"{d}/cp3-flipped.json"], {}),
+        "catalog-list": (["catalog", "--list"], {}),
+        "catalog-f3": (["catalog", "f3"], {}),
+        "catalog-override": (["catalog", "g42"], {"COMPLEXITY_ONE_CATALOG": f"{d}/catalog"}),
+        "catalog-unknown": (["catalog", "missing-entry"], {}),
+    }
+
+
+def run_golden_case(d, case: str, fmt: str, capsys, monkeypatch) -> dict:
+    argv, env = golden_cases(d)[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main((["--format", "json"] if fmt == "json" else []) + argv)
+    out, err = capsys.readouterr()
+    return {
+        "code": code,
+        "stdout": out.replace(str(d), "$DIR"),
+        "stderr": err.replace(str(d), "$DIR"),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(golden_cases("$DIR")))
+def test_golden_output(golden_dir, case, fmt, capsys, monkeypatch):
+    expected = json.loads(GOLDEN.read_text())[f"{case}:{fmt}"]
+    assert run_golden_case(golden_dir, case, fmt, capsys, monkeypatch) == expected

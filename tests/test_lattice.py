@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_one.errors import DegenerateInputError, DimensionMismatchError
+from complexity_one.errors import ConsistencyError, DegenerateInputError, DimensionMismatchError
 from complexity_one.lattice import (
     IntMatrix,
     IntVector,
+    SmithDecomposition,
+    _check_smith,
     determinant,
     hermite_normal_form,
     integer_kernel,
@@ -21,6 +23,8 @@ from complexity_one.lattice import (
     vec,
 )
 from oracles import cofactor_det, fraction_rank
+
+EYE2 = [[1, 0], [0, 1]]
 
 
 def rand_matrix(rng, m, n, bound=5):
@@ -76,7 +80,7 @@ class TestSmith:
             assert dec.diagonal() == (1,) * n and dec.rank == n
 
     def test_random_decomposition_properties(self):
-        # U*A*V = D, unimodularity and the divisibility chain are asserted
+        # U*A*V = D, unimodularity and the divisibility chain are checked
         # inside smith_normal_form; this loop exercises them at volume.
         rng = random.Random(5)
         for _ in range(1000):
@@ -89,6 +93,22 @@ class TestSmith:
     @settings(max_examples=120, deadline=None)
     def test_rank_matches_rational_rank(self, a):
         assert smith_normal_form(a).rank == fraction_rank(a.row_list())
+
+    @pytest.mark.parametrize(
+        "a, u, d, v, message",
+        [
+            (EYE2, EYE2, [[1, 0], [0, 2]], EYE2, r"U\*A\*V != D"),
+            (EYE2, [[2, 0], [0, 1]], [[2, 0], [0, 1]], EYE2, "U not unimodular"),
+            (EYE2, EYE2, [[1, 0], [0, 2]], [[1, 0], [0, 2]], "V not unimodular"),
+            ([[2, 0], [0, 3]], EYE2, [[2, 0], [0, 3]], EYE2, "divisibility"),
+            ([[1, 1], [0, 1]], EYE2, [[1, 1], [0, 1]], EYE2, "not diagonal"),
+        ],
+    )
+    def test_self_check_rejects_tampered_decomposition(self, a, u, d, v, message):
+        # a package error, not an assert, so the check also runs under python -O
+        dec = SmithDecomposition(*(IntMatrix.from_rows(x) for x in (u, d, v)), rank=2)
+        with pytest.raises(ConsistencyError, match=message):
+            _check_smith(IntMatrix.from_rows(a), dec)
 
 
 class TestKernel:
