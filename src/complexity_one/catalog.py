@@ -45,13 +45,11 @@ from .quasitoric import (
     reduce as quasitoric_reduce,
 )
 from .sponge import (
-    Cell,
     CheckResult,
     SpongeComplex,
     ValidationReport,
     face_star,
     homology,
-    signed_incidence,
     validate_sponge,
 )
 from .weights import WeightSystem, cramer_coefficients, is_strictly_appropriate
@@ -108,13 +106,7 @@ def octahedron_sponge(squares: bool = True) -> SpongeComplex:
         for a, b in ((1, 2), (1, 3), (1, 4)):
             mixed = [v for v in verts if len(v & {a, b}) == 1]
             two_cell(f"s.{a}{b}", mixed)
-    inc = signed_incidence(cells, covers)
-    return SpongeComplex(
-        n=4,
-        cells=tuple(Cell(c, d) for c, d in sorted(cells)),
-        incidence=inc,
-        ambient="sphere",
-    )
+    return SpongeComplex.from_covers(4, cells, covers)
 
 
 def _sum_zero_coords(v: tuple[int, ...]) -> IntVector:
@@ -192,13 +184,7 @@ def k33_sponge() -> SpongeComplex:
             if eid not in covers:
                 cells.append((eid, 1))
                 covers[eid] = [f"w{a}", f"w{b}"]
-    inc = signed_incidence(cells, covers)
-    return SpongeComplex(
-        n=3,
-        cells=tuple(Cell(c, d) for c, d in sorted(cells)),
-        incidence=inc,
-        ambient="product",
-    )
+    return SpongeComplex.from_covers(3, cells, covers)
 
 
 def _flag_weight(word: str, i: int, j: int) -> IntVector:

@@ -179,18 +179,19 @@ def cocycle_check(cd: CharacteristicData) -> ValidationReport:
         if len(through) != 3:
             bad.append(f"face {cell.id} lies in {len(through)} facets, expected 3")
             continue
+        lacking = [f for f in through if f not in cd.mu or f not in cd.euler_sign]
+        if lacking:
+            bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
+            continue
         mus = [cd.mu[f] for f in through]
         pattern = _vanishing_pattern(mus)
         if pattern is None:
             bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
             continue
-        inc = {}
-        for f in through:
-            sign = dict(cd.sponge.boundary(f)).get(cell.id)
-            inc[f] = sign if sign is not None else 0
         total = mus[0].scale(0)
         for f, v in zip(through, mus):
-            total = total + v.scale(inc[f] * cd.euler_sign[f])
+            inc = cd.sponge.boundary_signs[f].get(cell.id, 0)
+            total = total + v.scale(inc * cd.euler_sign[f])
         if not total.is_zero():
             bad.append(
                 f"face {cell.id}: stored signs do not match the vanishing pattern "
@@ -295,7 +296,7 @@ def solve_euler_signs(
         if len(through) != 3:
             raise ConsistencyError(f"face {cell.id} lies in {len(through)} facets, expected 3")
         mus = [mu[f] for f in through]
-        inc = [dict(sponge.boundary(f))[cell.id] for f in through]
+        inc = [sponge.boundary_signs[f][cell.id] for f in through]
         pattern = _vanishing_pattern(mus)
         if pattern is None:
             raise ConsistencyError(f"face {cell.id}: no +-1 vanishing combination of mu values")
@@ -355,13 +356,14 @@ def data_from_charts(
     """
     mu: dict[str, IntVector] = {}
     hopf: dict[str, int] = {}
-    for fid in sponge.facet_ids:
-        closure_vertices = sorted(
-            v.id for v in sponge.cells if v.dim == 0 and fid in sponge.upper_set(v.id)
-        )
-        if not closure_vertices:
+    closure_vertices: dict[str, list[str]] = {fid: [] for fid in sponge.facet_ids}
+    for v in sponge.cells_of_dim(0):
+        for fid in sponge.facets_containing(v.id):
+            closure_vertices[fid].append(v.id)
+    for fid, vertices in closure_vertices.items():
+        if not vertices:
             raise ConsistencyError(f"facet {fid} has no vertex in its closure")
-        for vid in closure_vertices:
+        for vid in vertices:
             chart = charts[vid]
             ws = chart.weights
             in_facet = {

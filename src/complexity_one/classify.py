@@ -127,12 +127,7 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex):
         sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
     if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
         return
-    bnd1 = {c.id: frozenset(x for x, _ in s1.boundary(c.id)) for c in s1.cells}
-    bnd2 = {c.id: frozenset(x for x, _ in s2.boundary(c.id)) for c in s2.cells}
-    cof1: dict[str, set[str]] = {c.id: set() for c in s1.cells}
-    for c in s1.cells:
-        for x in bnd1[c.id]:
-            cof1[x].add(c.id)
+    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
 
     assign: dict[str, str] = {}
     used: set[str] = set()
@@ -171,8 +166,7 @@ def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str
     gauge is determined up to one sign per connected component of the
     incidence graph; all completions are enumerated.
     """
-    inc1 = {c.id: dict(s1.boundary(c.id)) for c in s1.cells}
-    inc2 = {c.id: dict(s2.boundary(c.id)) for c in s2.cells}
+    inc1, inc2 = s1.boundary_signs, s2.boundary_signs
     cells = sorted(c.id for c in s1.cells)
     adj: dict[str, list[tuple[str, int]]] = {c: [] for c in cells}
     for c in cells:

@@ -36,7 +36,7 @@ from .lattice import (
     solve_exact,
     stack_rows,
 )
-from .sponge import Cell, CheckResult, SpongeComplex, ValidationReport, signed_incidence
+from .sponge import CheckResult, SpongeComplex, ValidationReport
 from .weights import induced_weights
 
 
@@ -279,13 +279,7 @@ def polytope_sponge(p: SimplePolytope) -> SpongeComplex:
                 if face < bigger:
                     subs.append(cid(bigger))
             covers[cid(face)] = sorted(subs)
-    inc = signed_incidence(cells, covers)
-    return SpongeComplex(
-        n=p.n,
-        cells=tuple(Cell(c, d) for c, d in sorted(cells)),
-        incidence=inc,
-        ambient="sphere",
-    )
+    return SpongeComplex.from_covers(p.n, cells, covers)
 
 
 def reduce(
@@ -302,8 +296,7 @@ def reduce(
     star = validate_star(p, lam)
     if not star.ok:
         raise StarConditionError(star.summary(4) or "star condition fails")
-    pairings = {f: st.pairing(lam[f]) for f in p.facets}
-    bad = [f for f, x in pairings.items() if abs(x) != 1]
+    bad = [f for f in p.facets if abs(st.pairing(lam[f])) != 1]
     if bad:
         raise PreconditionError(
             f"subtorus is not strict: pairings with {sorted(bad)} are not +-1"
@@ -318,16 +311,6 @@ def reduce(
         # the ray dual to facet f is the edge of the polytope avoiding f
         rays = tuple("g:" + ",".join(sorted(set(facets) - {f})) for f in facets)
         charts[vid] = Chart(ws, rays)
-
-    # cross-vertex consistency of the Hopf sign, stated directly on pairings
-    for face in p.faces_of_codim(2):
-        f, g = sorted(face)
-        signs = set()
-        for v in p.vertices:
-            if face <= v:
-                signs.add(pairings[f] * pairings[g])
-        if len(signs) != 1:
-            raise ConsistencyError(f"Hopf sign of face {sorted(face)} differs across vertices")
 
     cd = data_from_charts(sponge, charts, Ambient("sphere"))
     # mu must match the facet-pair construction
@@ -413,7 +396,7 @@ class CellManifold:
                 bad.append(f"{d}-cell {c} lies in {got} top cells, expected {want}")
         return ValidationReport(CheckResult.from_violations("simple-subdivision", bad))
 
-    def skeleton_sponge(self, ambient: str = "product") -> SpongeComplex:
+    def skeleton_sponge(self) -> SpongeComplex:
         cells = [(c, d) for c, d in self.cells if d <= self.n - 2]
         ids = {c for c, _ in cells}
         covers = {
@@ -421,13 +404,7 @@ class CellManifold:
             for c, d in cells
             if d >= 1
         }
-        inc = signed_incidence(cells, covers)
-        return SpongeComplex(
-            n=self.n,
-            cells=tuple(Cell(c, d) for c, d in sorted(cells)),
-            incidence=inc,
-            ambient=ambient,
-        )
+        return SpongeComplex.from_covers(self.n, cells, covers)
 
 
 def cell_manifold_data(

@@ -74,13 +74,13 @@ class SpongeComplex:
     """Regular cell complex of dimension n-2 with signed incidence.
 
     incidence maps each cell of dim >= 1 to ((subcell_id, +-1), ...) over its
-    boundary cells of one dimension lower.
+    boundary cells of one dimension lower.  The incidence indices below are
+    computed once, on first use, from cells and incidence alone; they are read-only.
     """
 
     n: int
     cells: tuple[Cell, ...]
     incidence: Mapping[str, tuple[tuple[str, int], ...]]
-    ambient: str = "abstract"
 
     def __post_init__(self):
         cells = tuple(
@@ -96,6 +96,13 @@ class SpongeComplex:
         if len(set(ids)) != len(ids):
             raise InputFormatError("duplicate cell ids")
 
+    @classmethod
+    def from_covers(
+        cls, n: int, cells: Sequence[tuple[str, int]], covers: Mapping[str, Sequence[str]]
+    ) -> SpongeComplex:
+        """The complex on (id, dim) cells with the covers signed by signed_incidence."""
+        return cls(n, tuple(Cell(c, d) for c, d in sorted(cells)), signed_incidence(cells, covers))
+
     @cached_property
     def by_id(self) -> dict[str, Cell]:
         return {c.id: c for c in self.cells}
@@ -104,8 +111,13 @@ class SpongeComplex:
     def dim(self) -> int:
         return max((c.dim for c in self.cells), default=0)
 
+    @cached_property
+    def _cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
+        ordered = sorted(self.cells, key=lambda c: c.id)
+        return {d: tuple(c for c in ordered if c.dim == d) for d in {c.dim for c in ordered}}
+
     def cells_of_dim(self, d: int) -> tuple[Cell, ...]:
-        return tuple(c for c in sorted(self.cells, key=lambda c: c.id) if c.dim == d)
+        return self._cells_by_dim.get(d, ())
 
     @cached_property
     def facet_ids(self) -> tuple[str, ...]:
@@ -115,7 +127,13 @@ class SpongeComplex:
         return self.incidence.get(cell_id, ())
 
     @cached_property
-    def _cofaces(self) -> dict[str, tuple[str, ...]]:
+    def boundary_signs(self) -> dict[str, dict[str, int]]:
+        """Each cell's boundary as {subcell id: sign}; empty for cells without incidence."""
+        return {c.id: dict(self.boundary(c.id)) for c in self.cells}
+
+    @cached_property
+    def cofaces(self) -> dict[str, tuple[str, ...]]:
+        """Each cell's cofaces: the incidence keys listing it, sorted by id."""
         out: dict[str, list[str]] = {c.id: [] for c in self.cells}
         for cid, bnd in self.incidence.items():
             for sub, _ in bnd:
@@ -123,21 +141,27 @@ class SpongeComplex:
                     out[sub].append(cid)
         return {k: tuple(sorted(v)) for k, v in out.items()}
 
-    def upper_set(self, cell_id: str) -> frozenset[str]:
-        """All cells whose closure contains the given cell (including itself)."""
-        if cell_id not in self.by_id:
-            raise InputFormatError(f"unknown cell id {cell_id!r}")
-        seen = {cell_id}
-        frontier = [cell_id]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for up in self._cofaces.get(c, ()):
+    @cached_property
+    def _upper_sets(self) -> dict[str, frozenset[str]]:
+        # a search per cell, not a recursion over cofaces: a malformed
+        # incidence may be cyclic or name ids that are not cells
+        out = {}
+        for c in self.cells:
+            seen = {c.id}
+            frontier = [c.id]
+            while frontier:
+                for up in self.cofaces.get(frontier.pop(), ()):
                     if up not in seen:
                         seen.add(up)
-                        nxt.append(up)
-            frontier = nxt
-        return frozenset(seen)
+                        frontier.append(up)
+            out[c.id] = frozenset(seen)
+        return out
+
+    def upper_set(self, cell_id: str) -> frozenset[str]:
+        """All cells whose closure contains the given cell (including itself)."""
+        if cell_id not in self._upper_sets:
+            raise InputFormatError(f"unknown cell id {cell_id!r}")
+        return self._upper_sets[cell_id]
 
     def facets_containing(self, cell_id: str) -> tuple[str, ...]:
         top = self.n - 2
@@ -276,13 +300,7 @@ def local_model_sponge(n: int) -> SpongeComplex:
     for f in model.faces:
         if f:
             covers[fid(f)] = sorted(fid(f - {i}) for i in f)
-    inc = signed_incidence(cells, covers)
-    return SpongeComplex(
-        n=n,
-        cells=tuple(Cell(cid, d) for cid, d in sorted(cells)),
-        incidence=inc,
-        ambient="abstract",
-    )
+    return SpongeComplex.from_covers(n, cells, covers)
 
 
 def validate_sponge(s: SpongeComplex) -> ValidationReport:

@@ -39,7 +39,7 @@ def transformed(
     rl = relabel or {c.id: c.id for c in s.cells}
     cells = tuple(Cell(rl[c.id], c.dim, c.label) for c in s.cells)
     inc = {rl[k]: tuple((rl[x], sgn) for x, sgn in v) for k, v in s.incidence.items()}
-    sp = SpongeComplex(n=s.n, cells=cells, incidence=inc, ambient=s.ambient)
+    sp = SpongeComplex(n=s.n, cells=cells, incidence=inc)
     mu = {}
     ks = {}
     for f in s.facet_ids:

@@ -157,3 +157,44 @@ def simplicial_betti(simplices):
     for d in range(top + 1):
         betti.append(len(by_dim.get(d, [])) - ranks[d] - ranks[d + 1])
     return tuple(betti)
+
+
+def incidence_indices(cells, incidence, n):
+    """Incidence indices of a cell complex by brute force.
+
+    cells: (id, dim) pairs; incidence: {id: [(subcell id, sign), ...]}, whose
+    keys and subcells need not be cells.  Returns per-dimension id lists,
+    {subcell: sign} boundary maps, sorted coface tuples, upper sets (grown to
+    a fixed point through incidence keys naming a cell already in the set)
+    and, where every upper-set member is a cell, the facets (dim n-2) in it.
+    """
+    dims = dict(cells)
+    by_dim = {}
+    for cid in sorted(dims):
+        by_dim.setdefault(dims[cid], []).append(cid)
+    boundary = {cid: {} for cid in dims}
+    for key, entries in incidence.items():
+        if key in boundary:
+            for sub, sign in entries:
+                boundary[key][sub] = sign
+    cofaces = {
+        cid: tuple(sorted(k for k, entries in incidence.items() if any(s == cid for s, _ in entries)))
+        for cid in dims
+    }
+    upper = {}
+    for cid in dims:
+        grown = {cid}
+        while True:
+            more = {
+                k for k, entries in incidence.items() if any(s in grown and s in dims for s, _ in entries)
+            }
+            if more <= grown:
+                break
+            grown |= more
+        upper[cid] = frozenset(grown)
+    facets = {
+        cid: tuple(sorted(x for x in up if dims[x] == n - 2))
+        for cid, up in upper.items()
+        if all(x in dims for x in up)
+    }
+    return {"by_dim": by_dim, "boundary": boundary, "cofaces": cofaces, "upper": upper, "facets": facets}

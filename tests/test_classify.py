@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexity_one.catalog import load
+from complexity_one.chardata import assemble_euler_cycle, cocycle_check, validate_mu
 from complexity_one.classify import (
     canonical_invariants,
     compare,
@@ -161,3 +164,17 @@ class TestFingerprints:
         assert fp.betti == (1, 0, 4)
         assert fp.ambient == "sphere"
         assert len(fp.pair_indices) == 3 * 12  # three facet pairs per edge
+
+
+@pytest.mark.parametrize("name", ["cp3-reduction", "local-model-4"])
+@settings(max_examples=25, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_relabel_and_transform_preserve_verdicts(name, rng):
+    # relabelling permutes every id-sorted order the sponge indices produce
+    cd = load(name).data
+    moved = transformed(cd, matrix=random_unimodular(rng, cd.n - 1), relabel=shuffled_relabel(cd, rng))
+    assert validate_mu(moved).ok == validate_mu(cd).ok
+    assert cocycle_check(moved).ok == cocycle_check(cd).ok
+    assert assemble_euler_cycle(moved).is_cycle == assemble_euler_cycle(cd).is_cycle
+    res = compare(cd, moved)
+    assert res.equivalent and verify_witness(cd, moved, res.witness)

@@ -146,6 +146,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("FAIL input: ")
 
+    @pytest.mark.parametrize("command", ["validate-chardata", "catalog"])
+    @pytest.mark.parametrize("field", ["mu", "euler_sign"])
+    def test_facet_without_mu_or_sign_fails_cocycle(self, tmp_path, capsys, monkeypatch, field, command):
+        data = chardata_to_dict(load("f3").data)
+        del data[field][min(data[field])]
+        (tmp_path / "f3.json").write_text(canonical_json(data))
+        monkeypatch.setenv("COMPLEXITY_ONE_CATALOG", str(tmp_path))
+        code = main([command, "f3" if command == "catalog" else str(tmp_path / "f3.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in out + err
+        assert "FAIL cocycle: face " in out and "lack mu or an Euler sign" in out
+
 
 class TestRoundTrip:
     def test_emitted_chardata_revalidates_identically(self, workdir, capsys):

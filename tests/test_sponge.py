@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -9,8 +9,9 @@ from complexity_one.errors import (
     InputFormatError,
     ValidationError,
 )
-from complexity_one.catalog import k33_sponge, octahedron_sponge
+from complexity_one.catalog import k33_sponge, load, names, octahedron_sponge, simplex_polytope
 from complexity_one.lattice import vec
+from complexity_one.quasitoric import SimplePolytope, polytope_sponge
 from complexity_one.sponge import (
     Cell,
     SpongeComplex,
@@ -24,7 +25,7 @@ from complexity_one.sponge import (
     weighted_cycle_check,
 )
 from conftest import random_unimodular
-from oracles import graph_betti, simplicial_betti
+from oracles import graph_betti, incidence_indices, simplicial_betti
 
 
 class TestLocalModel:
@@ -240,3 +241,70 @@ class TestSignedIncidence:
         }
         with pytest.raises(ConsistencyError):
             signed_incidence(cells, covers)
+
+
+def _cube(n: int) -> SimplePolytope:
+    facets = tuple(f"{axis}{side}" for axis in range(n) for side in "mp")
+    vertices = tuple(
+        frozenset(f"{axis}{side}" for axis, side in enumerate(sides))
+        for sides in product("mp", repeat=n)
+    )
+    return SimplePolytope(n, facets, vertices)
+
+
+INDEXED_SPONGES = {
+    **{name: (lambda name=name: load(name).data.sponge) for name in names()},
+    "simplex-3": lambda: polytope_sponge(simplex_polytope()),
+    "cube-3": lambda: polytope_sponge(_cube(3)),
+    "cube-4": lambda: polytope_sponge(_cube(4)),
+    **{f"local-model-sponge-{n}": (lambda n=n: local_model_sponge(n)) for n in range(3, 7)},
+}
+
+
+def _assert_indices_match_oracle(s: SpongeComplex) -> None:
+    want = incidence_indices([(c.id, c.dim) for c in s.cells], s.incidence, s.n)
+    for d in range(-1, s.dim + 2):
+        got = s.cells_of_dim(d)
+        assert [c.id for c in got] == want["by_dim"].get(d, [])
+        assert all(c is s.by_id[c.id] for c in got)
+    assert s.boundary_signs == want["boundary"]
+    assert s.cofaces == want["cofaces"]
+    for c in s.cells:
+        assert s.upper_set(c.id) == want["upper"][c.id]
+        assert s.upper_set(c.id) is s.upper_set(c.id)  # computed once
+        if c.id in want["facets"]:
+            assert s.facets_containing(c.id) == want["facets"][c.id]
+        else:
+            with pytest.raises(KeyError):  # an upper-set id that is not a cell
+                s.facets_containing(c.id)
+
+
+class TestIncidenceIndices:
+    @pytest.mark.parametrize("case", sorted(INDEXED_SPONGES))
+    def test_indices_match_brute_force(self, case):
+        _assert_indices_match_oracle(INDEXED_SPONGES[case]())
+
+    def test_malformed_incidence(self):
+        # e and f list each other, e names a missing cell, and ghost/g2 are
+        # incidence keys that are not cells
+        s = SpongeComplex(
+            n=3,
+            cells=(Cell("p", 0), Cell("q", 0), Cell("e", 1), Cell("f", 1)),
+            incidence={
+                "e": (("p", 1), ("f", 1), ("zz", -1)),
+                "f": (("e", 1),),
+                "ghost": (("q", 1),),
+                "g2": (("ghost", 1),),
+            },
+        )
+        _assert_indices_match_oracle(s)
+        assert s.upper_set("p") == {"p", "e", "f"}
+        assert s.upper_set("q") == {"q", "ghost"}
+        assert s.facets_containing("e") == ("e", "f")
+        with pytest.raises(KeyError):
+            s.facets_containing("q")
+        for unknown in ("zz", "ghost", "nope"):
+            with pytest.raises(InputFormatError):
+                s.upper_set(unknown)
+            with pytest.raises(InputFormatError):
+                s.facets_containing(unknown)
