@@ -14,6 +14,7 @@ assembled chain; nothing topological is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -80,6 +81,38 @@ class CharacteristicData:
 
     def euler_coefficient(self, facet_id: str) -> IntVector:
         return self.mu[facet_id].scale(self.euler_sign[facet_id])
+
+    @cached_property
+    def cocycle_report(self) -> ValidationReport:
+        """The three-term relations checked once; cocycle_check returns this report."""
+        codim1 = self.sponge.cells_of_dim(self.n - 3) if self.n >= 3 else ()
+        if not codim1:
+            return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
+        bad = []
+        for cell in codim1:
+            through = self.sponge.facets_containing(cell.id)
+            if len(through) != 3:
+                bad.append(f"face {cell.id} lies in {len(through)} facets, expected 3")
+                continue
+            lacking = [f for f in through if f not in self.mu or f not in self.euler_sign]
+            if lacking:
+                bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
+                continue
+            mus = [self.mu[f] for f in through]
+            pattern = _vanishing_pattern(mus)
+            if pattern is None:
+                bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
+                continue
+            total = mus[0].scale(0)
+            for f, v in zip(through, mus):
+                inc = self.sponge.boundary_signs[f].get(cell.id, 0)
+                total = total + v.scale(inc * self.euler_sign[f])
+            if not total.is_zero():
+                bad.append(
+                    f"face {cell.id}: stored signs do not match the vanishing pattern "
+                    f"(facets {', '.join(through)})"
+                )
+        return ValidationReport(CheckResult.from_violations("cocycle", bad))
 
 
 @dataclass(frozen=True)
@@ -170,34 +203,7 @@ def cocycle_check(cd: CharacteristicData) -> ValidationReport:
     +-1-signed vanishing combination, and the stored signs, twisted by the
     incidence orientation, must realize it up to one global sign per face.
     """
-    codim1 = cd.sponge.cells_of_dim(cd.n - 3) if cd.n >= 3 else ()
-    if not codim1:
-        return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
-    bad = []
-    for cell in codim1:
-        through = cd.sponge.facets_containing(cell.id)
-        if len(through) != 3:
-            bad.append(f"face {cell.id} lies in {len(through)} facets, expected 3")
-            continue
-        lacking = [f for f in through if f not in cd.mu or f not in cd.euler_sign]
-        if lacking:
-            bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
-            continue
-        mus = [cd.mu[f] for f in through]
-        pattern = _vanishing_pattern(mus)
-        if pattern is None:
-            bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
-            continue
-        total = mus[0].scale(0)
-        for f, v in zip(through, mus):
-            inc = cd.sponge.boundary_signs[f].get(cell.id, 0)
-            total = total + v.scale(inc * cd.euler_sign[f])
-        if not total.is_zero():
-            bad.append(
-                f"face {cell.id}: stored signs do not match the vanishing pattern "
-                f"(facets {', '.join(through)})"
-            )
-    return ValidationReport(CheckResult.from_violations("cocycle", bad))
+    return cd.cocycle_report
 
 
 def orbit_types(cd: CharacteristicData) -> list[OrbitType]:

@@ -35,7 +35,6 @@ class EquivalenceWitness:
     mapping: Mapping[str, str]  # cells of the first sponge -> cells of the second
     gauge: Mapping[str, int]  # per-cell orientation sign of the bijection
     matrix: IntMatrix  # unimodular transform on circle directions
-    global_sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -286,11 +285,8 @@ def verify_witness(
     a = witness.matrix
     if a.rows != cd1.n - 1 or a.cols != cd1.n - 1 or determinant(a) not in (1, -1):
         return False
-    if witness.global_sign not in (1, -1):
-        return False
     for fid in s1.facet_ids:
-        lhs = (a @ cd1.euler_coefficient(fid)).scale(witness.global_sign)
-        if lhs != cd2.euler_coefficient(mapping[fid]).scale(gauge[fid]):
+        if a @ cd1.euler_coefficient(fid) != cd2.euler_coefficient(mapping[fid]).scale(gauge[fid]):
             return False
         image_mu = a @ cd1.mu[fid]
         target_mu = cd2.mu[mapping[fid]]
@@ -336,7 +332,7 @@ def compare(cd1: CharacteristicData, cd2: CharacteristicData) -> ComparisonResul
             a = _solve_transform(cd1, cd2, mapping, gauge, span)
             if a is None:
                 continue
-            witness = EquivalenceWitness(mapping=mapping, gauge=gauge, matrix=a, global_sign=1)
+            witness = EquivalenceWitness(mapping=mapping, gauge=gauge, matrix=a)
             if verify_witness(cd1, cd2, witness):
                 return ComparisonResult("equivalent", witness=witness)
     return ComparisonResult(

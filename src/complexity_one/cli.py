@@ -123,7 +123,6 @@ def _cmd_compare(args) -> Iterator[CheckResult]:
                 "mapping": dict(sorted(result.witness.mapping.items())),
                 "gauge": dict(sorted(result.witness.gauge.items())),
                 "matrix": result.witness.matrix.row_list(),
-                "global_sign": result.witness.global_sign,
             }
         )
     yield CheckResult.of("verdict", result.equivalent, result.verdict.capitalize())

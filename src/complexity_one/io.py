@@ -121,7 +121,10 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     raw_inc = data.get("incidence", {})
     if not isinstance(raw_inc, Mapping):
         raise InputFormatError(f"{where}.incidence: expected an object")
+    ids = {c.id for c in cells}
     for cid, entries in raw_inc.items():
+        if str(cid) not in ids:  # unknown subcells stay a validation failure
+            raise InputFormatError(f"{where}.incidence: key {cid!r} is not a cell id")
         if not isinstance(entries, list):
             raise InputFormatError(f"{where}.incidence[{cid}]: expected a list")
         pairs = []

@@ -384,8 +384,16 @@ class CellManifold:
                     frontier.append(sub)
         return frozenset(seen)
 
+    @cached_property
+    def _top_cells_by_cell(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {}
+        for t in self.top_cells:  # sorted, so each list comes out sorted
+            for c in self.closure(t):
+                out.setdefault(c, []).append(t)
+        return {c: tuple(tops) for c, tops in out.items()}
+
     def top_cells_containing(self, cell: str) -> tuple[str, ...]:
-        return tuple(sorted(t for t in self.top_cells if cell in self.closure(t)))
+        return self._top_cells_by_cell.get(cell, ())
 
     def validate_simple(self) -> ValidationReport:
         bad = []

@@ -11,6 +11,7 @@ Complexes are immutable after construction and all queries are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -181,6 +182,63 @@ class SpongeComplex:
             return IntMatrix(len(rows), len(cols), (0,) * (len(rows) * len(cols)))
         return IntMatrix.from_rows(entries)
 
+    @cached_property
+    def validation_report(self) -> ValidationReport:
+        """The sponge axioms checked once; validate_sponge returns this report."""
+        dim_bad = []
+        if self.n < 2:
+            dim_bad.append(f"n must be >= 2, got {self.n}")
+        for c in self.cells:
+            if not 0 <= c.dim <= self.n - 2:
+                dim_bad.append(f"cell {c.id} has dim {c.dim} outside 0..{self.n - 2}")
+        entries = list(CheckResult.from_violations("cell-dims", dim_bad))
+
+        structure_bad = []
+        for c in self.cells:
+            bnd = self.boundary(c.id)
+            if c.dim == 0:
+                if bnd:
+                    structure_bad.append(f"0-cell {c.id} has boundary entries")
+                continue
+            if not bnd:
+                structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
+                continue
+            seen = set()
+            for sub, sign in bnd:
+                if sub not in self.by_id:
+                    structure_bad.append(f"{c.id} references unknown cell {sub}")
+                    continue
+                if self.by_id[sub].dim != c.dim - 1:
+                    structure_bad.append(
+                        f"{c.id} (dim {c.dim}) lists {sub} of dim {self.by_id[sub].dim}"
+                    )
+                if sign not in (1, -1):
+                    structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
+                if sub in seen:
+                    structure_bad.append(f"{c.id} lists {sub} twice")
+                seen.add(sub)
+        for key in self.incidence:
+            if key not in self.by_id:
+                structure_bad.append(f"incidence key {key} is not a cell")
+        entries += CheckResult.from_violations("incidence-structure", structure_bad)
+
+        entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects())
+
+        count_bad = []
+        if not structure_bad:
+            for c in self.cells:
+                upper = self.upper_set(c.id)
+                for d in range(c.dim, self.n - 1):
+                    want = comb(self.n - c.dim, d - c.dim)
+                    got = sum(1 for x in upper if self.by_id[x].dim == d)
+                    if got != want:
+                        count_bad.append(
+                            f"cell {c.id} (dim {c.dim}) lies in {got} cells of dim {d}, "
+                            f"expected {want}"
+                        )
+        entries += CheckResult.from_violations("upper-counts", count_bad)
+        return ValidationReport(tuple(entries))
+
     def boundary_squared_defects(self) -> list[str]:
         out = []
         for c in sorted(self.cells, key=lambda c: c.id):
@@ -305,56 +363,7 @@ def local_model_sponge(n: int) -> SpongeComplex:
 
 def validate_sponge(s: SpongeComplex) -> ValidationReport:
     """Check the sponge axioms; violations become report entries, not errors."""
-    dim_bad = []
-    if s.n < 2:
-        dim_bad.append(f"n must be >= 2, got {s.n}")
-    for c in s.cells:
-        if not 0 <= c.dim <= s.n - 2:
-            dim_bad.append(f"cell {c.id} has dim {c.dim} outside 0..{s.n - 2}")
-    entries = list(CheckResult.from_violations("cell-dims", dim_bad))
-
-    structure_bad = []
-    for c in s.cells:
-        bnd = s.boundary(c.id)
-        if c.dim == 0:
-            if bnd:
-                structure_bad.append(f"0-cell {c.id} has boundary entries")
-            continue
-        if not bnd:
-            structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
-            continue
-        seen = set()
-        for sub, sign in bnd:
-            if sub not in s.by_id:
-                structure_bad.append(f"{c.id} references unknown cell {sub}")
-                continue
-            if s.by_id[sub].dim != c.dim - 1:
-                structure_bad.append(f"{c.id} (dim {c.dim}) lists {sub} of dim {s.by_id[sub].dim}")
-            if sign not in (1, -1):
-                structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
-            if sub in seen:
-                structure_bad.append(f"{c.id} lists {sub} twice")
-            seen.add(sub)
-    for key in s.incidence:
-        if key not in s.by_id:
-            structure_bad.append(f"incidence key {key} is not a cell")
-    entries += CheckResult.from_violations("incidence-structure", structure_bad)
-
-    entries += CheckResult.from_violations("boundary-squared", s.boundary_squared_defects())
-
-    count_bad = []
-    if not structure_bad:
-        for c in s.cells:
-            upper = s.upper_set(c.id)
-            for d in range(c.dim, s.n - 1):
-                want = comb(s.n - c.dim, d - c.dim)
-                got = sum(1 for x in upper if s.by_id[x].dim == d)
-                if got != want:
-                    count_bad.append(
-                        f"cell {c.id} (dim {c.dim}) lies in {got} cells of dim {d}, expected {want}"
-                    )
-    entries += CheckResult.from_violations("upper-counts", count_bad)
-    return ValidationReport(tuple(entries))
+    return s.validation_report
 
 
 def filtration(s: SpongeComplex) -> list[frozenset[str]]:
@@ -437,71 +446,37 @@ def face_star(s: SpongeComplex, cell_id: str) -> FaceStar:
 
     The flag is true iff the star is poset-isomorphic to the faces of the
     local model containing a fixed face of the same dimension, i.e. to the
-    truncated Boolean lattice on n-k elements (k the cell dimension).
+    truncated Boolean lattice on m = n-k elements (k the cell dimension).
+    A face of that lattice is the set of its atoms, the rank-one faces below
+    it.  So each star cell x of rank r = dim(x)-k gets the atoms below it
+    (x itself at rank one, else the union over its covers one rank down),
+    and the star is local iff it has C(m, t) cells of each rank t in
+    0..n-2-k, no two cells have the same atoms, and every cell has r atoms
+    and r covers one rank down; given the rest, those r covers are exactly
+    the cells one rank down whose atoms it contains.
     """
     if cell_id not in s.by_id:
         raise InputFormatError(f"unknown cell id {cell_id!r}")
     k = s.by_id[cell_id].dim
     star = sorted(s.upper_set(cell_id))
     dims = {x: s.by_id[x].dim for x in star}
-    covers = []
-    star_set = set(star)
-    for x in star:
-        for sub, _ in s.boundary(x):
-            if sub in star_set:
-                covers.append((sub, x))
-
-    m = s.n - k  # ground-set size of the model star
-    target_elems = []
-    for size in range(0, s.n - 1 - k):  # relative dims 0 .. (n-2)-k
-        target_elems.extend(frozenset(c) for c in combinations(range(m), size))
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for t in target_elems:
-        by_size.setdefault(len(t), []).append(t)
-
+    covers = [(sub, x) for x in star for sub, _ in s.boundary(x) if sub in dims]
     order = sorted(star, key=lambda x: (dims[x], x))
-    cover_set = {(lo, hi) for lo, hi in covers}
-    same_rank_below: dict[str, list[str]] = {
-        x: [y for y in star if dims[y] == dims[x] - 1] for x in star
-    }
 
-    assign: dict[str, frozenset[int]] = {}
-    used: set[frozenset[int]] = set()
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        x = order[pos]
-        size = dims[x] - k
-        if size < 0 or size not in by_size:
-            return False
-        for cand in by_size[size]:
-            if cand in used:
-                continue
-            # cover pattern against every assigned cell one rank down
-            ok = True
-            for lo in same_rank_below[x]:
-                img = assign.get(lo)
-                if img is None:
-                    continue
-                if (img < cand) != ((lo, x) in cover_set):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[x] = cand
-            used.add(cand)
-            if backtrack(pos + 1):
-                return True
-            del assign[x]
-            used.discard(cand)
-        return False
-
-    counts_match = len(star) == len(target_elems) and all(
-        sum(1 for x in star if dims[x] == k + t) == len(by_size.get(t, []))
-        for t in range(0, s.n - 1 - k)
-    )
-    is_local = counts_match and backtrack(0)
+    ranks = Counter(dims[x] - k for x in star)
+    is_local = sorted(ranks.items()) == [(t, comb(s.n - k, t)) for t in range(s.n - 1 - k)]
+    if is_local:
+        below: dict[str, set[str]] = {x: set() for x in star}
+        for lo, hi in covers:
+            if dims[lo] == dims[hi] - 1:
+                below[hi].add(lo)
+        atoms: dict[str, frozenset[str]] = {}
+        for x in order:  # covers one rank down come first
+            below_atoms = (atoms[y] for y in below[x])
+            atoms[x] = frozenset((x,)) if dims[x] == k + 1 else frozenset().union(*below_atoms)
+        is_local = len(set(atoms.values())) == len(star) and all(
+            len(atoms[x]) == len(below[x]) == dims[x] - k for x in star
+        )
 
     return FaceStar(
         base=cell_id,

@@ -3,12 +3,18 @@
 Everything here works on plain lists of ints over Fractions or exact
 integer arithmetic and shares no code path with the package: cofactor
 determinants, Gaussian ranks, invariant factors from gcds of minors,
-torsion element orders from rational solves, and simplicial/graph homology.
+torsion element orders from rational solves, simplicial/graph homology and
+brute-force incidence indices.  The one exception is face_star_search, the
+package's former backtracking face_star, kept as the reference for the
+direct atom-set test; it reads a complex only through by_id, upper_set and
+boundary, which incidence_indices checks.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from complexity_one.errors import InputFormatError
 
 
 def cofactor_det(m):
@@ -198,3 +204,78 @@ def incidence_indices(cells, incidence, n):
         if all(x in dims for x in up)
     }
     return {"by_dim": by_dim, "boundary": boundary, "cofaces": cofaces, "upper": upper, "facets": facets}
+
+
+def face_star_search(s, cell_id):
+    """face_star by backtracking: (base, cell_dims, relation, is_local).
+
+    Tries every injective, rank-preserving assignment of the star's cells
+    to subsets of an (n-k)-set and keeps one whose subset order matches the
+    cover relation between consecutive ranks.  Reads the complex only
+    through by_id, upper_set and boundary.
+    """
+    if cell_id not in s.by_id:
+        raise InputFormatError(f"unknown cell id {cell_id!r}")
+    k = s.by_id[cell_id].dim
+    star = sorted(s.upper_set(cell_id))
+    dims = {x: s.by_id[x].dim for x in star}
+    covers = []
+    star_set = set(star)
+    for x in star:
+        for sub, _ in s.boundary(x):
+            if sub in star_set:
+                covers.append((sub, x))
+
+    m = s.n - k  # ground-set size of the model star
+    target_elems = []
+    for size in range(0, s.n - 1 - k):  # relative dims 0 .. (n-2)-k
+        target_elems.extend(frozenset(c) for c in combinations(range(m), size))
+    by_size = {}
+    for t in target_elems:
+        by_size.setdefault(len(t), []).append(t)
+
+    order = sorted(star, key=lambda x: (dims[x], x))
+    cover_set = {(lo, hi) for lo, hi in covers}
+    same_rank_below = {
+        x: [y for y in star if dims[y] == dims[x] - 1] for x in star
+    }
+
+    assign = {}
+    used = set()
+
+    def backtrack(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        size = dims[x] - k
+        if size < 0 or size not in by_size:
+            return False
+        for cand in by_size[size]:
+            if cand in used:
+                continue
+            # cover pattern against every assigned cell one rank down
+            ok = True
+            for lo in same_rank_below[x]:
+                img = assign.get(lo)
+                if img is None:
+                    continue
+                if (img < cand) != ((lo, x) in cover_set):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assign[x] = cand
+            used.add(cand)
+            if backtrack(pos + 1):
+                return True
+            del assign[x]
+            used.discard(cand)
+        return False
+
+    counts_match = len(star) == len(target_elems) and all(
+        sum(1 for x in star if dims[x] == k + t) == len(by_size.get(t, []))
+        for t in range(0, s.n - 1 - k)
+    )
+    is_local = counts_match and backtrack(0)
+
+    return (cell_id, tuple((x, dims[x]) for x in order), tuple(sorted(covers)), is_local)

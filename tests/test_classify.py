@@ -119,7 +119,6 @@ class TestWitnessVerifier:
             mapping=res.witness.mapping,
             gauge=res.witness.gauge,
             matrix=bad @ res.witness.matrix,
-            global_sign=res.witness.global_sign,
         )
         assert not verify_witness(cd, cd, tampered)
 
@@ -135,7 +134,6 @@ class TestWitnessVerifier:
             mapping=mapping,
             gauge=res.witness.gauge,
             matrix=res.witness.matrix,
-            global_sign=res.witness.global_sign,
         )
         assert not verify_witness(cd, cd, tampered)
 

@@ -158,6 +158,25 @@ class TestCommands:
         assert code == 1 and "Traceback" not in out + err
         assert "FAIL cocycle: face " in out and "lack mu or an Euler sign" in out
 
+    @pytest.mark.parametrize("command", ["validate-chardata", "catalog"])
+    def test_incidence_key_not_a_cell_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        data = chardata_to_dict(load("f3").data)
+        data["sponge"]["incidence"]["ghost"] = [["w123", 1]]
+        (tmp_path / "f3.json").write_text(canonical_json(data))
+        monkeypatch.setenv("COMPLEXITY_ONE_CATALOG", str(tmp_path))
+        code = main([command, "f3" if command == "catalog" else str(tmp_path / "f3.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and "Traceback" not in out + err
+        assert err.startswith("FAIL input: ") and "'ghost' is not a cell id" in err
+
+    def test_unknown_subcell_fails_incidence_structure(self, tmp_path, capsys):
+        data = sponge_to_dict(load("f3").data.sponge)
+        data["incidence"][min(data["incidence"])].append(["ghost", 1])
+        (tmp_path / "s.json").write_text(canonical_json(data))
+        code = main(["validate-sponge", str(tmp_path / "s.json")])
+        out = capsys.readouterr().out
+        assert code == 1 and "FAIL incidence-structure: " in out and "unknown cell ghost" in out
+
 
 class TestRoundTrip:
     def test_emitted_chardata_revalidates_identically(self, workdir, capsys):

@@ -370,6 +370,15 @@ class TestCellManifold:
         with pytest.raises(ValidationError):
             cell_manifold_data(m, {})
 
+    def test_top_cells_containing_matches_closure_scan(self):
+        cells, covers = self._sphere_cells()
+        covers["t123"] = covers["t123"] + ["zz"]  # a cover that is not a cell
+        for m in (torus_three_hexagons(), CellManifold(3, tuple(cells), covers)):
+            tops = sorted(c for c, d in m.cells if d == m.n - 1)
+            for cell in [c for c, _ in m.cells] + ["zz", "nope"]:
+                want = tuple(t for t in tops if cell in m.closure(t))
+                assert m.top_cells_containing(cell) == want, cell
+
     def test_no_subtorus_within_bound(self):
         m = torus_three_hexagons()
         lam = {h: v for h, v in zip(sorted(t for t, d in m.cells if d == 2), [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 2)])}

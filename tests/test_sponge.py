@@ -25,7 +25,7 @@ from complexity_one.sponge import (
     weighted_cycle_check,
 )
 from conftest import random_unimodular
-from oracles import graph_betti, incidence_indices, simplicial_betti
+from oracles import face_star_search, graph_betti, incidence_indices, simplicial_betti
 
 
 class TestLocalModel:
@@ -204,6 +204,116 @@ class TestFaceStar:
     def test_unknown_cell(self):
         with pytest.raises(InputFormatError):
             face_star(k33_sponge(), "nope")
+
+    @pytest.mark.parametrize("case", ["five-edges-five-wedges", "doubled-wedge"])
+    def test_miscounted_vertex_star_not_local(self, case):
+        assert not face_star(STAR_SPONGES[case](), "v").is_local
+
+
+def _vertex_star(rays: int, wedges: list[tuple[int, int]]) -> SpongeComplex:
+    """An n=4 vertex v with rays e<i> and one 2-cell on each listed pair of rays."""
+    cells = [("v", 0)] + [(f"e{i}", 1) for i in range(rays)]
+    covers = {f"e{i}": ["v"] for i in range(rays)}
+    for j, (a, b) in enumerate(wedges):
+        cells.append((f"w{j}", 2))
+        covers[f"w{j}"] = [f"e{a}", f"e{b}"]
+    return SpongeComplex.from_covers(4, cells, covers)
+
+
+def _assert_star_matches_search(s: SpongeComplex) -> None:
+    """face_star agrees with the backtracking reference on every cell, errors included."""
+    for c in s.cells:
+        try:
+            want = face_star_search(s, c.id)
+        except KeyError:  # a star member that is not a cell
+            with pytest.raises(KeyError):
+                face_star(s, c.id)
+            continue
+        got = face_star(s, c.id)
+        assert (got.base, got.cell_dims, got.relation, got.is_local) == want, c.id
+
+
+def _prism() -> SimplePolytope:
+    sides = (("s1", "s2"), ("s2", "s3"), ("s1", "s3"))
+    vertices = tuple(frozenset((cap, *pair)) for cap in "tb" for pair in sides)
+    return SimplePolytope(3, ("t", "b", "s1", "s2", "s3"), vertices)
+
+
+STAR_SPONGES = {
+    **{name: (lambda name=name: load(name).data.sponge) for name in names()},
+    **{f"local-model-sponge-{n}": (lambda n=n: local_model_sponge(n)) for n in range(3, 8)},
+    "octahedron-without-squares": lambda: octahedron_sponge(squares=False),
+    "simplex-3": lambda: polytope_sponge(simplex_polytope()),
+    "prism-3": lambda: polytope_sponge(_prism()),
+    **{f"cube-{n}": (lambda n=n: polytope_sponge(_cube(n))) for n in (3, 4, 5)},
+    # 11 cells like the local vertex star, but 1, 5, 5 of them by dimension, not 1, 4, 6
+    "five-edges-five-wedges": lambda: _vertex_star(5, [(i, (i + 1) % 5) for i in range(5)]),
+    # counts 1, 4, 6, but the wedge on e2, e3 is a second wedge on e0, e1
+    "doubled-wedge": lambda: _vertex_star(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 1)]),
+}
+
+MUTATIONS = (
+    "drop-cell",
+    "drop-entry",
+    "add-entry",
+    "add-lower-entry",
+    "add-same-dim-entry",
+    "add-higher-entry",
+    "duplicate-top-cell",
+    "ghost-key",
+    "redirect-entry",
+)
+
+
+def _mutated(s: SpongeComplex, kind: str, rng: random.Random) -> SpongeComplex:
+    """A copy of s with one seeded defect of the given kind.
+
+    The add-*entry kinds list one more cell in a boundary: one dimension
+    lower than the key (add-entry), two lower, the same or one higher, or
+    the key itself when no cell of that dimension exists.
+    """
+    cells = list(s.cells)
+    inc = {k: list(v) for k, v in s.incidence.items()}
+    bounded = sorted(k for k, v in inc.items() if v)
+    if kind == "drop-cell":  # its own boundary goes, references to it stay
+        gone = cells.pop(rng.randrange(len(cells)))
+        inc.pop(gone.id, None)
+    elif kind == "drop-entry":
+        key = rng.choice(bounded)
+        inc[key].pop(rng.randrange(len(inc[key])))
+    elif kind == "duplicate-top-cell":
+        top = rng.choice(s.cells_of_dim(s.dim))
+        cells.append(Cell(top.id + "'", top.dim))
+        if top.id in inc:
+            inc[top.id + "'"] = list(inc[top.id])
+    elif kind == "ghost-key":
+        inc["ghost"] = [(rng.choice(cells).id, 1)]
+    elif kind == "redirect-entry":  # counts stay, two cells may end up with equal boundaries
+        key = rng.choice(bounded)
+        j = rng.randrange(len(inc[key]))
+        sub, sign = inc[key][j]
+        pool = [c.id for c in s.cells_of_dim(s.by_id[sub].dim) if c.id != sub]
+        inc[key][j] = (rng.choice(pool or [sub]), sign)
+    else:
+        key = rng.choice(bounded)
+        offset = {"add-entry": -1, "add-lower-entry": -2, "add-same-dim-entry": 0}.get(kind, 1)
+        pool = [c.id for c in s.cells_of_dim(s.by_id[key].dim + offset) if c.id != key] or [key]
+        inc[key].append((rng.choice(pool), rng.choice((1, -1))))
+    return SpongeComplex(s.n, tuple(cells), inc)
+
+
+class TestFaceStarAgreesWithSearch:
+    @pytest.mark.parametrize("case", sorted(STAR_SPONGES))
+    def test_every_cell(self, case):
+        _assert_star_matches_search(STAR_SPONGES[case]())
+
+    def test_mutated_complexes(self):
+        rng = random.Random(6)
+        bases = [load(name).data.sponge for name in ("g42", "f3", "cp3-reduction")]
+        bases += [local_model_sponge(4), local_model_sponge(5), polytope_sponge(_cube(3))]
+        bases += [octahedron_sponge(squares=False), polytope_sponge(_prism())]
+        for _, base, kind in product(range(2), bases, MUTATIONS):
+            _assert_star_matches_search(_mutated(base, kind, rng))
 
 
 class TestSignedIncidence:
