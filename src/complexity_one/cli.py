@@ -76,18 +76,21 @@ def _cmd_homology(args) -> Iterator[CheckResult]:
     yield CheckResult.of("torsion", True, str(tor) if tor else "none")
 
 
-def _parse_alpha(text: str) -> IntVector:
+def _parse_alpha(text: str, n: int) -> IntVector:
     try:
-        return IntVector(tuple(int(x) for x in text.split(",")))
+        alpha = IntVector(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
         raise InputFormatError(f"--alpha must be comma-separated integers, got {text!r}") from exc
+    if alpha.dim != n:
+        raise InputFormatError(f"--alpha has {alpha.dim} entries, the polytope has n={n}")
+    return alpha
 
 
 def _cmd_reduce(args) -> Iterator[CheckResult]:
     p = polytope_from_dict(read_json(args.polytope), args.polytope)
     lam = lambda_from_dict(read_json(args.lam), args.lam)
     if args.alpha:
-        st = SubtorusChoice.from_alpha(_parse_alpha(args.alpha))
+        st = SubtorusChoice.from_alpha(_parse_alpha(args.alpha, p.n))
     else:
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:

@@ -1,8 +1,11 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra over Python's arbitrary-precision integers.
 
-Determinants, Smith and Hermite normal forms, saturated integer kernels and
-primitive vectors, all over Python's arbitrary-precision integers.  Values
-are immutable and every operation is pure, so concurrent use is safe.
+Each job uses the simplest elimination that answers it: Bareiss
+fraction-free elimination for determinant and rank, the Hermite form for
+solve_exact, inverse_unimodular and integer_kernel, and the Smith form only
+where invariant factors are the answer (homology torsion, stabilizer orders,
+is_unimodular_extension).  Values are immutable and every operation is
+pure, so concurrent use is safe.
 
 Conventions:
   * Smith form: U @ A @ V = D with U, V unimodular, D diagonal with
@@ -10,6 +13,7 @@ Conventions:
   * Hermite form: row-style, H = U @ A with positive pivots and entries
     above each pivot reduced into [0, pivot).
   * Kernel bases are Hermite-normalized so results are deterministic.
+  * Every Smith and Hermite result is verified before it is returned.
 """
 
 from __future__ import annotations
@@ -185,29 +189,36 @@ def stack_rows(vectors: Sequence[IntVector], cols: int | None = None) -> IntMatr
     return IntMatrix.from_rows([list(v) for v in vectors])
 
 
+def _bareiss(a: IntMatrix) -> tuple[list[list[int]], int, int]:
+    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (rows, rank, sign) where sign is the parity of the row swaps.
+    Columns without a pivot are skipped; every entry stays a minor of a,
+    so each division by the previous pivot is exact.
+    """
+    m = a.row_list()
+    sign, prev, r = 1, 1, 0
+    for c in range(a.cols):
+        pivot = next((i for i in range(r, a.rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top, p = m[r], m[r][c]
+        for i in range(r + 1, a.rows):
+            f = m[i][c]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev, r = p, r + 1
+    return m, r, sign
+
+
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
     if not a.is_square():
         raise DimensionMismatchError(f"determinant of a {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.row_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, r, sign = _bareiss(a)
+    return 0 if r < a.rows else sign * m[-1][-1] if r else 1
 
 
 @dataclass(frozen=True)
@@ -379,21 +390,18 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def _check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
-    m, n = a.rows, a.cols
-    if m and n and (dec.u @ a @ dec.v).entries != dec.d.entries:
+    if (dec.u @ a @ dec.v).entries != dec.d.entries:
         raise ConsistencyError("Smith check: U*A*V != D")
-    if m and abs(determinant(dec.u)) != 1:
+    if abs(determinant(dec.u)) != 1:
         raise ConsistencyError("Smith check: U not unimodular")
-    if n and abs(determinant(dec.v)) != 1:
+    if abs(determinant(dec.v)) != 1:
         raise ConsistencyError("Smith check: V not unimodular")
     diag = dec.diagonal()
     for i in range(len(diag) - 1):
         if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
             raise ConsistencyError("Smith check: divisibility chain broken")
-    for i in range(dec.d.rows):
-        for j in range(dec.d.cols):
-            if i != j and dec.d.entry(i, j) != 0:
-                raise ConsistencyError("Smith check: D not diagonal")
+    if any(dec.d.entry(i, j) for i in range(dec.d.rows) for j in range(dec.d.cols) if i != j):
+        raise ConsistencyError("Smith check: D not diagonal")
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -405,7 +413,6 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     w = _Worker(a)
     m, n = w.m, w.n
     pivot_row = 0
-    pivots = []
     for col in range(n):
         row = next((i for i in range(pivot_row, m) if w.d[i][col]), None)
         if row is None:
@@ -422,84 +429,81 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = w.d[i][col] // p
             if q:
                 w.add_row(i, pivot_row, -q)
-        pivots.append(col)
         pivot_row += 1
-        if pivot_row == m:
-            break
     h = IntMatrix.from_rows(w.d) if m and n else IntMatrix(m, n, (0,) * (m * n))
     u = IntMatrix.from_rows(w.u) if m else IntMatrix(0, 0, ())
+    _check_hermite(a, h, u)
     return h, u
 
 
+def _check_hermite(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
+    if (u @ a).entries != h.entries:
+        raise ConsistencyError("Hermite check: U*A != H")
+    if abs(determinant(u)) != 1:
+        raise ConsistencyError("Hermite check: U not unimodular")
+    leads = [next((j for j, x in enumerate(h.row(i)) if x), h.cols) for i in range(h.rows)]
+    r = sum(1 for c in leads if c < h.cols)
+    if leads[:r] != sorted(set(leads[:r])) or leads[r:] != [h.cols] * (h.rows - r):
+        raise ConsistencyError("Hermite check: H not in row echelon form")
+    for i, c in enumerate(leads[:r]):
+        p = h.entry(i, c)
+        if p <= 0 or any(not 0 <= h.entry(k, c) < p for k in range(i)):
+            raise ConsistencyError("Hermite check: pivot not positive or entry above it not reduced")
+
+
 def rank(a: IntMatrix) -> int:
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    return smith_normal_form(a).rank
+    """Rank over Q, the number of Bareiss pivots."""
+    return _bareiss(a)[1]
 
 
 def integer_kernel(a: IntMatrix) -> list[IntVector]:
     """Basis of ker(a) as a saturated sublattice of Z^cols.
 
-    The basis is Hermite-normalized so the output is deterministic, and it
-    generates the full kernel lattice (not a finite-index sublattice).
+    With u @ a^T = h in Hermite form, the rows of the unimodular u where h is
+    zero generate the full kernel lattice (not a finite-index sublattice).
+    Their Hermite form is the basis, so the output is deterministic.
     """
-    if a.cols == 0:
-        return []
-    if a.rows == 0:
-        basis = [IntVector(tuple(1 if i == j else 0 for j in range(a.cols))) for i in range(a.cols)]
-        return basis
-    dec = smith_normal_form(a)
-    gens = [dec.v.col(j) for j in range(dec.rank, a.cols)]
-    if not gens:
-        return []
-    h, _ = hermite_normal_form(stack_rows(gens))
-    out = [h.row(i) for i in range(h.rows) if not h.row(i).is_zero()]
-    return out
+    h, u = hermite_normal_form(a.transpose())
+    gens = [u.row(i) for i in range(h.rows) if h.row(i).is_zero()]
+    h, _ = hermite_normal_form(stack_rows(gens, cols=a.cols))
+    return [h.row(i) for i in range(h.rows)]
 
 
 def solve_exact(a: IntMatrix, b: IntVector) -> IntVector | None:
     """Integer solution x of a @ x = b, or None when none exists.
 
-    When ker(a) is nontrivial the returned solution is the Smith-form one
-    (deterministic, not canonical in any lattice sense).
+    With u @ a^T = h in Hermite form, h^T y = b is solved by forward
+    substitution over the pivots of h and x = u^T y.  When ker(a) is
+    nontrivial the free coordinates of y are 0 (deterministic, not canonical
+    in any lattice sense).
     """
     if a.rows != b.dim:
         raise DimensionMismatchError("solve_exact: incompatible shapes")
-    if a.cols == 0:
-        return IntVector(()) if b.is_zero() else None
-    dec = smith_normal_form(a)
-    c = dec.u @ b
-    x = [0] * a.cols
-    for i in range(min(a.rows, a.cols)):
-        di = dec.d.entry(i, i)
-        if di:
-            if c[i] % di != 0:
-                return None
-            x[i] = c[i] // di
-        elif c[i] != 0:
+    h, u = hermite_normal_form(a.transpose())
+    y = [0] * a.cols
+    for i in range(h.rows):
+        col = next((j for j in range(h.cols) if h.entry(i, j)), None)
+        if col is None:
+            break
+        y[i], rem = divmod(b[col] - sum(h.entry(k, col) * y[k] for k in range(i)), h.entry(i, col))
+        if rem:
             return None
-    for i in range(min(a.rows, a.cols), a.rows):
-        if c[i] != 0:
-            return None
-    return dec.v @ IntVector(tuple(x))
+    x = u.transpose() @ IntVector(tuple(y))
+    return x if a @ x == b else None
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square matrix with determinant +-1."""
+    """Exact inverse of a square matrix with determinant +-1.
+
+    A square matrix is unimodular iff its Hermite form is the identity, and
+    then u @ a = I makes u the inverse.
+    """
     if not a.is_square():
         raise DimensionMismatchError("inverse of a non-square matrix")
-    det = determinant(a)
-    if det not in (1, -1):
-        raise DegenerateInputError(f"matrix with determinant {det} has no integer inverse")
-    n = a.rows
-    cols = []
-    for j in range(n):
-        e = IntVector(tuple(1 if i == j else 0 for i in range(n)))
-        x = solve_exact(a, e)
-        if x is None:
-            raise ConsistencyError("determinant +-1 matrix has no integral inverse column")
-        cols.append(x)
-    return IntMatrix.from_cols([list(c) for c in cols])
+    h, u = hermite_normal_form(a)
+    if h != IntMatrix.identity(a.rows):
+        raise DegenerateInputError(f"matrix with determinant {determinant(a)} has no integer inverse")
+    return u
 
 
 def is_unimodular_extension(vectors: Sequence[IntVector], dim: int) -> bool:
@@ -515,9 +519,7 @@ def is_unimodular_extension(vectors: Sequence[IntVector], dim: int) -> bool:
     for v in vs:
         if v.dim != dim:
             raise DimensionMismatchError(f"vector of dim {v.dim} in Z^{dim}")
-    dec = smith_normal_form(stack_rows(vs))
-    diag = dec.diagonal()
-    return dec.rank == len(vs) and all(x == 1 for x in diag[: len(vs)])
+    return smith_normal_form(stack_rows(vs)).diagonal() == (1,) * len(vs)
 
 
 def kernel_complement(alpha: IntVector) -> IntMatrix:

@@ -30,6 +30,7 @@ from .lattice import (
     IntMatrix,
     IntVector,
     determinant,
+    inverse_unimodular,
     is_unimodular_extension,
     kernel_complement,
     primitive,
@@ -201,14 +202,7 @@ def vertex_weights(
     det = determinant(mat)
     if det not in (1, -1):
         raise StarConditionError(f"vertex {v}: lambda determinant {det}")
-    out = []
-    for i in range(p.n):
-        e = IntVector(tuple(1 if t == i else 0 for t in range(p.n)))
-        x = solve_exact(mat, e)
-        if x is None:
-            raise ConsistencyError(f"vertex {v}: no integral dual basis")
-        out.append(x)
-    return out
+    return list(map(inverse_unimodular(mat).col, range(p.n)))
 
 
 def find_strict_subtorus(

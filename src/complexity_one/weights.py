@@ -135,8 +135,7 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
         raise PreconditionError("weight system is not in general position")
     relation = IntMatrix.from_rows([[cc.c[i] for i in idx]])
     dec = smith_normal_form(relation)
-    orders = tuple(x for x in dec.diagonal() if x > 1)
-    return StabilizerStructure(torus_rank=len(idx) - dec.rank, finite_orders=orders)
+    return StabilizerStructure(torus_rank=len(idx) - dec.rank, finite_orders=dec.torsion())
 
 
 def hopf_type(ws: WeightSystem, i: int, j: int) -> int:

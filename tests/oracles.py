@@ -2,12 +2,12 @@
 
 Everything here works on plain lists of ints over Fractions or exact
 integer arithmetic and shares no code path with the package: cofactor
-determinants, Gaussian ranks, invariant factors from gcds of minors,
-torsion element orders from rational solves, simplicial/graph homology and
-brute-force incidence indices.  The one exception is face_star_search, the
-package's former backtracking face_star, kept as the reference for the
-direct atom-set test; it reads a complex only through by_id, upper_set and
-boundary, which incidence_indices checks.
+determinants, Gaussian ranks, invariant factors and integer solvability
+from gcds of minors, torsion element orders from rational solves,
+simplicial/graph homology and brute-force incidence indices.  The one
+exception is face_star_search, the package's former backtracking face_star,
+kept as the reference for the direct atom-set test; it reads a complex only
+through by_id, upper_set and boundary, which incidence_indices checks.
 """
 
 from fractions import Fraction
@@ -50,20 +50,24 @@ def fraction_rank(rows):
     return rank
 
 
+def minor_gcd(rows, k):
+    """gcd of the k x k minors (1 for k = 0, 0 when every minor vanishes)."""
+    cols = len(rows[0]) if rows else 0
+    g = 0
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(cols), k):
+            g = gcd(g, cofactor_det([[rows[i][j] for j in ci] for i in ri]))
+    return g
+
+
 def invariant_factors_from_minors(rows):
     """d_1 | d_2 | ... from gcds of i x i minors, by brute enumeration."""
     if not rows or not rows[0]:
         return []
-    r = len(rows)
-    c = len(rows[0])
     factors = []
     prev = 1
-    for k in range(1, min(r, c) + 1):
-        g = 0
-        for ri in combinations(range(r), k):
-            for ci in combinations(range(c), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = gcd(g, cofactor_det(sub))
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        g = minor_gcd(rows, k)
         if g == 0:
             break
         factors.append(g // prev)
@@ -98,6 +102,17 @@ def solve_rational(a_cols, b):
     for i, col in enumerate(pivots):
         x[col] = aug[i][cols]
     return x
+
+
+def integer_solvable(rows, b):
+    """Whether A x = b has an integer solution, A given by its m rows.
+
+    The classical criterion: A and [A | b] have the same rank r and the same
+    gcd of r x r minors.
+    """
+    r = fraction_rank(rows)
+    augmented = [list(row) + [x] for row, x in zip(rows, b)]
+    return fraction_rank(augmented) == r and minor_gcd(augmented, r) == minor_gcd(rows, r)
 
 
 def coset_order(a_rows, v, bound=64):

@@ -310,3 +310,12 @@ def test_criterion_8_cocycle_relations():
             violations += 1
     ok = violations == 0 and faces > 0
     _report(8, ok, f"{faces} codimension-one faces over {len(data)} data sets, {violations} violations", t0)
+
+
+def test_criterion_9_validate_mu_speed():
+    cd = load("local-model-7").data
+    t0 = time.monotonic()
+    report = validate_mu(cd)
+    dt = time.monotonic() - t0
+    ok = report.ok and dt < 0.2
+    _report(9, ok, f"validate_mu(local-model-7) ok={report.ok} in {dt:.3f}s (bound 0.2s)", t0)

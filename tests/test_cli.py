@@ -134,15 +134,30 @@ class TestCommands:
             ("validate-weights", b'{"n":3,\xff"weights":[]}'),
             ("validate-weights", b'{"n":3,"weights":[[1,0],[0,1],[1]]}'),
             ("catalog", b'{"n":3,\xff"weights":[]}'),
+            ("reduce", canonical_json(polytope_to_dict(simplex_polytope())).encode()),
         ],
-        ids=["sponge-int-cells", "homology-int-cells", "non-ascii", "ragged-weights", "catalog-non-ascii"],
+        ids=[
+            "sponge-int-cells",
+            "homology-int-cells",
+            "non-ascii",
+            "ragged-weights",
+            "catalog-non-ascii",
+            "reduce-alpha-wrong-length",
+        ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, command, content):
         # a catalog name resolves to <dir>/<name>.json through the override directory
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         monkeypatch.setenv("COMPLEXITY_ONE_CATALOG", str(tmp_path))
-        code = main([command, "bad" if command == "catalog" else str(bad)])
+        lam = tmp_path / "lam.json"
+        lam.write_text(canonical_json(lambda_to_dict(simplex_lambda())))
+        argv = {
+            "catalog": [command, "bad"],
+            # bad.json is a valid n=3 polytope; the malformed input is a length-2 alpha
+            "reduce": [command, "--polytope", str(bad), "--lambda", str(lam), "--alpha=1,0"],
+        }.get(command, [command, str(bad)])
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("FAIL input: ")
 

@@ -9,6 +9,7 @@ from complexity_one.lattice import (
     IntMatrix,
     IntVector,
     SmithDecomposition,
+    _check_hermite,
     _check_smith,
     determinant,
     hermite_normal_form,
@@ -17,12 +18,14 @@ from complexity_one.lattice import (
     is_unimodular_extension,
     kernel_complement,
     primitive,
+    rank,
     smith_normal_form,
     solve_exact,
     stack_rows,
     vec,
 )
-from oracles import cofactor_det, fraction_rank
+from conftest import random_unimodular
+from oracles import cofactor_det, fraction_rank, integer_solvable
 
 EYE2 = [[1, 0], [0, 1]]
 
@@ -37,6 +40,34 @@ matrices = st.integers(1, 4).flatmap(
             st.integers(-9, 9), min_size=m * n, max_size=m * n
         ).map(lambda ent: IntMatrix(m, n, tuple(ent)))
     )
+)
+
+small_ints = st.integers(-6, 6)
+
+
+def _entries(count):
+    return st.lists(small_ints, min_size=count, max_size=count)
+
+
+def _sized(m, n):
+    return _entries(m * n).map(lambda e: IntMatrix(m, n, tuple(e)))
+
+
+def _product(m, k, n):
+    """m x n matrices B C of rank <= k, multiplied on plain lists of ints."""
+
+    def multiply(bc):
+        b, c = bc
+        entries = (sum(b[i * k + t] * c[t * n + j] for t in range(k)) for i in range(m) for j in range(n))
+        return IntMatrix(m, n, tuple(entries))
+
+    return st.tuples(_entries(m * k), _entries(k * n)).map(multiply)
+
+
+# shapes down to 0 x n and m x 0, and products through an inner dimension
+# k <= 3, so that rank-deficient matrices are common
+any_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda mn: st.one_of(_sized(*mn), st.integers(0, 3).flatmap(lambda k: _product(mn[0], k, mn[1])))
 )
 
 
@@ -63,6 +94,22 @@ class TestDeterminant:
             n = rng.randint(1, 4)
             a = rand_matrix(rng, n, n)
             assert determinant(a) == cofactor_det(a.row_list())
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(0, n - 1).flatmap(lambda k: _product(n, k, n))))
+    @settings(max_examples=100, deadline=None)
+    def test_singular_matches_cofactor_expansion(self, a):
+        # n x n through an inner dimension k < n, so singular
+        assert determinant(a) == cofactor_det(a.row_list()) == 0
+
+
+class TestRank:
+    @given(any_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_rank(self, a):
+        assert rank(a) == fraction_rank(a.row_list())
+
+    def test_empty_shapes(self):
+        assert rank(IntMatrix(0, 3, ())) == rank(IntMatrix(3, 0, ())) == rank(IntMatrix(0, 0, ())) == 0
 
 
 class TestSmith:
@@ -109,6 +156,21 @@ class TestSmith:
         dec = SmithDecomposition(*(IntMatrix.from_rows(x) for x in (u, d, v)), rank=2)
         with pytest.raises(ConsistencyError, match=message):
             _check_smith(IntMatrix.from_rows(a), dec)
+
+    @pytest.mark.parametrize(
+        "a, h, u, message",
+        [
+            (EYE2, [[1, 0], [0, 2]], EYE2, r"U\*A != H"),
+            (EYE2, [[2, 0], [0, 1]], [[2, 0], [0, 1]], "U not unimodular"),
+            ([[0, 1], [1, 0]], [[0, 1], [1, 0]], EYE2, "row echelon"),
+            ([[0, 0], [1, 0]], [[0, 0], [1, 0]], EYE2, "row echelon"),
+            ([[-1, 0], [0, 1]], [[-1, 0], [0, 1]], EYE2, "pivot not positive"),
+            ([[1, 2], [0, 1]], [[1, 2], [0, 1]], EYE2, "not reduced"),
+        ],
+    )
+    def test_self_check_rejects_tampered_hermite(self, a, h, u, message):
+        with pytest.raises(ConsistencyError, match=message):
+            _check_hermite(*(IntMatrix.from_rows(x) for x in (a, h, u)))
 
 
 class TestKernel:
@@ -197,12 +259,33 @@ class TestHermiteAndSolve:
         a = IntMatrix.from_rows([[2, 0], [0, 2]])
         assert solve_exact(a, vec(1, 0)) is None
 
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda m: st.integers(0, 3).flatmap(lambda n: st.tuples(_sized(m, n), _entries(m)))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_solve_exact_matches_minor_criterion(self, case):
+        a, b = case[0], IntVector(tuple(case[1]))
+        x = solve_exact(a, b)
+        assert (x is not None) == integer_solvable(a.row_list(), list(b))
+        assert x is None or a @ x == b
+
     def test_inverse_unimodular(self):
         a = IntMatrix.from_rows([[2, 1], [1, 1]])
         inv = inverse_unimodular(a)
         assert (a @ inv).entries == IntMatrix.identity(2).entries
         with pytest.raises(DegenerateInputError):
             inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+    def test_inverse_unimodular_random(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            a = random_unimodular(rng, n, steps=rng.randint(1, 12))
+            inv = inverse_unimodular(a)
+            eye = IntMatrix.identity(n).entries
+            assert (a @ inv).entries == eye and (inv @ a).entries == eye
 
     def test_kernel_complement_examples(self):
         comp = kernel_complement(vec(1, 1, -1))

@@ -17,3 +17,33 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def _uses(name):
+    """(module, top-level definition) of every load of `name` in the package; imports are not uses."""
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+                    found.append((path.stem, owner))
+    return found
+
+
+def test_smith_only_where_invariant_factors_are_the_answer():
+    # rank and determinant use Bareiss elimination; solves, inverses and
+    # kernels use the Hermite form; a Smith form is built only for invariant
+    # factors: homology torsion, stabilizer orders and basis extension
+    allowed = {
+        ("sponge", "homology"),
+        ("weights", "stabilizer_structure"),
+        ("lattice", "is_unimodular_extension"),
+    }
+    uses = set(_uses("smith_normal_form"))
+    assert uses and uses <= allowed, sorted(uses - allowed)
+
+
+def test_normal_forms_verify_their_results():
+    assert ("lattice", "smith_normal_form") in _uses("_check_smith")
+    assert ("lattice", "hermite_normal_form") in _uses("_check_hermite")
