@@ -48,7 +48,6 @@ from .quasitoric import (
     CellManifold,
     CharacteristicFunction,
     SimplePolytope,
-    SubtorusChoice,
     cell_manifold_data,
     coloring_pullback,
     find_strict_subtorus,
@@ -77,6 +76,7 @@ from .sponge import (
 from .weights import (
     CramerCoefficients,
     StabilizerStructure,
+    SubtorusChoice,
     WeightSystem,
     cramer_coefficients,
     hopf_type,

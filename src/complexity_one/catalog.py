@@ -38,12 +38,7 @@ from .chardata import (
 from .errors import ConsistencyError, UnknownEntryError
 from .io import chardata_from_dict, read_json
 from .lattice import IntVector, vec
-from .quasitoric import (
-    CharacteristicFunction,
-    SimplePolytope,
-    SubtorusChoice,
-    reduce as quasitoric_reduce,
-)
+from .quasitoric import CharacteristicFunction, SimplePolytope, reduce as quasitoric_reduce
 from .sponge import (
     CheckResult,
     SpongeComplex,
@@ -52,7 +47,13 @@ from .sponge import (
     homology,
     validate_sponge,
 )
-from .weights import WeightSystem, cramer_coefficients, is_strictly_appropriate
+from .weights import (
+    SubtorusChoice,
+    WeightSystem,
+    cramer_coefficients,
+    induced_weights,
+    is_strictly_appropriate,
+)
 
 CATALOG_ENV = "COMPLEXITY_ONE_CATALOG"
 
@@ -251,12 +252,10 @@ def simplex_lambda() -> CharacteristicFunction:
 def _build_cp3() -> CatalogEntry:
     p = simplex_polytope()
     lam = simplex_lambda()
-    st = SubtorusChoice.from_alpha(vec(1, 1, -1))
+    st = SubtorusChoice(vec(1, 1, -1))
     data = quasitoric_reduce(p, lam, st)
-    from .weights import induced_weights
-
     weight_systems = {
-        "g:" + ",".join(sorted(v)): induced_weights([lam[f] for f in sorted(v)], st.alpha)
+        "g:" + ",".join(sorted(v)): induced_weights([lam[f] for f in sorted(v)], st)
         for v in p.vertices
     }
     expected = {
@@ -283,10 +282,7 @@ def _build_local_model(n: int) -> CatalogEntry:
     basis = [
         IntVector(tuple(1 if t == i else 0 for t in range(n))) for i in range(n)
     ]
-    alpha = IntVector(tuple([1] * (n - 1) + [-1]))
-    from .weights import induced_weights
-
-    ws = induced_weights(basis, alpha)
+    ws = induced_weights(basis, SubtorusChoice(vec(*[1] * (n - 1), -1)))
     data = local_model_data(ws)
     from math import comb
 

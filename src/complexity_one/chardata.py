@@ -13,6 +13,7 @@ assembled chain; nothing topological is constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -21,7 +22,6 @@ from .errors import (
     ConsistencyError,
     DegenerateInputError,
     InputFormatError,
-    PreconditionError,
     ValidationError,
 )
 from .lattice import (
@@ -40,7 +40,7 @@ from .sponge import (
     validate_sponge,
     weighted_cycle_check,
 )
-from .weights import WeightSystem, cramer_coefficients, is_strictly_appropriate
+from .weights import WeightSystem, cramer_coefficients, hopf_type
 
 
 AMBIENT_KINDS = ("sphere", "product", "abstract")
@@ -122,6 +122,15 @@ class OrbitType:
     orbit_dim: int
 
 
+def _pair_index(v: IntVector, w: IntVector) -> int:
+    """gcd of the 2x2 minors of the stacked pair (0 when parallel)."""
+    minors = []
+    for a in range(v.dim):
+        for b in range(a + 1, v.dim):
+            minors.append(v[a] * w[b] - v[b] * w[a])
+    return math.gcd(*minors) if minors else 0
+
+
 def validate_mu(cd: CharacteristicData) -> ValidationReport:
     """Rank conditions for the characteristic map, per face.
 
@@ -162,7 +171,7 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
             rank_bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {want}")
         for a in range(len(through)):
             for b in range(a + 1, len(through)):
-                if lattice_rank(stack_rows([vs[a], vs[b]])) != 2:
+                if _pair_index(vs[a], vs[b]) == 0:
                     rank_bad.append(
                         f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
                     )
@@ -258,14 +267,10 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
     The direction is the primitive generator of the rank-one lattice of
     cocharacters vanishing on all other weights and on the i-j relation; it
     is oriented so its pairing vector against the weights is a positive
-    multiple of c_j e_i - c_i e_j.  The returned sign is c_i * c_j.
+    multiple of c_j e_i - c_i e_j.  The returned sign is hopf_type(ws, i, j),
+    which also guards the indices and strictness.
     """
-    if i == j:
-        raise IndexError("need two distinct weight indices")
-    if not 0 <= i < ws.n or not 0 <= j < ws.n:
-        raise IndexError(f"indices ({i}, {j}) out of range for n={ws.n}")
-    if not is_strictly_appropriate(ws):
-        raise PreconditionError("local Euler data needs a strictly appropriate system")
+    sign = hopf_type(ws, i, j)
     c = cramer_coefficients(ws).c
     alphas = ws.signed_weights()
     rows = [alphas[m] for m in range(ws.n) if m not in (i, j)]
@@ -280,7 +285,7 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
         raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
     if pair_i * c[j] < 0:
         lam = -lam
-    return lam, c[i] * c[j]
+    return lam, sign
 
 
 def solve_euler_signs(

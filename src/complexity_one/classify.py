@@ -13,11 +13,10 @@ verifier that substitutes it into every condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .chardata import CharacteristicData, compatibility_check, validate_mu
+from .chardata import CharacteristicData, _pair_index, compatibility_check, validate_mu
 from .errors import PreconditionError
 from .lattice import (
     IntMatrix,
@@ -64,15 +63,6 @@ class Fingerprint:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     pair_indices: tuple[int, ...]
-
-
-def _pair_index(v: IntVector, w: IntVector) -> int:
-    """gcd of the 2x2 minors of the stacked pair (0 when parallel)."""
-    minors = []
-    for a in range(v.dim):
-        for b in range(a + 1, v.dim):
-            minors.append(v[a] * w[b] - v[b] * w[a])
-    return math.gcd(*minors) if minors else 0
 
 
 def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
@@ -234,6 +224,8 @@ def _solve_transform(
     span: list[str],
 ) -> IntMatrix | None:
     """Unimodular A with A sigma1(F) = gauge(F) sigma2(b(F)) on all facets."""
+    if not span:  # no facets: every A qualifies, the identity among them
+        return IntMatrix.identity(cd1.n - 1)
     m1 = IntMatrix.from_cols([list(cd1.euler_coefficient(f)) for f in span])
     m2 = IntMatrix.from_cols(
         [list(cd2.euler_coefficient(mapping[f]).scale(gauge[f])) for f in span]

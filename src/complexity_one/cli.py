@@ -28,9 +28,14 @@ from .io import (
     weight_system_from_dict,
 )
 from .lattice import IntVector
-from .quasitoric import SubtorusChoice, find_strict_subtorus, reduce as quasitoric_reduce
+from .quasitoric import find_strict_subtorus, reduce as quasitoric_reduce
 from .sponge import CheckResult, ValidationReport, homology, validate_sponge
-from .weights import cramer_coefficients, is_general_position, is_strictly_appropriate
+from .weights import (
+    SubtorusChoice,
+    cramer_coefficients,
+    is_general_position,
+    is_strictly_appropriate,
+)
 
 _INPUT_ARGS = ("file", "first", "second", "polytope", "lam", "name")
 
@@ -90,7 +95,7 @@ def _cmd_reduce(args) -> Iterator[CheckResult]:
     p = polytope_from_dict(read_json(args.polytope), args.polytope)
     lam = lambda_from_dict(read_json(args.lam), args.lam)
     if args.alpha:
-        st = SubtorusChoice.from_alpha(_parse_alpha(args.alpha, p.n))
+        st = SubtorusChoice(_parse_alpha(args.alpha, p.n))
     else:
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:

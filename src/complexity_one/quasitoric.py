@@ -3,10 +3,9 @@
 Polytopes are purely combinatorial: a simple polytope is its vertex-facet
 incidence, faces are the facet subsets realized at some vertex.  A
 characteristic function assigns primitive vectors in Z^n to facets subject
-to the determinant-+-1 basis condition at vertices; a subtorus choice is a
-primitive character together with the Hermite-canonical basis of its
-kernel lattice.  The reduction produces characteristic data on the
-codimension-two skeleton of the boundary.
+to the determinant-+-1 basis condition at vertices; a subtorus is chosen by
+a primitive character (`weights.SubtorusChoice`).  The reduction produces
+characteristic data on the codimension-two skeleton of the boundary.
 """
 
 from __future__ import annotations
@@ -27,18 +26,15 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    IntMatrix,
     IntVector,
     determinant,
     inverse_unimodular,
     is_unimodular_extension,
-    kernel_complement,
     primitive,
-    solve_exact,
     stack_rows,
 )
 from .sponge import CheckResult, SpongeComplex, ValidationReport
-from .weights import induced_weights
+from .weights import SubtorusChoice, induced_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,44 +121,6 @@ class CharacteristicFunction:
         return self.values[fid]
 
 
-@dataclass(frozen=True)
-class SubtorusChoice:
-    """Primitive character alpha plus the basis of its kernel lattice.
-
-    The complement rows are the Hermite-canonical basis of ker<alpha, .>;
-    circle directions inside the subtorus are written in this basis, and
-    characters are restricted by pairing against it.
-    """
-
-    alpha: IntVector
-    complement: IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", IntVector(tuple(self.alpha)))
-        if not self.alpha.is_primitive():
-            raise DegenerateInputError("alpha must be primitive")
-        expect = kernel_complement(self.alpha)
-        if expect.entries != self.complement.entries or expect.rows != self.complement.rows:
-            raise ConsistencyError("complement is not the canonical kernel basis of alpha")
-
-    @classmethod
-    def from_alpha(cls, alpha: IntVector | Sequence[int]) -> "SubtorusChoice":
-        a = IntVector(tuple(alpha))
-        return cls(alpha=a, complement=kernel_complement(a))
-
-    def pairing(self, lam: IntVector) -> int:
-        return self.alpha.dot(lam)
-
-    def kernel_coordinates(self, v: IntVector) -> IntVector:
-        """Coordinates of v in the complement basis; v must lie in ker<alpha, .>."""
-        if self.alpha.dot(v) != 0:
-            raise DegenerateInputError("vector is not in the kernel of alpha")
-        x = solve_exact(self.complement.transpose(), v)
-        if x is None:
-            raise ConsistencyError("kernel vector has no integral coordinates in the basis")
-        return x
-
-
 def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationReport:
     """Determinant condition at vertices, basis-extension condition at faces."""
     missing = [f"facet {f} has no lambda value" for f in p.facets if f not in lam.values]
@@ -230,7 +188,7 @@ def _strict_subtori(
         if lead < 0:
             continue  # +-v are the same subtorus; keep the canonical sign
         if all(abs(v.dot(l)) == 1 for l in lams):
-            yield SubtorusChoice.from_alpha(v)
+            yield SubtorusChoice(v)
 
 
 def induced_mu(lam1: IntVector, lam2: IntVector, st: SubtorusChoice) -> IntVector:
@@ -301,7 +259,7 @@ def reduce(
     for v in p._vertex_list:
         vid = "g:" + ",".join(sorted(v))
         facets = sorted(v)
-        ws = induced_weights([lam[f] for f in facets], st.alpha)
+        ws = induced_weights([lam[f] for f in facets], st)
         # the ray dual to facet f is the edge of the polytope avoiding f
         rays = tuple("g:" + ",".join(sorted(set(facets) - {f})) for f in facets)
         charts[vid] = Chart(ws, rays)
@@ -456,7 +414,7 @@ def cell_manifold_data(
         if d != 0:
             continue
         tops = m.top_cells_containing(c)
-        ws = induced_weights([values[t] for t in tops], st.alpha)
+        ws = induced_weights([values[t] for t in tops], st)
         rays: list[str] = []
         for i, t in enumerate(tops):
             # the ray dual to top cell t is the edge at c missing exactly t

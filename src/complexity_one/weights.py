@@ -5,13 +5,16 @@ determines the Cramer coefficients; their normalized values decide general
 position, strictness (all unit coefficients) and the finite parts of
 coordinate stabilizers.  Signs of the stored weights are part of the data
 (an omniorientation); every predicate that is sign-independent is tested to
-be so.
+be so.  A weight system computes its Cramer coefficients once; a subtorus
+choice computes its kernel frame once, and induced weight systems are read
+through that frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,8 +31,16 @@ from .lattice import (
     inverse_unimodular,
     kernel_complement,
     smith_normal_form,
+    solve_exact,
     stack_rows,
 )
+
+
+@dataclass(frozen=True)
+class CramerCoefficients:
+    c_tilde: tuple[int, ...]
+    c_gcd: int
+    c: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,12 +75,21 @@ class WeightSystem:
         """Weights as rows, n x (n-1)."""
         return stack_rows(list(self.signed_weights()))
 
-
-@dataclass(frozen=True)
-class CramerCoefficients:
-    c_tilde: tuple[int, ...]
-    c_gcd: int
-    c: tuple[int, ...]
+    @cached_property
+    def _cramer(self) -> CramerCoefficients:
+        """Signed maximal minors of the weights, checked against the relation once."""
+        alphas = self.signed_weights()
+        c_tilde = []
+        for i in range(self.n):
+            det = determinant(stack_rows([a for j, a in enumerate(alphas) if j != i]))
+            c_tilde.append(-det if i % 2 == 0 else det)
+        total = alphas[0].scale(0)
+        for ci, a in zip(c_tilde, alphas):
+            total = total + a.scale(ci)
+        if not total.is_zero():
+            raise ConsistencyError(f"Cramer identity violated: residual {list(total)}")
+        g = math.gcd(*c_tilde) or 1  # all minors vanish: c is c_tilde itself
+        return CramerCoefficients(tuple(c_tilde), g, tuple(x // g for x in c_tilde))
 
 
 @dataclass(frozen=True)
@@ -83,38 +103,27 @@ def cramer_coefficients(ws: WeightSystem) -> CramerCoefficients:
 
     c_tilde[i] is (-1)^(i+1) times the determinant of the weights with row i
     deleted (1-based alternation), so that sum_i c_tilde[i] * weight[i] = 0;
-    the identity is verified before returning.  c is c_tilde divided by the
-    gcd of its entries.
+    the identity is verified when the system first computes them.  c is
+    c_tilde divided by the gcd of its entries.
     """
-    n = ws.n
-    alphas = ws.signed_weights()
-    c_tilde = []
-    for i in range(n):
-        rest = [alphas[j] for j in range(n) if j != i]
-        det = determinant(stack_rows(rest))
-        c_tilde.append(-det if i % 2 == 0 else det)
-    total = alphas[0].scale(0)
-    for ci, a in zip(c_tilde, alphas):
-        total = total + a.scale(ci)
-    if not total.is_zero():
-        raise ConsistencyError(f"Cramer identity violated: residual {list(total)}")
-    g = math.gcd(*c_tilde)
-    if g == 0:
-        return CramerCoefficients(tuple(c_tilde), 1, tuple(c_tilde))
-    return CramerCoefficients(tuple(c_tilde), g, tuple(x // g for x in c_tilde))
+    return ws._cramer
+
+
+def _general_position_cramer(ws: WeightSystem) -> CramerCoefficients:
+    cc = ws._cramer
+    if 0 in cc.c_tilde:
+        raise PreconditionError("weight system is not in general position")
+    return cc
 
 
 def is_general_position(ws: WeightSystem) -> bool:
     """True iff every n-1 of the n weights are linearly independent."""
-    return all(x != 0 for x in cramer_coefficients(ws).c_tilde)
+    return 0 not in ws._cramer.c_tilde
 
 
 def is_strictly_appropriate(ws: WeightSystem) -> bool:
     """True iff every normalized coefficient is +-1 (all stabilizers connected)."""
-    cc = cramer_coefficients(ws)
-    if any(x == 0 for x in cc.c_tilde):
-        raise PreconditionError("weight system is not in general position")
-    return all(abs(x) == 1 for x in cc.c)
+    return all(abs(x) == 1 for x in _general_position_cramer(ws).c)
 
 
 def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> StabilizerStructure:
@@ -130,10 +139,8 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
         raise DegenerateInputError("empty index set")
     if idx[0] < 0 or idx[-1] >= ws.n:
         raise DimensionMismatchError(f"indices out of range for n={ws.n}")
-    cc = cramer_coefficients(ws)
-    if any(x == 0 for x in cc.c_tilde):
-        raise PreconditionError("weight system is not in general position")
-    relation = IntMatrix.from_rows([[cc.c[i] for i in idx]])
+    c = _general_position_cramer(ws).c
+    relation = IntMatrix.from_rows([[c[i] for i in idx]])
     dec = smith_normal_form(relation)
     return StabilizerStructure(torus_rank=len(idx) - dec.rank, finite_orders=dec.torsion())
 
@@ -146,17 +153,50 @@ def hopf_type(ws: WeightSystem, i: int, j: int) -> int:
         raise IndexError(f"indices ({i}, {j}) out of range for n={ws.n}")
     if not is_strictly_appropriate(ws):
         raise PreconditionError("hopf_type requires a strictly appropriate system")
-    c = cramer_coefficients(ws).c
+    c = ws._cramer.c
     return c[i] * c[j]
 
 
-def induced_weights(lambda_basis: Sequence[IntVector], alpha_t: IntVector) -> WeightSystem:
-    """Weight system induced on the subtorus cut out by alpha_t.
+@dataclass(frozen=True)
+class SubtorusChoice:
+    """Primitive character alpha cutting out a codimension-one subtorus.
+
+    The complement rows are the Hermite-canonical basis of ker<alpha, .>;
+    circle directions inside the subtorus are written in this basis, and
+    characters are restricted by pairing against it.
+    """
+
+    alpha: IntVector
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", IntVector(tuple(self.alpha)))
+        if not self.alpha.is_primitive():
+            raise DegenerateInputError("alpha must be primitive")
+
+    @cached_property
+    def complement(self) -> IntMatrix:
+        return kernel_complement(self.alpha)
+
+    def pairing(self, lam: IntVector) -> int:
+        return self.alpha.dot(lam)
+
+    def kernel_coordinates(self, v: IntVector) -> IntVector:
+        """Coordinates of v in the complement basis; v must lie in ker<alpha, .>."""
+        if self.alpha.dot(v) != 0:
+            raise DegenerateInputError("vector is not in the kernel of alpha")
+        x = solve_exact(self.complement.transpose(), v)
+        if x is None:
+            raise ConsistencyError("kernel vector has no integral coordinates in the basis")
+        return x
+
+
+def induced_weights(lambda_basis: Sequence[IntVector], st: SubtorusChoice) -> WeightSystem:
+    """Weight system induced on the subtorus st.
 
     lambda_basis must be a Z-basis of Z^n.  The tangent weights are the dual
-    basis; each is projected to Z^(n-1) by pairing with the Hermite-canonical
-    basis of ker <alpha_t, .>.  The normalized Cramer coefficients of the
-    result equal (<alpha_t, lambda_i>)_i up to one global sign.
+    basis; each is projected to Z^(n-1) by pairing with the complement basis
+    of st.  The normalized Cramer coefficients of the result equal
+    (<alpha, lambda_i>)_i up to one global sign.
     """
     lams = [IntVector(tuple(v)) for v in lambda_basis]
     n = len(lams)
@@ -165,17 +205,14 @@ def induced_weights(lambda_basis: Sequence[IntVector], alpha_t: IntVector) -> We
     for v in lams:
         if v.dim != n:
             raise DimensionMismatchError("lambda_basis must be square")
-    alpha = IntVector(tuple(alpha_t))
-    if alpha.dim != n:
-        raise DimensionMismatchError(f"alpha_t has dim {alpha.dim}, expected {n}")
+    if st.alpha.dim != n:
+        raise DimensionMismatchError(f"alpha_t has dim {st.alpha.dim}, expected {n}")
     lam_matrix = stack_rows(lams)
     det = determinant(lam_matrix)
     if det not in (1, -1):
         raise StarConditionError(f"lambda vectors have determinant {det}, not a Z-basis")
-    if alpha.is_zero() or not alpha.is_primitive():
-        raise DegenerateInputError("alpha_t must be a primitive nonzero character")
     dual = inverse_unimodular(lam_matrix)  # column i pairs to 1 with lams[i]
-    comp = kernel_complement(alpha)
+    comp = st.complement
     ws_vectors = []
     for i in range(n):
         a_i = dual.col(i)

@@ -21,6 +21,7 @@ from complexity_one.errors import (
 from complexity_one.lattice import IntVector, primitive, vec
 from complexity_one.sponge import local_model_sponge, weighted_cycle_check
 from complexity_one.weights import (
+    SubtorusChoice,
     WeightSystem,
     hopf_type,
     induced_weights,
@@ -214,7 +215,7 @@ class TestLocalEulerFromWeights:
             alpha = primitive(alpha)
             if any(abs(alpha.dot(l)) != 1 for l in lams):
                 continue
-            ws = induced_weights(lams, alpha)
+            ws = induced_weights(lams, SubtorusChoice(alpha))
             if not is_strictly_appropriate(ws):
                 continue
             produced += 1
@@ -239,7 +240,7 @@ class TestLocalEulerFromWeights:
                 alpha = primitive(alpha)
                 if any(abs(alpha.dot(l)) != 1 for l in lams):
                     continue
-                ws = induced_weights(lams, alpha)
+                ws = induced_weights(lams, SubtorusChoice(alpha))
             for i in range(n):
                 for j in range(i + 1, n):
                     for k in range(j + 1, n):

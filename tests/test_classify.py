@@ -90,7 +90,7 @@ class TestCompareBasics:
         # simplex skeleton sponge vs octahedron sponge: same n? no, cp3 has n=3.
         # build another n=4 datum with different counts is involved; instead
         # compare two n=3 data with different sponges.
-        cd_simplex = reduce(simplex3, simplex3_lambda, SubtorusChoice.from_alpha(vec(1, 1, -1)))
+        cd_simplex = reduce(simplex3, simplex3_lambda, SubtorusChoice(vec(1, 1, -1)))
         f3 = load("f3").data
         res = compare(
             cd_simplex,
@@ -149,7 +149,7 @@ class TestFingerprints:
             assert canonical_invariants(cd) == canonical_invariants(moved)
 
     def test_distinguishes_different_sponges(self, simplex3, simplex3_lambda):
-        cd_simplex = reduce(simplex3, simplex3_lambda, SubtorusChoice.from_alpha(vec(1, 1, -1)))
+        cd_simplex = reduce(simplex3, simplex3_lambda, SubtorusChoice(vec(1, 1, -1)))
         f3 = load("f3").data
         fp1 = canonical_invariants(cd_simplex)
         fp2 = canonical_invariants(f3)

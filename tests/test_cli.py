@@ -5,6 +5,7 @@ import pytest
 
 from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
 from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
+from complexity_one.classify import compare, verify_witness
 from complexity_one.cli import main
 from complexity_one.errors import InputFormatError
 from complexity_one.io import (
@@ -17,7 +18,7 @@ from complexity_one.io import (
     sponge_to_dict,
     weight_system_to_dict,
 )
-from complexity_one.lattice import vec
+from complexity_one.lattice import IntMatrix, vec
 from complexity_one.weights import WeightSystem
 
 
@@ -91,6 +92,26 @@ class TestCommands:
         code = main(["compare", str(workdir / "g42.json"), str(workdir / "g42.json")])
         out = capsys.readouterr().out
         assert code == 0 and "Equivalent" in out
+
+    def test_compare_cell_less_data_is_equivalent(self, tmp_path, capsys):
+        # no cells and no facets: the only bijection is empty and any matrix is a transform
+        empty = {
+            "n": 3,
+            "sponge": {"n": 3, "cells": [], "incidence": {}},
+            "mu": {},
+            "euler_sign": {},
+            "ambient": "abstract",
+        }
+        path = str(tmp_path / "empty.json")
+        (tmp_path / "empty.json").write_text(canonical_json(empty))
+        assert main(["validate-chardata", path]) == 0
+        capsys.readouterr()
+        assert main(["compare", path, path]) == 0, capsys.readouterr().out
+        cd = chardata_from_dict(empty)
+        result = compare(cd, cd)
+        assert result.verdict == "equivalent"
+        assert result.witness.matrix == IntMatrix.identity(2)
+        assert verify_witness(cd, cd, result.witness)
 
     def test_compare_flipped_sign(self, workdir, capsys):
         data = loads((workdir / "g42.json").read_text())

@@ -1,0 +1,134 @@
+"""Every JSON format reads back what it writes: from_dict(to_dict(x)) is lossless."""
+
+from itertools import combinations, product
+
+from hypothesis import given, settings, strategies as st
+
+from complexity_one.catalog import load, names
+from complexity_one.chardata import Ambient, CharacteristicData
+from complexity_one.io import (
+    canonical_json,
+    chardata_from_dict,
+    chardata_to_dict,
+    lambda_from_dict,
+    lambda_to_dict,
+    loads,
+    polytope_from_dict,
+    polytope_to_dict,
+    sponge_from_dict,
+    sponge_to_dict,
+    weight_system_from_dict,
+    weight_system_to_dict,
+)
+from complexity_one.lattice import IntVector, vec
+from complexity_one.quasitoric import (
+    CharacteristicFunction,
+    SimplePolytope,
+    coloring_pullback,
+    find_strict_subtorus,
+    reduce,
+)
+from complexity_one.weights import WeightSystem
+
+FEW = settings(max_examples=15, deadline=None)
+
+# small entries most of the time, and some past 64 bits (written as strings)
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+def assert_round_trip(to_dict, from_dict, value):
+    text = canonical_json(to_dict(value))
+    assert canonical_json(to_dict(from_dict(loads(text)))) == text
+
+
+@st.composite
+def weight_systems(draw):
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1), min_size=n, max_size=n))
+    signs = draw(st.none() | st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return WeightSystem(n, tuple(vec(*w) for w in weights), signs)
+
+
+def unit(n: int, i: int) -> IntVector:
+    return IntVector(tuple(int(t == i) for t in range(n)))
+
+
+def simplex(n: int):
+    facets = [f"f{i}" for i in range(n + 1)]
+    lam = {f: unit(n, i) for i, f in enumerate(facets[:-1])}
+    lam[facets[-1]] = vec(*[-1] * n)
+    return facets, [set(v) for v in combinations(facets, n)], lam
+
+
+def prism(n: int):
+    sides = [f"s{i}" for i in range(n)]
+    vertices = [set(sides) - {s} | {end} for s in sides for end in ("t", "b")]
+    lam = {s: unit(n, i) for i, s in enumerate(sides[:-1])}
+    lam.update({sides[-1]: vec(*[1] * n), "t": unit(n, n - 1), "b": unit(n, n - 1)})
+    return sides + ["t", "b"], vertices, lam
+
+
+def cube(n: int):
+    axes = [f"x{i}" for i in range(n)]
+    facets = [a + s for a in axes for s in "mp"]
+    vertices = [{a + s for a, s in zip(axes, signs)} for signs in product("mp", repeat=n)]
+    colors = {a + s: i + 1 for i, a in enumerate(axes) for s in "mp"}
+    p = SimplePolytope(n, tuple(facets), tuple(frozenset(v) for v in vertices))
+    return facets, vertices, dict(coloring_pullback(p, colors).values)
+
+
+@st.composite
+def polytopes(draw, max_n: int = 4):
+    """A simplex, prism or cube with relabelled facets and sign-flipped lambda values."""
+    build = draw(st.sampled_from((simplex, prism, cube)))
+    facets, vertices, lam = build(draw(st.integers(2, max_n)))
+    rename = dict(zip(facets, draw(st.permutations([f"F{i}" for i in range(len(facets))]))))
+    flips = draw(st.lists(st.sampled_from((1, -1)), min_size=len(facets), max_size=len(facets)))
+    p = SimplePolytope(
+        len(vertices[0]),
+        tuple(rename[f] for f in facets),
+        tuple(frozenset(rename[f] for f in v) for v in vertices),
+    )
+    values = {rename[f]: lam[f].scale(s) for f, s in zip(facets, flips)}
+    return p, CharacteristicFunction(values)
+
+
+@FEW
+@given(weight_systems())
+def test_weight_system_round_trip(ws):
+    assert_round_trip(weight_system_to_dict, weight_system_from_dict, ws)
+
+
+@FEW
+@given(polytopes())
+def test_polytope_and_lambda_round_trip(case):
+    p, lam = case
+    assert_round_trip(polytope_to_dict, polytope_from_dict, p)
+    assert_round_trip(lambda_to_dict, lambda_from_dict, lam)
+
+
+@settings(max_examples=8, deadline=None)
+@given(polytopes(max_n=3))
+def test_reduce_output_round_trip(case):
+    p, lam = case
+    for st_choice in find_strict_subtorus(p, lam, 1)[:1]:
+        cd = reduce(p, lam, st_choice)
+        assert_round_trip(chardata_to_dict, chardata_from_dict, cd)
+        assert_round_trip(sponge_to_dict, sponge_from_dict, cd.sponge)
+
+
+@FEW
+@given(
+    st.sampled_from(names()),
+    st.sampled_from(("sphere", "product", "abstract")),
+    st.booleans(),
+    st.data(),
+)
+def test_catalog_chardata_round_trip(name, kind, boundary_trivial, data):
+    cd = load(name).data
+    signs = {
+        f: k * data.draw(st.sampled_from((1, -1)), label=f) for f, k in sorted(cd.euler_sign.items())
+    }
+    cd = CharacteristicData(cd.n, cd.sponge, cd.mu, signs, Ambient(kind, boundary_trivial))
+    assert_round_trip(chardata_to_dict, chardata_from_dict, cd)
+    assert_round_trip(sponge_to_dict, sponge_from_dict, cd.sponge)

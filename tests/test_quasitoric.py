@@ -1,5 +1,7 @@
 import random
-from itertools import combinations
+import sys
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -154,13 +156,13 @@ class TestFindStrictSubtorus:
     def test_induced_systems_strict_at_every_vertex(self, simplex3, simplex3_lambda):
         for st in find_strict_subtorus(simplex3, simplex3_lambda, 2):
             for v in simplex3.vertices:
-                ws = induced_weights([simplex3_lambda[f] for f in sorted(v)], st.alpha)
+                ws = induced_weights([simplex3_lambda[f] for f in sorted(v)], st)
                 assert is_strictly_appropriate(ws)
 
 
 class TestInducedMu:
     def setup_method(self):
-        self.st = SubtorusChoice.from_alpha(vec(1, 1, -1))
+        self.st = SubtorusChoice(vec(1, 1, -1))
 
     def test_worked_example_e1_e2(self):
         assert list(induced_mu(vec(1, 0, 0), vec(0, 1, 0), self.st)) == [1, -1]
@@ -179,7 +181,7 @@ class TestInducedMu:
         assert a == b or a == -b
 
     def test_double_degeneracy_rejected(self):
-        st = SubtorusChoice.from_alpha(vec(0, 0, 1))
+        st = SubtorusChoice(vec(0, 0, 1))
         with pytest.raises(DegenerateInputError):
             induced_mu(vec(1, 0, 0), vec(0, 1, 0), st)
 
@@ -196,7 +198,7 @@ class TestInducedMu:
             lam1, lam2 = vec(1, 0, 0), vec(0, 1, 0)
             base = induced_mu(lam1, lam2, self.st)
             ginv_t = inverse_unimodular(g).transpose()
-            st2 = SubtorusChoice.from_alpha(ginv_t @ self.st.alpha)
+            st2 = SubtorusChoice(ginv_t @ self.st.alpha)
             moved = induced_mu(g @ lam1, g @ lam2, st2)
             amb_base = self.st.complement.transpose() @ base
             amb_moved = st2.complement.transpose() @ moved
@@ -206,7 +208,7 @@ class TestInducedMu:
 
 class TestReduce:
     def test_simplex_pipeline(self, simplex3, simplex3_lambda):
-        cd = reduce(simplex3, simplex3_lambda, SubtorusChoice.from_alpha(vec(1, 1, -1)))
+        cd = reduce(simplex3, simplex3_lambda, SubtorusChoice(vec(1, 1, -1)))
         assert validate_sponge(cd.sponge).ok
         assert validate_mu(cd).ok
         assert compatibility_check(cd)
@@ -223,14 +225,14 @@ class TestReduce:
             tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
         )
         lam = CharacteristicFunction({"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 0), "d": vec(0, 1)})
-        cd = reduce(sq, lam, SubtorusChoice.from_alpha(vec(1, 1)))
+        cd = reduce(sq, lam, SubtorusChoice(vec(1, 1)))
         assert len(cd.sponge.cells) == 4
         assert all(v.dim == 1 and abs(v[0]) == 1 for v in cd.mu.values())
         assert validate_mu(cd).ok and cocycle_check(cd).ok
 
     def test_non_strict_subtorus_rejected(self, simplex3, simplex3_lambda):
         with pytest.raises(PreconditionError):
-            reduce(simplex3, simplex3_lambda, SubtorusChoice.from_alpha(vec(1, 1, 2)))
+            reduce(simplex3, simplex3_lambda, SubtorusChoice(vec(1, 1, 2)))
 
     def test_four_dimensional_reduction(self):
         from itertools import product as iproduct
@@ -244,7 +246,7 @@ class TestReduce:
         lam = coloring_pullback(
             cube4, {f"{ax}{s}": c for c, ax in enumerate("wxyz", start=1) for s in "mp"}
         )
-        st = SubtorusChoice.from_alpha(vec(1, 1, 1, -1))
+        st = SubtorusChoice(vec(1, 1, 1, -1))
         cd = reduce(cube4, lam, st)
         counts = [len(cd.sponge.cells_of_dim(d)) for d in range(3)]
         assert counts == [16, 32, 24]
@@ -268,6 +270,41 @@ class TestReduce:
                 assert compatibility_check(cd)
                 assert cocycle_check(cd).ok
                 assert assemble_euler_cycle(cd).is_cycle
+
+
+    def test_reduce_computes_local_data_once(self, monkeypatch):
+        # each vertex chart takes n Cramer minors and one basis check, and
+        # every chart reads the one subtorus frame
+        from complexity_one import lattice, weights
+
+        facets = tuple(f"{ax}{s}" for ax in "wxyz" for s in "mp")
+        verts = tuple(
+            frozenset({f"{ax}{s}" for ax, s in zip("wxyz", signs)})
+            for signs in product("mp", repeat=4)
+        )
+        cube4 = SimplePolytope(4, facets, verts)
+        lam = coloring_pullback(
+            cube4, {f"{ax}{s}": c for c, ax in enumerate("wxyz", start=1) for s in "mp"}
+        )
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(weights, "determinant", counted(lattice.determinant))
+        original = lattice.kernel_complement
+        for mod in list(sys.modules.values()):
+            in_package = getattr(mod, "__name__", "").partition(".")[0] == "complexity_one"
+            if in_package and getattr(mod, "kernel_complement", None) is original:
+                monkeypatch.setattr(mod, "kernel_complement", counted(original))
+        cd = reduce(cube4, lam, SubtorusChoice(vec(1, 1, 1, -1)))
+        assert validate_mu(cd).ok
+        assert calls["determinant"] <= (4 + 1) * len(verts)
+        assert calls["kernel_complement"] == 1
 
 
 class TestColoring:
@@ -360,7 +397,7 @@ class TestCellManifold:
         cells, covers = self._sphere_cells()
         m = CellManifold(3, tuple(cells), covers)
         lam = {"t123": vec(1, 0, 0), "t124": vec(0, 1, 0), "t134": vec(0, 0, 1), "t234": vec(1, 1, 1)}
-        cd = cell_manifold_data(m, lam, SubtorusChoice.from_alpha(vec(1, 1, -1)))
+        cd = cell_manifold_data(m, lam, SubtorusChoice(vec(1, 1, -1)))
         assert validate_mu(cd).ok and cocycle_check(cd).ok
         assert assemble_euler_cycle(cd).is_cycle
 

@@ -47,3 +47,18 @@ def test_smith_only_where_invariant_factors_are_the_answer():
 def test_normal_forms_verify_their_results():
     assert ("lattice", "smith_normal_form") in _uses("_check_smith")
     assert ("lattice", "hermite_normal_form") in _uses("_check_hermite")
+
+
+def test_subtorus_frame_has_one_owner():
+    # the kernel basis of a subtorus character is computed by SubtorusChoice
+    # alone; every other caller reads st.complement
+    assert set(_uses("kernel_complement")) == {("weights", "SubtorusChoice")}
+    tree = ast.parse((Path(complexity_one.__file__).parent / "weights.py").read_text())
+    cls = next(top for top in tree.body if getattr(top, "name", None) == "SubtorusChoice")
+    members = {
+        member.name
+        for member in cls.body
+        for node in ast.walk(member)
+        if getattr(node, "id", None) == "kernel_complement"
+    }
+    assert members == {"complement"}

@@ -10,6 +10,7 @@ from complexity_one.errors import (
 )
 from complexity_one.lattice import IntVector, primitive, vec
 from complexity_one.weights import (
+    SubtorusChoice,
     WeightSystem,
     cramer_coefficients,
     hopf_type,
@@ -201,22 +202,25 @@ class TestHopf:
 
 class TestInducedWeights:
     def test_standard_basis_strict(self):
-        ws = induced_weights([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)], vec(1, 1, -1))
+        basis = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
+        ws = induced_weights(basis, SubtorusChoice(vec(1, 1, -1)))
         assert [list(w) for w in ws.weights] == [[1, 0], [0, 1], [1, 1]]
         assert up_to_sign(cramer_coefficients(ws).c, (1, 1, -1))
 
     def test_standard_basis_nonstrict(self):
-        ws = induced_weights([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)], vec(1, 1, 2))
+        basis = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
+        ws = induced_weights(basis, SubtorusChoice(vec(1, 1, 2)))
         assert up_to_sign(cramer_coefficients(ws).c, (1, 1, 2))
         assert not is_strictly_appropriate(ws)
 
     def test_non_basis_rejected(self):
         with pytest.raises(StarConditionError):
-            induced_weights([vec(2, 0, 0), vec(0, 1, 0), vec(0, 0, 1)], vec(1, 1, -1))
+            basis = [vec(2, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
+            induced_weights(basis, SubtorusChoice(vec(1, 1, -1)))
 
     def test_non_primitive_alpha_rejected(self):
         with pytest.raises(DegenerateInputError):
-            induced_weights([vec(1, 0), vec(0, 1)], vec(2, 2))
+            induced_weights([vec(1, 0), vec(0, 1)], SubtorusChoice(vec(2, 2)))
 
     def test_coefficients_equal_pairings_up_to_sign(self):
         rng = random.Random(6)
@@ -231,7 +235,7 @@ class TestInducedWeights:
             pairings = tuple(alpha.dot(l) for l in lams)
             if any(p == 0 for p in pairings):
                 continue  # induced system falls out of general position
-            ws = induced_weights(lams, alpha)
+            ws = induced_weights(lams, SubtorusChoice(alpha))
             got = cramer_coefficients(ws).c
             want = primitive(IntVector(pairings))
             assert up_to_sign(got, want)
