@@ -7,14 +7,20 @@ from gcds of minors, torsion element orders from rational solves,
 simplicial/graph homology and brute-force incidence indices.  The one
 exception is face_star_search, the package's former backtracking face_star,
 kept as the reference for the direct atom-set test; it reads a complex only
-through by_id, upper_set and boundary, which incidence_indices checks.
+through by_id, upper_set and boundary, which incidence_indices checks.  Two
+more former package searches are kept the same way: poset_bijections_by_dim,
+the dimension-descending bijection search, as the reference for the
+connectivity-first one, and solve_transform_by_rows, the one-solve_exact-
+per-row transform, as the reference for the factored one.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from complexity_one.errors import InputFormatError
+from complexity_one.lattice import IntMatrix, IntVector, determinant, solve_exact
 
 
 def cofactor_det(m):
@@ -294,3 +300,84 @@ def face_star_search(s, cell_id):
     is_local = counts_match and backtrack(0)
 
     return (cell_id, tuple((x, dims[x]) for x in order), tuple(sorted(covers)), is_local)
+
+
+def _cell_signature(s, cid):
+    """Bijection-invariant local profile: dim plus face/coface counts per dim."""
+    dim = s.by_id[cid].dim
+    down = tuple(sorted(s.by_id[x].dim for x, _ in s.boundary(cid)))
+    upper = s.upper_set(cid)
+    up = tuple(sorted(s.by_id[x].dim for x in upper if x != cid))
+    return (dim, down, up)
+
+
+def poset_bijections_by_dim(s1, s2):
+    """Yield dim- and cover-preserving cell bijections, dimension descending."""
+    cells1 = sorted((c.id for c in s1.cells), key=lambda x: (-s1.by_id[x].dim, x))
+    sig1 = {c.id: _cell_signature(s1, c.id) for c in s1.cells}
+    sig2 = {}
+    for c in s2.cells:
+        sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
+    if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
+        return
+    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
+
+    assign = {}
+    used = set()
+
+    def ok_candidate(c1, c2):
+        # one-directional cover preservation; sizes agree via the signatures
+        for x in bnd1[c1]:
+            if x in assign and assign[x] not in bnd2[c2]:
+                return False
+        for up in cof1[c1]:
+            if up in assign and c2 not in bnd2[assign[up]]:
+                return False
+        return True
+
+    def backtrack(pos):
+        if pos == len(cells1):
+            yield dict(assign)
+            return
+        c1 = cells1[pos]
+        for c2 in sig2.get(sig1[c1], ()):  # same local profile
+            if c2 in used or not ok_candidate(c1, c2):
+                continue
+            assign[c1] = c2
+            used.add(c2)
+            yield from backtrack(pos + 1)
+            del assign[c1]
+            used.discard(c2)
+
+    yield from backtrack(0)
+
+
+def solve_transform_by_rows(cd1, cd2, mapping, gauge, span):
+    """Unimodular A with A sigma1(F) = gauge(F) sigma2(b(F)) on all facets.
+
+    Solves A m1 = m2 one row of A at a time, one solve_exact per row.
+    """
+    if not span:  # no facets: every A qualifies, the identity among them
+        return IntMatrix.identity(cd1.n - 1)
+    m1 = IntMatrix.from_cols([list(cd1.euler_coefficient(f)) for f in span])
+    m2 = IntMatrix.from_cols(
+        [list(cd2.euler_coefficient(mapping[f]).scale(gauge[f])) for f in span]
+    )
+    # solve A m1 = m2 column-wise through the transpose
+    rows = []
+    m1t = m1.transpose()
+    for r in range(cd1.n - 1):
+        target = IntVector(tuple(m2.entry(r, j) for j in range(len(span))))
+        x = solve_exact(m1t, target)
+        if x is None:
+            return None
+        rows.append(list(x))
+    a = IntMatrix.from_rows(rows)
+    if determinant(a) not in (1, -1):
+        return None
+    for fid in cd1.sponge.facet_ids:
+        lhs = a @ cd1.euler_coefficient(fid)
+        rhs = cd2.euler_coefficient(mapping[fid]).scale(gauge[fid])
+        if lhs != rhs:
+            return None
+    return a

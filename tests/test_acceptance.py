@@ -319,3 +319,13 @@ def test_criterion_9_validate_mu_speed():
     dt = time.monotonic() - t0
     ok = report.ok and dt < 0.2
     _report(9, ok, f"validate_mu(local-model-7) ok={report.ok} in {dt:.3f}s (bound 0.2s)", t0)
+
+
+def test_criterion_10_local_model_5_flip():
+    cd = load("local-model-5").data
+    flipped = transformed(cd, flip={sorted(cd.sponge.facet_ids)[0]})
+    t0 = time.monotonic()
+    res = compare(cd, flipped)
+    dt = time.monotonic() - t0
+    ok = res.verdict == "inequivalent" and "(240 gauge assignments tried)" in res.certificate and dt < 2.0
+    _report(10, ok, f"compare(local-model-5, flipped) {res.verdict}: {res.certificate} in {dt:.3f}s (bound 2s)", t0)

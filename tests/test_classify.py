@@ -1,20 +1,26 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexity_one.catalog import load
-from complexity_one.chardata import assemble_euler_cycle, cocycle_check, validate_mu
+from complexity_one.chardata import Ambient, assemble_euler_cycle, cocycle_check, validate_mu
 from complexity_one.classify import (
+    _poset_bijections,
+    _solve_gauge,
+    _solve_transform,
+    _SpanFactor,
     canonical_invariants,
     compare,
     verify_witness,
 )
-from complexity_one.errors import PreconditionError
+from complexity_one.errors import ConsistencyError, PreconditionError
 from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import SubtorusChoice, reduce
 from conftest import random_unimodular, transformed
+from oracles import poset_bijections_by_dim, solve_transform_by_rows
 
 
 def shuffled_relabel(cd, rng):
@@ -68,7 +74,7 @@ class TestCompareBasics:
         f3 = load("f3").data  # product, n=3
         res = compare(cp3, f3)
         assert res.verdict == "incomparable"
-        assert "ambient" in res.certificate
+        assert res.certificate == "ambient kinds differ: sphere vs product"
 
     def test_unvalidated_rejected(self):
         from complexity_one.chardata import Ambient, CharacteristicData
@@ -84,6 +90,14 @@ class TestCompareBasics:
         good = load("cp3-reduction").data
         with pytest.raises(PreconditionError):
             compare(good, bad)
+
+    def test_different_boundary_triviality_incomparable(self):
+        f3 = load("f3").data  # product, boundary trivial
+        other = replace(f3, ambient=Ambient("product", boundary_trivial=False))
+        res = compare(f3, other)
+        assert res.verdict == "incomparable"
+        assert res.certificate == "ambient boundary_trivial differs: True vs False"
+        assert compare(other, other).equivalent
 
     def test_different_cell_counts_certificate(self, simplex3, simplex3_lambda):
         cd1 = load("g42").data
@@ -176,3 +190,100 @@ def test_relabel_and_transform_preserve_verdicts(name, rng):
     assert assemble_euler_cycle(moved).is_cycle == assemble_euler_cycle(cd).is_cycle
     res = compare(cd, moved)
     assert res.equivalent and verify_witness(cd, moved, res.witness)
+
+
+class TestSearchStats:
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("g42", {"nodes": 1143, "bijections": 48, "gauges": 96, "transforms": 96}),
+            ("f3", {"nodes": 762, "bijections": 72, "gauges": 144, "transforms": 144}),
+        ],
+    )
+    def test_flip_counts(self, name, counts):
+        cd = load(name).data
+        flipped = transformed(cd, flip={sorted(cd.sponge.facet_ids)[0]})
+        stats = {}
+        res = compare(cd, flipped, stats=stats)
+        assert stats == counts
+        assert res == compare(cd, flipped)
+        assert res.certificate.endswith(f"({counts['gauges']} gauge assignments tried)")
+
+    def test_counts_stay_zero_before_the_search(self):
+        stats = {"nodes": 7}
+        res = compare(load("cp3-reduction").data, load("f3").data, stats=stats)
+        assert res.verdict == "incomparable"
+        assert stats == {"nodes": 0, "bijections": 0, "gauges": 0, "transforms": 0}
+
+    @pytest.mark.parametrize("name", ["cp3-reduction", "f3"])
+    def test_self_compare_counts(self, name):
+        cd = load(name).data
+        stats = {}
+        res = compare(cd, cd, stats=stats)
+        # the same-id candidate comes first: one node per cell, no backtracking
+        assert stats == {"nodes": len(cd.sponge.cells), "bijections": 1, "gauges": 1, "transforms": 1}
+        assert all(k == v for k, v in res.witness.mapping.items())
+
+
+def _bijection_set(search):
+    return {frozenset(m.items()) for m in search}
+
+
+class TestSearchOracles:
+    @pytest.mark.parametrize("name", ["cp3-reduction", "local-model-4", "f3"])
+    def test_bijections_match_dimension_descending_search(self, name):
+        cd = load(name).data
+        relabel = shuffled_relabel(cd, random.Random(35))
+        moved = transformed(cd, relabel=relabel)
+        # the old search takes seconds on f3, so it runs on the relabelled
+        # pair only; the self-pair's bijections are those composed with the
+        # inverse relabelling
+        want_moved = _bijection_set(poset_bijections_by_dim(cd.sponge, moved.sponge))
+        back = {v: k for k, v in relabel.items()}
+        want_self = {frozenset((c, back[d]) for c, d in m) for m in want_moved}
+        for other, want in ((cd, want_self), (moved, want_moved)):
+            got = list(_poset_bijections(cd.sponge, other.sponge, {"nodes": 0}))
+            assert len(got) == len(want) > 0
+            assert _bijection_set(got) == want
+
+    @pytest.mark.parametrize("name, flip", [("cp3-reduction", True), ("local-model-4", False)])
+    def test_transform_matches_row_wise_solves(self, name, flip):
+        cd = load(name).data
+        rng = random.Random(36)
+        if flip:
+            other = transformed(cd, flip={sorted(cd.sponge.facet_ids)[0]})
+        else:
+            a = random_unimodular(rng, cd.n - 1)
+            other = transformed(cd, matrix=a, relabel=shuffled_relabel(cd, rng))
+        factor = _SpanFactor.of(cd)
+        pairs = found = 0
+        for mapping in _poset_bijections(cd.sponge, other.sponge, {"nodes": 0}):
+            for gauge in _solve_gauge(cd.sponge, other.sponge, mapping):
+                got = _solve_transform(cd, other, mapping, gauge, factor, {"transforms": 0})
+                assert got == solve_transform_by_rows(cd, other, mapping, gauge, list(factor.span))
+                pairs += 1
+                found += got is not None
+        assert pairs > 0
+        assert (found == 0) if flip else (found > 0)
+
+    def test_span_factor_adjugate(self):
+        cd = load("local-model-5").data
+        factor = _SpanFactor.of(cd)
+        k = cd.n - 1
+        m1 = IntMatrix.from_cols([cd.euler_coefficient(f) for f in factor.span])
+        assert m1 @ factor.adj == IntMatrix(k, k, tuple(factor.det * (i == j) for i in range(k) for j in range(k)))
+
+    def test_too_few_spanning_facets_raise(self):
+        from complexity_one.chardata import CharacteristicData
+        from complexity_one.sponge import local_model_sponge
+
+        sponge = local_model_sponge(4)
+        parallel = CharacteristicData(
+            n=4,
+            sponge=sponge,
+            mu={f: vec(1, 0, 0) for f in sponge.facet_ids},
+            euler_sign={f: 1 for f in sponge.facet_ids},
+            ambient=Ambient("abstract"),
+        )
+        with pytest.raises(ConsistencyError):
+            _SpanFactor.of(parallel)
