@@ -27,9 +27,9 @@ from .errors import (
 from .lattice import (
     IntVector,
     hermite_normal_form,
-    integer_kernel,
     primitive,
     rank as lattice_rank,
+    signed_maximal_minors,
     stack_rows,
 )
 from .sponge import (
@@ -37,6 +37,7 @@ from .sponge import (
     SpongeComplex,
     ValidationReport,
     local_model_sponge,
+    propagate_signs,
     validate_sponge,
     weighted_cycle_check,
 )
@@ -265,20 +266,21 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
     """Circle direction and Hopf sign of the facet missing weights i and j.
 
     The direction is the primitive generator of the rank-one lattice of
-    cocharacters vanishing on all other weights and on the i-j relation; it
-    is oriented so its pairing vector against the weights is a positive
-    multiple of c_j e_i - c_i e_j.  The returned sign is hopf_type(ws, i, j),
-    which also guards the indices and strictness.
+    cocharacters vanishing on all other weights (and so, by the Cramer
+    relation, on c_i alpha_i + c_j alpha_j): the signed maximal minors of
+    those n-2 weights.  It is oriented so its pairing vector against the
+    weights is a positive multiple of c_j e_i - c_i e_j.  The returned sign
+    is hopf_type(ws, i, j), which also guards the indices and strictness.
     """
     sign = hopf_type(ws, i, j)
     c = cramer_coefficients(ws).c
     alphas = ws.signed_weights()
-    rows = [alphas[m] for m in range(ws.n) if m not in (i, j)]
-    rows.append(alphas[i].scale(c[i]) + alphas[j].scale(c[j]))
-    kernel = integer_kernel(stack_rows(rows))
-    if len(kernel) != 1:
-        raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {len(kernel)}")
-    lam = kernel[0]
+    others = stack_rows([alphas[m] for m in range(ws.n) if m not in (i, j)], cols=ws.n - 1)
+    lam = signed_maximal_minors(others)
+    if lam.is_zero():
+        line_rank = ws.n - 1 - lattice_rank(others)
+        raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
+    lam = primitive(lam, pin_sign=False)
     # orient so that the pairing with weight i has the sign of c_j
     pair_i = alphas[i].dot(lam)
     if pair_i == 0 or alphas[j].dot(lam) == 0:
@@ -299,8 +301,7 @@ def solve_euler_signs(
     facet.  Raises ConsistencyError when no +-1 assignment exists, which
     means the mu data is not coherent.
     """
-    facets = list(sponge.facet_ids)
-    constraints: dict[str, list[tuple[str, int]]] = {f: [] for f in facets}
+    constraints: list[tuple[str, str, int]] = []
     codim1 = sponge.cells_of_dim(sponge.n - 3) if sponge.n >= 3 else ()
     for cell in codim1:
         through = sponge.facets_containing(cell.id)
@@ -314,27 +315,12 @@ def solve_euler_signs(
         # need inc[t] * k[t] proportional to pattern[t]
         target = [pattern[t] * inc[t] for t in range(3)]
         for t in range(1, 3):
-            rel = target[t] * target[0]
-            constraints[through[0]].append((through[t], rel))
-            constraints[through[t]].append((through[0], rel))
+            constraints.append((through[0], through[t], target[t] * target[0]))
     signs: dict[str, int] = {}
-    for start in sorted(facets):
-        if start in signs:
-            continue
-        signs[start] = seeds.get(start, 1)
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for other, rel in constraints[cur]:
-                want = signs[cur] * rel
-                if other in signs:
-                    if signs[other] != want:
-                        raise ConsistencyError(
-                            f"orientation constraints are inconsistent at facet {other}"
-                        )
-                else:
-                    signs[other] = want
-                    frontier.append(other)
+    for component, conflict in propagate_signs(sponge.facet_ids, constraints, seeds):
+        if conflict is not None:
+            raise ConsistencyError(f"orientation constraints are inconsistent at facet {conflict}")
+        signs.update(component)
     return signs
 
 

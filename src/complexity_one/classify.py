@@ -19,7 +19,7 @@ from typing import Mapping
 from .chardata import CharacteristicData, _pair_index, compatibility_check, validate_mu
 from .errors import ConsistencyError, PreconditionError
 from .lattice import IntMatrix, determinant, rank as lattice_rank, stack_rows
-from .sponge import SpongeComplex, homology
+from .sponge import SpongeComplex, homology, propagate_signs
 
 
 @dataclass(frozen=True)
@@ -173,48 +173,21 @@ def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str
     """
     inc1, inc2 = s1.boundary_signs, s2.boundary_signs
     cells = sorted(c.id for c in s1.cells)
-    adj: dict[str, list[tuple[str, int]]] = {c: [] for c in cells}
+    relations = []
     for c in cells:
         for d, sign1 in inc1[c].items():
             sign2 = inc2[mapping[c]].get(mapping[d])
             if sign2 is None:
                 return  # mapping does not even preserve incidence
-            rel = sign1 * sign2
-            adj[c].append((d, rel))
-            adj[d].append((c, rel))
-    components: list[list[str]] = []
-    base: dict[str, int] = {}
-    for start in cells:
-        if start in base:
-            continue
-        comp = [start]
-        base[start] = 1
-        frontier = [start]
-        ok = True
-        while frontier:
-            cur = frontier.pop()
-            for other, rel in adj[cur]:
-                want = base[cur] * rel
-                if other in base:
-                    if base[other] != want:
-                        ok = False
-                        break
-                else:
-                    base[other] = want
-                    comp.append(other)
-                    frontier.append(other)
-            if not ok:
-                break
-        if not ok:
-            return
-        components.append(comp)
-
+            relations.append((c, d, sign1 * sign2))
+    components = propagate_signs(cells, relations)
+    if any(conflict is not None for _, conflict in components):
+        return
     for flips in range(1 << len(components)):
-        gauge = dict(base)
-        for c_idx, comp in enumerate(components):
-            if flips >> c_idx & 1:
-                for x in comp:
-                    gauge[x] = -gauge[x]
+        gauge = {}
+        for c_idx, (signs, _) in enumerate(components):
+            flip = -1 if flips >> c_idx & 1 else 1
+            gauge.update((x, flip * sign) for x, sign in signs.items())
         yield gauge
 
 

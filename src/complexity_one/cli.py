@@ -10,6 +10,7 @@ for malformed input or bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterator, Sequence
 
@@ -151,6 +152,7 @@ def _cmd_catalog(args) -> Iterator[CheckResult]:
         yield CheckResult.of("export", True, args.export)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one tree serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="complexity-one",

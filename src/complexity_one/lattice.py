@@ -1,7 +1,8 @@
 """Exact integer linear algebra over Python's arbitrary-precision integers.
 
 Each job uses the simplest elimination that answers it: Bareiss
-fraction-free elimination for determinant and rank, the Hermite form for
+fraction-free elimination for determinant, rank and signed maximal minors
+(the kernel line of a k x (k+1) matrix), the Hermite form for
 solve_exact, inverse_unimodular and integer_kernel, and the Smith form only
 where invariant factors are the answer (homology torsion, stabilizer orders,
 is_unimodular_extension).  Values are immutable and every operation is
@@ -219,6 +220,18 @@ def determinant(a: IntMatrix) -> int:
         raise DimensionMismatchError(f"determinant of a {a.rows}x{a.cols} matrix")
     m, r, sign = _bareiss(a)
     return 0 if r < a.rows else sign * m[-1][-1] if r else 1
+
+
+def signed_maximal_minors(a: IntMatrix) -> IntVector:
+    """v_t = (-1)^t det(a without column t) for a k x (k+1) matrix a.
+
+    a @ v = 0 by Laplace expansion, and v spans ker(a) over Q (else v = 0).
+    """
+    if a.cols != a.rows + 1:
+        raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
+    rows = a.row_list()
+    minors = (IntMatrix.from_rows([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols))
+    return IntVector(tuple((-1) ** t * determinant(m) for t, m in enumerate(minors)))
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,11 @@ class SimplePolytope:
         if used != fs:
             raise ValidationError(f"facets without vertices: {sorted(fs - used)}")
         # every edge (an (n-1)-subset of a vertex) joins exactly two vertices
-        if self.n >= 1:
-            for v in self.vertices:
-                for edge in combinations(sorted(v), self.n - 1):
-                    count = sum(1 for w in self.vertices if set(edge) <= w)
-                    if count != 2:
-                        raise ValidationError(
-                            f"edge {list(edge)} lies in {count} vertices, expected 2"
-                        )
+        for v in self.vertices:
+            for edge in combinations(sorted(v), self.n - 1):
+                count = sum(1 for w in self.vertices if set(edge) <= w)
+                if count != 2:
+                    raise ValidationError(f"edge {list(edge)} lies in {count} vertices, expected 2")
         # vertex graph connectivity
         if self.vertices:
             seen = {self.vertices[0]}
@@ -212,7 +209,7 @@ def polytope_sponge(p: SimplePolytope) -> SpongeComplex:
     """Codimension-two skeleton of the polytope boundary as a sponge.
 
     Cells are realized facet subsets of size 2..n; incidence signs come from
-    the fundamental-cycle orientation procedure, so they are deterministic.
+    the sign propagation of signed_incidence, so they are deterministic.
     """
     def cid(face: frozenset[str]) -> str:
         return "g:" + ",".join(sorted(face))

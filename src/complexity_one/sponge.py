@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -25,7 +25,7 @@ from .errors import (
     InputFormatError,
     ValidationError,
 )
-from .lattice import IntMatrix, IntVector, integer_kernel, smith_normal_form
+from .lattice import IntMatrix, IntVector, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -286,28 +286,65 @@ def local_model(n: int) -> LocalModel:
     return LocalModel(n=n, faces=tuple(faces))
 
 
+def propagate_signs(
+    nodes: Sequence[str],
+    relations: Iterable[tuple[str, str, int]],
+    seeds: Mapping[str, int] | None = None,
+) -> list[tuple[dict[str, int], str | None]]:
+    """Orient each component of a graph of +-1 relations by propagation.
+
+    A relation (a, b, r) asks for s_b = r * s_a.  Per component, in the
+    order of its least node (nodes come sorted): its signs, pinned by that
+    node's seed (default +1), and the first node where the relations
+    conflict, or None.
+    """
+    adj: dict[str, list[tuple[str, int]]] = {}
+    for a, b, r in relations:
+        adj.setdefault(a, []).append((b, r))
+        adj.setdefault(b, []).append((a, r))
+    components: list[tuple[dict[str, int], str | None]] = []
+    placed: set[str] = set()
+    for start in nodes:
+        if start in placed:
+            continue
+        signs, conflict, frontier = {start: (seeds or {}).get(start, 1)}, None, [start]
+        while frontier:
+            cur = frontier.pop()
+            for other, rel in adj.get(cur, ()):
+                if other not in signs:
+                    signs[other] = signs[cur] * rel
+                    frontier.append(other)
+                elif signs[other] != signs[cur] * rel and conflict is None:
+                    conflict = other
+        placed.update(signs)
+        components.append((signs, conflict))
+    return components
+
+
 def signed_incidence(
     cells: Sequence[tuple[str, int]], covers: Mapping[str, Sequence[str]]
 ) -> dict[str, tuple[tuple[str, int], ...]]:
     """Choose incidence signs for a regular cell poset, bottom-up.
 
     covers[c] lists the cells of one dimension lower in the boundary of c.
-    Each 1-cell becomes high-endpoint minus low (a single endpoint gets -1);
-    each higher cell's signs are the unique fundamental cycle of its
-    boundary subcomplex, pinned so the lexicographically least boundary cell
-    has coefficient +1.  Raises ConsistencyError when a boundary is not a
-    +-1 cycle (the poset is not a regular complex).
+    Each 1-cell becomes high-endpoint minus low (a single endpoint gets -1).
+    A higher cell orients its boundary as a pseudomanifold: each (d-2)-cell
+    of it lies in two boundary cells whose coefficients cancel there, and
+    signs propagate from the lexicographically least boundary cell, pinned
+    to +1.  Each consistent component carries one cycle, so the boundary is
+    a unique +-1 cycle iff there is one component and it is consistent.
+    Raises ConsistencyError otherwise (the poset is not a regular complex).
     """
     dims = {cid: d for cid, d in cells}
     inc: dict[str, tuple[tuple[str, int], ...]] = {}
-    closure: dict[str, set[str]] = {cid: {cid} for cid, _ in cells}
 
     for cid, d in sorted(cells, key=lambda t: (t[1], t[0])):
         below = sorted(covers.get(cid, ()))
-        for b in below:
+        for b, after in zip(below, below[1:] + [None]):
             if b not in dims or dims[b] != d - 1:
                 raise ConsistencyError(f"cover {b!r} of {cid!r} is not one dimension lower")
-            closure[cid] |= closure[b]
+            if b == after:
+                raise ConsistencyError(f"covers of {cid!r} list {b!r} twice")
         if d == 0:
             continue
         if d == 1:
@@ -319,28 +356,24 @@ def signed_incidence(
             else:
                 raise ConsistencyError(f"1-cell {cid!r} has {len(below)} endpoints")
             continue
-        # boundary subcomplex of cid: its (d-1)- and (d-2)-cells
-        bsub = below
-        lower = sorted({x for b in bsub for x, _ in inc[b]})
-        idx = {x: i for i, x in enumerate(lower)}
-        if lower:
-            mat_rows = [[0] * len(bsub) for _ in lower]
-            for j, b in enumerate(bsub):
-                for x, s in inc[b]:
-                    mat_rows[idx[x]][j] += s
-            kernel = integer_kernel(IntMatrix.from_rows(mat_rows))
-        else:
-            kernel = integer_kernel(IntMatrix(0, len(bsub), ()))
-        if len(kernel) != 1:
-            raise ConsistencyError(
-                f"boundary of {cid!r} has cycle space of rank {len(kernel)}, expected 1"
-            )
-        cyc = kernel[0]
-        if any(abs(x) != 1 for x in cyc):
+        through: dict[str, list[tuple[str, int]]] = {}
+        for b in below:
+            for x, s in inc[b]:
+                through.setdefault(x, []).append((b, s))
+        for x, pair in sorted(through.items()):
+            if len(pair) != 2:
+                raise ConsistencyError(
+                    f"{d - 2}-cell {x!r} lies in {len(pair)} boundary cells of {cid!r}, expected 2"
+                )
+        # the two boundary cells through each (d-2)-cell cancel there
+        relations = [(a, b, -sa * sb) for (a, sa), (b, sb) in through.values()]
+        components = propagate_signs(below, relations)
+        rank = sum(conflict is None for _, conflict in components)
+        if rank != 1:
+            raise ConsistencyError(f"boundary of {cid!r} has cycle space of rank {rank}, expected 1")
+        if len(components) != 1:
             raise ConsistencyError(f"boundary of {cid!r} is not a +-1 fundamental cycle")
-        if cyc[0] < 0:
-            cyc = -cyc
-        inc[cid] = tuple((b, cyc[j]) for j, b in enumerate(bsub))
+        inc[cid] = tuple((b, components[0][0][b]) for b in below)
     return inc
 
 
@@ -380,9 +413,6 @@ def filtration(s: SpongeComplex) -> list[frozenset[str]]:
 class HomologyResult:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * b for i, b in enumerate(self.betti))
 
 
 def homology(s: SpongeComplex) -> HomologyResult:

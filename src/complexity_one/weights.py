@@ -30,6 +30,7 @@ from .lattice import (
     determinant,
     inverse_unimodular,
     kernel_complement,
+    signed_maximal_minors,
     smith_normal_form,
     solve_exact,
     stack_rows,
@@ -79,10 +80,7 @@ class WeightSystem:
     def _cramer(self) -> CramerCoefficients:
         """Signed maximal minors of the weights, checked against the relation once."""
         alphas = self.signed_weights()
-        c_tilde = []
-        for i in range(self.n):
-            det = determinant(stack_rows([a for j, a in enumerate(alphas) if j != i]))
-            c_tilde.append(-det if i % 2 == 0 else det)
+        c_tilde = [-x for x in signed_maximal_minors(self.matrix().transpose())]
         total = alphas[0].scale(0)
         for ci, a in zip(c_tilde, alphas):
             total = total + a.scale(ci)

@@ -11,7 +11,11 @@ through by_id, upper_set and boundary, which incidence_indices checks.  Two
 more former package searches are kept the same way: poset_bijections_by_dim,
 the dimension-descending bijection search, as the reference for the
 connectivity-first one, and solve_transform_by_rows, the one-solve_exact-
-per-row transform, as the reference for the factored one.
+per-row transform, as the reference for the factored one.  Two former
+integer-kernel constructions are kept as references for their replacements:
+signed_incidence_by_kernel, which took each boundary's fundamental cycle
+from integer_kernel, for sign propagation, and local_euler_by_kernel, which
+took the stabilizer line from integer_kernel, for signed maximal minors.
 """
 
 from collections import Counter
@@ -19,8 +23,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from complexity_one.errors import InputFormatError
-from complexity_one.lattice import IntMatrix, IntVector, determinant, solve_exact
+from complexity_one.errors import ConsistencyError, InputFormatError
+from complexity_one.lattice import (
+    IntMatrix,
+    IntVector,
+    determinant,
+    integer_kernel,
+    solve_exact,
+    stack_rows,
+)
+from complexity_one.weights import cramer_coefficients, hopf_type
 
 
 def cofactor_det(m):
@@ -381,3 +393,72 @@ def solve_transform_by_rows(cd1, cd2, mapping, gauge, span):
         if lhs != rhs:
             return None
     return a
+
+
+def signed_incidence_by_kernel(cells, covers):
+    """signed_incidence with each boundary's fundamental cycle from integer_kernel.
+
+    The boundary of a cell of dimension >= 2 must have a rank-one cycle
+    space spanned by a +-1 vector, pinned so its least boundary cell gets +1.
+    """
+    dims = {cid: d for cid, d in cells}
+    inc = {}
+    for cid, d in sorted(cells, key=lambda t: (t[1], t[0])):
+        below = sorted(covers.get(cid, ()))
+        for b in below:
+            if b not in dims or dims[b] != d - 1:
+                raise ConsistencyError(f"cover {b!r} of {cid!r} is not one dimension lower")
+        if d == 0:
+            continue
+        if d == 1:
+            if len(below) == 2:
+                lo, hi = below
+                inc[cid] = ((hi, 1), (lo, -1))
+            elif len(below) == 1:
+                inc[cid] = ((below[0], -1),)
+            else:
+                raise ConsistencyError(f"1-cell {cid!r} has {len(below)} endpoints")
+            continue
+        lower = sorted({x for b in below for x, _ in inc[b]})
+        idx = {x: i for i, x in enumerate(lower)}
+        if lower:
+            mat_rows = [[0] * len(below) for _ in lower]
+            for j, b in enumerate(below):
+                for x, s in inc[b]:
+                    mat_rows[idx[x]][j] += s
+            kernel = integer_kernel(IntMatrix.from_rows(mat_rows))
+        else:
+            kernel = integer_kernel(IntMatrix(0, len(below), ()))
+        if len(kernel) != 1:
+            raise ConsistencyError(
+                f"boundary of {cid!r} has cycle space of rank {len(kernel)}, expected 1"
+            )
+        cyc = kernel[0]
+        if any(abs(x) != 1 for x in cyc):
+            raise ConsistencyError(f"boundary of {cid!r} is not a +-1 fundamental cycle")
+        if cyc[0] < 0:
+            cyc = -cyc
+        inc[cid] = tuple((b, cyc[j]) for j, b in enumerate(below))
+    return inc
+
+
+def local_euler_by_kernel(ws, i, j):
+    """local_euler_from_weights with the stabilizer line from integer_kernel.
+
+    The line is the kernel of the other n-2 weights and c_i alpha_i + c_j alpha_j.
+    """
+    sign = hopf_type(ws, i, j)
+    c = cramer_coefficients(ws).c
+    alphas = ws.signed_weights()
+    rows = [alphas[m] for m in range(ws.n) if m not in (i, j)]
+    rows.append(alphas[i].scale(c[i]) + alphas[j].scale(c[j]))
+    kernel = integer_kernel(stack_rows(rows))
+    if len(kernel) != 1:
+        raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {len(kernel)}")
+    lam = kernel[0]
+    pair_i = alphas[i].dot(lam)
+    if pair_i == 0 or alphas[j].dot(lam) == 0:
+        raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
+    if pair_i * c[j] < 0:
+        lam = -lam
+    return lam, sign

@@ -28,6 +28,7 @@ from complexity_one.weights import (
     is_strictly_appropriate,
 )
 from conftest import random_unimodular, transformed
+from oracles import local_euler_by_kernel
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 
@@ -196,6 +197,23 @@ class TestLocalEulerFromWeights:
         # direction must pair to zero with the omitted weights
         assert G42.weights[2].dot(mu) == 0
         assert G42.weights[3].dot(mu) == 0
+
+    def test_matches_kernel_line(self):
+        # strict systems: a basis plus minus a +-1 sum of it, signs chosen per weight
+        rng = random.Random(15)
+        for n in range(3, 7):
+            for _ in range(6):
+                unimodular = random_unimodular(rng, n - 1)
+                basis = [unimodular.row(r) for r in range(n - 1)]
+                last = IntVector((0,) * (n - 1))
+                for row in basis:
+                    last = last - row.scale(rng.choice((1, -1)))
+                signs = tuple(rng.choice((1, -1)) for _ in range(n))
+                ws = WeightSystem(n, (*basis, last), signs)
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            assert local_euler_from_weights(ws, i, j) == local_euler_by_kernel(ws, i, j)
 
     def test_non_strict_rejected(self):
         ws = WeightSystem(3, (vec(2, 0), vec(0, 2), vec(-1, -1)))

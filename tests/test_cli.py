@@ -6,7 +6,7 @@ import pytest
 from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
 from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
 from complexity_one.classify import compare, verify_witness
-from complexity_one.cli import main
+from complexity_one.cli import build_parser, main
 from complexity_one.errors import InputFormatError
 from complexity_one.io import (
     canonical_json,
@@ -140,6 +140,18 @@ class TestCommands:
 
     def test_unknown_catalog_exits_2(self, capsys):
         assert main(["catalog", "missing-entry"]) == 2
+
+    @pytest.mark.parametrize("argv", [["compare", "--bogus"], ["reduce", "--polytope"], ["nope"], []])
+    def test_bad_flags_exit_2_from_the_one_parser(self, capsys, argv):
+        # main reuses one parser; its usage and error text match a freshly built one
+        assert build_parser() is build_parser()
+        runs = []
+        for parse in (main, main, build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            runs.append((exc.value.code, capsys.readouterr()))
+        assert runs[0] == runs[1] == runs[2] and runs[0][0] == 2
+        assert runs[0][1].err.startswith("usage: complexity-one")
 
     def test_float_rejected(self, workdir, capsys):
         bad = workdir / "float.json"

@@ -19,6 +19,7 @@ from complexity_one.lattice import (
     kernel_complement,
     primitive,
     rank,
+    signed_maximal_minors,
     smith_normal_form,
     solve_exact,
     stack_rows,
@@ -100,6 +101,23 @@ class TestDeterminant:
     def test_singular_matches_cofactor_expansion(self, a):
         # n x n through an inner dimension k < n, so singular
         assert determinant(a) == cofactor_det(a.row_list()) == 0
+
+
+class TestSignedMaximalMinors:
+    @given(st.integers(0, 4).flatmap(lambda k: st.integers(0, k + 1).flatmap(lambda r: _product(k, r, k + 1))))
+    @settings(max_examples=80, deadline=None)
+    def test_cofactors_spanning_the_kernel(self, a):
+        # k x (k+1) of rank <= k: full rank gives the kernel line, else zero
+        rows = a.row_list()
+        v = signed_maximal_minors(a)
+        assert list(v) == [(-1) ** t * cofactor_det([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols)]
+        assert (a @ v).is_zero()
+        assert v.is_zero() == (fraction_rank(rows) < a.rows)
+
+    def test_empty_and_bad_shapes(self):
+        assert signed_maximal_minors(IntMatrix(0, 1, ())) == vec(1)
+        with pytest.raises(DimensionMismatchError):
+            signed_maximal_minors(IntMatrix.identity(2))
 
 
 class TestRank:

@@ -273,8 +273,8 @@ class TestReduce:
 
 
     def test_reduce_computes_local_data_once(self, monkeypatch):
-        # each vertex chart takes n Cramer minors and one basis check, and
-        # every chart reads the one subtorus frame
+        # each vertex chart takes its Cramer minors once and one basis check,
+        # and every chart reads the one subtorus frame
         from complexity_one import lattice, weights
 
         facets = tuple(f"{ax}{s}" for ax in "wxyz" for s in "mp")
@@ -296,6 +296,7 @@ class TestReduce:
             return wrapper
 
         monkeypatch.setattr(weights, "determinant", counted(lattice.determinant))
+        monkeypatch.setattr(weights, "signed_maximal_minors", counted(lattice.signed_maximal_minors))
         original = lattice.kernel_complement
         for mod in list(sys.modules.values()):
             in_package = getattr(mod, "__name__", "").partition(".")[0] == "complexity_one"
@@ -303,7 +304,8 @@ class TestReduce:
                 monkeypatch.setattr(mod, "kernel_complement", counted(original))
         cd = reduce(cube4, lam, SubtorusChoice(vec(1, 1, 1, -1)))
         assert validate_mu(cd).ok
-        assert calls["determinant"] <= (4 + 1) * len(verts)
+        assert calls["signed_maximal_minors"] <= len(verts)
+        assert calls["determinant"] <= len(verts)
         assert calls["kernel_complement"] == 1
 
 

@@ -62,3 +62,18 @@ def test_subtorus_frame_has_one_owner():
         if getattr(node, "id", None) == "kernel_complement"
     }
     assert members == {"complement"}
+
+
+def test_integer_kernel_only_frames_a_subtorus():
+    # orientations propagate signs and stabilizer lines are signed maximal
+    # minors; the one kernel left is the frame of a subtorus character
+    assert set(_uses("integer_kernel")) == {("lattice", "kernel_complement")}
+
+
+def test_one_sign_propagation():
+    # cell orientations, Euler signs and compare's gauges share one routine
+    assert set(_uses("propagate_signs")) == {
+        ("sponge", "signed_incidence"),
+        ("chardata", "solve_euler_signs"),
+        ("classify", "_solve_gauge"),
+    }

@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexity_one.errors import (
     ConsistencyError,
@@ -11,7 +15,7 @@ from complexity_one.errors import (
 )
 from complexity_one.catalog import k33_sponge, load, names, octahedron_sponge, simplex_polytope
 from complexity_one.lattice import vec
-from complexity_one.quasitoric import SimplePolytope, polytope_sponge
+from complexity_one.quasitoric import CellManifold, SimplePolytope, polytope_sponge
 from complexity_one.sponge import (
     Cell,
     SpongeComplex,
@@ -20,12 +24,20 @@ from complexity_one.sponge import (
     homology,
     local_model,
     local_model_sponge,
+    propagate_signs,
     signed_incidence,
     validate_sponge,
     weighted_cycle_check,
 )
 from conftest import random_unimodular
-from oracles import face_star_search, graph_betti, incidence_indices, simplicial_betti
+from oracles import (
+    face_star_search,
+    graph_betti,
+    incidence_indices,
+    signed_incidence_by_kernel,
+    simplicial_betti,
+)
+from test_quasitoric import torus_three_hexagons
 
 
 class TestLocalModel:
@@ -316,6 +328,18 @@ class TestFaceStarAgreesWithSearch:
             _assert_star_matches_search(_mutated(base, kind, rng))
 
 
+class TestPropagateSigns:
+    def test_components_seeds_and_first_conflict(self):
+        # a-b-c is an odd cycle of relations; d-e is seeded at d; f is isolated
+        relations = [("a", "b", -1), ("b", "c", 1), ("c", "a", 1), ("d", "e", -1)]
+        got = propagate_signs(["a", "b", "c", "d", "e", "f"], relations, {"d": -1})
+        assert got == [
+            ({"a": 1, "b": -1, "c": 1}, "b"),
+            ({"d": -1, "e": 1}, None),
+            ({"f": 1}, None),
+        ]
+
+
 class TestSignedIncidence:
     def test_edge_signs(self):
         inc = signed_incidence([("u", 0), ("v", 0), ("e", 1)], {"e": ["u", "v"]})
@@ -349,8 +373,183 @@ class TestSignedIncidence:
             "e3": ["a", "b"],
             "f": ["e1", "e2", "e3"],
         }
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="0-cell 'a' lies in 3 boundary cells of 'f'"):
             signed_incidence(cells, covers)
+
+    def test_doubled_cover_rejected(self):
+        with pytest.raises(ConsistencyError, match="covers of 'f' list 'r' twice"):
+            signed_incidence([("o", 0), ("r", 1), ("f", 2)], {"r": ["o"], "f": ["r", "r"]})
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty-boundary", "boundary of 'top' has cycle space of rank 0, expected 1"),
+            ("two-spheres", "boundary of 'top' has cycle space of rank 2, expected 1"),
+            ("projective-plane", "boundary of 'top' has cycle space of rank 0, expected 1"),
+            ("sphere-and-projective-plane", "boundary of 'top' is not a +-1 fundamental cycle"),
+        ],
+    )
+    def test_pseudomanifold_errors_match_kernel(self, case, message):
+        cells, covers = _bad_boundaries()[case]
+        for construct in (signed_incidence, signed_incidence_by_kernel):
+            with pytest.raises(ConsistencyError) as err:
+                construct(cells, covers)
+            assert str(err.value) == message
+
+
+def _cells_and_covers(s: SpongeComplex):
+    return [(c.id, c.dim) for c in s.cells], {k: [x for x, _ in v] for k, v in s.incidence.items()}
+
+
+def _simplex_boundary(n: int, tag: str = "s"):
+    """(cells, covers) of the boundary of the n-simplex, an (n-1)-sphere."""
+    cells, covers = [], {}
+    for size in range(1, n + 1):
+        for sub in combinations(range(n + 1), size):
+            cid = tag + "".join(map(str, sub))
+            cells.append((cid, size - 1))
+            if size > 1:
+                covers[cid] = [tag + "".join(map(str, f)) for f in combinations(sub, size - 1)]
+    return cells, covers
+
+
+def _simplex_boundary_skeleton(n: int) -> SpongeComplex:
+    cells, covers = _simplex_boundary(n)
+    return CellManifold(n, tuple(cells), covers).skeleton_sponge()
+
+
+def _hemicube():
+    """(cells, covers) of the cube modulo the antipodal map: a projective plane."""
+    def cls(cube_cell):  # a cube cell (a set of vertices) up to the antipodal map
+        neg = frozenset(tuple(-x for x in v) for v in cube_cell)
+        return "p" + str(min(sorted(cube_cell), sorted(neg)))
+
+    verts = list(product((1, -1), repeat=3))
+    faces = [frozenset(v for v in verts if v[i] == s) for i in range(3) for s in (1, -1)]
+    edges = [frozenset(e) for e in combinations(verts, 2) if sum(map(int.__ne__, *e)) == 1]
+    cells = {(cls({v}), 0) for v in verts} | {(cls(e), 1) for e in edges}
+    cells |= {(cls(f), 2) for f in faces}
+    covers = {cls(e): sorted(cls({v}) for v in e) for e in edges}
+    covers.update({cls(f): sorted(cls(e) for e in edges if e <= f) for f in faces})
+    return sorted(cells), covers
+
+
+def _bad_boundaries():
+    """Posets whose top cell has a pseudomanifold boundary that is no +-1 cycle."""
+    out = {"empty-boundary": ([("top", 2)], {})}
+    sphere_a, covers_a = _simplex_boundary(3, "a")
+    sphere_b, covers_b = _simplex_boundary(3, "b")
+    plane, covers_p = _hemicube()
+    for case, parts in {
+        "two-spheres": [(sphere_a, covers_a), (sphere_b, covers_b)],
+        "projective-plane": [(plane, covers_p)],
+        "sphere-and-projective-plane": [(sphere_a, covers_a), (plane, covers_p)],
+    }.items():
+        cells = [c for part, _ in parts for c in part] + [("top", 3)]
+        covers = {k: v for _, part in parts for k, v in part.items()}
+        covers["top"] = [c for c, d in cells if d == 2]
+        out[case] = (cells, covers)
+    return out
+
+
+def _is_pseudomanifold_poset(cells, covers) -> bool:
+    """Every (d-2)-cell below a d-cell, d >= 2, lies in exactly two of its boundary cells."""
+    for cid, d in cells:
+        if d >= 2:
+            counts = Counter(x for b in set(covers.get(cid, ())) for x in set(covers.get(b, ())))
+            if any(k != 2 for k in counts.values()):
+                return False
+    return True
+
+
+def _assert_incidence_matches_kernel(cells, covers) -> None:
+    """Equal incidence or equal error text on pseudomanifold boundaries, else both raise."""
+    results = []
+    for construct in (signed_incidence_by_kernel, signed_incidence):
+        try:
+            results.append(construct(cells, covers))
+        except ConsistencyError as exc:
+            results.append(f"ConsistencyError: {exc}")
+    want, got = results
+    if _is_pseudomanifold_poset(cells, covers):
+        assert got == want
+    else:
+        assert isinstance(want, str) and isinstance(got, str), (want, got)
+
+
+# complexes whose incidence signed_incidence chose, CellManifold skeletons included;
+# their (cells, covers) are the pseudomanifold cases and the bases of the mutations
+ORIENTED_COMPLEXES = {
+    **{f"catalog-{name}": (lambda name=name: load(name).data.sponge) for name in names()},
+    **{f"cube-{n}": (lambda n=n: polytope_sponge(_cube(n))) for n in (3, 4, 5)},
+    "prism-3": lambda: polytope_sponge(_prism()),
+    **{f"local-model-sponge-{n}": (lambda n=n: local_model_sponge(n)) for n in (4, 5)},
+    "torus-skeleton": lambda: torus_three_hexagons().skeleton_sponge(),
+    **{
+        f"simplex-boundary-{n}-skeleton": (lambda n=n: _simplex_boundary_skeleton(n))
+        for n in (3, 4, 5)
+    },
+}
+MUTATION_BASES = sorted(set(ORIENTED_COMPLEXES) - {"cube-4", "cube-5"})
+
+
+@cache
+def _oriented_case(name: str):
+    """(cells, covers) read back from one of ORIENTED_COMPLEXES."""
+    return _cells_and_covers(ORIENTED_COMPLEXES[name]())
+
+
+@st.composite
+def mutated_covers(draw):
+    """A base poset with one defect: a cover dropped or swapped between two cells, a
+    disjoint copy of a cell's boundary added to it, or one boundary cell doubled (theta)."""
+    cells, covers = _oriented_case(draw(st.sampled_from(MUTATION_BASES)))
+    cells, covers = list(cells), {k: list(v) for k, v in covers.items()}
+    dims = dict(cells)
+    bounded = sorted(k for k, v in covers.items() if v)
+    kind = draw(st.sampled_from(("drop", "swap", "copy", "theta")))
+    key = draw(st.sampled_from(bounded))
+    if kind == "drop":
+        covers[key].pop(draw(st.integers(0, len(covers[key]) - 1)))
+    elif kind == "swap":
+        pairs = [
+            (a, b) for a, b in combinations(bounded, 2)
+            if dims[a] == dims[b] and set(covers[a]) - set(covers[b]) and set(covers[b]) - set(covers[a])
+        ]
+        a, b = draw(st.sampled_from(pairs))
+        x = draw(st.sampled_from(sorted(set(covers[a]) - set(covers[b]))))
+        y = draw(st.sampled_from(sorted(set(covers[b]) - set(covers[a]))))
+        covers[a] = [y if c == x else c for c in covers[a]]
+        covers[b] = [x if c == y else c for c in covers[b]]
+    elif kind == "copy":
+        closure, frontier = set(), list(covers[key])
+        while frontier:
+            c = frontier.pop()
+            if c not in closure:
+                closure.add(c)
+                frontier += covers.get(c, [])
+        cells += [("copy:" + c, dims[c]) for c in sorted(closure)]
+        covers.update({"copy:" + c: ["copy:" + x for x in covers[c]] for c in closure if c in covers})
+        covers[key] = covers[key] + ["copy:" + b for b in covers[key]]
+    else:
+        b = draw(st.sampled_from(covers[key]))
+        cells.append(("theta:" + b, dims[b]))
+        covers["theta:" + b] = list(covers.get(b, []))
+        covers[key] = covers[key] + ["theta:" + b]
+    return cells, covers
+
+
+class TestSignedIncidenceAgreesWithKernel:
+    @pytest.mark.parametrize("case", sorted(ORIENTED_COMPLEXES))
+    def test_oriented_complexes(self, case):
+        cells, covers = _oriented_case(case)
+        assert _is_pseudomanifold_poset(cells, covers)
+        _assert_incidence_matches_kernel(cells, covers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mutated_covers())
+    def test_mutated_covers(self, case):
+        _assert_incidence_matches_kernel(*case)
 
 
 def _cube(n: int) -> SimplePolytope:
