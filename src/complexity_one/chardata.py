@@ -170,9 +170,12 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
         got = lattice_rank(stack_rows(vs, cols=cd.n - 1)) if vs else 0
         if got != want:
             rank_bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {want}")
+        # mu-domain made every value primitive, so parallel means equal up to sign
+        es = [v.entries for v in vs]
+        negs = [tuple(-x for x in e) for e in es]
         for a in range(len(through)):
             for b in range(a + 1, len(through)):
-                if _pair_index(vs[a], vs[b]) == 0:
+                if es[a] == es[b] or es[a] == negs[b]:
                     rank_bad.append(
                         f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
                     )

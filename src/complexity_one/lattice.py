@@ -154,10 +154,12 @@ class IntMatrix:
         return IntVector(self.entries[j :: self.cols][: self.rows]) if self.cols else IntVector(())
 
     def row_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        c = self.cols
+        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([list(self.col(j)) for j in range(self.cols)]) if self.rows and self.cols else IntMatrix(self.cols, self.rows, ())
+        c = self.cols
+        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in self.entries[j::c]))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -166,15 +168,14 @@ class IntMatrix:
         if isinstance(other, IntVector):
             if self.cols != other.dim:
                 raise DimensionMismatchError(f"{self.rows}x{self.cols} @ vector of dim {other.dim}")
-            return IntVector(tuple(self.row(i).dot(other) for i in range(self.rows)))
+            x = other.entries
+            return IntVector(tuple(sum(a * b for a, b in zip(r, x)) for r in self.row_list()))
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                out.append([sum(ri[k] * other.entry(k, j) for k in range(self.cols)) for j in range(other.cols)])
-            return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
+            cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+            out = (sum(a * b for a, b in zip(r, c)) for r in self.row_list() for c in cols)
+            return IntMatrix(self.rows, other.cols, tuple(out))
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -190,36 +191,40 @@ def stack_rows(vectors: Sequence[IntVector], cols: int | None = None) -> IntMatr
     return IntMatrix.from_rows([list(v) for v in vectors])
 
 
-def _bareiss(a: IntMatrix) -> tuple[list[list[int]], int, int]:
-    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968).
+def _bareiss(m: list[list[int]], cols: int) -> tuple[list[list[int]], int, int]:
+    """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968) of the rows m.
 
-    Returns (rows, rank, sign) where sign is the parity of the row swaps.
-    Columns without a pivot are skipped; every entry stays a minor of a,
-    so each division by the previous pivot is exact.
+    Returns (rows, rank, sign) where sign is the parity of the row swaps; m
+    itself is reordered.  Columns without a pivot are skipped; every entry
+    stays a minor of the input, so each division by the previous pivot is exact.
     """
-    m = a.row_list()
     sign, prev, r = 1, 1, 0
-    for c in range(a.cols):
-        pivot = next((i for i in range(r, a.rows) if m[i][c]), None)
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
         top, p = m[r], m[r][c]
-        for i in range(r + 1, a.rows):
+        for i in range(r + 1, len(m)):
             f = m[i][c]
             m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
         prev, r = p, r + 1
     return m, r, sign
 
 
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square list of rows (1 when empty); m itself is reordered."""
+    m, r, sign = _bareiss(m, len(m))
+    return 0 if r < len(m) else sign * m[-1][-1] if r else 1
+
+
 def determinant(a: IntMatrix) -> int:
     """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
     if not a.is_square():
         raise DimensionMismatchError(f"determinant of a {a.rows}x{a.cols} matrix")
-    m, r, sign = _bareiss(a)
-    return 0 if r < a.rows else sign * m[-1][-1] if r else 1
+    return _det(a.row_list())
 
 
 def signed_maximal_minors(a: IntMatrix) -> IntVector:
@@ -230,8 +235,7 @@ def signed_maximal_minors(a: IntMatrix) -> IntVector:
     if a.cols != a.rows + 1:
         raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
     rows = a.row_list()
-    minors = (IntMatrix.from_rows([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols))
-    return IntVector(tuple((-1) ** t * determinant(m) for t, m in enumerate(minors)))
+    return IntVector(tuple((-1) ** t * _det([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols)))
 
 
 @dataclass(frozen=True)
@@ -454,7 +458,7 @@ def _check_hermite(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
         raise ConsistencyError("Hermite check: U*A != H")
     if abs(determinant(u)) != 1:
         raise ConsistencyError("Hermite check: U not unimodular")
-    leads = [next((j for j, x in enumerate(h.row(i)) if x), h.cols) for i in range(h.rows)]
+    leads = [next((j for j, x in enumerate(r) if x), h.cols) for r in h.row_list()]
     r = sum(1 for c in leads if c < h.cols)
     if leads[:r] != sorted(set(leads[:r])) or leads[r:] != [h.cols] * (h.rows - r):
         raise ConsistencyError("Hermite check: H not in row echelon form")
@@ -466,7 +470,7 @@ def _check_hermite(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
 
 def rank(a: IntMatrix) -> int:
     """Rank over Q, the number of Bareiss pivots."""
-    return _bareiss(a)[1]
+    return _bareiss(a.row_list(), a.cols)[1]
 
 
 def integer_kernel(a: IntMatrix) -> list[IntVector]:

@@ -26,11 +26,14 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
+    IntMatrix,
     IntVector,
     determinant,
     inverse_unimodular,
     is_unimodular_extension,
     primitive,
+    rank,
+    signed_maximal_minors,
     stack_rows,
 )
 from .sponge import CheckResult, SpongeComplex, ValidationReport
@@ -129,19 +132,21 @@ def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationR
     if bad_dim:
         return ValidationReport(tuple(entries))
 
-    vertex_bad = []
-    for v in p._vertex_list:
-        det = determinant(stack_rows([lam[f] for f in sorted(v)]))
-        if det not in (1, -1):
-            vertex_bad.append(f"vertex {sorted(v)}: determinant {det}")
+    dets = {v: determinant(stack_rows([lam[f] for f in sorted(v)])) for v in p._vertex_list}
+    vertex_bad = [f"vertex {sorted(v)}: determinant {d}" for v, d in dets.items() if d not in (1, -1)]
     entries += CheckResult.from_violations("vertex-determinant", vertex_bad)
 
+    # a subset of a Z-basis extends to one, so only a face with no
+    # determinant-+-1 vertex through it can fail
     face_bad = []
-    for k in range(1, p.n):
-        for face in p.faces_of_codim(k):
-            vs = [lam[f] for f in sorted(face)]
-            if not is_unimodular_extension(vs, p.n):
-                face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
+    if vertex_bad:
+        bases = [v for v, d in dets.items() if d in (1, -1)]
+        for k in range(1, p.n):
+            for face in p.faces_of_codim(k):
+                if any(face <= v for v in bases):
+                    continue
+                if not is_unimodular_extension([lam[f] for f in sorted(face)], p.n):
+                    face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
     entries += CheckResult.from_violations("face-extension", face_bad)
     return ValidationReport(tuple(entries))
 
@@ -170,13 +175,61 @@ def find_strict_subtorus(
     """
     if any(f not in lam.values for f in p.facets):
         raise InputFormatError("lambda must cover every facet")
-    return list(_strict_subtori([lam[f] for f in sorted(p.facets)], p.n, search_bound))
+    lams = [lam[f] for f in sorted(p.facets)]
+    prefer = [lam[f] for v in p._vertex_list[:1] for f in sorted(v)]
+    return list(_strict_subtori(lams, p.n, search_bound, prefer))
 
 
 def _strict_subtori(
+    lams: Sequence[IntVector], n: int, search_bound: int, prefer: Sequence[IntVector]
+) -> Iterator[SubtorusChoice]:
+    """Canonical primitive alpha within the bound pairing to +-1 with every lam, in lexicographic order.
+
+    alpha is fixed by its pairings eps with n independent values L, the first
+    ones found in prefer + lams (prefer holds some of the lams; callers pass a
+    vertex, where det L = +-1):
+    alpha = adj(L) eps / det L, so the 2^(n-1) sign vectors with eps_1 = +1
+    give every candidate up to sign.  Values that are not n-dimensional of
+    rank n take the search of the box [-search_bound, search_bound]^n.
+    """
+    rows = [l.entries for l in lams]
+    basis: list[tuple[int, ...]] = []
+    candidates = [l.entries for l in prefer] + rows
+    if all(len(r) == n for r in candidates):
+        for r in candidates:
+            if len(basis) == n:
+                break
+            if rank(IntMatrix.from_rows(basis + [r])) > len(basis):
+                basis.append(r)
+    if n < 1 or len(basis) < n:
+        yield from _strict_subtori_in_box(lams, n, search_bound)
+        return
+    # column i of adj(L) is (-1)^i times the signed maximal minors of L without row i
+    adj_cols = [
+        signed_maximal_minors(IntMatrix.from_rows(basis[:i] + basis[i + 1 :])).scale((-1) ** i)
+        for i in range(n)
+    ]
+    det = sum(x * y for x, y in zip(basis[0], adj_cols[0]))
+    found = []
+    for signs in product((1, -1), repeat=n - 1):
+        eps = (1,) + signs
+        num = [sum(e * c[t] for e, c in zip(eps, adj_cols)) for t in range(n)]
+        if any(x % det for x in num):
+            continue
+        alpha = [x // det for x in num]
+        if next(x for x in alpha if x) < 0:
+            alpha = [-x for x in alpha]  # +-alpha are the same subtorus
+        if max(map(abs, alpha)) <= search_bound and all(
+            abs(sum(a * b for a, b in zip(alpha, r))) == 1 for r in rows
+        ):
+            found.append(tuple(alpha))
+    for alpha in sorted(found):
+        yield SubtorusChoice(IntVector(alpha))
+
+
+def _strict_subtori_in_box(
     lams: Sequence[IntVector], n: int, search_bound: int
 ) -> Iterator[SubtorusChoice]:
-    """Canonical primitive alpha within the bound pairing to +-1 with every lam, in search order."""
     for cand in product(range(-search_bound, search_bound + 1), repeat=n):
         v = IntVector(cand)
         if v.is_zero() or v.content() != 1:
@@ -391,7 +444,8 @@ def cell_manifold_data(
         if not is_unimodular_extension([values[t] for t in tops], m.n):
             raise StarConditionError(f"top-cell values at {c} do not extend to a basis")
     if st is None:
-        st = next(_strict_subtori([values[t] for t in m.top_cells], m.n, search_bound), None)
+        prefer = next(([values[t] for t in m.top_cells_containing(c)] for c, d in m.cells if d == 0), [])
+        st = next(_strict_subtori([values[t] for t in m.top_cells], m.n, search_bound, prefer), None)
         if st is None:
             raise DegenerateInputError("no strict subtorus within the search bound")
     else:

@@ -210,9 +210,5 @@ def induced_weights(lambda_basis: Sequence[IntVector], st: SubtorusChoice) -> We
     if det not in (1, -1):
         raise StarConditionError(f"lambda vectors have determinant {det}, not a Z-basis")
     dual = inverse_unimodular(lam_matrix)  # column i pairs to 1 with lams[i]
-    comp = st.complement
-    ws_vectors = []
-    for i in range(n):
-        a_i = dual.col(i)
-        ws_vectors.append(IntVector(tuple(comp.row(r).dot(a_i) for r in range(n - 1))))
-    return WeightSystem(n=n, weights=tuple(ws_vectors))
+    frame = st.complement @ dual  # column i is dual column i in the complement basis
+    return WeightSystem(n=n, weights=tuple(map(frame.col, range(n))))

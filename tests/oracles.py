@@ -16,11 +16,15 @@ integer-kernel constructions are kept as references for their replacements:
 signed_incidence_by_kernel, which took each boundary's fundamental cycle
 from integer_kernel, for sign propagation, and local_euler_by_kernel, which
 took the stabilizer line from integer_kernel, for signed maximal minors.
+Two former quasitoric checks are kept as references for their shortcuts:
+strict_subtori_by_box, the search of the whole box of characters, for the
+solve from one basis, and validate_star_by_smith, one Smith form per face,
+for the check of only the faces that no determinant-+-1 vertex covers.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from complexity_one.errors import ConsistencyError, InputFormatError
@@ -29,9 +33,11 @@ from complexity_one.lattice import (
     IntVector,
     determinant,
     integer_kernel,
+    is_unimodular_extension,
     solve_exact,
     stack_rows,
 )
+from complexity_one.sponge import CheckResult, ValidationReport
 from complexity_one.weights import cramer_coefficients, hopf_type
 
 
@@ -462,3 +468,43 @@ def local_euler_by_kernel(ws, i, j):
     if pair_i * c[j] < 0:
         lam = -lam
     return lam, sign
+
+
+def strict_subtori_by_box(values, n, bound):
+    """find_strict_subtorus by walking the box [-bound, bound]^n in lexicographic order.
+
+    Keeps each primitive character whose first nonzero entry is positive and
+    that pairs to +-1 with every value.
+    """
+    found = []
+    for cand in product(range(-bound, bound + 1), repeat=n):
+        if gcd(*cand) != 1 or next(x for x in cand if x) < 0:
+            continue
+        if all(abs(sum(a * b for a, b in zip(cand, v))) == 1 for v in values):
+            found.append(cand)
+    return found
+
+
+def validate_star_by_smith(p, lam):
+    """validate_star with a Smith-form basis-extension check at every face."""
+    missing = [f"facet {f} has no lambda value" for f in p.facets if f not in lam.values]
+    entries = list(CheckResult.from_violations("lambda-domain", missing))
+    if missing:
+        return ValidationReport(tuple(entries))
+    bad_dim = [f"lambda({f}) has dim {lam[f].dim}" for f in p.facets if lam[f].dim != p.n]
+    entries += CheckResult.from_violations("lambda-dim", bad_dim)
+    if bad_dim:
+        return ValidationReport(tuple(entries))
+    vertex_bad = []
+    for v in sorted(p.vertices, key=lambda v: tuple(sorted(v))):
+        det = cofactor_det([list(lam[f]) for f in sorted(v)])
+        if det not in (1, -1):
+            vertex_bad.append(f"vertex {sorted(v)}: determinant {det}")
+    entries += CheckResult.from_violations("vertex-determinant", vertex_bad)
+    face_bad = []
+    for k in range(1, p.n):
+        for face in p.faces_of_codim(k):
+            if not is_unimodular_extension([lam[f] for f in sorted(face)], p.n):
+                face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
+    entries += CheckResult.from_violations("face-extension", face_bad)
+    return ValidationReport(tuple(entries))

@@ -6,6 +6,7 @@ per criterion with its runtime.
 
 import random
 import time
+from itertools import product
 from math import lcm
 
 from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope
@@ -329,3 +330,19 @@ def test_criterion_10_local_model_5_flip():
     dt = time.monotonic() - t0
     ok = res.verdict == "inequivalent" and "(240 gauge assignments tried)" in res.certificate and dt < 2.0
     _report(10, ok, f"compare(local-model-5, flipped) {res.verdict}: {res.certificate} in {dt:.3f}s (bound 2s)", t0)
+
+
+def test_criterion_11_cube_6_reduce():
+    n = 6
+    facets = tuple(f"{s}{i}" for i in range(n) for s in "mp")
+    verts = tuple(
+        frozenset(f"{s}{i}" for i, s in enumerate(signs)) for signs in product("mp", repeat=n)
+    )
+    cube = SimplePolytope(n, facets, verts)
+    lam = coloring_pullback(cube, {f"{s}{i}": i + 1 for i in range(n) for s in "mp"})
+    t0 = time.monotonic()
+    st = find_strict_subtorus(cube, lam)[0]
+    cd = reduce(cube, lam, st)
+    dt = time.monotonic() - t0
+    ok = validate_mu(cd).ok and cocycle_check(cd).ok and dt < 0.6
+    _report(11, ok, f"reduce(6-cube, alpha={list(st.alpha)}): {len(cd.sponge.cells)} cells in {dt:.3f}s (bound 0.6s)", t0)

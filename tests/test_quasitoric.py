@@ -1,19 +1,26 @@
+import math
 import random
 import sys
+import time
 from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from complexity_one.catalog import simplex_lambda, simplex_polytope
 from complexity_one.chardata import (
     assemble_euler_cycle,
     cocycle_check,
     compatibility_check,
     validate_mu,
 )
+from complexity_one.cli import main
 from complexity_one.errors import (
     ColoringError,
     DegenerateInputError,
+    DimensionMismatchError,
     PreconditionError,
     StarConditionError,
     ValidationError,
@@ -33,8 +40,51 @@ from complexity_one.quasitoric import (
     validate_star,
     vertex_weights,
 )
+from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
 from complexity_one.sponge import validate_sponge
 from complexity_one.weights import induced_weights, is_strictly_appropriate
+from conftest import random_unimodular
+from oracles import strict_subtori_by_box, validate_star_by_smith
+
+
+def _cube(n):
+    """The n-cube with its coloring characteristic function (facet pair i -> e_i)."""
+    facets = tuple(f"{s}{i}" for i in range(n) for s in "mp")
+    verts = tuple(
+        frozenset(f"{s}{i}" for i, s in enumerate(signs)) for signs in product("mp", repeat=n)
+    )
+    lam = {f"{s}{i}": vec(*(int(t == i) for t in range(n))) for i in range(n) for s in "mp"}
+    return SimplePolytope(n, facets, verts), lam
+
+
+def _prism():
+    sides = ("s1", "s2", "s3")
+    verts = tuple(frozenset((cap, a, b)) for cap in ("t", "b") for a, b in combinations(sides, 2))
+    lam = {"t": vec(0, 0, 1), "b": vec(0, 0, 1), "s1": vec(1, 0, 0), "s2": vec(0, 1, 0), "s3": vec(1, 1, 1)}
+    return SimplePolytope(3, ("t", "b") + sides, verts), lam
+
+
+POLYTOPES = {
+    "simplex": lambda: (simplex_polytope(), dict(simplex_lambda().values)),
+    "prism": _prism,
+    **{f"cube{n}": (lambda n=n: _cube(n)) for n in range(2, 6)},
+}
+
+
+def _varied(name, change, rng):
+    """A catalog case with lambda as given, conjugated by a unimodular matrix, or one entry perturbed."""
+    p, values = POLYTOPES[name]()
+    if change == "conjugate":
+        a = random_unimodular(rng, p.n)
+        values = {f: a @ v for f, v in values.items()}
+    elif change == "perturb":
+        f = rng.choice(sorted(values))
+        entries = list(values[f])
+        entries[rng.randrange(p.n)] += rng.choice((-2, -1, 1, 2))
+        assume(any(entries))
+        g = math.gcd(*entries)
+        values[f] = vec(*(x // g for x in entries))
+    return p, values
 
 
 class TestSimplePolytope:
@@ -81,6 +131,37 @@ class TestValidateStar:
         rep = validate_star(sq, lam)
         assert not rep.ok
         assert any("determinant" in e.detail for e in rep.failures())
+
+    def test_face_without_a_basis_vertex_fails_extension(self, simplex3):
+        # lambda(f1), lambda(f2) span an index-2 sublattice, so both vertices
+        # of the edge {f1, f2} fail and the edge itself cannot extend
+        lam = CharacteristicFunction(
+            {"f1": vec(1, 0, 0), "f2": vec(1, 2, 0), "f3": vec(0, 0, 1), "f4": vec(-1, -1, -1)}
+        )
+        rep = validate_star(simplex3, lam)
+        assert [(e.check, e.detail) for e in rep.failures()] == [
+            ("vertex-determinant", "vertex ['f1', 'f2', 'f3']: determinant 2"),
+            ("vertex-determinant", "vertex ['f1', 'f2', 'f4']: determinant -2"),
+            ("face-extension", "face ['f1', 'f2']: values do not extend to a basis"),
+        ]
+        assert rep == validate_star_by_smith(simplex3, lam)
+
+    @pytest.mark.parametrize("name", sorted(POLYTOPES))
+    def test_catalog_cases_match_every_face_oracle(self, name):
+        p, values = POLYTOPES[name]()
+        lam = CharacteristicFunction(values)
+        assert validate_star(p, lam) == validate_star_by_smith(p, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(POLYTOPES)),
+        change=st.sampled_from(["conjugate", "perturb"]),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_varied_lambda_matches_every_face_oracle(self, name, change, rng):
+        p, values = _varied(name, change, rng)
+        lam = CharacteristicFunction(values)
+        assert validate_star(p, lam) == validate_star_by_smith(p, lam)
 
 
 class TestVertexWeights:
@@ -152,6 +233,87 @@ class TestFindStrictSubtorus:
         lam = CharacteristicFunction({"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 1)})
         assert validate_star(tri, lam).ok
         assert find_strict_subtorus(tri, lam, 4) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(POLYTOPES)),
+        change=st.sampled_from(["none", "conjugate", "perturb"]),
+        bound=st.integers(0, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_box_search(self, name, change, bound, rng):
+        p, values = _varied(name, change, rng)
+        got = find_strict_subtorus(p, CharacteristicFunction(values), bound)
+        want = strict_subtori_by_box([values[f] for f in sorted(p.facets)], p.n, bound)
+        assert [s.alpha.entries for s in got] == want
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [((-2, 3), (-3, 1), (3, -1)), ((1, 0), (1, 2), (0, 1)), ((1, 0), (1, 3), (0, 1))],
+    )
+    def test_first_vertex_not_a_basis(self, a, b, c):
+        # the values at vertex {a, b} have determinant 7, 2 or 3: only the
+        # sign vectors whose solution is integral give candidates
+        tri = SimplePolytope(
+            2,
+            ("a", "b", "c"),
+            tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "a")]),
+        )
+        values = {"a": vec(*a), "b": vec(*b), "c": vec(*c)}
+        got = find_strict_subtorus(tri, CharacteristicFunction(values), 3)
+        assert [s.alpha.entries for s in got] == strict_subtori_by_box([values[f] for f in "abc"], 2, 3)
+
+    @pytest.mark.parametrize("bound", range(4))
+    def test_rank_deficient_values_search_the_box(self, cube3, bound):
+        sq = SimplePolytope(
+            2,
+            ("a", "b", "c", "d"),
+            tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+        )
+        planar = {"xm": vec(1, 0, 0), "xp": vec(1, 0, 0), "ym": vec(0, 1, 0), "yp": vec(0, 1, 0),
+                  "zm": vec(1, 1, 0), "zp": vec(1, -1, 0)}
+        found = []
+        for p, values in ((sq, {f: vec(1, 0) for f in "abcd"}), (cube3, planar)):
+            got = find_strict_subtorus(p, CharacteristicFunction(values), bound)
+            want = strict_subtori_by_box([values[f] for f in sorted(p.facets)], p.n, bound)
+            assert [s.alpha.entries for s in got] == want
+            found.append(len(got))
+        # on the square every (1, y) within the bound is strict
+        assert found[0] == (2 * bound + 1 if bound else 0)
+
+    def test_value_of_wrong_dimension_searches_the_box(self):
+        sq = SimplePolytope(
+            2,
+            ("a", "b", "c", "d"),
+            tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+        )
+        lam = CharacteristicFunction({"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 0), "d": vec(0, 1, 0)})
+        with pytest.raises(DimensionMismatchError):
+            find_strict_subtorus(sq, lam, 1)
+
+    def test_huge_bound_finds_the_same_alpha_fast(self, tmp_path, capsys):
+        p, values = _cube(4)
+        (tmp_path / "cube4.json").write_text(canonical_json(polytope_to_dict(p)))
+        (tmp_path / "lam.json").write_text(canonical_json(lambda_to_dict(CharacteristicFunction(values))))
+        args = ["reduce", "--polytope", str(tmp_path / "cube4.json"), "--lambda", str(tmp_path / "lam.json")]
+        outputs = []
+        for bound in ("3", "1000000"):
+            t0 = time.monotonic()
+            assert main(args + ["--alpha-bound", bound]) == 0
+            dt = time.monotonic() - t0
+            outputs.append([line for line in capsys.readouterr().out.splitlines() if "alpha=" in line])
+        # the box of bound 10^6 has 2,000,001^4 points
+        assert outputs[0] == outputs[1] == ["PASS subtorus: alpha=[1, -1, -1, -1]"]
+        assert dt < 1.0
+
+    def test_cell_manifold_takes_the_first_strict_subtorus(self):
+        m = torus_three_hexagons()
+        tops = sorted(t for t, d in m.cells if d == 2)
+        lam = dict(zip(tops, [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]))
+        first = strict_subtori_by_box([lam[t] for t in tops], 3, 3)[0]
+        cd = cell_manifold_data(m, lam)
+        want = cell_manifold_data(m, lam, SubtorusChoice(vec(*first)))
+        assert cd.mu == want.mu and cd.euler_sign == want.euler_sign
 
     def test_induced_systems_strict_at_every_vertex(self, simplex3, simplex3_lambda):
         for st in find_strict_subtorus(simplex3, simplex3_lambda, 2):

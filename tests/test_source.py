@@ -77,3 +77,17 @@ def test_one_sign_propagation():
         ("chardata", "solve_euler_signs"),
         ("classify", "_solve_gauge"),
     }
+
+
+def test_eliminations_read_plain_rows():
+    # Bareiss elimination and the signed maximal minors work on lists of
+    # ints; building an IntVector or IntMatrix per row or per minor is waste
+    tree = ast.parse((Path(complexity_one.__file__).parent / "lattice.py").read_text())
+    kernels = [top for top in tree.body if getattr(top, "name", None) in ("_bareiss", "signed_maximal_minors")]
+    assert len(kernels) == 2
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for top in kernels
+        for node in ast.walk(top)
+    }
+    assert not used & {"row", "from_rows", "stack_rows"}, sorted(used & {"row", "from_rows", "stack_rows"})
