@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .chardata import CharacteristicData, _pair_index, compatibility_check, validate_mu
 from .errors import ConsistencyError, PreconditionError
-from .lattice import IntMatrix, determinant, rank as lattice_rank, stack_rows
+from .lattice import IntMatrix, adjugate, determinant, independent_rows
 from .sponge import SpongeComplex, homology, propagate_signs
 
 
@@ -191,27 +191,14 @@ def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str
         yield gauge
 
 
-def _spanning_facets(cd: CharacteristicData) -> list[str]:
-    """Facets whose directions span Q^(n-1), greedily chosen by id."""
-    chosen: list[str] = []
-    vs = []
-    for fid in cd.sponge.facet_ids:
-        trial = vs + [cd.mu[fid]]
-        if lattice_rank(stack_rows(trial)) == len(trial):
-            chosen.append(fid)
-            vs.append(cd.mu[fid])
-        if len(chosen) == cd.n - 1:
-            break
-    return chosen
-
-
 @dataclass(frozen=True)
 class _SpanFactor:
     """The spanning-facet matrix m1 of the first datum, factored once.
 
-    m1 has the Euler coefficients of the spanning facets as columns; it is
-    square and nonsingular, and m1 @ adj == det * I.  A m1 = m2 then has the
-    unique rational solution A = m2 @ adj / det.
+    m1 has the Euler coefficients of the spanning facets (the first facets by
+    id with independent directions) as columns; it is square and nonsingular,
+    and m1 @ adj == det * I.  A m1 = m2 then has the unique rational solution
+    A = m2 @ adj / det.
     """
 
     span: tuple[str, ...]
@@ -220,21 +207,15 @@ class _SpanFactor:
 
     @classmethod
     def of(cls, cd: CharacteristicData) -> "_SpanFactor":
-        span = tuple(_spanning_facets(cd))
         k = cd.n - 1
+        facets = cd.sponge.facet_ids
+        span = tuple(facets[i] for i in independent_rows([cd.mu[f] for f in facets], k))
         if not span:
             return cls(span, 1, IntMatrix.identity(k))
         if len(span) != k:
             raise ConsistencyError(f"spanning facets {list(span)} do not span Q^{k}")
-        m1 = IntMatrix.from_cols([cd.euler_coefficient(f) for f in span])
-        rows = m1.row_list()
-
-        def cofactor(i: int, j: int) -> int:
-            minor = [r[:j] + r[j + 1 :] for t, r in enumerate(rows) if t != i]
-            return (-1) ** (i + j) * determinant(IntMatrix.from_rows(minor))
-
-        adj = IntMatrix.from_rows([[cofactor(i, j) for i in range(k)] for j in range(k)])
-        return cls(span, determinant(m1), adj)
+        adj = adjugate(IntMatrix.from_cols([cd.euler_coefficient(f) for f in span]))
+        return cls(span, adj.det, adj.adj)
 
 
 def _solve_transform(

@@ -29,7 +29,7 @@ from .io import (
     weight_system_from_dict,
 )
 from .lattice import IntVector
-from .quasitoric import find_strict_subtorus, reduce as quasitoric_reduce
+from .quasitoric import _require_star, find_strict_subtorus, reduce as quasitoric_reduce
 from .sponge import CheckResult, ValidationReport, homology, validate_sponge
 from .weights import (
     SubtorusChoice,
@@ -98,6 +98,7 @@ def _cmd_reduce(args) -> Iterator[CheckResult]:
     if args.alpha:
         st = SubtorusChoice(_parse_alpha(args.alpha, p.n))
     else:
+        _require_star(p, lam)  # values of rank < n fail it, and their search walks the whole box
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:
             yield CheckResult.of(

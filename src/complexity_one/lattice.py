@@ -1,12 +1,13 @@
 """Exact integer linear algebra over Python's arbitrary-precision integers.
 
-Each job uses the simplest elimination that answers it: Bareiss
-fraction-free elimination for determinant, rank and signed maximal minors
-(the kernel line of a k x (k+1) matrix), the Hermite form for
-solve_exact, inverse_unimodular and integer_kernel, and the Smith form only
-where invariant factors are the answer (homology torsion, stabilizer orders,
-is_unimodular_extension).  Values are immutable and every operation is
-pure, so concurrent use is safe.
+Each job uses the simplest elimination that answers it.  Forward Bareiss
+fraction-free elimination gives determinant, rank and the first independent
+rows; its reduced (Gauss-Jordan) form gives signed maximal minors (the kernel
+line of a k x (k+1) matrix) and the adjugate behind every square solve and
+inverse.  The Hermite form serves solve_exact and integer_kernel, and the
+Smith form only where invariant factors are the answer (homology torsion,
+stabilizer orders, is_unimodular_extension).  Values are immutable and every
+operation is pure, so concurrent use is safe.
 
 Conventions:
   * Smith form: U @ A @ V = D with U, V unimodular, D diagonal with
@@ -14,7 +15,7 @@ Conventions:
   * Hermite form: row-style, H = U @ A with positive pivots and entries
     above each pivot reduced into [0, pivot).
   * Kernel bases are Hermite-normalized so results are deterministic.
-  * Every Smith and Hermite result is verified before it is returned.
+  * Every Smith, Hermite and adjugate result is verified before it is returned.
 """
 
 from __future__ import annotations
@@ -191,15 +192,18 @@ def stack_rows(vectors: Sequence[IntVector], cols: int | None = None) -> IntMatr
     return IntMatrix.from_rows([list(v) for v in vectors])
 
 
-def _bareiss(m: list[list[int]], cols: int) -> tuple[list[list[int]], int, int]:
+def _bareiss(m: list[list[int]], cols: int, reduced: bool = False) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form (Bareiss, Math. Comp. 22, 1968) of the rows m.
 
-    Returns (rows, rank, sign) where sign is the parity of the row swaps; m
-    itself is reordered.  Columns without a pivot are skipped; every entry
+    Returns (rows, pivots, sign): the pivot column of each nonzero row, among the
+    first cols columns, and the parity of the row swaps; m itself is reordered.
+    With reduced, each pivot also clears its column above (Nakos, Turner and
+    Williams, SIGSAM Bull. 31(3), 1997) and all pivots end equal.  Every entry
     stays a minor of the input, so each division by the previous pivot is exact.
     """
-    sign, prev, r = 1, 1, 0
+    sign, prev, pivots = 1, 1, []
     for c in range(cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -207,35 +211,94 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[list[list[int]], int, int]:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
         top, p = m[r], m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
-        prev, r = p, r + 1
-    return m, r, sign
-
-
-def _det(m: list[list[int]]) -> int:
-    """Determinant of a square list of rows (1 when empty); m itself is reordered."""
-    m, r, sign = _bareiss(m, len(m))
-    return 0 if r < len(m) else sign * m[-1][-1] if r else 1
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        pivots.append(c)
+    return m, pivots, sign
 
 
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
+    """Exact determinant: the last Bareiss pivot, signed by the row swaps (1 when empty)."""
     if not a.is_square():
         raise DimensionMismatchError(f"determinant of a {a.rows}x{a.cols} matrix")
-    return _det(a.row_list())
+    m, pivots, sign = _bareiss(a.row_list(), a.cols)
+    return 0 if len(pivots) < a.rows else sign * m[-1][-1] if m else 1
 
 
 def signed_maximal_minors(a: IntMatrix) -> IntVector:
     """v_t = (-1)^t det(a without column t) for a k x (k+1) matrix a.
 
     a @ v = 0 by Laplace expansion, and v spans ker(a) over Q (else v = 0).
+    In the reduced form, with f the column without a pivot, d the last pivot and
+    s = (-1)^f times the swap sign, v_f = s d and v_c = -s m[i][f] at row i's pivot c.
     """
     if a.cols != a.rows + 1:
         raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
-    rows = a.row_list()
-    return IntVector(tuple((-1) ** t * _det([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols)))
+    m, pivots, sign = _bareiss(a.row_list(), a.cols, reduced=True)
+    v = [0] * a.cols
+    if len(pivots) == a.rows:
+        f = min(set(range(a.cols)) - set(pivots))
+        s = (-1) ** f * sign
+        v[f] = s * m[-1][pivots[-1]] if m else s
+        for r, c in zip(m, pivots):
+            v[c] = -s * r[f]
+    return IntVector(tuple(v))
+
+
+@dataclass(frozen=True)
+class Adjugate:
+    """a @ adj == det * I for a square matrix a; adj is None when det is 0."""
+
+    det: int
+    adj: IntMatrix | None
+
+    def solve(self, b: IntVector) -> IntVector | None:
+        """The solution x of a @ x = b when it is integral, else None (also when a is singular)."""
+        if self.adj is None:
+            return None
+        num = self.adj @ b
+        if any(x % self.det for x in num):
+            return None
+        return IntVector(tuple(x // self.det for x in num))
+
+    def inverse(self) -> IntMatrix:
+        """The integer inverse det * adj, for det +-1."""
+        if self.det not in (1, -1):
+            raise DegenerateInputError(f"matrix with determinant {self.det} has no integer inverse")
+        return IntMatrix(self.adj.rows, self.adj.cols, tuple(self.det * x for x in self.adj.entries))
+
+
+def adjugate(a: IntMatrix) -> Adjugate:
+    """Determinant and adjugate of a square matrix from one reduced elimination.
+
+    The reduced form of [a | I] is [d I | s adj] with s the sign of the row
+    swaps, and det = s d.  The result is verified before it is returned.
+    """
+    if not a.is_square():
+        raise DimensionMismatchError(f"adjugate of a {a.rows}x{a.cols} matrix")
+    n = a.rows
+    m = [r + [int(i == j) for j in range(n)] for i, r in enumerate(a.row_list())]
+    m, pivots, sign = _bareiss(m, n, reduced=True)
+    if len(pivots) < n:
+        return Adjugate(0, None)
+    det = sign * m[-1][n - 1] if m else 1
+    result = Adjugate(det, IntMatrix(n, n, tuple(sign * x for r in m for x in r[n:])))
+    _check_adjugate(a, result)
+    return result
+
+
+def _check_adjugate(a: IntMatrix, result: Adjugate) -> None:
+    n = a.rows
+    if (a @ result.adj).entries != tuple(result.det * (i == j) for i in range(n) for j in range(n)):
+        raise ConsistencyError("adjugate check: A*adj != det*I")
+
+
+def independent_rows(rows: Sequence[Sequence[int]], k: int) -> list[int]:
+    """Indices of the rows (of length k) independent of those before: pivots of the rows as columns."""
+    return _bareiss([[r[i] for r in rows] for i in range(k)], len(rows))[1]
 
 
 @dataclass(frozen=True)
@@ -470,7 +533,7 @@ def _check_hermite(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
 
 def rank(a: IntMatrix) -> int:
     """Rank over Q, the number of Bareiss pivots."""
-    return _bareiss(a.row_list(), a.cols)[1]
+    return len(_bareiss(a.row_list(), a.cols)[1])
 
 
 def integer_kernel(a: IntMatrix) -> list[IntVector]:
@@ -510,17 +573,10 @@ def solve_exact(a: IntMatrix, b: IntVector) -> IntVector | None:
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square matrix with determinant +-1.
-
-    A square matrix is unimodular iff its Hermite form is the identity, and
-    then u @ a = I makes u the inverse.
-    """
+    """Exact inverse of a square matrix with determinant +-1, det(a) adj(a)."""
     if not a.is_square():
         raise DimensionMismatchError("inverse of a non-square matrix")
-    h, u = hermite_normal_form(a)
-    if h != IntMatrix.identity(a.rows):
-        raise DegenerateInputError(f"matrix with determinant {determinant(a)} has no integer inverse")
-    return u
+    return adjugate(a).inverse()
 
 
 def is_unimodular_extension(vectors: Sequence[IntVector], dim: int) -> bool:

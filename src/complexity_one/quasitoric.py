@@ -28,12 +28,11 @@ from .errors import (
 from .lattice import (
     IntMatrix,
     IntVector,
+    adjugate,
     determinant,
-    inverse_unimodular,
+    independent_rows,
     is_unimodular_extension,
     primitive,
-    rank,
-    signed_maximal_minors,
     stack_rows,
 )
 from .sponge import CheckResult, SpongeComplex, ValidationReport
@@ -151,6 +150,12 @@ def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationR
     return ValidationReport(tuple(entries))
 
 
+def _require_star(p: SimplePolytope, lam: CharacteristicFunction) -> None:
+    star = validate_star(p, lam)
+    if not star.ok:
+        raise StarConditionError(star.summary(4) or "star condition fails")
+
+
 def vertex_weights(
     p: SimplePolytope, lam: CharacteristicFunction, vertex: Iterable[str]
 ) -> list[IntVector]:
@@ -158,11 +163,10 @@ def vertex_weights(
     v = sorted(str(f) for f in vertex)
     if frozenset(v) not in set(p.vertices):
         raise InputFormatError(f"{v} is not a vertex of the polytope")
-    mat = stack_rows([lam[f] for f in v])
-    det = determinant(mat)
-    if det not in (1, -1):
-        raise StarConditionError(f"vertex {v}: lambda determinant {det}")
-    return list(map(inverse_unimodular(mat).col, range(p.n)))
+    adj = adjugate(stack_rows([lam[f] for f in v]))
+    if adj.det not in (1, -1):
+        raise StarConditionError(f"vertex {v}: lambda determinant {adj.det}")
+    return list(map(adj.inverse().col, range(p.n)))
 
 
 def find_strict_subtorus(
@@ -193,36 +197,25 @@ def _strict_subtori(
     rank n take the search of the box [-search_bound, search_bound]^n.
     """
     rows = [l.entries for l in lams]
-    basis: list[tuple[int, ...]] = []
     candidates = [l.entries for l in prefer] + rows
+    basis = []
     if all(len(r) == n for r in candidates):
-        for r in candidates:
-            if len(basis) == n:
-                break
-            if rank(IntMatrix.from_rows(basis + [r])) > len(basis):
-                basis.append(r)
+        basis = [candidates[i] for i in independent_rows(candidates, n)]
     if n < 1 or len(basis) < n:
         yield from _strict_subtori_in_box(lams, n, search_bound)
         return
-    # column i of adj(L) is (-1)^i times the signed maximal minors of L without row i
-    adj_cols = [
-        signed_maximal_minors(IntMatrix.from_rows(basis[:i] + basis[i + 1 :])).scale((-1) ** i)
-        for i in range(n)
-    ]
-    det = sum(x * y for x, y in zip(basis[0], adj_cols[0]))
+    adj = adjugate(IntMatrix.from_rows(basis))
     found = []
     for signs in product((1, -1), repeat=n - 1):
-        eps = (1,) + signs
-        num = [sum(e * c[t] for e, c in zip(eps, adj_cols)) for t in range(n)]
-        if any(x % det for x in num):
+        alpha = adj.solve(IntVector((1,) + signs))
+        if alpha is None:
             continue
-        alpha = [x // det for x in num]
         if next(x for x in alpha if x) < 0:
-            alpha = [-x for x in alpha]  # +-alpha are the same subtorus
+            alpha = -alpha  # +-alpha are the same subtorus
         if max(map(abs, alpha)) <= search_bound and all(
             abs(sum(a * b for a, b in zip(alpha, r))) == 1 for r in rows
         ):
-            found.append(tuple(alpha))
+            found.append(alpha.entries)
     for alpha in sorted(found):
         yield SubtorusChoice(IntVector(alpha))
 
@@ -295,9 +288,7 @@ def reduce(
     chain is a cycle.  The Hopf sign of every codimension-two face is
     computed at all of its vertices and must agree.
     """
-    star = validate_star(p, lam)
-    if not star.ok:
-        raise StarConditionError(star.summary(4) or "star condition fails")
+    _require_star(p, lam)
     bad = [f for f in p.facets if abs(st.pairing(lam[f])) != 1]
     if bad:
         raise PreconditionError(

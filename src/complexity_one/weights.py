@@ -25,14 +25,13 @@ from .errors import (
     StarConditionError,
 )
 from .lattice import (
+    Adjugate,
     IntMatrix,
     IntVector,
-    determinant,
-    inverse_unimodular,
+    adjugate,
     kernel_complement,
     signed_maximal_minors,
     smith_normal_form,
-    solve_exact,
     stack_rows,
 )
 
@@ -175,6 +174,11 @@ class SubtorusChoice:
     def complement(self) -> IntMatrix:
         return kernel_complement(self.alpha)
 
+    @cached_property
+    def _frame(self) -> Adjugate:
+        """Adjugate of the complement rows and alpha taken as columns."""
+        return adjugate(IntMatrix.from_cols(self.complement.row_list() + [self.alpha]))
+
     def pairing(self, lam: IntVector) -> int:
         return self.alpha.dot(lam)
 
@@ -182,10 +186,10 @@ class SubtorusChoice:
         """Coordinates of v in the complement basis; v must lie in ker<alpha, .>."""
         if self.alpha.dot(v) != 0:
             raise DegenerateInputError("vector is not in the kernel of alpha")
-        x = solve_exact(self.complement.transpose(), v)
+        x = self._frame.solve(v)  # its alpha coordinate is 0, as <alpha, v> = 0
         if x is None:
             raise ConsistencyError("kernel vector has no integral coordinates in the basis")
-        return x
+        return IntVector(x.entries[:-1])
 
 
 def induced_weights(lambda_basis: Sequence[IntVector], st: SubtorusChoice) -> WeightSystem:
@@ -205,10 +209,9 @@ def induced_weights(lambda_basis: Sequence[IntVector], st: SubtorusChoice) -> We
             raise DimensionMismatchError("lambda_basis must be square")
     if st.alpha.dim != n:
         raise DimensionMismatchError(f"alpha_t has dim {st.alpha.dim}, expected {n}")
-    lam_matrix = stack_rows(lams)
-    det = determinant(lam_matrix)
-    if det not in (1, -1):
-        raise StarConditionError(f"lambda vectors have determinant {det}, not a Z-basis")
-    dual = inverse_unimodular(lam_matrix)  # column i pairs to 1 with lams[i]
+    adj = adjugate(stack_rows(lams))
+    if adj.det not in (1, -1):
+        raise StarConditionError(f"lambda vectors have determinant {adj.det}, not a Z-basis")
+    dual = adj.inverse()  # column i pairs to 1 with lams[i]
     frame = st.complement @ dual  # column i is dual column i in the complement basis
     return WeightSystem(n=n, weights=tuple(map(frame.col, range(n))))

@@ -2,9 +2,9 @@
 
 Everything here works on plain lists of ints over Fractions or exact
 integer arithmetic and shares no code path with the package: cofactor
-determinants, Gaussian ranks, invariant factors and integer solvability
-from gcds of minors, torsion element orders from rational solves,
-simplicial/graph homology and brute-force incidence indices.  The one
+determinants and adjugates, Gaussian ranks, invariant factors and integer
+solvability from gcds of minors, torsion element orders from rational
+solves, simplicial/graph homology and brute-force incidence indices.  The one
 exception is face_star_search, the package's former backtracking face_star,
 kept as the reference for the direct atom-set test; it reads a complex only
 through by_id, upper_set and boundary, which incidence_indices checks.  Two
@@ -53,6 +53,15 @@ def cofactor_det(m):
         sign = -1 if j % 2 else 1
         total += sign * m[0][j] * cofactor_det(minor)
     return total
+
+
+def cofactor_adjugate(m):
+    """adj(m)[i][j] = (-1)^(i+j) det(m without row j and column i), by cofactor expansion."""
+    n = len(m)
+    return [
+        [(-1) ** (i + j) * cofactor_det([r[:i] + r[i + 1 :] for t, r in enumerate(m) if t != j]) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def fraction_rank(rows):

@@ -83,6 +83,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0 and "subtorus" in out
 
+    @pytest.mark.parametrize("bound", ["3", "1000000"])
+    def test_reduce_search_checks_the_star_condition_first(self, workdir, capsys, monkeypatch, bound):
+        # planar values can only fail the star condition, and a search of
+        # their whole (2 bound + 1)^3 box took seconds at bound 80
+        from complexity_one import quasitoric
+
+        def box_search(*args):
+            raise AssertionError("the box search ran")
+
+        monkeypatch.setattr(quasitoric, "_strict_subtori_in_box", box_search)
+        planar = {"f1": [1, 0, 0], "f2": [0, 1, 0], "f3": [1, 1, 0], "f4": [-1, -1, 0]}
+        (workdir / "planar.json").write_text(canonical_json(planar))
+        argv = ["reduce", "--polytope", str(workdir / "delta3.json"), "--lambda", str(workdir / "planar.json")]
+        code = main(argv + ["--alpha-bound", bound])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.startswith("FAIL error: StarConditionError: vertex ['f1', 'f2', 'f3']: determinant 0;")
+        assert "Traceback" not in out + err
+
     def test_validate_chardata(self, workdir, capsys):
         code = main(["validate-chardata", str(workdir / "g42.json")])
         out = capsys.readouterr().out

@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 
 from complexity_one.errors import ConsistencyError, DegenerateInputError, DimensionMismatchError
 from complexity_one.lattice import (
+    Adjugate,
     IntMatrix,
     IntVector,
     SmithDecomposition,
+    _check_adjugate,
     _check_hermite,
     _check_smith,
+    adjugate,
     determinant,
     hermite_normal_form,
+    independent_rows,
     integer_kernel,
     inverse_unimodular,
     is_unimodular_extension,
@@ -26,7 +30,7 @@ from complexity_one.lattice import (
     vec,
 )
 from conftest import random_unimodular
-from oracles import cofactor_det, fraction_rank, integer_solvable
+from oracles import cofactor_adjugate, cofactor_det, fraction_rank, integer_solvable
 
 EYE2 = [[1, 0], [0, 1]]
 
@@ -44,17 +48,18 @@ matrices = st.integers(1, 4).flatmap(
 )
 
 small_ints = st.integers(-6, 6)
+wide_ints = st.integers(-(2**70), 2**70)  # past 64 bits
 
 
-def _entries(count):
-    return st.lists(small_ints, min_size=count, max_size=count)
+def _entries(count, ints=small_ints):
+    return st.lists(ints, min_size=count, max_size=count)
 
 
-def _sized(m, n):
-    return _entries(m * n).map(lambda e: IntMatrix(m, n, tuple(e)))
+def _sized(m, n, ints=small_ints):
+    return _entries(m * n, ints).map(lambda e: IntMatrix(m, n, tuple(e)))
 
 
-def _product(m, k, n):
+def _product(m, k, n, ints=small_ints):
     """m x n matrices B C of rank <= k, multiplied on plain lists of ints."""
 
     def multiply(bc):
@@ -62,7 +67,21 @@ def _product(m, k, n):
         entries = (sum(b[i * k + t] * c[t * n + j] for t in range(k)) for i in range(m) for j in range(n))
         return IntMatrix(m, n, tuple(entries))
 
-    return st.tuples(_entries(m * k), _entries(k * n)).map(multiply)
+    return st.tuples(_entries(m * k, ints), _entries(k * n, ints)).map(multiply)
+
+
+def _shaped(m, n):
+    """m x n matrices of small or wide entries, plain or through an inner dimension k <= min(m, n)."""
+    return st.sampled_from([small_ints, wide_ints]).flatmap(
+        lambda ints: st.one_of(
+            _sized(m, n, ints), st.integers(0, min(m, n)).flatmap(lambda k: _product(m, k, n, ints))
+        )
+    )
+
+
+# up to 6 x 6 and 6 x 7, singular and of full rank, with entries past 64 bits
+square_matrices = st.integers(0, 6).flatmap(lambda n: _shaped(n, n))
+minor_matrices = st.integers(0, 6).flatmap(lambda k: _shaped(k, k + 1))
 
 
 # shapes down to 0 x n and m x 0, and products through an inner dimension
@@ -104,7 +123,7 @@ class TestDeterminant:
 
 
 class TestSignedMaximalMinors:
-    @given(st.integers(0, 4).flatmap(lambda k: st.integers(0, k + 1).flatmap(lambda r: _product(k, r, k + 1))))
+    @given(minor_matrices)
     @settings(max_examples=80, deadline=None)
     def test_cofactors_spanning_the_kernel(self, a):
         # k x (k+1) of rank <= k: full rank gives the kernel line, else zero
@@ -118,6 +137,55 @@ class TestSignedMaximalMinors:
         assert signed_maximal_minors(IntMatrix(0, 1, ())) == vec(1)
         with pytest.raises(DimensionMismatchError):
             signed_maximal_minors(IntMatrix.identity(2))
+
+
+class TestAdjugate:
+    @given(square_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cofactor_adjugate(self, a):
+        rows = a.row_list()
+        got = adjugate(a)
+        assert got.det == cofactor_det(rows)
+        assert got.adj is None if got.det == 0 else got.adj.row_list() == cofactor_adjugate(rows)
+
+    @given(square_matrices.flatmap(lambda a: st.tuples(st.just(a), _entries(a.cols), _entries(a.rows))))
+    @settings(max_examples=100, deadline=None)
+    def test_solve_matches_solve_exact(self, case):
+        # a nonsingular square system has one rational solution; both return it when integral
+        a, x, b = case[0], IntVector(tuple(case[1])), IntVector(tuple(case[2]))
+        adj = adjugate(a)
+        for rhs in (a @ x, b):
+            assert adj.solve(rhs) == (solve_exact(a, rhs) if adj.det else None)
+
+    def test_inverse_needs_a_unit_determinant(self):
+        assert adjugate(IntMatrix.from_rows([[2, 1], [1, 1]])).inverse().row_list() == [[1, -1], [-1, 2]]
+        for a in ([[2, 0], [0, 1]], [[1, 1], [1, 1]]):
+            with pytest.raises(DegenerateInputError, match="no integer inverse"):
+                adjugate(IntMatrix.from_rows(a)).inverse()
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            adjugate(IntMatrix(2, 3, (1, 2, 3, 4, 5, 6)))
+
+    @pytest.mark.parametrize(
+        "a, det, adj",
+        [(EYE2, 1, [[1, 0], [0, 2]]), (EYE2, 2, EYE2), ([[2, 1], [1, 1]], 1, [[1, 1], [-1, 2]])],
+    )
+    def test_self_check_rejects_tampered_adjugate(self, a, det, adj):
+        with pytest.raises(ConsistencyError, match=r"A\*adj != det\*I"):
+            _check_adjugate(IntMatrix.from_rows(a), Adjugate(det, IntMatrix.from_rows(adj)))
+
+
+class TestIndependentRows:
+    @given(any_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_greedy_rational_rank(self, a):
+        rows = a.row_list()
+        greedy = []
+        for i, r in enumerate(rows):
+            if fraction_rank([rows[j] for j in greedy] + [r]) > len(greedy):
+                greedy.append(i)
+        assert independent_rows(rows, a.cols) == greedy
 
 
 class TestRank:

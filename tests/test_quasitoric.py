@@ -435,8 +435,8 @@ class TestReduce:
 
 
     def test_reduce_computes_local_data_once(self, monkeypatch):
-        # each vertex chart takes its Cramer minors once and one basis check,
-        # and every chart reads the one subtorus frame
+        # each vertex chart takes its Cramer minors once and one adjugate, and
+        # every chart reads the one subtorus frame and its one adjugate
         from complexity_one import lattice, weights
 
         facets = tuple(f"{ax}{s}" for ax in "wxyz" for s in "mp")
@@ -457,7 +457,7 @@ class TestReduce:
 
             return wrapper
 
-        monkeypatch.setattr(weights, "determinant", counted(lattice.determinant))
+        monkeypatch.setattr(weights, "adjugate", counted(lattice.adjugate))
         monkeypatch.setattr(weights, "signed_maximal_minors", counted(lattice.signed_maximal_minors))
         original = lattice.kernel_complement
         for mod in list(sys.modules.values()):
@@ -467,7 +467,7 @@ class TestReduce:
         cd = reduce(cube4, lam, SubtorusChoice(vec(1, 1, 1, -1)))
         assert validate_mu(cd).ok
         assert calls["signed_maximal_minors"] <= len(verts)
-        assert calls["determinant"] <= len(verts)
+        assert calls["adjugate"] <= len(verts) + 1
         assert calls["kernel_complement"] == 1
 
 

@@ -32,9 +32,10 @@ def _uses(name):
 
 
 def test_smith_only_where_invariant_factors_are_the_answer():
-    # rank and determinant use Bareiss elimination; solves, inverses and
-    # kernels use the Hermite form; a Smith form is built only for invariant
-    # factors: homology torsion, stabilizer orders and basis extension
+    # rank and determinant use Bareiss elimination, square solves and inverses
+    # its reduced form, kernels the Hermite form; a Smith form is built only
+    # for invariant factors: homology torsion, stabilizer orders and basis
+    # extension
     allowed = {
         ("sponge", "homology"),
         ("weights", "stabilizer_structure"),
@@ -47,6 +48,43 @@ def test_smith_only_where_invariant_factors_are_the_answer():
 def test_normal_forms_verify_their_results():
     assert ("lattice", "smith_normal_form") in _uses("_check_smith")
     assert ("lattice", "hermite_normal_form") in _uses("_check_hermite")
+    assert ("lattice", "adjugate") in _uses("_check_adjugate")
+
+
+def test_one_adjugate():
+    # every square solve and inverse reads lattice.adjugate; nothing builds
+    # cofactors from determinants or signed maximal minors by hand
+    assert set(_uses("adjugate")) == {
+        ("lattice", "inverse_unimodular"),
+        ("weights", "SubtorusChoice"),
+        ("weights", "induced_weights"),
+        ("quasitoric", "vertex_weights"),
+        ("quasitoric", "_strict_subtori"),
+        ("classify", "_SpanFactor"),
+    }
+    assert set(_uses("signed_maximal_minors")) == {
+        ("weights", "WeightSystem"),
+        ("chardata", "local_euler_from_weights"),
+    }
+    # a determinant is loaded only where it is the answer itself
+    assert set(_uses("determinant")) == {
+        ("lattice", "_check_smith"),
+        ("lattice", "_check_hermite"),
+        ("quasitoric", "validate_star"),
+        ("classify", "_solve_transform"),
+        ("classify", "verify_witness"),
+    }
+
+
+def test_hermite_form_only_for_lattices():
+    # the Hermite form answers integer solvability, kernel lattices and
+    # stabilizer spans; solve_exact is kept as the tests' independent oracle
+    assert set(_uses("hermite_normal_form")) == {
+        ("lattice", "solve_exact"),
+        ("lattice", "integer_kernel"),
+        ("chardata", "orbit_types"),
+    }
+    assert _uses("solve_exact") == []
 
 
 def test_subtorus_frame_has_one_owner():
@@ -80,11 +118,12 @@ def test_one_sign_propagation():
 
 
 def test_eliminations_read_plain_rows():
-    # Bareiss elimination and the signed maximal minors work on lists of
-    # ints; building an IntVector or IntMatrix per row or per minor is waste
+    # Bareiss elimination and what reads it work on lists of ints; building
+    # an IntVector or IntMatrix per row or per minor is waste
+    names = ("_bareiss", "signed_maximal_minors", "adjugate", "independent_rows")
     tree = ast.parse((Path(complexity_one.__file__).parent / "lattice.py").read_text())
-    kernels = [top for top in tree.body if getattr(top, "name", None) in ("_bareiss", "signed_maximal_minors")]
-    assert len(kernels) == 2
+    kernels = [top for top in tree.body if getattr(top, "name", None) in names]
+    assert len(kernels) == len(names)
     used = {
         getattr(node, "id", None) or getattr(node, "attr", None)
         for top in kernels
