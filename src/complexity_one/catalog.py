@@ -38,7 +38,7 @@ from .chardata import (
 from .errors import ConsistencyError, UnknownEntryError
 from .io import chardata_from_dict, read_json
 from .lattice import IntVector, vec
-from .quasitoric import CharacteristicFunction, SimplePolytope, reduce as quasitoric_reduce
+from .quasitoric import CharacteristicFunction, SimplePolytope, _face_id, reduce as quasitoric_reduce
 from .sponge import (
     CheckResult,
     SpongeComplex,
@@ -255,8 +255,7 @@ def _build_cp3() -> CatalogEntry:
     st = SubtorusChoice(vec(1, 1, -1))
     data = quasitoric_reduce(p, lam, st)
     weight_systems = {
-        "g:" + ",".join(sorted(v)): induced_weights([lam[f] for f in sorted(v)], st)
-        for v in p.vertices
+        _face_id(v): induced_weights([lam[f] for f in sorted(v)], st) for v in p.vertices
     }
     expected = {
         "fixed_points": 4,

@@ -277,16 +277,15 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
     """
     sign = hopf_type(ws, i, j)
     c = cramer_coefficients(ws).c
-    alphas = ws.signed_weights()
-    others = stack_rows([alphas[m] for m in range(ws.n) if m not in (i, j)], cols=ws.n - 1)
+    others = stack_rows([ws.weights[m] for m in range(ws.n) if m not in (i, j)], cols=ws.n - 1)
     lam = signed_maximal_minors(others)
     if lam.is_zero():
         line_rank = ws.n - 1 - lattice_rank(others)
         raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
     lam = primitive(lam, pin_sign=False)
     # orient so that the pairing with weight i has the sign of c_j
-    pair_i = alphas[i].dot(lam)
-    if pair_i == 0 or alphas[j].dot(lam) == 0:
+    pair_i = ws.weights[i].dot(lam)
+    if pair_i == 0 or ws.weights[j].dot(lam) == 0:
         raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
     if pair_i * c[j] < 0:
         lam = -lam

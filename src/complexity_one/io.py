@@ -75,7 +75,7 @@ def _vector(data, where: str) -> IntVector:
 
 
 def weight_system_to_dict(ws: WeightSystem) -> dict:
-    return {"n": ws.n, "weights": [_int_list(w) for w in ws.signed_weights()]}
+    return {"n": ws.n, "weights": [_int_list(w) for w in ws.weights]}
 
 
 def weight_system_from_dict(data: Mapping, where: str = "weight system") -> WeightSystem:

@@ -4,8 +4,8 @@ Polytopes are purely combinatorial: a simple polytope is its vertex-facet
 incidence, faces are the facet subsets realized at some vertex.  A
 characteristic function assigns primitive vectors in Z^n to facets subject
 to the determinant-+-1 basis condition at vertices; a subtorus is chosen by
-a primitive character (`weights.SubtorusChoice`).  The reduction produces
-characteristic data on the codimension-two skeleton of the boundary.
+a primitive character (`weights.SubtorusChoice`).  The boundary reduces as
+a simple cell manifold, to characteristic data on its codimension-two skeleton.
 """
 
 from __future__ import annotations
@@ -103,6 +103,29 @@ class SimplePolytope:
 
     def adjacent_facets(self, f: str, g: str) -> bool:
         return any({f, g} <= v for v in self.vertices)
+
+    @cached_property
+    def boundary(self) -> CellManifold:
+        """The boundary sphere as a simple cell manifold: a face of k facets is an (n-k)-cell.
+
+        A face G lies in the boundary of G - {f} for each f in G.
+        """
+        ids = {face: _face_id(face) for k in range(1, self.n + 1) for face in self.faces_of_codim(k)}
+        covers: dict[str, list[str]] = {}
+        for face, cid in ids.items():
+            if len(face) > 1:
+                for f in face:
+                    covers.setdefault(ids[face - {f}], []).append(cid)
+        return CellManifold(self.n, tuple((cid, self.n - len(face)) for face, cid in ids.items()), covers)
+
+
+def _face_id(face: Iterable[str]) -> str:
+    """Boundary cell id of a face: f:<id> for a facet, g:<sorted facet ids> for a smaller face.
+
+    Facet ids may contain commas; the prefixes keep every facet apart from every face.
+    """
+    facets = sorted(face)
+    return "f:" + facets[0] if len(facets) == 1 else "g:" + ",".join(facets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,27 +277,10 @@ def induced_mu(lam1: IntVector, lam2: IntVector, st: SubtorusChoice) -> IntVecto
 def polytope_sponge(p: SimplePolytope) -> SpongeComplex:
     """Codimension-two skeleton of the polytope boundary as a sponge.
 
-    Cells are realized facet subsets of size 2..n; incidence signs come from
+    Cells are the faces of two or more facets; incidence signs come from
     the sign propagation of signed_incidence, so they are deterministic.
     """
-    def cid(face: frozenset[str]) -> str:
-        return "g:" + ",".join(sorted(face))
-
-    cells: list[tuple[str, int]] = []
-    covers: dict[str, list[str]] = {}
-    realized: dict[int, set[frozenset[str]]] = {}
-    for k in range(2, p.n + 1):
-        realized[k] = set(p.faces_of_codim(k))
-        for face in realized[k]:
-            cells.append((cid(face), p.n - k))
-    for k in range(2, p.n):
-        for face in realized[k]:
-            subs = []
-            for bigger in realized[k + 1]:
-                if face < bigger:
-                    subs.append(cid(bigger))
-            covers[cid(face)] = sorted(subs)
-    return SpongeComplex.from_covers(p.n, cells, covers)
+    return p.boundary.skeleton_sponge()
 
 
 def reduce(
@@ -282,11 +288,9 @@ def reduce(
 ) -> CharacteristicData:
     """Characteristic data of the subtorus action on a quasitoric datum.
 
-    The sponge is the codimension-two skeleton of the boundary, mu comes
-    from the facet-pair intersections, and Euler signs are the Hopf signs of
-    the induced vertex weight systems, oriented coherently so the facet
-    chain is a cycle.  The Hopf sign of every codimension-two face is
-    computed at all of its vertices and must agree.
+    The polytope boundary reduces as a simple cell manifold (see
+    _reduction_data), and mu is checked against the facet-pair
+    intersections.
     """
     _require_star(p, lam)
     bad = [f for f in p.facets if abs(st.pairing(lam[f])) != 1]
@@ -294,22 +298,12 @@ def reduce(
         raise PreconditionError(
             f"subtorus is not strict: pairings with {sorted(bad)} are not +-1"
         )
-    sponge = polytope_sponge(p)
-
-    charts: dict[str, Chart] = {}
-    for v in p._vertex_list:
-        vid = "g:" + ",".join(sorted(v))
-        facets = sorted(v)
-        ws = induced_weights([lam[f] for f in facets], st)
-        # the ray dual to facet f is the edge of the polytope avoiding f
-        rays = tuple("g:" + ",".join(sorted(set(facets) - {f})) for f in facets)
-        charts[vid] = Chart(ws, rays)
-
-    cd = data_from_charts(sponge, charts, Ambient("sphere"))
+    values = {_face_id({f}): lam[f] for f in p.facets}
+    cd = _reduction_data(p.boundary, values, st, Ambient("sphere"))
     # mu must match the facet-pair construction
     for face in p.faces_of_codim(2):
         f, g = sorted(face)
-        fid = "g:" + ",".join(sorted(face))
+        fid = _face_id(face)
         expect = induced_mu(lam[f], lam[g], st)
         if primitive(expect) != primitive(cd.mu[fid]):
             raise ConsistencyError(f"chart mu and facet-pair mu disagree on {fid}")
@@ -357,6 +351,9 @@ class CellManifold:
         object.__setattr__(
             self, "covers", {str(k): tuple(str(x) for x in v) for k, v in dict(self.covers).items()}
         )
+        ids = [c for c, _ in self.cells]
+        if len(set(ids)) != len(ids):
+            raise InputFormatError("duplicate cell ids")
 
     @cached_property
     def dims(self) -> dict[str, int]:
@@ -444,13 +441,26 @@ def cell_manifold_data(
         if bad:
             raise PreconditionError(f"subtorus is not strict on top cells {bad}")
 
+    return _reduction_data(m, values, st, Ambient("product", boundary_trivial=True))
+
+
+def _reduction_data(
+    m: CellManifold, values: Mapping[str, IntVector], st: SubtorusChoice, ambient: Ambient
+) -> CharacteristicData:
+    """Characteristic data of the subtorus action from values on the top cells of m.
+
+    The sponge is the codimension-two skeleton.  A 0-cell's chart holds the
+    weights induced by the values of the sorted top cells through it, and the
+    ray dual to top cell t is the edge at the 0-cell missing exactly t.
+    """
     sponge = m.skeleton_sponge()
-    edges_by_vertex: dict[str, list[str]] = {}
-    for c, d in m.cells:
+    edges_by_vertex: dict[str, list[tuple[str, set[str]]]] = {}
+    for e, d in m.cells:
         if d == 1:
-            for v in m.closure(c):
+            through = set(m.top_cells_containing(e))
+            for v in m.closure(e):
                 if m.dims[v] == 0:
-                    edges_by_vertex.setdefault(v, []).append(c)
+                    edges_by_vertex.setdefault(v, []).append((e, through))
     charts: dict[str, Chart] = {}
     for c, d in m.cells:
         if d != 0:
@@ -458,19 +468,12 @@ def cell_manifold_data(
         tops = m.top_cells_containing(c)
         ws = induced_weights([values[t] for t in tops], st)
         rays: list[str] = []
-        for i, t in enumerate(tops):
-            # the ray dual to top cell t is the edge at c missing exactly t
-            want = set(tops) - {t}
-            matches = [
-                e
-                for e in edges_by_vertex.get(c, [])
-                if set(m.top_cells_containing(e)) == want
-            ]
-            if len(matches) != 1 and m.n >= 3:
+        for t in tops:
+            matches = [e for e, through in edges_by_vertex.get(c, []) if through == set(tops) - {t}]
+            if len(matches) != 1:
                 raise ConsistencyError(
                     f"vertex {c}: expected one edge avoiding top cell {t}, found {len(matches)}"
                 )
-            rays.append(matches[0] if matches else f"_missing:{c}:{i}")
+            rays.append(matches[0])
         charts[c] = Chart(ws, tuple(rays))
-    cd = data_from_charts(sponge, charts, Ambient("product", boundary_trivial=True))
-    return cd
+    return data_from_charts(sponge, charts, ambient)

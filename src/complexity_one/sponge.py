@@ -185,12 +185,7 @@ class SpongeComplex:
     @cached_property
     def validation_report(self) -> ValidationReport:
         """The sponge axioms checked once; validate_sponge returns this report."""
-        dim_bad = []
-        if self.n < 2:
-            dim_bad.append(f"n must be >= 2, got {self.n}")
-        for c in self.cells:
-            if not 0 <= c.dim <= self.n - 2:
-                dim_bad.append(f"cell {c.id} has dim {c.dim} outside 0..{self.n - 2}")
+        dim_bad = self.cell_dim_defects()
         entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
         structure_bad = []
@@ -225,7 +220,7 @@ class SpongeComplex:
         entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects())
 
         count_bad = []
-        if not structure_bad:
+        if not dim_bad and not structure_bad:
             for c in self.cells:
                 upper = self.upper_set(c.id)
                 for d in range(c.dim, self.n - 1):
@@ -238,6 +233,18 @@ class SpongeComplex:
                         )
         entries += CheckResult.from_violations("upper-counts", count_bad)
         return ValidationReport(tuple(entries))
+
+    def cell_dim_defects(self) -> list[str]:
+        """Cells outside dimensions 0..n-2, and a nonempty complex not of dimension n-2."""
+        out = []
+        if self.n < 2:
+            out.append(f"n must be >= 2, got {self.n}")
+        for c in self.cells:
+            if not 0 <= c.dim <= self.n - 2:
+                out.append(f"cell {c.id} has dim {c.dim} outside 0..{self.n - 2}")
+        if self.cells and self.dim != self.n - 2:
+            out.append(f"complex has dimension {self.dim}, expected {self.n - 2}")
+        return out
 
     def boundary_squared_defects(self) -> list[str]:
         out = []
@@ -417,10 +424,13 @@ class HomologyResult:
 
 def homology(s: SpongeComplex) -> HomologyResult:
     """Integral cellular homology from Smith forms of the boundary matrices."""
+    defects = s.cell_dim_defects()
+    if defects:
+        raise ValidationError("cell dimensions do not fit n: " + "; ".join(defects))
     defects = s.boundary_squared_defects()
     if defects:
         raise ValidationError("incidence is not a chain complex: " + "; ".join(defects))
-    top = max(s.n - 2, s.dim)
+    top = s.n - 2
     counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)

@@ -45,11 +45,10 @@ class CramerCoefficients:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """n weight vectors in Z^(n-1), with an optional explicit sign choice."""
+    """n weight vectors in Z^(n-1); their signs are part of the data."""
 
     n: int
     weights: tuple[IntVector, ...]
-    sign_choice: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(IntVector(tuple(w)) for w in self.weights))
@@ -60,28 +59,17 @@ class WeightSystem:
         for w in self.weights:
             if w.dim != self.n - 1:
                 raise DimensionMismatchError(f"weight of dim {w.dim}, expected {self.n - 1}")
-        if self.sign_choice is not None:
-            sc = tuple(int(s) for s in self.sign_choice)
-            if len(sc) != self.n or any(s not in (1, -1) for s in sc):
-                raise DegenerateInputError("sign_choice must be n entries of +-1")
-            object.__setattr__(self, "sign_choice", sc)
-
-    def signed_weights(self) -> tuple[IntVector, ...]:
-        if self.sign_choice is None:
-            return self.weights
-        return tuple(w.scale(s) for w, s in zip(self.weights, self.sign_choice))
 
     def matrix(self) -> IntMatrix:
         """Weights as rows, n x (n-1)."""
-        return stack_rows(list(self.signed_weights()))
+        return stack_rows(list(self.weights))
 
     @cached_property
     def _cramer(self) -> CramerCoefficients:
         """Signed maximal minors of the weights, checked against the relation once."""
-        alphas = self.signed_weights()
         c_tilde = [-x for x in signed_maximal_minors(self.matrix().transpose())]
-        total = alphas[0].scale(0)
-        for ci, a in zip(c_tilde, alphas):
+        total = self.weights[0].scale(0)
+        for ci, a in zip(c_tilde, self.weights):
             total = total + a.scale(ci)
         if not total.is_zero():
             raise ConsistencyError(f"Cramer identity violated: residual {list(total)}")

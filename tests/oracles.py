@@ -20,6 +20,10 @@ Two former quasitoric checks are kept as references for their shortcuts:
 strict_subtori_by_box, the search of the whole box of characters, for the
 solve from one basis, and validate_star_by_smith, one Smith form per face,
 for the check of only the faces that no determinant-+-1 vertex covers.
+polytope_sponge_by_subsets, the former polytope_sponge that scanned every
+pair of faces in neighbouring codimensions, is the reference for the
+skeleton of the polytope's boundary cell manifold; it shares only
+signed_incidence with the package.
 """
 
 from collections import Counter
@@ -37,7 +41,7 @@ from complexity_one.lattice import (
     solve_exact,
     stack_rows,
 )
-from complexity_one.sponge import CheckResult, ValidationReport
+from complexity_one.sponge import CheckResult, SpongeComplex, ValidationReport
 from complexity_one.weights import cramer_coefficients, hopf_type
 
 
@@ -464,7 +468,7 @@ def local_euler_by_kernel(ws, i, j):
     """
     sign = hopf_type(ws, i, j)
     c = cramer_coefficients(ws).c
-    alphas = ws.signed_weights()
+    alphas = ws.weights
     rows = [alphas[m] for m in range(ws.n) if m not in (i, j)]
     rows.append(alphas[i].scale(c[i]) + alphas[j].scale(c[j]))
     kernel = integer_kernel(stack_rows(rows))
@@ -517,3 +521,21 @@ def validate_star_by_smith(p, lam):
                 face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
     entries += CheckResult.from_violations("face-extension", face_bad)
     return ValidationReport(tuple(entries))
+
+
+def polytope_sponge_by_subsets(p):
+    """polytope_sponge with each cover found by scanning the faces of one more facet."""
+    def cid(face):
+        return "g:" + ",".join(sorted(face))
+
+    cells = []
+    covers = {}
+    realized = {}
+    for k in range(2, p.n + 1):
+        realized[k] = set(p.faces_of_codim(k))
+        for face in realized[k]:
+            cells.append((cid(face), p.n - k))
+    for k in range(2, p.n):
+        for face in realized[k]:
+            covers[cid(face)] = sorted(cid(bigger) for bigger in realized[k + 1] if face < bigger)
+    return SpongeComplex.from_covers(p.n, cells, covers)

@@ -209,7 +209,7 @@ class TestLocalEulerFromWeights:
                 for row in basis:
                     last = last - row.scale(rng.choice((1, -1)))
                 signs = tuple(rng.choice((1, -1)) for _ in range(n))
-                ws = WeightSystem(n, (*basis, last), signs)
+                ws = WeightSystem(n, tuple(w.scale(s) for w, s in zip((*basis, last), signs)))
                 for i in range(n):
                     for j in range(n):
                         if i != j:

@@ -1,4 +1,6 @@
 import json
+import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from complexity_one.io import (
     weight_system_to_dict,
 )
 from complexity_one.lattice import IntMatrix, vec
+from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
 from complexity_one.weights import WeightSystem
 
 
@@ -243,6 +246,65 @@ class TestCommands:
         code = main(["validate-sponge", str(tmp_path / "s.json")])
         out = capsys.readouterr().out
         assert code == 1 and "FAIL incidence-structure: " in out and "unknown cell ghost" in out
+
+
+class TestCommaFacetIds:
+    def _reduce(self, tmp_path, p, values):
+        (tmp_path / "p.json").write_text(canonical_json(polytope_to_dict(p)))
+        (tmp_path / "lam.json").write_text(canonical_json(lambda_to_dict(CharacteristicFunction(values))))
+        return main(["reduce", "--polytope", str(tmp_path / "p.json"), "--lambda", str(tmp_path / "lam.json")])
+
+    def test_cube_with_a_comma_facet_reduces(self, tmp_path, capsys):
+        # facet xm is renamed to the id of the face {ym, zm}
+        name = {"xm": "ym,zm"}
+        verts = [frozenset(name.get(a + s, a + s) for a, s in zip("xyz", signs)) for signs in product("mp", repeat=3)]
+        facets = [name.get(a + s, a + s) for a in "xyz" for s in "mp"]
+        values = {name.get(a + s, a + s): vec(*(int(a == b) for b in "xyz")) for a in "xyz" for s in "mp"}
+        code = self._reduce(tmp_path, SimplePolytope(3, tuple(facets), tuple(verts)), values)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and "FAIL" not in out
+        assert "PASS reduce: sponge cells=20\n" in out and "PASS subtorus: alpha=[1, -1, -1]\n" in out
+
+    def test_colliding_faces_exit_2(self, tmp_path, capsys):
+        # the faces {a, b,c} and {a,b, c} of this simplex both have the id g:a,b,c
+        facets = ("a", "b,c", "a,b", "c")
+        p = SimplePolytope(3, facets, tuple(frozenset(facets) - {f} for f in facets))
+        values = dict(zip(facets, (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1))))
+        code = self._reduce(tmp_path, p, values)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "FAIL input: duplicate cell ids\nPASS subtorus: alpha=[1, -1, -1]\n"
+
+
+class TestOversizedDimensions:
+    @pytest.mark.parametrize(
+        "command, n, dim",
+        [
+            ("validate-sponge", 10**6, None),
+            ("validate-chardata", 10**6, None),
+            ("compare", 10**6, None),
+            ("homology", 10**6, None),
+            ("validate-sponge", 3000, None),
+            ("homology", None, 10**8),
+        ],
+    )
+    def test_fails_fast_without_traceback(self, tmp_path, capsys, command, n, dim):
+        # f3's sponge has dimension 1; a far larger n or one enormous cell
+        # dimension fails cell-dims before any count or boundary matrix
+        data = chardata_to_dict(load("f3").data)
+        if n is not None:
+            data["n"] = data["sponge"]["n"] = n
+        if dim is not None:
+            data["sponge"]["cells"][-1]["dim"] = dim
+        path = tmp_path / "f.json"
+        path.write_text(canonical_json(data["sponge"] if command in ("validate-sponge", "homology") else data))
+        start = time.perf_counter()
+        code = main([command] + [str(path)] * (2 if command == "compare" else 1))
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "" and "Traceback" not in out
+        assert elapsed < 1.0 and len(out) < 1000
+        assert "complex has dimension" in out
 
 
 class TestRoundTrip:

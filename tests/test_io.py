@@ -45,8 +45,8 @@ def assert_round_trip(to_dict, from_dict, value):
 def weight_systems(draw):
     n = draw(st.integers(2, 5))
     weights = draw(st.lists(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1), min_size=n, max_size=n))
-    signs = draw(st.none() | st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    return WeightSystem(n, tuple(vec(*w) for w in weights), signs)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return WeightSystem(n, tuple(vec(*w).scale(s) for w, s in zip(weights, signs)))
 
 
 def unit(n: int, i: int) -> IntVector:

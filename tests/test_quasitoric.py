@@ -21,6 +21,7 @@ from complexity_one.errors import (
     ColoringError,
     DegenerateInputError,
     DimensionMismatchError,
+    InputFormatError,
     PreconditionError,
     StarConditionError,
     ValidationError,
@@ -44,7 +45,7 @@ from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
 from complexity_one.sponge import validate_sponge
 from complexity_one.weights import induced_weights, is_strictly_appropriate
 from conftest import random_unimodular
-from oracles import strict_subtori_by_box, validate_star_by_smith
+from oracles import polytope_sponge_by_subsets, strict_subtori_by_box, validate_star_by_smith
 
 
 def _cube(n):
@@ -597,3 +598,82 @@ class TestPolytopeSponge:
         s = polytope_sponge(cube3)
         assert validate_sponge(s).ok
         assert len(s.cells_of_dim(0)) == 8 and len(s.cells_of_dim(1)) == 12
+
+
+def _assert_same_sponge(a, b):
+    assert (a.n, a.cells, a.incidence) == (b.n, b.cells, b.incidence)
+
+
+def _relabelled(p, ids):
+    ren = dict(zip(p.facets, ids))
+    return SimplePolytope(
+        p.n, tuple(ren[f] for f in p.facets), tuple(frozenset(ren[f] for f in v) for v in p.vertices)
+    )
+
+
+BOUNDARY_CASES = {**POLYTOPES, "cube6": lambda: _cube(6)}
+
+
+class TestPolytopeBoundary:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_boundary_is_simple_with_one_cell_per_face(self, name):
+        p, _ = BOUNDARY_CASES[name]()
+        m = p.boundary
+        assert m.validate_simple().ok
+        faces = [face for k in range(1, p.n + 1) for face in p.faces_of_codim(k)]
+        assert sorted(d for _, d in m.cells) == sorted(p.n - len(face) for face in faces)
+        assert m.top_cells == tuple(sorted("f:" + f for f in p.facets))
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_sponge_matches_subset_scan(self, name):
+        p, _ = BOUNDARY_CASES[name]()
+        _assert_same_sponge(polytope_sponge(p), polytope_sponge_by_subsets(p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(["simplex", "prism", "cube3"]), data=st.data())
+    def test_relabelled_facets_match_subset_scan(self, name, data):
+        # ids may contain commas: faces whose g: ids collide are rejected as
+        # duplicate cells, and every other relabelling gives the scan's complex
+        p, _ = POLYTOPES[name]()
+        ids = data.draw(
+            st.lists(st.text("ab,", min_size=1, max_size=3), min_size=len(p.facets), max_size=len(p.facets), unique=True)
+        )
+        q = _relabelled(p, ids)
+        faces = [face for k in range(2, q.n + 1) for face in q.faces_of_codim(k)]
+        if len({",".join(sorted(face)) for face in faces}) < len(faces):
+            with pytest.raises(InputFormatError, match="^duplicate cell ids$"):
+                polytope_sponge(q)
+            return
+        assert q.boundary.validate_simple().ok
+        _assert_same_sponge(polytope_sponge(q), polytope_sponge_by_subsets(q))
+
+    def test_comma_facet_is_not_a_face(self, cube3):
+        # facet xm renamed to the id of the face {ym, zm}
+        ren = {f: {"xm": "ym,zm"}.get(f, f) for f in cube3.facets}
+        q = _relabelled(cube3, [ren[f] for f in cube3.facets])
+        lam = coloring_pullback(q, {ren[f]: "xyz".index(f[0]) + 1 for f in cube3.facets})
+        cd = reduce(q, lam, find_strict_subtorus(q, lam)[0])
+        assert validate_mu(cd).ok and cocycle_check(cd).ok
+        assert {"g:ym,zm", "g:ym,ym,zm"} <= set(cd.mu)
+
+    def test_colliding_faces_are_duplicate_cells(self, simplex3):
+        # the faces {a, b,c} and {a,b, c} both have the id g:a,b,c
+        q = _relabelled(simplex3, ["a", "b,c", "a,b", "c"])
+        lam = CharacteristicFunction(dict(zip(q.facets, (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)))))
+        with pytest.raises(InputFormatError, match="^duplicate cell ids$"):
+            reduce(q, lam, SubtorusChoice(vec(1, 1, -1)))
+
+    def test_cell_manifold_rejects_duplicate_ids(self):
+        with pytest.raises(InputFormatError, match="^duplicate cell ids$"):
+            CellManifold(2, (("a", 1), ("v", 0), ("a", 0)), {})
+
+    @pytest.mark.parametrize("name", sorted(POLYTOPES))
+    def test_reduce_is_the_boundary_reduction(self, name):
+        p, values = POLYTOPES[name]()
+        lam = CharacteristicFunction(values)
+        for st_ in find_strict_subtorus(p, lam, 1):
+            cd = reduce(p, lam, st_)
+            on_cells = cell_manifold_data(p.boundary, {"f:" + f: v for f, v in values.items()}, st_)
+            _assert_same_sponge(on_cells.sponge, cd.sponge)
+            assert (on_cells.mu, on_cells.euler_sign) == (cd.mu, cd.euler_sign)
+            assert (cd.ambient.kind, on_cells.ambient.kind) == ("sphere", "product")

@@ -130,3 +130,17 @@ def test_eliminations_read_plain_rows():
         for node in ast.walk(top)
     }
     assert not used & {"row", "from_rows", "stack_rows"}, sorted(used & {"row", "from_rows", "stack_rows"})
+
+
+def test_one_reduction_pipeline():
+    # reduce and cell_manifold_data share one chart builder, and a face of
+    # the polytope is named by one helper
+    for name in ("Chart", "induced_weights", "data_from_charts"):
+        assert {owner for module, owner in _uses(name) if module == "quasitoric"} == {"_reduction_data"}, name
+    face_ids = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("g:")
+    ]
+    assert len(face_ids) == 1, face_ids

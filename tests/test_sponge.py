@@ -87,6 +87,17 @@ class TestValidate:
         assert any("coefficient 2" in e.detail for e in rep.failures())
 
 
+    def test_dimension_other_than_n_minus_2_fails_cell_dims_once(self):
+        # every cell dimension lies in 0..n-2, but the complex is a graph;
+        # the counts C(n-i, d-i) are not checked against it
+        k33 = k33_sponge()
+        rep = validate_sponge(SpongeComplex(50, k33.cells, k33.incidence))
+        assert [(e.check, e.detail) for e in rep.failures()] == [
+            ("cell-dims", "complex has dimension 1, expected 48")
+        ]
+        assert [e.status for e in rep.entries if e.check == "upper-counts"] == ["pass"]
+
+
 class TestFiltration:
     def test_local_model_n4(self):
         s = local_model_sponge(4)
@@ -130,6 +141,13 @@ class TestHomology:
         )
         with pytest.raises(ValidationError):
             homology(s)
+
+    @pytest.mark.parametrize("n, dim", [(50, 1), (3, 10**8), (3, -1)])
+    def test_cell_dimensions_outside_the_sponge_raise(self, n, dim):
+        k33 = k33_sponge()
+        cells = k33.cells[:-1] + (Cell(k33.cells[-1].id, dim),)
+        with pytest.raises(ValidationError, match="^cell dimensions do not fit n: "):
+            homology(SpongeComplex(n, cells, k33.incidence))
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_simplex_skeleta_against_simplicial_oracle(self, m):

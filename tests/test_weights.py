@@ -90,24 +90,10 @@ class TestCramer:
             gp = is_general_position(ws)
             strict = gp and is_strictly_appropriate(ws)
             for signs in iproduct((1, -1), repeat=ws.n):
-                flipped = WeightSystem(ws.n, ws.weights, sign_choice=signs)
+                flipped = WeightSystem(ws.n, tuple(w.scale(s) for w, s in zip(ws.weights, signs)))
                 assert is_general_position(flipped) == gp
                 if gp:
                     assert is_strictly_appropriate(flipped) == strict
-
-    def test_sign_choice_matches_explicit_negation(self):
-        signs = (1, -1, 1, -1)
-        via_field = WeightSystem(4, G42.weights, sign_choice=signs)
-        via_scale = WeightSystem(
-            4, tuple(w.scale(s) for w, s in zip(G42.weights, signs))
-        )
-        assert cramer_coefficients(via_field).c_tilde == cramer_coefficients(via_scale).c_tilde
-
-    def test_sign_choice_field(self):
-        ws = WeightSystem(3, (vec(1, 0), vec(1, 1), vec(0, 1)), sign_choice=(1, -1, 1))
-        assert ws.signed_weights()[1] == vec(-1, -1)
-        with pytest.raises(DegenerateInputError):
-            WeightSystem(3, (vec(1, 0), vec(1, 1), vec(0, 1)), sign_choice=(1, 0, 1))
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
