@@ -36,12 +36,10 @@ from .lattice import (
     determinant,
     hermite_normal_form,
     integer_kernel,
-    inverse_unimodular,
     is_unimodular_extension,
     kernel_complement,
     primitive,
     smith_normal_form,
-    solve_exact,
     vec,
 )
 from .quasitoric import (

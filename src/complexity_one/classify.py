@@ -198,60 +198,62 @@ class _SpanFactor:
     m1 has the Euler coefficients of the spanning facets (the first facets by
     id with independent directions) as columns; it is square and nonsingular,
     and m1 @ adj == det * I.  A m1 = m2 then has the unique rational solution
-    A = m2 @ adj / det.
+    A = m2 @ adj / det.  adj holds the rows of the adjugate and rest the other
+    facets with their Euler coefficients, as plain ints.
     """
 
     span: tuple[str, ...]
     det: int
-    adj: IntMatrix
+    adj: tuple[tuple[int, ...], ...]
+    rest: tuple[tuple[str, tuple[int, ...]], ...]
 
     @classmethod
     def of(cls, cd: CharacteristicData) -> "_SpanFactor":
         k = cd.n - 1
         facets = cd.sponge.facet_ids
         span = tuple(facets[i] for i in independent_rows([cd.mu[f] for f in facets], k))
+        rest = tuple((f, cd.euler_coefficient(f).entries) for f in facets if f not in span)
         if not span:
-            return cls(span, 1, IntMatrix.identity(k))
+            return cls(span, 1, tuple(map(tuple, IntMatrix.identity(k).row_list())), rest)
         if len(span) != k:
             raise ConsistencyError(f"spanning facets {list(span)} do not span Q^{k}")
         adj = adjugate(IntMatrix.from_cols([cd.euler_coefficient(f) for f in span]))
-        return cls(span, adj.det, adj.adj)
+        return cls(span, adj.det, tuple(map(tuple, adj.adj.row_list())), rest)
 
 
 def _solve_transform(
-    cd1: CharacteristicData,
-    cd2: CharacteristicData,
+    factor: _SpanFactor,
+    euler2: Mapping[str, tuple[int, ...]],
     mapping: Mapping[str, str],
     gauge: Mapping[str, int],
-    factor: _SpanFactor,
     counts: dict[str, int],
 ) -> IntMatrix | None:
     """Unimodular A with A sigma1(F) = gauge(F) sigma2(b(F)) on all facets.
 
+    euler2 holds the Euler coefficients sigma2 of the second datum.
     counts["transforms"] counts the gauges whose spanning facets give an
     integral A.
     """
+    k = len(factor.adj)
     if not factor.span:  # no facets: every A qualifies, the identity among them
-        return IntMatrix.identity(cd1.n - 1)
-    m2 = IntMatrix.from_cols(
-        [cd2.euler_coefficient(mapping[f]).scale(gauge[f]) for f in factor.span]
-    )
-    scaled = (m2 @ factor.adj).entries
-    if any(x % factor.det for x in scaled):
-        return None
-    counts["transforms"] += 1
-    k = cd1.n - 1
-    a = IntMatrix(k, k, tuple(x // factor.det for x in scaled))
-    if determinant(a) not in (1, -1):
-        return None
-    for fid in cd1.sponge.facet_ids:
-        if fid in factor.span:  # A m1 = m2 holds exactly by construction
-            continue
-        lhs = a @ cd1.euler_coefficient(fid)
-        rhs = cd2.euler_coefficient(mapping[fid]).scale(gauge[fid])
-        if lhs != rhs:
+        return IntMatrix.identity(k)
+    # the columns of m2, then A = m2 @ adj / det row by row
+    m2 = [[gauge[f] * x for x in euler2[mapping[f]]] for f in factor.span]
+    a = []
+    for i in range(k):
+        row = [sum(c[i] * r[j] for c, r in zip(m2, factor.adj)) for j in range(k)]
+        if any(x % factor.det for x in row):
             return None
-    return a
+        a.append([x // factor.det for x in row])
+    counts["transforms"] += 1
+    transform = IntMatrix(k, k, tuple(x for row in a for x in row))
+    if determinant(transform) not in (1, -1):
+        return None
+    for fid, e1 in factor.rest:  # A m1 = m2 holds on the span by construction
+        g, e2 = gauge[fid], euler2[mapping[fid]]
+        if any(sum(x * y for x, y in zip(row, e1)) != g * z for row, z in zip(a, e2)):
+            return None
+    return transform
 
 
 def verify_witness(
@@ -336,11 +338,12 @@ def compare(
         return ComparisonResult("inequivalent", certificate="invariant mismatch")
 
     factor = _SpanFactor.of(cd1)
+    euler2 = {f: cd2.euler_coefficient(f).entries for f in cd2.sponge.facet_ids}
     for mapping in _poset_bijections(cd1.sponge, cd2.sponge, counts):
         counts["bijections"] += 1
         for gauge in _solve_gauge(cd1.sponge, cd2.sponge, mapping):
             counts["gauges"] += 1
-            a = _solve_transform(cd1, cd2, mapping, gauge, factor, counts)
+            a = _solve_transform(factor, euler2, mapping, gauge, counts)
             if a is None:
                 continue
             witness = EquivalenceWitness(mapping=mapping, gauge=gauge, matrix=a)

@@ -29,7 +29,7 @@ from .io import (
     weight_system_from_dict,
 )
 from .lattice import IntVector
-from .quasitoric import _require_star, find_strict_subtorus, reduce as quasitoric_reduce
+from .quasitoric import _require_star, find_strict_subtorus, reduce as quasitoric_reduce, validate_star
 from .sponge import CheckResult, ValidationReport, homology, validate_sponge
 from .weights import (
     SubtorusChoice,
@@ -95,10 +95,12 @@ def _parse_alpha(text: str, n: int) -> IntVector:
 def _cmd_reduce(args) -> Iterator[CheckResult]:
     p = polytope_from_dict(read_json(args.polytope), args.polytope)
     lam = lambda_from_dict(read_json(args.lam), args.lam)
+    star = None
     if args.alpha:
         st = SubtorusChoice(_parse_alpha(args.alpha, p.n))
     else:
-        _require_star(p, lam)  # values of rank < n fail it, and their search walks the whole box
+        star = validate_star(p, lam)
+        _require_star(star)  # values of rank < n fail it, and their search walks the whole box
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:
             yield CheckResult.of(
@@ -107,7 +109,7 @@ def _cmd_reduce(args) -> Iterator[CheckResult]:
             return
         st = found[0]
         yield CheckResult.of("subtorus", True, f"alpha={list(st.alpha)}")
-    cd = quasitoric_reduce(p, lam, st)
+    cd = quasitoric_reduce(p, lam, st, star)
     yield CheckResult.of("reduce", True, f"sponge cells={len(cd.sponge.cells)}")
     yield from validate_mu(cd).entries
     yield CheckResult.of("compatibility", compatibility_check(cd))

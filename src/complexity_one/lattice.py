@@ -4,10 +4,10 @@ Each job uses the simplest elimination that answers it.  Forward Bareiss
 fraction-free elimination gives determinant, rank and the first independent
 rows; its reduced (Gauss-Jordan) form gives signed maximal minors (the kernel
 line of a k x (k+1) matrix) and the adjugate behind every square solve and
-inverse.  The Hermite form serves solve_exact and integer_kernel, and the
-Smith form only where invariant factors are the answer (homology torsion,
-stabilizer orders, is_unimodular_extension).  Values are immutable and every
-operation is pure, so concurrent use is safe.
+inverse.  The Hermite form serves integer_kernel, and the Smith form only
+where invariant factors are the answer (the residual of homology's unit-pivot
+elimination, stabilizer orders, is_unimodular_extension).  Values are
+immutable and every operation is pure, so concurrent use is safe.
 
 Conventions:
   * Smith form: U @ A @ V = D with U, V unimodular, D diagonal with
@@ -547,36 +547,6 @@ def integer_kernel(a: IntMatrix) -> list[IntVector]:
     gens = [u.row(i) for i in range(h.rows) if h.row(i).is_zero()]
     h, _ = hermite_normal_form(stack_rows(gens, cols=a.cols))
     return [h.row(i) for i in range(h.rows)]
-
-
-def solve_exact(a: IntMatrix, b: IntVector) -> IntVector | None:
-    """Integer solution x of a @ x = b, or None when none exists.
-
-    With u @ a^T = h in Hermite form, h^T y = b is solved by forward
-    substitution over the pivots of h and x = u^T y.  When ker(a) is
-    nontrivial the free coordinates of y are 0 (deterministic, not canonical
-    in any lattice sense).
-    """
-    if a.rows != b.dim:
-        raise DimensionMismatchError("solve_exact: incompatible shapes")
-    h, u = hermite_normal_form(a.transpose())
-    y = [0] * a.cols
-    for i in range(h.rows):
-        col = next((j for j in range(h.cols) if h.entry(i, j)), None)
-        if col is None:
-            break
-        y[i], rem = divmod(b[col] - sum(h.entry(k, col) * y[k] for k in range(i)), h.entry(i, col))
-        if rem:
-            return None
-    x = u.transpose() @ IntVector(tuple(y))
-    return x if a @ x == b else None
-
-
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square matrix with determinant +-1, det(a) adj(a)."""
-    if not a.is_square():
-        raise DimensionMismatchError("inverse of a non-square matrix")
-    return adjugate(a).inverse()
 
 
 def is_unimodular_extension(vectors: Sequence[IntVector], dim: int) -> bool:

@@ -173,8 +173,8 @@ def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationR
     return ValidationReport(tuple(entries))
 
 
-def _require_star(p: SimplePolytope, lam: CharacteristicFunction) -> None:
-    star = validate_star(p, lam)
+def _require_star(star: ValidationReport) -> None:
+    """Raise unless the validate_star report passes."""
     if not star.ok:
         raise StarConditionError(star.summary(4) or "star condition fails")
 
@@ -284,15 +284,19 @@ def polytope_sponge(p: SimplePolytope) -> SpongeComplex:
 
 
 def reduce(
-    p: SimplePolytope, lam: CharacteristicFunction, st: SubtorusChoice
+    p: SimplePolytope,
+    lam: CharacteristicFunction,
+    st: SubtorusChoice,
+    star: ValidationReport | None = None,
 ) -> CharacteristicData:
     """Characteristic data of the subtorus action on a quasitoric datum.
 
     The polytope boundary reduces as a simple cell manifold (see
     _reduction_data), and mu is checked against the facet-pair
-    intersections.
+    intersections.  star, when given, is validate_star(p, lam), already
+    computed by the caller.
     """
-    _require_star(p, lam)
+    _require_star(validate_star(p, lam) if star is None else star)
     bad = [f for f in p.facets if abs(st.pairing(lam[f])) != 1]
     if bad:
         raise PreconditionError(
@@ -418,6 +422,10 @@ def cell_manifold_data(
     When st is omitted, the first strict subtorus within the search bound is
     used.  The result carries the boundary-trivial product ambient.
     """
+    for c, below in sorted(m.covers.items()):
+        for x in (c, *below):
+            if x not in m.dims:
+                raise InputFormatError(f"covers of {c!r}: {x!r} is not a cell id")
     rep = m.validate_simple()
     if not rep.ok:
         raise ValidationError(rep.summary(4))

@@ -23,7 +23,10 @@ for the check of only the faces that no determinant-+-1 vertex covers.
 polytope_sponge_by_subsets, the former polytope_sponge that scanned every
 pair of faces in neighbouring codimensions, is the reference for the
 skeleton of the polytope's boundary cell manifold; it shares only
-signed_incidence with the package.
+signed_incidence with the package.  homology_by_smith, the former homology
+with one dense Smith form per boundary matrix, is the reference for the
+unit-pivot elimination.  solve_exact, the package's former Hermite-form
+solver, stays as the oracle of square solves and of the row-wise transform.
 """
 
 from collections import Counter
@@ -31,17 +34,23 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from complexity_one.errors import ConsistencyError, InputFormatError
+from complexity_one.errors import (
+    ConsistencyError,
+    DimensionMismatchError,
+    InputFormatError,
+    ValidationError,
+)
 from complexity_one.lattice import (
     IntMatrix,
     IntVector,
     determinant,
+    hermite_normal_form,
     integer_kernel,
     is_unimodular_extension,
-    solve_exact,
+    smith_normal_form,
     stack_rows,
 )
-from complexity_one.sponge import CheckResult, SpongeComplex, ValidationReport
+from complexity_one.sponge import CheckResult, HomologyResult, SpongeComplex, ValidationReport
 from complexity_one.weights import cramer_coefficients, hopf_type
 
 
@@ -383,6 +392,29 @@ def poset_bijections_by_dim(s1, s2):
     yield from backtrack(0)
 
 
+def solve_exact(a, b):
+    """Integer solution x of a @ x = b, or None when none exists (the package's former solver).
+
+    With u @ a^T = h in Hermite form, h^T y = b is solved by forward
+    substitution over the pivots of h and x = u^T y.  When ker(a) is
+    nontrivial the free coordinates of y are 0 (deterministic, not canonical
+    in any lattice sense).
+    """
+    if a.rows != b.dim:
+        raise DimensionMismatchError("solve_exact: incompatible shapes")
+    h, u = hermite_normal_form(a.transpose())
+    y = [0] * a.cols
+    for i in range(h.rows):
+        col = next((j for j in range(h.cols) if h.entry(i, j)), None)
+        if col is None:
+            break
+        y[i], rem = divmod(b[col] - sum(h.entry(k, col) * y[k] for k in range(i)), h.entry(i, col))
+        if rem:
+            return None
+    x = u.transpose() @ IntVector(tuple(y))
+    return x if a @ x == b else None
+
+
 def solve_transform_by_rows(cd1, cd2, mapping, gauge, span):
     """Unimodular A with A sigma1(F) = gauge(F) sigma2(b(F)) on all facets.
 
@@ -539,3 +571,36 @@ def polytope_sponge_by_subsets(p):
         for face in realized[k]:
             covers[cid(face)] = sorted(cid(bigger) for bigger in realized[k + 1] if face < bigger)
     return SpongeComplex.from_covers(p.n, cells, covers)
+
+
+def boundary_matrix(s, d):
+    """Boundary operator from d-chains to (d-1)-chains as an IntMatrix, cells sorted by id."""
+    rows = [c.id for c in s.cells_of_dim(d - 1)]
+    cols = [c.id for c in s.cells_of_dim(d)]
+    index = {cid: i for i, cid in enumerate(rows)}
+    entries = [[0] * len(cols) for _ in rows]
+    for j, cid in enumerate(cols):
+        for sub, sign in s.boundary(cid):
+            if sub in index:
+                entries[index[sub]][j] += sign
+    if not rows or not cols:
+        return IntMatrix(len(rows), len(cols), (0,) * (len(rows) * len(cols)))
+    return IntMatrix.from_rows(entries)
+
+
+def homology_by_smith(s):
+    """The package's former homology: one self-checked Smith form per boundary matrix."""
+    top = s.n - 2
+    if s.cell_dim_defects() or s.boundary_squared_defects():
+        raise ValidationError("not a chain complex of cells in dimensions 0..n-2")
+    counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
+    ranks = [0] * (top + 2)
+    torsion = [()] * (top + 1)
+    for d in range(1, top + 1):
+        bd = boundary_matrix(s, d)
+        if bd.rows and bd.cols:
+            dec = smith_normal_form(bd)
+            ranks[d] = dec.rank
+            torsion[d - 1] = dec.torsion()
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+    return HomologyResult(betti=betti, torsion=tuple(torsion))

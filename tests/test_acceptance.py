@@ -346,3 +346,19 @@ def test_criterion_11_cube_6_reduce():
     dt = time.monotonic() - t0
     ok = validate_mu(cd).ok and cocycle_check(cd).ok and dt < 0.6
     _report(11, ok, f"reduce(6-cube, alpha={list(st.alpha)}): {len(cd.sponge.cells)} cells in {dt:.3f}s (bound 0.6s)", t0)
+
+
+def test_criterion_12_cube_6_homology():
+    n = 6
+    facets = tuple(f"{s}{i}" for i in range(n) for s in "mp")
+    verts = tuple(
+        frozenset(f"{s}{i}" for i, s in enumerate(signs)) for signs in product("mp", repeat=n)
+    )
+    cube = SimplePolytope(n, facets, verts)
+    lam = coloring_pullback(cube, {f"{s}{i}": i + 1 for i in range(n) for s in "mp"})
+    s = reduce(cube, lam, find_strict_subtorus(cube, lam)[0]).sponge
+    t0 = time.monotonic()
+    h = homology(s)
+    dt = time.monotonic() - t0
+    ok = len(s.cells) == 716 and h.betti == (1, 0, 0, 0, 11) and dt < 0.5
+    _report(12, ok, f"homology(reduced 6-cube, {len(s.cells)} cells): betti={list(h.betti)} in {dt:.3f}s (bound 0.5s)", t0)

@@ -22,6 +22,7 @@ from complexity_one.io import (
 )
 from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
+from complexity_one.sponge import Cell, SpongeComplex
 from complexity_one.weights import WeightSystem
 
 
@@ -104,6 +105,23 @@ class TestCommands:
         assert code == 1
         assert out.startswith("FAIL error: StarConditionError: vertex ['f1', 'f2', 'f3']: determinant 0;")
         assert "Traceback" not in out + err
+
+    def test_reduce_search_validates_the_star_once(self, workdir, capsys, monkeypatch):
+        from complexity_one import cli, quasitoric
+
+        calls = []
+
+        def counted(p, lam, validate=quasitoric.validate_star):
+            calls.append(p)
+            return validate(p, lam)
+
+        monkeypatch.setattr(cli, "validate_star", counted)
+        monkeypatch.setattr(quasitoric, "validate_star", counted)
+        argv = ["reduce", "--polytope", str(workdir / "delta3.json"), "--lambda", str(workdir / "lam.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert main(argv + ["--alpha", "1,1,-1"]) == 0
+        assert len(calls) == 2
 
     def test_validate_chardata(self, workdir, capsys):
         code = main(["validate-chardata", str(workdir / "g42.json")])
@@ -305,6 +323,25 @@ class TestOversizedDimensions:
         assert code == 1 and err == "" and "Traceback" not in out
         assert elapsed < 1.0 and len(out) < 1000
         assert "complex has dimension" in out
+
+
+    def test_chain_stops_at_each_cells_first_wrong_count(self, tmp_path, capsys):
+        # a chain c_k -> c_(k-1) through every dimension passes cell-dims and
+        # incidence-structure but is no sponge; each cell reports one count
+        n = 1200
+        cells = tuple(Cell(f"c{k}", k) for k in range(n - 1))
+        incidence = {f"c{k}": ((f"c{k - 1}", 1),) for k in range(1, n - 1)}
+        path = tmp_path / "chain.json"
+        path.write_text(canonical_json(sponge_to_dict(SpongeComplex(n, cells, incidence))))
+        start = time.perf_counter()
+        code = main(["validate-sponge", str(path)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "" and "Traceback" not in out
+        assert elapsed < 2.0 and len(out) < 10**6
+        counts = [line for line in out.splitlines() if line.startswith("FAIL upper-counts: ")]
+        assert len(counts) == n - 2
+        assert "FAIL upper-counts: cell c0 (dim 0) lies in 1 cells of dim 1, expected 1200\n" in out
 
 
 class TestRoundTrip:

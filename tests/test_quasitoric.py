@@ -353,14 +353,14 @@ class TestInducedMu:
         # so the ambient intersection vector transforms by g; the outputs
         # must present the same circle through the two complement bases.
         rng = random.Random(21)
-        from complexity_one.lattice import inverse_unimodular
+        from complexity_one.lattice import adjugate
         from conftest import random_unimodular
 
         for _ in range(40):
             g = random_unimodular(rng, 3)
             lam1, lam2 = vec(1, 0, 0), vec(0, 1, 0)
             base = induced_mu(lam1, lam2, self.st)
-            ginv_t = inverse_unimodular(g).transpose()
+            ginv_t = adjugate(g).inverse().transpose()
             st2 = SubtorusChoice(ginv_t @ self.st.alpha)
             moved = induced_mu(g @ lam1, g @ lam2, st2)
             amb_base = self.st.complement.transpose() @ base
@@ -571,6 +571,15 @@ class TestCellManifold:
         m = CellManifold(4, tuple(cells), covers)
         with pytest.raises(ValidationError):
             cell_manifold_data(m, {})
+
+    @pytest.mark.parametrize("cell, cover", [("e12", "zz"), ("zz", "v1")])
+    def test_covers_that_are_not_cells_rejected(self, cell, cover):
+        cells, covers = self._sphere_cells()
+        covers[cell] = covers.get(cell, []) + [cover]
+        m = CellManifold(3, tuple(cells), covers)
+        lam = {"t123": vec(1, 0, 0), "t124": vec(0, 1, 0), "t134": vec(0, 0, 1), "t234": vec(1, 1, 1)}
+        with pytest.raises(InputFormatError, match=f"covers of '{cell}': 'zz' is not a cell id"):
+            cell_manifold_data(m, lam, SubtorusChoice(vec(1, 1, -1)))
 
     def test_top_cells_containing_matches_closure_scan(self):
         cells, covers = self._sphere_cells()

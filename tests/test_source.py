@@ -34,10 +34,10 @@ def _uses(name):
 def test_smith_only_where_invariant_factors_are_the_answer():
     # rank and determinant use Bareiss elimination, square solves and inverses
     # its reduced form, kernels the Hermite form; a Smith form is built only
-    # for invariant factors: homology torsion, stabilizer orders and basis
-    # extension
+    # for invariant factors: the residual of homology's unit-pivot
+    # elimination, stabilizer orders and basis extension
     allowed = {
-        ("sponge", "homology"),
+        ("sponge", "_rank_and_torsion"),
         ("weights", "stabilizer_structure"),
         ("lattice", "is_unimodular_extension"),
     }
@@ -55,7 +55,6 @@ def test_one_adjugate():
     # every square solve and inverse reads lattice.adjugate; nothing builds
     # cofactors from determinants or signed maximal minors by hand
     assert set(_uses("adjugate")) == {
-        ("lattice", "inverse_unimodular"),
         ("weights", "SubtorusChoice"),
         ("weights", "induced_weights"),
         ("quasitoric", "vertex_weights"),
@@ -77,10 +76,9 @@ def test_one_adjugate():
 
 
 def test_hermite_form_only_for_lattices():
-    # the Hermite form answers integer solvability, kernel lattices and
-    # stabilizer spans; solve_exact is kept as the tests' independent oracle
+    # the Hermite form answers kernel lattices and stabilizer spans;
+    # solve_exact lives on only as the tests' independent oracle
     assert set(_uses("hermite_normal_form")) == {
-        ("lattice", "solve_exact"),
         ("lattice", "integer_kernel"),
         ("chardata", "orbit_types"),
     }

@@ -14,11 +14,19 @@ from complexity_one.errors import (
     ValidationError,
 )
 from complexity_one.catalog import k33_sponge, load, names, octahedron_sponge, simplex_polytope
-from complexity_one.lattice import vec
-from complexity_one.quasitoric import CellManifold, SimplePolytope, polytope_sponge
+from complexity_one.lattice import smith_normal_form, vec
+from complexity_one.quasitoric import (
+    CellManifold,
+    SimplePolytope,
+    coloring_pullback,
+    find_strict_subtorus,
+    polytope_sponge,
+    reduce,
+)
 from complexity_one.sponge import (
     Cell,
     SpongeComplex,
+    _rank_and_torsion,
     face_star,
     filtration,
     homology,
@@ -33,10 +41,12 @@ from conftest import random_unimodular
 from oracles import (
     face_star_search,
     graph_betti,
+    homology_by_smith,
     incidence_indices,
     signed_incidence_by_kernel,
     simplicial_betti,
 )
+from test_lattice import _shaped
 from test_quasitoric import torus_three_hexagons
 
 
@@ -635,3 +645,61 @@ class TestIncidenceIndices:
                 s.upper_set(unknown)
             with pytest.raises(InputFormatError):
                 s.facets_containing(unknown)
+
+
+@cache
+def _reduced_cube_sponge(n: int) -> SpongeComplex:
+    """The sponge of the n-cube reduced with its coloring lambda and first strict subtorus."""
+    p = _cube(n)
+    lam = coloring_pullback(p, {f: int(f[:-1]) + 1 for f in p.facets})
+    return reduce(p, lam, find_strict_subtorus(p, lam)[0]).sponge
+
+
+# the catalog, polytope boundaries and other CellManifold skeletons, then more
+HOMOLOGY_CASES = {
+    **ORIENTED_COMPLEXES,
+    **{f"local-model-sponge-{n}": (lambda n=n: local_model_sponge(n)) for n in range(3, 9)},
+    **{f"reduced-cube-{n}": (lambda n=n: _reduced_cube_sponge(n)) for n in range(3, 7)},
+    "hemicube": lambda: SpongeComplex.from_covers(4, *_hemicube()),
+}
+
+
+class TestUnitPivotHomology:
+    @pytest.mark.parametrize("case", sorted(HOMOLOGY_CASES))
+    def test_matches_dense_smith_forms(self, case):
+        s = HOMOLOGY_CASES[case]()
+        assert homology(s) == homology_by_smith(s)
+
+    def test_projective_plane_torsion_comes_through_a_residual(self, monkeypatch):
+        import complexity_one.sponge as sponge
+
+        residuals = []
+
+        def counted(a):
+            residuals.append(a.entries)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(sponge, "smith_normal_form", counted)
+        h = homology(SpongeComplex.from_covers(4, *_hemicube()))
+        assert h.betti == (1, 0, 0)
+        assert h.torsion == ((), (2,), ())
+        # one boundary matrix leaves a residual, and it has no unit entry
+        assert len(residuals) == 1 and not {1, -1} & set(residuals[0])
+
+    def test_catalog_sponges_leave_no_residual(self, monkeypatch):
+        import complexity_one.sponge as sponge
+
+        def refuse(a):
+            raise AssertionError(f"residual of shape {a.rows}x{a.cols}")
+
+        monkeypatch.setattr(sponge, "smith_normal_form", refuse)
+        for name in names():
+            homology(load(name).data.sponge)
+
+    # up to 5 x 5, of small or wide entries, singular and of full rank
+    @given(st.integers(0, 5).flatmap(lambda m: st.integers(0, 5).flatmap(lambda n: _shaped(m, n))))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_torsion_match_smith_form(self, a):
+        columns = [{i: a.entry(i, j) for i in range(a.rows)} for j in range(a.cols)]
+        dec = smith_normal_form(a)
+        assert _rank_and_torsion(columns) == (dec.rank, dec.torsion())
