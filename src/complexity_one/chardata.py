@@ -21,15 +21,15 @@ from typing import Mapping, Sequence
 from .errors import (
     ConsistencyError,
     DegenerateInputError,
+    DimensionMismatchError,
     InputFormatError,
     ValidationError,
 )
 from .lattice import (
     IntVector,
     hermite_normal_form,
+    independent_rows,
     primitive,
-    rank as lattice_rank,
-    signed_maximal_minors,
     stack_rows,
 )
 from .sponge import (
@@ -99,16 +99,13 @@ class CharacteristicData:
             if lacking:
                 bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
                 continue
-            mus = [self.mu[f] for f in through]
+            mus = [self.mu[f].entries for f in through]
             pattern = _vanishing_pattern(mus)
             if pattern is None:
                 bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
                 continue
-            total = mus[0].scale(0)
-            for f, v in zip(through, mus):
-                inc = self.sponge.boundary_signs[f].get(cell.id, 0)
-                total = total + v.scale(inc * self.euler_sign[f])
-            if not total.is_zero():
+            signs = [self.sponge.boundary_signs[f].get(cell.id, 0) * self.euler_sign[f] for f in through]
+            if any(sum(s * x for s, x in zip(signs, column)) for column in zip(*mus)):
                 bad.append(
                     f"face {cell.id}: stored signs do not match the vanishing pattern "
                     f"(facets {', '.join(through)})"
@@ -162,23 +159,23 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
     if domain_bad:
         return ValidationReport(tuple(entries))
 
+    # mu-domain made every value primitive and nonzero, so two values are
+    # parallel iff they are equal up to sign: iff the larger of +-mu agree
+    signless = {f: max(v.entries, (-v).entries) for f, v in cd.mu.items()}
     rank_bad = []
     for cell in sorted(cd.sponge.cells, key=lambda c: c.id):
         through = cd.sponge.facets_containing(cell.id)
-        vs = [cd.mu[f] for f in through]
         want = cd.n - 1 - cell.dim
-        got = lattice_rank(stack_rows(vs, cols=cd.n - 1)) if vs else 0
+        got = len(independent_rows([cd.mu[f].entries for f in through], cd.n - 1))
         if got != want:
             rank_bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {want}")
-        # mu-domain made every value primitive, so parallel means equal up to sign
-        es = [v.entries for v in vs]
-        negs = [tuple(-x for x in e) for e in es]
-        for a in range(len(through)):
-            for b in range(a + 1, len(through)):
-                if es[a] == es[b] or es[a] == negs[b]:
-                    rank_bad.append(
-                        f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
-                    )
+        if len({signless[f] for f in through}) < len(through):
+            for a in range(len(through)):
+                for b in range(a + 1, len(through)):
+                    if signless[through[a]] == signless[through[b]]:
+                        rank_bad.append(
+                            f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
+                        )
     entries += CheckResult.from_violations("mu-rank", rank_bad)
     return ValidationReport(tuple(entries))
 
@@ -199,12 +196,15 @@ def compatibility_check(cd: CharacteristicData) -> bool:
     return True
 
 
-def _vanishing_pattern(vectors: Sequence[IntVector]) -> tuple[int, ...] | None:
+def _vanishing_pattern(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """The sign pattern (e0=+1, e1, e2) with e0*v0 + e1*v1 + e2*v2 = 0, if any."""
     v0, v1, v2 = vectors
+    for v in (v1, v2):
+        if len(v) != len(v0):
+            raise DimensionMismatchError(f"vector dims {len(v0)} != {len(v)}")
     for e1 in (1, -1):
         for e2 in (1, -1):
-            if (v0 + v1.scale(e1) + v2.scale(e2)).is_zero():
+            if not any(x + e1 * y + e2 * z for x, y, z in zip(v0, v1, v2)):
                 return (1, e1, e2)
     return None
 
@@ -270,17 +270,22 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
 
     The direction is the primitive generator of the rank-one lattice of
     cocharacters vanishing on all other weights (and so, by the Cramer
-    relation, on c_i alpha_i + c_j alpha_j): the signed maximal minors of
-    those n-2 weights.  It is oriented so its pairing vector against the
-    weights is a positive multiple of c_j e_i - c_i e_j.  The returned sign
-    is hopf_type(ws, i, j), which also guards the indices and strictness.
+    relation, on c_i alpha_i + c_j alpha_j).  It is read off the weight
+    system's one adjugate of its first n-1 weights, whose column a_i pairs
+    to zero with each of those weights but weight i (a_(n-1) is zero): the
+    line c_j a_i - c_i a_j pairs to zero with the first n-1 weights but i
+    and j, and by the Cramer relation with the last one too.  It is
+    oriented so its pairing vector against the weights is a positive
+    multiple of c_j e_i - c_i e_j.  The returned sign is hopf_type(ws, i, j),
+    which also guards the indices and strictness.
     """
     sign = hopf_type(ws, i, j)
     c = cramer_coefficients(ws).c
-    others = stack_rows([ws.weights[m] for m in range(ws.n) if m not in (i, j)], cols=ws.n - 1)
-    lam = signed_maximal_minors(others)
+    a = ws.adjugate_columns
+    lam = IntVector(tuple(c[j] * x - c[i] * y for x, y in zip(a[i], a[j])))
     if lam.is_zero():
-        line_rank = ws.n - 1 - lattice_rank(others)
+        others = [ws.weights[m].entries for m in range(ws.n) if m not in (i, j)]
+        line_rank = ws.n - 1 - len(independent_rows(others, ws.n - 1))
         raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
     lam = primitive(lam, pin_sign=False)
     # orient so that the pairing with weight i has the sign of c_j
@@ -309,7 +314,7 @@ def solve_euler_signs(
         through = sponge.facets_containing(cell.id)
         if len(through) != 3:
             raise ConsistencyError(f"face {cell.id} lies in {len(through)} facets, expected 3")
-        mus = [mu[f] for f in through]
+        mus = [mu[f].entries for f in through]
         inc = [sponge.boundary_signs[f][cell.id] for f in through]
         pattern = _vanishing_pattern(mus)
         if pattern is None:

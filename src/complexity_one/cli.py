@@ -100,7 +100,7 @@ def _cmd_reduce(args) -> Iterator[CheckResult]:
         st = SubtorusChoice(_parse_alpha(args.alpha, p.n))
     else:
         star = validate_star(p, lam)
-        _require_star(star)  # values of rank < n fail it, and their search walks the whole box
+        _require_star(star)
         found = find_strict_subtorus(p, lam, args.alpha_bound)
         if not found:
             yield CheckResult.of(

@@ -20,6 +20,7 @@ from .errors import (
     ColoringError,
     ConsistencyError,
     DegenerateInputError,
+    DimensionMismatchError,
     InputFormatError,
     PreconditionError,
     StarConditionError,
@@ -198,13 +199,23 @@ def find_strict_subtorus(
     """All primitive alpha with entries within the bound pairing to +-1 with every facet.
 
     Vectors are canonicalized (first nonzero entry positive), so the list is
-    deterministic; an empty result is a valid outcome.
+    deterministic; an empty result is a valid outcome.  A value of the wrong
+    dimension raises DimensionMismatchError.  Values of rank < n fail the
+    star condition at every vertex and raise its StarConditionError, as
+    reduce does.
     """
     if any(f not in lam.values for f in p.facets):
         raise InputFormatError("lambda must cover every facet")
     lams = [lam[f] for f in sorted(p.facets)]
+    for l in lams:
+        if l.dim != p.n:
+            raise DimensionMismatchError(f"vector dims {p.n} != {l.dim}")
     prefer = [lam[f] for v in p._vertex_list[:1] for f in sorted(v)]
-    return list(_strict_subtori(lams, p.n, search_bound, prefer))
+    try:
+        return list(_strict_subtori(lams, p.n, search_bound, prefer))
+    except StarConditionError:
+        _require_star(validate_star(p, lam))  # names the vertices where it fails
+        raise
 
 
 def _strict_subtori(
@@ -216,17 +227,14 @@ def _strict_subtori(
     ones found in prefer + lams (prefer holds some of the lams; callers pass a
     vertex, where det L = +-1):
     alpha = adj(L) eps / det L, so the 2^(n-1) sign vectors with eps_1 = +1
-    give every candidate up to sign.  Values that are not n-dimensional of
-    rank n take the search of the box [-search_bound, search_bound]^n.
+    give every candidate up to sign.  Values of rank < n fix no alpha, and
+    no vertex of theirs is a basis: they raise StarConditionError.
     """
     rows = [l.entries for l in lams]
     candidates = [l.entries for l in prefer] + rows
-    basis = []
-    if all(len(r) == n for r in candidates):
-        basis = [candidates[i] for i in independent_rows(candidates, n)]
-    if n < 1 or len(basis) < n:
-        yield from _strict_subtori_in_box(lams, n, search_bound)
-        return
+    basis = [candidates[i] for i in independent_rows(candidates, n)]
+    if len(basis) < n:
+        raise StarConditionError(f"lambda values have rank {len(basis)}, expected {n}")
     adj = adjugate(IntMatrix.from_rows(basis))
     found = []
     for signs in product((1, -1), repeat=n - 1):
@@ -241,20 +249,6 @@ def _strict_subtori(
             found.append(alpha.entries)
     for alpha in sorted(found):
         yield SubtorusChoice(IntVector(alpha))
-
-
-def _strict_subtori_in_box(
-    lams: Sequence[IntVector], n: int, search_bound: int
-) -> Iterator[SubtorusChoice]:
-    for cand in product(range(-search_bound, search_bound + 1), repeat=n):
-        v = IntVector(cand)
-        if v.is_zero() or v.content() != 1:
-            continue
-        lead = next(x for x in cand if x != 0)
-        if lead < 0:
-            continue  # +-v are the same subtorus; keep the canonical sign
-        if all(abs(v.dot(l)) == 1 for l in lams):
-            yield SubtorusChoice(v)
 
 
 def induced_mu(lam1: IntVector, lam2: IntVector, st: SubtorusChoice) -> IntVector:

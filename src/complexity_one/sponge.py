@@ -146,14 +146,20 @@ class SpongeComplex:
     @cached_property
     def _upper_sets(self) -> dict[str, frozenset[str]]:
         # a search per cell, not a recursion over cofaces: a malformed
-        # incidence may be cyclic or name ids that are not cells
-        out = {}
-        for c in self.cells:
+        # incidence may be cyclic or name ids that are not cells.  Top
+        # dimension first, the search takes in the known upper set of a
+        # coface whole, as nothing above that coface lies outside it.
+        out: dict[str, frozenset[str]] = {}
+        for c in sorted(self.cells, key=lambda c: -c.dim):
             seen = {c.id}
             frontier = [c.id]
             while frontier:
                 for up in self.cofaces.get(frontier.pop(), ()):
-                    if up not in seen:
+                    if up in seen:
+                        continue
+                    if up in out:
+                        seen |= out[up]
+                    else:
                         seen.add(up)
                         frontier.append(up)
             out[c.id] = frozenset(seen)
@@ -165,9 +171,21 @@ class SpongeComplex:
             raise InputFormatError(f"unknown cell id {cell_id!r}")
         return self._upper_sets[cell_id]
 
-    def facets_containing(self, cell_id: str) -> tuple[str, ...]:
+    @cached_property
+    def _facets_by_cell(self) -> dict[str, tuple[str, ...]]:
+        # a cell whose upper set holds an id that is not a cell gets no entry,
+        # so facets_containing raises KeyError there
         top = self.n - 2
-        return tuple(sorted(i for i in self.upper_set(cell_id) if self.by_id[i].dim == top))
+        return {
+            cid: tuple(sorted(x for x in up if self.by_id[x].dim == top))
+            for cid, up in self._upper_sets.items()
+            if self.by_id.keys() >= up
+        }
+
+    def facets_containing(self, cell_id: str) -> tuple[str, ...]:
+        """The facets (cells of dim n-2) in the upper set of the cell, sorted by id."""
+        self.upper_set(cell_id)  # unknown ids raise InputFormatError
+        return self._facets_by_cell[cell_id]
 
     @cached_property
     def validation_report(self) -> ValidationReport:
@@ -517,14 +535,14 @@ def weighted_cycle_check(s: SpongeComplex, coeffs: Mapping[str, IntVector]) -> b
     dims = {v.dim for v in coeffs.values()}
     if dims and dims != {s.n - 1}:
         raise DimensionMismatchError(f"coefficients must have dim {s.n - 1}")
-    acc: dict[str, IntVector] = {}
+    acc: dict[str, list[int]] = {}
     for fid in s.facet_ids:
-        vecf = coeffs[fid]
+        entries = coeffs[fid].entries
         for sub, sign in s.boundary(fid):
-            cur = acc.get(sub)
-            term = vecf.scale(sign)
-            acc[sub] = term if cur is None else cur + term
-    return all(v.is_zero() for v in acc.values())
+            cur = acc.setdefault(sub, [0] * len(entries))
+            for t, x in enumerate(entries):
+                cur[t] += sign * x
+    return not any(any(v) for v in acc.values())
 
 
 @dataclass(frozen=True)
@@ -548,6 +566,10 @@ def face_star(s: SpongeComplex, cell_id: str) -> FaceStar:
     0..n-2-k, no two cells have the same atoms, and every cell has r atoms
     and r covers one rank down; given the rest, those r covers are exactly
     the cells one rank down whose atoms it contains.
+
+    In a valid sponge the stars at the 0-cells decide every other star; the
+    lemma is in catalog.verify, which checks only those stars when
+    validate_sponge passes.
     """
     if cell_id not in s.by_id:
         raise InputFormatError(f"unknown cell id {cell_id!r}")

@@ -5,9 +5,10 @@ determines the Cramer coefficients; their normalized values decide general
 position, strictness (all unit coefficients) and the finite parts of
 coordinate stabilizers.  Signs of the stored weights are part of the data
 (an omniorientation); every predicate that is sign-independent is tested to
-be so.  A weight system computes its Cramer coefficients once; a subtorus
-choice computes its kernel frame once, and induced weight systems are read
-through that frame.
+be so.  A weight system computes its Cramer coefficients once, and once the
+one adjugate its stabilizer lines are read from; a subtorus choice computes
+its kernel frame once, and induced weight systems are read through that
+frame.
 """
 
 from __future__ import annotations
@@ -75,6 +76,18 @@ class WeightSystem:
             raise ConsistencyError(f"Cramer identity violated: residual {list(total)}")
         g = math.gcd(*c_tilde) or 1  # all minors vanish: c is c_tilde itself
         return CramerCoefficients(tuple(c_tilde), g, tuple(x // g for x in c_tilde))
+
+    @cached_property
+    def adjugate_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns a_0..a_(n-2) of the adjugate of the first n-1 weights, then a_(n-1) = 0.
+
+        Weight m < n-1 pairs with a_i to the determinant of those weights when
+        m = i and to 0 otherwise; every column is zero when that determinant is.
+        """
+        k = self.n - 1
+        adj = adjugate(stack_rows(list(self.weights[:k]))).adj
+        entries = adj.entries if adj is not None else (0,) * (k * k)
+        return tuple(entries[i::k] for i in range(k)) + ((0,) * k,)
 
 
 @dataclass(frozen=True)

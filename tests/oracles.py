@@ -27,6 +27,9 @@ signed_incidence with the package.  homology_by_smith, the former homology
 with one dense Smith form per boundary matrix, is the reference for the
 unit-pivot elimination.  solve_exact, the package's former Hermite-form
 solver, stays as the oracle of square solves and of the row-wise transform.
+vanishing_pattern_by_vectors and cocycle_report_by_vectors, the former
+three-term relation on IntVector sums, are the references for the one on
+the tuples of mu.
 """
 
 from collections import Counter
@@ -604,3 +607,44 @@ def homology_by_smith(s):
             torsion[d - 1] = dec.torsion()
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     return HomologyResult(betti=betti, torsion=tuple(torsion))
+
+
+def vanishing_pattern_by_vectors(vectors):
+    """The sign pattern (1, e1, e2) with v0 + e1 v1 + e2 v2 = 0 by IntVector sums, if any."""
+    v0, v1, v2 = vectors
+    for e1 in (1, -1):
+        for e2 in (1, -1):
+            if (v0 + v1.scale(e1) + v2.scale(e2)).is_zero():
+                return (1, e1, e2)
+    return None
+
+
+def cocycle_report_by_vectors(cd):
+    """cocycle_check with the vanishing pattern and the signed sum on IntVectors."""
+    codim1 = cd.sponge.cells_of_dim(cd.n - 3) if cd.n >= 3 else ()
+    if not codim1:
+        return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
+    bad = []
+    for cell in codim1:
+        through = cd.sponge.facets_containing(cell.id)
+        if len(through) != 3:
+            bad.append(f"face {cell.id} lies in {len(through)} facets, expected 3")
+            continue
+        lacking = [f for f in through if f not in cd.mu or f not in cd.euler_sign]
+        if lacking:
+            bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
+            continue
+        mus = [cd.mu[f] for f in through]
+        if vanishing_pattern_by_vectors(mus) is None:
+            bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
+            continue
+        total = mus[0].scale(0)
+        for f, v in zip(through, mus):
+            inc = cd.sponge.boundary_signs[f].get(cell.id, 0)
+            total = total + v.scale(inc * cd.euler_sign[f])
+        if not total.is_zero():
+            bad.append(
+                f"face {cell.id}: stored signs do not match the vanishing pattern "
+                f"(facets {', '.join(through)})"
+            )
+    return ValidationReport(CheckResult.from_violations("cocycle", bad))

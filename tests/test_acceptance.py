@@ -9,7 +9,7 @@ import time
 from itertools import product
 from math import lcm
 
-from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope
+from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope, verify
 from complexity_one.chardata import (
     assemble_euler_cycle,
     cocycle_check,
@@ -362,3 +362,12 @@ def test_criterion_12_cube_6_homology():
     dt = time.monotonic() - t0
     ok = len(s.cells) == 716 and h.betti == (1, 0, 0, 0, 11) and dt < 0.5
     _report(12, ok, f"homology(reduced 6-cube, {len(s.cells)} cells): betti={list(h.betti)} in {dt:.3f}s (bound 0.5s)", t0)
+
+
+def test_criterion_13_local_model_10_verify():
+    entry = load("local-model-10")
+    t0 = time.monotonic()
+    report = verify(entry)
+    dt = time.monotonic() - t0
+    ok = report.ok and dt < 0.4
+    _report(13, ok, f"catalog.verify(local-model-10) ok={report.ok} in {dt:.3f}s (bound 0.4s)", t0)

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from complexity_one.catalog import load
 from complexity_one.chardata import (
     Ambient,
     CharacteristicData,
+    _vanishing_pattern,
     assemble_euler_cycle,
     cocycle_check,
     compatibility_check,
@@ -15,6 +19,7 @@ from complexity_one.chardata import (
     validate_mu,
 )
 from complexity_one.errors import (
+    ComplexityOneError,
     PreconditionError,
     ValidationError,
 )
@@ -28,7 +33,7 @@ from complexity_one.weights import (
     is_strictly_appropriate,
 )
 from conftest import random_unimodular, transformed
-from oracles import local_euler_by_kernel
+from oracles import cocycle_report_by_vectors, local_euler_by_kernel, vanishing_pattern_by_vectors
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 
@@ -284,3 +289,61 @@ class TestSolver:
         mu = {"c1": vec(1, 0), "c2": vec(0, 1), "c3": vec(1, 2)}
         with pytest.raises(ConsistencyError):
             solve_euler_signs(s, mu, seeds={})
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except ComplexityOneError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_small_vectors = st.integers(0, 3).flatmap(lambda k: st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+
+
+@st.composite
+def _triples(draw):
+    """Three vectors, the last often a +-1 combination of the first two; dimensions may differ."""
+    v0, v1 = draw(_small_vectors), draw(_small_vectors)
+    if draw(st.booleans()) and len(v0) == len(v1):
+        e0, e1 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        v2 = [e0 * x + e1 * y for x, y in zip(v0, v1)]
+    else:
+        v2 = draw(_small_vectors)
+    return tuple(map(tuple, (v0, v1, v2)))
+
+
+class TestThreeTermRelationOnTuples:
+    @settings(max_examples=300, deadline=None)
+    @given(_triples())
+    def test_vanishing_pattern_matches_vector_sums(self, triple):
+        want = _outcome(vanishing_pattern_by_vectors, [IntVector(v) for v in triple])
+        assert _outcome(_vanishing_pattern, triple) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["g42", "f3", "cp3-reduction", "local-model-4", "local-model-5"]),
+        data=st.data(),
+    )
+    def test_cocycle_report_matches_vector_sums(self, name, data):
+        # the catalog datum with some Euler signs flipped or unset and some mu
+        # values replaced by short, long or random vectors or removed
+        cd = load(name).data
+        mu, signs = dict(cd.mu), dict(cd.euler_sign)
+        for f in data.draw(st.lists(st.sampled_from(sorted(mu)), max_size=4, unique=True)):
+            change = data.draw(st.sampled_from(("flip", "sign", "random", "dim", "drop")))
+            if change == "flip":
+                signs[f] = -signs[f]
+            elif change == "sign":
+                signs[f] = data.draw(st.sampled_from((0, 2)))
+            elif change == "random":
+                entries = data.draw(st.lists(st.integers(-2, 2), min_size=cd.n - 1, max_size=cd.n - 1))
+                mu[f] = IntVector(tuple(entries))
+            elif change == "dim":
+                mu[f] = IntVector(tuple(data.draw(_small_vectors)))
+            else:
+                mu.pop(f)
+        changed = CharacteristicData(cd.n, cd.sponge, mu, signs)
+        want = _outcome(cocycle_report_by_vectors, changed)
+        assert _outcome(lambda: changed.cocycle_report) == want

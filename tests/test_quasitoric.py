@@ -266,6 +266,8 @@ class TestFindStrictSubtorus:
 
     @pytest.mark.parametrize("bound", range(4))
     def test_rank_deficient_values_search_the_box(self, cube3, bound):
+        # values of rank < n fail the star condition at every vertex, so at any
+        # bound find_strict_subtorus raises its error, as reduce does
         sq = SimplePolytope(
             2,
             ("a", "b", "c", "d"),
@@ -273,24 +275,27 @@ class TestFindStrictSubtorus:
         )
         planar = {"xm": vec(1, 0, 0), "xp": vec(1, 0, 0), "ym": vec(0, 1, 0), "yp": vec(0, 1, 0),
                   "zm": vec(1, 1, 0), "zp": vec(1, -1, 0)}
-        found = []
         for p, values in ((sq, {f: vec(1, 0) for f in "abcd"}), (cube3, planar)):
-            got = find_strict_subtorus(p, CharacteristicFunction(values), bound)
-            want = strict_subtori_by_box([values[f] for f in sorted(p.facets)], p.n, bound)
-            assert [s.alpha.entries for s in got] == want
-            found.append(len(got))
-        # on the square every (1, y) within the bound is strict
-        assert found[0] == (2 * bound + 1 if bound else 0)
+            lam = CharacteristicFunction(values)
+            with pytest.raises(StarConditionError) as found:
+                find_strict_subtorus(p, lam, bound)
+            with pytest.raises(StarConditionError) as reduced:
+                reduce(p, lam, SubtorusChoice(vec(*([1] * p.n))))
+            assert str(found.value) == str(reduced.value)
+            assert str(found.value).startswith("vertex [")
+            assert "determinant 0" in str(found.value)
 
     def test_value_of_wrong_dimension_searches_the_box(self):
+        # raised before any search, at any bound
         sq = SimplePolytope(
             2,
             ("a", "b", "c", "d"),
             tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
         )
         lam = CharacteristicFunction({"a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 0), "d": vec(0, 1, 0)})
-        with pytest.raises(DimensionMismatchError):
-            find_strict_subtorus(sq, lam, 1)
+        for bound in (0, 1):
+            with pytest.raises(DimensionMismatchError, match=r"^vector dims 2 != 3$"):
+                find_strict_subtorus(sq, lam, bound)
 
     def test_huge_bound_finds_the_same_alpha_fast(self, tmp_path, capsys):
         p, values = _cube(4)
@@ -436,9 +441,12 @@ class TestReduce:
 
 
     def test_reduce_computes_local_data_once(self, monkeypatch):
-        # each vertex chart takes its Cramer minors once and one adjugate, and
-        # every chart reads the one subtorus frame and its one adjugate
-        from complexity_one import lattice, weights
+        # every elimination of the reduce is counted: per vertex one
+        # determinant for the star condition, one for the Cramer minors, one
+        # adjugate for the induced weights and one for all of the chart's
+        # stabilizer lines; then the subtorus frame's adjugate and the two
+        # Hermite self-checks of its one kernel
+        from complexity_one import lattice
 
         facets = tuple(f"{ax}{s}" for ax in "wxyz" for s in "mp")
         verts = tuple(
@@ -458,18 +466,16 @@ class TestReduce:
 
             return wrapper
 
-        monkeypatch.setattr(weights, "adjugate", counted(lattice.adjugate))
-        monkeypatch.setattr(weights, "signed_maximal_minors", counted(lattice.signed_maximal_minors))
+        monkeypatch.setattr(lattice, "_bareiss", counted(lattice._bareiss))
         original = lattice.kernel_complement
         for mod in list(sys.modules.values()):
             in_package = getattr(mod, "__name__", "").partition(".")[0] == "complexity_one"
             if in_package and getattr(mod, "kernel_complement", None) is original:
                 monkeypatch.setattr(mod, "kernel_complement", counted(original))
         cd = reduce(cube4, lam, SubtorusChoice(vec(1, 1, 1, -1)))
-        assert validate_mu(cd).ok
-        assert calls["signed_maximal_minors"] <= len(verts)
-        assert calls["adjugate"] <= len(verts) + 1
+        assert calls["_bareiss"] <= 4 * len(verts) + 3
         assert calls["kernel_complement"] == 1
+        assert validate_mu(cd).ok
 
 
 class TestColoring:

@@ -53,18 +53,17 @@ def test_normal_forms_verify_their_results():
 
 def test_one_adjugate():
     # every square solve and inverse reads lattice.adjugate; nothing builds
-    # cofactors from determinants or signed maximal minors by hand
+    # cofactors from determinants or signed maximal minors by hand, and a
+    # chart's stabilizer lines come from its weight system's one adjugate
     assert set(_uses("adjugate")) == {
+        ("weights", "WeightSystem"),
         ("weights", "SubtorusChoice"),
         ("weights", "induced_weights"),
         ("quasitoric", "vertex_weights"),
         ("quasitoric", "_strict_subtori"),
         ("classify", "_SpanFactor"),
     }
-    assert set(_uses("signed_maximal_minors")) == {
-        ("weights", "WeightSystem"),
-        ("chardata", "local_euler_from_weights"),
-    }
+    assert set(_uses("signed_maximal_minors")) == {("weights", "WeightSystem")}
     # a determinant is loaded only where it is the answer itself
     assert set(_uses("determinant")) == {
         ("lattice", "_check_smith"),
@@ -142,3 +141,23 @@ def test_one_reduction_pipeline():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("g:")
     ]
     assert len(face_ids) == 1, face_ids
+
+
+def test_validators_read_plain_rows():
+    # the mu-rank check and the three-term relation read the tuples of mu;
+    # a matrix per cell or a scaled vector per sign combination is waste
+    names = {"validate_mu", "cocycle_report", "_vanishing_pattern", "solve_euler_signs"}
+    tree = ast.parse((Path(complexity_one.__file__).parent / "chardata.py").read_text())
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+    assert {node.name for node in found} == names
+    banned = {"stack_rows", "from_rows", "scale", "IntMatrix"}
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for top in found
+        for node in ast.walk(top)
+    }
+    assert not used & banned, sorted(used & banned)

@@ -4,7 +4,7 @@ from functools import cache
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from complexity_one.errors import (
@@ -13,7 +13,16 @@ from complexity_one.errors import (
     InputFormatError,
     ValidationError,
 )
-from complexity_one.catalog import k33_sponge, load, names, octahedron_sponge, simplex_polytope
+from complexity_one.catalog import (
+    CatalogEntry,
+    k33_sponge,
+    load,
+    names,
+    octahedron_sponge,
+    simplex_polytope,
+    verify,
+)
+from complexity_one.chardata import CharacteristicData
 from complexity_one.lattice import smith_normal_form, vec
 from complexity_one.quasitoric import (
     CellManifold,
@@ -25,6 +34,7 @@ from complexity_one.quasitoric import (
 )
 from complexity_one.sponge import (
     Cell,
+    CheckResult,
     SpongeComplex,
     _rank_and_torsion,
     face_star,
@@ -703,3 +713,110 @@ class TestUnitPivotHomology:
         columns = [{i: a.entry(i, j) for i in range(a.rows)} for j in range(a.cols)]
         dec = smith_normal_form(a)
         assert _rank_and_torsion(columns) == (dec.rank, dec.torsion())
+
+
+# valid sponges: local models, reduced cubes, and the catalog and CellManifold
+# skeletons among the oriented complexes
+STAR_CASES = {
+    **{f"local-model-sponge-{n}": (lambda n=n: local_model_sponge(n)) for n in range(2, 9)},
+    **{f"reduced-cube-{n}": (lambda n=n: _reduced_cube_sponge(n)) for n in range(3, 6)},
+    **ORIENTED_COMPLEXES,
+}
+
+
+def _face_stars_entry(s: SpongeComplex) -> CheckResult:
+    """catalog.verify's face-stars entry for s, with a unit mu and sign +1 on every facet."""
+    mu = {f: (1,) + (0,) * (s.n - 2) for f in s.facet_ids}
+    cd = CharacteristicData(s.n, s, mu, {f: 1 for f in s.facet_ids})
+    report = verify(CatalogEntry("s", "", cd))
+    return next(e for e in report.entries if e.check == "face-stars")
+
+
+def _stars_local(s: SpongeComplex, cells) -> bool:
+    return all(face_star(s, c.id).is_local for c in cells)
+
+
+def _assert_facet_index_filters_upper_sets(s: SpongeComplex) -> None:
+    for c in s.cells:
+        up = s.upper_set(c.id)
+        if all(x in s.by_id for x in up):
+            want = tuple(sorted(x for x in up if s.by_id[x].dim == s.n - 2))
+            assert s.facets_containing(c.id) == want
+        else:
+            with pytest.raises(KeyError):
+                s.facets_containing(c.id)
+
+
+@st.composite
+def mutated_sponges(draw):
+    """A valid sponge with one boundary entry dropped, one repointed to another cell of
+    its dimension, one cell deleted, or one cell without a boundary added."""
+    s = STAR_CASES[draw(st.sampled_from(MUTATION_BASES + ["reduced-cube-3", "local-model-sponge-3"]))]()
+    cells, incidence = list(s.cells), {k: list(v) for k, v in s.incidence.items()}
+    kind = draw(st.sampled_from(("drop", "repoint", "delete", "orphan")))
+    if kind == "orphan":
+        # its star fails unless it is a facet, while every 0-cell's star is unchanged
+        cells.append(Cell("orphan", draw(st.integers(1, s.n - 2))))
+    elif kind == "delete":
+        gone = draw(st.sampled_from(cells))
+        cells.remove(gone)
+        incidence.pop(gone.id, None)
+    else:
+        key = draw(st.sampled_from(sorted(incidence)))
+        t = draw(st.integers(0, len(incidence[key]) - 1))
+        if kind == "drop":
+            incidence[key].pop(t)
+        else:
+            sub, sign = incidence[key][t]
+            listed = {x for x, _ in incidence[key]}
+            others = [c.id for c in s.cells_of_dim(s.by_id[sub].dim) if c.id not in listed]
+            assume(others)
+            incidence[key][t] = (draw(st.sampled_from(others)), sign)
+    return SpongeComplex(s.n, tuple(cells), incidence)
+
+
+class TestStarsAtFixedPoints:
+    """catalog.verify reads the face stars of a valid sponge at its 0-cells only."""
+
+    @pytest.mark.parametrize("case", sorted(STAR_CASES))
+    def test_valid_sponges_decide_stars_at_the_fixed_points(self, case):
+        s = STAR_CASES[case]()
+        assert validate_sponge(s).ok
+        everywhere = _stars_local(s, s.cells)
+        assert _stars_local(s, s.cells_of_dim(0)) == everywhere
+        assert _face_stars_entry(s) == CheckResult.of("face-stars", everywhere)
+        _assert_facet_index_filters_upper_sets(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(s=mutated_sponges())
+    def test_mutated_sponges(self, s):
+        everywhere = _stars_local(s, s.cells)
+        if validate_sponge(s).ok:
+            assert _stars_local(s, s.cells_of_dim(0)) == everywhere
+        # an invalid sponge is scanned at every cell
+        assert _face_stars_entry(s) == CheckResult.of("face-stars", everywhere)
+        _assert_facet_index_filters_upper_sets(s)
+        _assert_indices_match_oracle(s)
+
+    def test_invalid_sponge_is_scanned_at_every_cell(self):
+        # a 1-cell without a boundary leaves every 0-cell's star local
+        s = load("g42").data.sponge
+        s = SpongeComplex(s.n, s.cells + (Cell("orphan", 1),), s.incidence)
+        assert not validate_sponge(s).ok
+        assert _stars_local(s, s.cells_of_dim(0))
+        assert _face_stars_entry(s) == CheckResult("face-stars", "fail")
+
+    def test_face_star_runs_once_per_fixed_point(self, monkeypatch):
+        import complexity_one.catalog as catalog
+
+        bases = []
+
+        def counted(s, cell_id):
+            bases.append(cell_id)
+            return face_star(s, cell_id)
+
+        monkeypatch.setattr(catalog, "face_star", counted)
+        for name, fixed in (("g42", 6), ("f3", 6), ("local-model-7", 1)):
+            bases.clear()
+            assert verify(load(name)).ok
+            assert len(bases) == fixed, name
