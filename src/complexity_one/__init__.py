@@ -53,7 +53,6 @@ from .quasitoric import (
     polytope_sponge,
     reduce,
     validate_star,
-    vertex_weights,
 )
 from .sponge import (
     Cell,

@@ -33,8 +33,11 @@ def _decode_int(x, where: str) -> int:
         return x
     if isinstance(x, str):
         stripped = x[1:] if x.startswith("-") else x
-        if stripped.isdigit():
-            return int(x)
+        if stripped.isascii() and stripped.isdigit():
+            try:
+                return int(x)
+            except ValueError:  # more digits than the interpreter converts
+                pass
     raise InputFormatError(f"{where}: expected integer, got {x!r}")
 
 
@@ -49,6 +52,10 @@ def loads(text: str) -> Any:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except InputFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+        raise InputFormatError(f"malformed JSON: {exc}") from exc
 
 
 def read_json(path: str) -> Any:

@@ -1,13 +1,13 @@
 """Exact integer linear algebra over Python's arbitrary-precision integers.
 
 Each job uses the simplest elimination that answers it.  Forward Bareiss
-fraction-free elimination gives determinant, rank and the first independent
-rows; its reduced (Gauss-Jordan) form gives signed maximal minors (the kernel
-line of a k x (k+1) matrix) and the adjugate behind every square solve and
-inverse.  The Hermite form serves integer_kernel, and the Smith form only
-where invariant factors are the answer (the residual of homology's unit-pivot
-elimination, stabilizer orders, is_unimodular_extension).  Values are
-immutable and every operation is pure, so concurrent use is safe.
+fraction-free elimination gives the determinant and the first independent
+rows, so ranks; its reduced (Gauss-Jordan) form gives signed maximal minors
+(the kernel line of a k x (k+1) matrix) and the adjugate behind every square
+solve and inverse.  The Hermite form serves integer_kernel, and the Smith
+form only where invariant factors are the answer (the residual of homology's
+unit-pivot elimination, is_unimodular_extension).  Values are immutable and
+every operation is pure, so concurrent use is safe.
 
 Conventions:
   * Smith form: U @ A @ V = D with U, V unimodular, D diagonal with
@@ -529,11 +529,6 @@ def _check_hermite(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
         p = h.entry(i, c)
         if p <= 0 or any(not 0 <= h.entry(k, c) < p for k in range(i)):
             raise ConsistencyError("Hermite check: pivot not positive or entry above it not reduced")
-
-
-def rank(a: IntMatrix) -> int:
-    """Rank over Q, the number of Bareiss pivots."""
-    return len(_bareiss(a.row_list(), a.cols)[1])
 
 
 def integer_kernel(a: IntMatrix) -> list[IntVector]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .chardata import Ambient, CharacteristicData, Chart, data_from_charts
 from .errors import (
@@ -72,21 +72,23 @@ class SimplePolytope:
         if used != fs:
             raise ValidationError(f"facets without vertices: {sorted(fs - used)}")
         # every edge (an (n-1)-subset of a vertex) joins exactly two vertices
+        ends: dict[tuple[str, ...], list[frozenset[str]]] = {}
         for v in self.vertices:
             for edge in combinations(sorted(v), self.n - 1):
-                count = sum(1 for w in self.vertices if set(edge) <= w)
-                if count != 2:
-                    raise ValidationError(f"edge {list(edge)} lies in {count} vertices, expected 2")
+                ends.setdefault(edge, []).append(v)
+        for edge, at in ends.items():  # in order of first sight, as the vertices list them
+            if len(at) != 2:
+                raise ValidationError(f"edge {list(edge)} lies in {len(at)} vertices, expected 2")
         # vertex graph connectivity
         if self.vertices:
             seen = {self.vertices[0]}
             frontier = [self.vertices[0]]
             while frontier:
-                cur = frontier.pop()
-                for w in self.vertices:
-                    if w not in seen and len(cur & w) == self.n - 1:
-                        seen.add(w)
-                        frontier.append(w)
+                for edge in combinations(sorted(frontier.pop()), self.n - 1):
+                    for w in ends[edge]:
+                        if w not in seen:
+                            seen.add(w)
+                            frontier.append(w)
             if len(seen) != len(self.vertices):
                 raise ValidationError("vertex graph is disconnected")
 
@@ -101,9 +103,6 @@ class SimplePolytope:
             for sub in combinations(sorted(v), k):
                 found.add(frozenset(sub))
         return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
-
-    def adjacent_facets(self, f: str, g: str) -> bool:
-        return any({f, g} <= v for v in self.vertices)
 
     @cached_property
     def boundary(self) -> CellManifold:
@@ -155,42 +154,40 @@ def validate_star(p: SimplePolytope, lam: CharacteristicFunction) -> ValidationR
     if bad_dim:
         return ValidationReport(tuple(entries))
 
-    dets = {v: determinant(stack_rows([lam[f] for f in sorted(v)])) for v in p._vertex_list}
+    faces = (face for k in range(1, p.n) for face in p.faces_of_codim(k))
+    dets, failing = _star_failures(p._vertex_list, faces, sorted, lam.values, p.n)
     vertex_bad = [f"vertex {sorted(v)}: determinant {d}" for v, d in dets.items() if d not in (1, -1)]
     entries += CheckResult.from_violations("vertex-determinant", vertex_bad)
-
-    # a subset of a Z-basis extends to one, so only a face with no
-    # determinant-+-1 vertex through it can fail
-    face_bad = []
-    if vertex_bad:
-        bases = [v for v, d in dets.items() if d in (1, -1)]
-        for k in range(1, p.n):
-            for face in p.faces_of_codim(k):
-                if any(face <= v for v in bases):
-                    continue
-                if not is_unimodular_extension([lam[f] for f in sorted(face)], p.n):
-                    face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
+    # every face lies at a vertex, so the faces are read only when a vertex fails
+    face_bad = [f"face {sorted(face)}: values do not extend to a basis" for face in failing] if vertex_bad else []
     entries += CheckResult.from_violations("face-extension", face_bad)
     return ValidationReport(tuple(entries))
+
+
+def _star_failures(
+    vertices: Iterable[Hashable], cells: Iterable[Hashable], ids: Callable[[Hashable], Sequence[str]],
+    values: Mapping[str, IntVector], n: int,
+) -> tuple[dict[Hashable, int], Iterator[Hashable]]:
+    """Determinants at the vertices, and a lazy walk of the cells where the basis condition fails.
+
+    ids(x) names the values at a vertex or cell x, n of them at a vertex; at
+    a cell they must extend to a Z-basis of Z^n.  A subset of a basis
+    extends, so only a cell under no determinant-+-1 vertex gets a Smith form.
+    """
+    dets = {v: determinant(stack_rows([values[i] for i in ids(v)])) for v in vertices}
+    bases = [set(ids(v)) for v, d in dets.items() if d in (1, -1)]
+    failing = (
+        x
+        for x in cells
+        if not any(b.issuperset(ids(x)) for b in bases) and not is_unimodular_extension([values[i] for i in ids(x)], n)
+    )
+    return dets, failing
 
 
 def _require_star(star: ValidationReport) -> None:
     """Raise unless the validate_star report passes."""
     if not star.ok:
         raise StarConditionError(star.summary(4) or "star condition fails")
-
-
-def vertex_weights(
-    p: SimplePolytope, lam: CharacteristicFunction, vertex: Iterable[str]
-) -> list[IntVector]:
-    """Dual basis to the lambda values at a vertex, in sorted facet order."""
-    v = sorted(str(f) for f in vertex)
-    if frozenset(v) not in set(p.vertices):
-        raise InputFormatError(f"{v} is not a vertex of the polytope")
-    adj = adjugate(stack_rows([lam[f] for f in v]))
-    if adj.det not in (1, -1):
-        raise StarConditionError(f"vertex {v}: lambda determinant {adj.det}")
-    return list(map(adj.inverse().col, range(p.n)))
 
 
 def find_strict_subtorus(
@@ -316,8 +313,8 @@ def coloring_pullback(p: SimplePolytope, coloring: Mapping[str, int]) -> Charact
     for f, c in coloring.items():
         if not 1 <= int(c) <= p.n:
             raise ColoringError(f"color of {f} must lie in 1..{p.n}, got {c}")
-    for f, g in combinations(sorted(p.facets), 2):
-        if p.adjacent_facets(f, g) and coloring[f] == coloring[g]:
+    for f, g in map(sorted, p.faces_of_codim(2)):
+        if coloring[f] == coloring[g]:
             raise ColoringError(f"adjacent facets {f}, {g} share color {coloring[f]}")
     values = {
         f: IntVector(tuple(1 if t == coloring[f] - 1 else 0 for t in range(p.n)))
@@ -429,12 +426,13 @@ def cell_manifold_data(
     missing = [t for t in m.top_cells if t not in values]
     if missing:
         raise InputFormatError(f"lambda missing top cells {missing}")
-    for c, d in m.cells:
-        tops = m.top_cells_containing(c)
-        if not is_unimodular_extension([values[t] for t in tops], m.n):
-            raise StarConditionError(f"top-cell values at {c} do not extend to a basis")
+    zero_cells = [c for c, d in m.cells if d == 0]
+    _, failing = _star_failures(zero_cells, (c for c, _ in m.cells), m.top_cells_containing, values, m.n)
+    bad = next(failing, None)
+    if bad is not None:
+        raise StarConditionError(f"top-cell values at {bad} do not extend to a basis")
     if st is None:
-        prefer = next(([values[t] for t in m.top_cells_containing(c)] for c, d in m.cells if d == 0), [])
+        prefer = [values[t] for c in zero_cells[:1] for t in m.top_cells_containing(c)]
         st = next(_strict_subtori([values[t] for t in m.top_cells], m.n, search_bound, prefer), None)
         if st is None:
             raise DegenerateInputError("no strict subtorus within the search bound")

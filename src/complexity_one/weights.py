@@ -32,7 +32,6 @@ from .lattice import (
     adjugate,
     kernel_complement,
     signed_maximal_minors,
-    smith_normal_form,
     stack_rows,
 )
 
@@ -129,8 +128,9 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
 
     The stabilizer of the coordinate subtorus selected by `indices`
     (0-based) is presented by the single relation with the normalized
-    coefficients restricted to those indices; its torus rank and cyclic
-    torsion factors are read off the Smith form of that presentation.
+    coefficients restricted to those indices.  In general position none is
+    zero, so the Smith form of that 1 x k relation is (g), g their gcd: torus
+    rank k - 1 and the cyclic factor Z/g.
     """
     idx = sorted(set(int(i) for i in indices))
     if not idx:
@@ -138,9 +138,8 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
     if idx[0] < 0 or idx[-1] >= ws.n:
         raise DimensionMismatchError(f"indices out of range for n={ws.n}")
     c = _general_position_cramer(ws).c
-    relation = IntMatrix.from_rows([[c[i] for i in idx]])
-    dec = smith_normal_form(relation)
-    return StabilizerStructure(torus_rank=len(idx) - dec.rank, finite_orders=dec.torsion())
+    g = math.gcd(*(c[i] for i in idx))
+    return StabilizerStructure(torus_rank=len(idx) - 1, finite_orders=(g,) if g > 1 else ())
 
 
 def hopf_type(ws: WeightSystem, i: int, j: int) -> int:

@@ -20,6 +20,14 @@ Two former quasitoric checks are kept as references for their shortcuts:
 strict_subtori_by_box, the search of the whole box of characters, for the
 solve from one basis, and validate_star_by_smith, one Smith form per face,
 for the check of only the faces that no determinant-+-1 vertex covers.
+star_condition_by_smith, cell_manifold_data's former star check with one
+Smith form per cell, is the reference for the same shortcut on cell
+manifolds.
+polytope_edge_error_by_scan, SimplePolytope's former edge and connectivity
+checks with a scan of every vertex per edge and per step of the walk, is the
+reference for the edge index, and color_clash_by_pairs, coloring_pullback's
+former test of every facet pair for a shared vertex, for its walk of the
+codimension-two faces.
 polytope_sponge_by_subsets, the former polytope_sponge that scanned every
 pair of faces in neighbouring codimensions, is the reference for the
 skeleton of the polytope's boundary cell manifold; it shares only
@@ -41,6 +49,7 @@ from complexity_one.errors import (
     ConsistencyError,
     DimensionMismatchError,
     InputFormatError,
+    StarConditionError,
     ValidationError,
 )
 from complexity_one.lattice import (
@@ -556,6 +565,39 @@ def validate_star_by_smith(p, lam):
                 face_bad.append(f"face {sorted(face)}: values do not extend to a basis")
     entries += CheckResult.from_violations("face-extension", face_bad)
     return ValidationReport(tuple(entries))
+
+
+def star_condition_by_smith(m, values):
+    """cell_manifold_data's former star check: a Smith form at every cell, in m.cells order."""
+    for c, _ in m.cells:
+        if not is_unimodular_extension([values[t] for t in m.top_cells_containing(c)], m.n):
+            raise StarConditionError(f"top-cell values at {c} do not extend to a basis")
+
+
+def polytope_edge_error_by_scan(n, vertices):
+    """The first edge-count or connectivity error of distinct n-element vertices, or None."""
+    for v in vertices:
+        for edge in combinations(sorted(v), n - 1):
+            count = sum(1 for w in vertices if set(edge) <= w)
+            if count != 2:
+                return f"edge {list(edge)} lies in {count} vertices, expected 2"
+    seen = {vertices[0]}
+    frontier = [vertices[0]]
+    while frontier:
+        cur = frontier.pop()
+        for w in vertices:
+            if w not in seen and len(cur & w) == n - 1:
+                seen.add(w)
+                frontier.append(w)
+    return None if len(seen) == len(vertices) else "vertex graph is disconnected"
+
+
+def color_clash_by_pairs(p, coloring):
+    """The first pair of facets, in sorted order, that share a vertex and a color, as coloring_pullback names it."""
+    for f, g in combinations(sorted(p.facets), 2):
+        if any({f, g} <= v for v in p.vertices) and coloring[f] == coloring[g]:
+            return f"adjacent facets {f}, {g} share color {coloring[f]}"
+    return None
 
 
 def polytope_sponge_by_subsets(p):

@@ -1,9 +1,18 @@
+import copy
 import json
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import complexity_one
 
 from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
 from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
@@ -24,6 +33,7 @@ from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
 from complexity_one.sponge import Cell, SpongeComplex
 from complexity_one.weights import WeightSystem
+from test_quasitoric import POLYTOPES
 
 
 @pytest.fixture
@@ -406,6 +416,137 @@ class TestRoundTrip:
 # format, recorded before the report and exit-code handling were unified.
 # The work directory is written as $DIR.
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+# polytope and lambda JSON of the simplex, the triangular prism and the 3-cube
+REDUCE_INPUTS = {
+    name: (polytope_to_dict(p), lambda_to_dict(CharacteristicFunction(values)))
+    for name in ("simplex", "prism", "cube3")
+    for p, values in [POLYTOPES[name]()]
+}
+# integers past 64 bits, as JSON numbers or decimal strings, and strings
+# that are almost decimal integers: a superscript digit, more digits than
+# int() converts, signs alone or in the wrong place
+HUGE = st.integers(2**64, 2**200).flatmap(lambda x: st.sampled_from([x, -x, str(x), str(-x)]))
+NUMERALS = st.sampled_from(["\u00b2", "9" * 5000, "-", "", "+1", "1-", "--1"])
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    HUGE,
+    NUMERALS,
+    st.lists(st.integers(-2, 2), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, obj):
+    """obj after up to two edits: a key or element dropped, retyped or added, or a value made a huge integer or a numeral."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        kind = draw(st.sampled_from(["drop", "retype", "add", "huge", "numeral"]))
+        if not path:
+            obj = draw(JUNK) if kind == "retype" else obj
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "add" and isinstance(node, dict):
+            node[draw(st.text(max_size=3))] = draw(JUNK)
+        elif kind == "add" and isinstance(node, list):
+            node.append(draw(JUNK))  # a ragged list
+        else:
+            parent[path[-1]] = draw({"huge": HUGE, "numeral": NUMERALS}.get(kind, JUNK))
+    return obj
+
+
+# no --alpha (search), or one of any length with zero entries, or not a list of integers
+ALPHAS = st.one_of(
+    st.just([]),
+    st.one_of(
+        st.lists(st.integers(-2, 2), max_size=5).map(lambda a: ",".join(map(str, a))),
+        st.sampled_from(["1,1,-1", "0,0,0", "1,,1", "a", str(2**70) + ",1,1"]),
+    ).map(lambda a: [f"--alpha={a}"]),
+)
+
+
+def _run_reduce(d, polytope, lam, extra):
+    (d / "polytope.json").write_text(json.dumps(polytope))
+    (d / "lam.json").write_text(json.dumps(lam))
+    argv = ["reduce", "--polytope", str(d / "polytope.json"), "--lambda", str(d / "lam.json"), *extra]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return argv, code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestReduceFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(REDUCE_INPUTS)),
+        n=st.one_of(st.none(), st.sampled_from([-1, 0, 1]), HUGE, NUMERALS),
+        alpha=ALPHAS,
+    )
+    def test_mutated_inputs_exit_cleanly(self, fuzz_dir, data, name, n, alpha):
+        # keys dropped, retyped or added, ragged lists, integers past 64 bits,
+        # n <= 1 and --alpha of the wrong length or with zero entries: every
+        # outcome is a report with exit 0, 1 or 2, never an exception
+        polytope, lam = (data.draw(_mutated(obj)) for obj in REDUCE_INPUTS[name])
+        if n is not None and isinstance(polytope, dict):
+            polytope["n"] = n
+        _, code, out, err = _run_reduce(fuzz_dir, polytope, lam, alpha)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":"\\u00b2","facets":[],"vertices":[]}',
+            '{"n":"' + "9" * 5000 + '","facets":[],"vertices":[]}',
+            '{"n":' + "9" * 5000 + ',"facets":[],"vertices":[]}',
+            "[" * 100000,
+        ],
+        ids=["superscript-digit", "long-digit-string", "long-integer-literal", "deep-nesting"],
+    )
+    def test_unconvertible_json_exits_2(self, tmp_path, text):
+        polytope = tmp_path / "polytope.json"
+        polytope.write_text(text)
+        (tmp_path / "lam.json").write_text(json.dumps(REDUCE_INPUTS["simplex"][1]))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["reduce", "--polytope", str(polytope), "--lambda", str(tmp_path / "lam.json")])
+        assert code == 2 and out.getvalue() == "" and err.getvalue().startswith("FAIL input: ")
+
+    def test_optimized_interpreter_reports_the_same(self, tmp_path):
+        # python -O strips assert statements; the self-checks must still hold
+        polytope, lam = copy.deepcopy(REDUCE_INPUTS["prism"])
+        lam["extra"] = [2**70, 1, 0]  # a value on no facet is ignored
+        argv, code, out, err = _run_reduce(tmp_path, polytope, lam, ["--alpha=1,1,-1"])
+        env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+        assert code == 0 and "Traceback" not in run.stderr
 
 
 @pytest.fixture(scope="module")

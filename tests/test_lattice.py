@@ -21,7 +21,6 @@ from complexity_one.lattice import (
     is_unimodular_extension,
     kernel_complement,
     primitive,
-    rank,
     signed_maximal_minors,
     smith_normal_form,
     stack_rows,
@@ -185,15 +184,9 @@ class TestIndependentRows:
                 greedy.append(i)
         assert independent_rows(rows, a.cols) == greedy
 
-
-class TestRank:
-    @given(any_matrices)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_rational_rank(self, a):
-        assert rank(a) == fraction_rank(a.row_list())
-
     def test_empty_shapes(self):
-        assert rank(IntMatrix(0, 3, ())) == rank(IntMatrix(3, 0, ())) == rank(IntMatrix(0, 0, ())) == 0
+        # 0 x 3, 3 x 0 and 0 x 0: no row is independent
+        assert independent_rows([], 3) == independent_rows([[], [], []], 0) == independent_rows([], 0) == []
 
 
 class TestSmith:

@@ -26,7 +26,7 @@ from complexity_one.errors import (
     StarConditionError,
     ValidationError,
 )
-from complexity_one.lattice import IntMatrix, IntVector, vec
+from complexity_one.lattice import vec
 from complexity_one.quasitoric import (
     CellManifold,
     CharacteristicFunction,
@@ -39,13 +39,19 @@ from complexity_one.quasitoric import (
     polytope_sponge,
     reduce,
     validate_star,
-    vertex_weights,
 )
 from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
 from complexity_one.sponge import validate_sponge
 from complexity_one.weights import induced_weights, is_strictly_appropriate
 from conftest import random_unimodular
-from oracles import polytope_sponge_by_subsets, strict_subtori_by_box, validate_star_by_smith
+from oracles import (
+    color_clash_by_pairs,
+    polytope_edge_error_by_scan,
+    polytope_sponge_by_subsets,
+    star_condition_by_smith,
+    strict_subtori_by_box,
+    validate_star_by_smith,
+)
 
 
 def _cube(n):
@@ -75,17 +81,22 @@ POLYTOPES = {
 def _varied(name, change, rng):
     """A catalog case with lambda as given, conjugated by a unimodular matrix, or one entry perturbed."""
     p, values = POLYTOPES[name]()
+    return p, _vary(values, p.n, change, rng)
+
+
+def _vary(values, n, change, rng):
+    values = dict(values)
     if change == "conjugate":
-        a = random_unimodular(rng, p.n)
+        a = random_unimodular(rng, n)
         values = {f: a @ v for f, v in values.items()}
     elif change == "perturb":
         f = rng.choice(sorted(values))
         entries = list(values[f])
-        entries[rng.randrange(p.n)] += rng.choice((-2, -1, 1, 2))
+        entries[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
         assume(any(entries))
         g = math.gcd(*entries)
         values[f] = vec(*(x // g for x in entries))
-    return p, values
+    return values
 
 
 class TestSimplePolytope:
@@ -107,6 +118,25 @@ class TestSimplePolytope:
         # one vertex only: its edges have no second endpoint
         with pytest.raises(ValidationError):
             SimplePolytope(2, ("a", "b"), (frozenset({"a", "b"}),))
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(["simplex", "prism", "cube3", "cube4"]), data=st.data())
+    def test_edge_errors_match_vertex_scans(self, name, data):
+        # some vertices of the polytope and of a disjoint copy, in any order:
+        # open or crowded edges and a disconnected graph are named as the
+        # vertex-by-vertex scans name them
+        p, _ = POLYTOPES[name]()
+        pool = list(p.vertices) + [frozenset(f + "'" for f in v) for v in p.vertices]
+        order = data.draw(st.permutations(pool))
+        vertices = order[: data.draw(st.sampled_from([len(pool), len(pool) // 2, 1]) | st.integers(1, len(pool)))]
+        facets = sorted(set().union(*vertices))
+        want = polytope_edge_error_by_scan(p.n, vertices)
+        if want is None:
+            SimplePolytope(p.n, facets, vertices)
+            return
+        with pytest.raises(ValidationError) as got:
+            SimplePolytope(p.n, facets, vertices)
+        assert str(got.value) == want
 
 
 class TestValidateStar:
@@ -147,6 +177,18 @@ class TestValidateStar:
         ]
         assert rep == validate_star_by_smith(simplex3, lam)
 
+    def test_passing_vertices_read_no_face(self, monkeypatch):
+        # the check reduce runs first: one determinant per vertex, no face enumerated
+        import complexity_one.quasitoric as quasitoric
+
+        p, values = _cube(5)
+        dets, faces = [], []
+        determinant = quasitoric.determinant
+        monkeypatch.setattr(quasitoric, "determinant", lambda a: dets.append(a) or determinant(a))
+        monkeypatch.setattr(SimplePolytope, "faces_of_codim", lambda self, k: faces.append(k) or ())
+        assert validate_star(p, CharacteristicFunction(values)).ok
+        assert (len(dets), faces) == (len(p.vertices), [])
+
     @pytest.mark.parametrize("name", sorted(POLYTOPES))
     def test_catalog_cases_match_every_face_oracle(self, name):
         p, values = POLYTOPES[name]()
@@ -163,42 +205,6 @@ class TestValidateStar:
         p, values = _varied(name, change, rng)
         lam = CharacteristicFunction(values)
         assert validate_star(p, lam) == validate_star_by_smith(p, lam)
-
-
-class TestVertexWeights:
-    def test_identity_dual(self, simplex3, simplex3_lambda):
-        ws = vertex_weights(simplex3, simplex3_lambda, ("f1", "f2", "f3"))
-        assert [list(w) for w in ws] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-    def test_dual_pairing_identity(self, simplex3, simplex3_lambda):
-        for v in simplex3.vertices:
-            ws = vertex_weights(simplex3, simplex3_lambda, v)
-            lams = [simplex3_lambda[f] for f in sorted(v)]
-            for i, w in enumerate(ws):
-                for j, l in enumerate(lams):
-                    assert w.dot(l) == (1 if i == j else 0)
-
-    def test_upper_triangular(self):
-        tri = SimplePolytope(
-            2,
-            ("a", "b", "c"),
-            tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "a")]),
-        )
-        lam = CharacteristicFunction({"a": vec(1, 2), "b": vec(0, 1), "c": vec(1, 1)})
-        ws = vertex_weights(tri, lam, ("a", "b"))
-        mat = IntMatrix.from_rows([list(lam["a"]), list(lam["b"])])
-        for i, w in enumerate(ws):
-            assert (mat @ w) == IntVector(tuple(1 if t == i else 0 for t in range(2)))
-
-    def test_star_violation_raises(self):
-        sq = SimplePolytope(
-            2,
-            ("a", "b", "c", "d"),
-            tuple(frozenset(v) for v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
-        )
-        lam = CharacteristicFunction({"a": vec(2, 1), "b": vec(0, 1), "c": vec(1, 0), "d": vec(1, 2)})
-        with pytest.raises(StarConditionError):
-            vertex_weights(sq, lam, ("a", "b"))
 
 
 class TestFindStrictSubtorus:
@@ -502,6 +508,19 @@ class TestColoring:
         with pytest.raises(ColoringError):
             coloring_pullback(cube3, {"xm": 1, "xp": 1, "ym": 2, "yp": 2, "zm": 3, "zp": 4})
 
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(POLYTOPES)), data=st.data())
+    def test_first_clash_matches_facet_pair_scan(self, name, data):
+        p, _ = POLYTOPES[name]()
+        coloring = {f: data.draw(st.integers(1, p.n)) for f in p.facets}
+        want = color_clash_by_pairs(p, coloring)
+        if want is None:
+            assert validate_star(p, coloring_pullback(p, coloring)).ok
+            return
+        with pytest.raises(ColoringError) as got:
+            coloring_pullback(p, coloring)
+        assert str(got.value) == want
+
 
 def torus_three_hexagons() -> CellManifold:
     def swap(word, i, j):
@@ -692,3 +711,55 @@ class TestPolytopeBoundary:
             _assert_same_sponge(on_cells.sponge, cd.sponge)
             assert (on_cells.mu, on_cells.euler_sign) == (cd.mu, cd.euler_sign)
             assert (cd.ambient.kind, on_cells.ambient.kind) == ("sphere", "product")
+
+
+def _cell_case(name):
+    """A polytope boundary with its lambda on the facet cells, or the torus with a basis on its hexagons."""
+    if name == "torus":
+        m = torus_three_hexagons()
+        return m, dict(zip(m.top_cells, (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))))
+    p, values = BOUNDARY_CASES[name]()
+    return p.boundary, {"f:" + f: v for f, v in values.items()}
+
+
+class TestCellManifoldStar:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(POLYTOPES) + ["torus"]),
+        change=st.sampled_from(["conjugate", "perturb"]),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_smith_form_at_every_cell(self, name, change, rng):
+        m, values = _cell_case(name)
+        values = _vary(values, m.n, change, rng)
+        try:
+            star_condition_by_smith(m, values)
+        except StarConditionError as want:
+            with pytest.raises(StarConditionError) as got:
+                cell_manifold_data(m, values)
+            assert str(got.value) == str(want)
+            return
+        try:
+            cd = cell_manifold_data(m, values)
+        except DegenerateInputError as exc:
+            assert str(exc) == "no strict subtorus within the search bound"
+            assert strict_subtori_by_box(list(values.values()), m.n, 3) == []
+            return
+        assert validate_mu(cd).ok and cocycle_check(cd).ok
+
+    @pytest.mark.parametrize("name", ["cube6", "torus"])
+    def test_passing_star_builds_no_smith_form(self, name, monkeypatch):
+        import complexity_one.lattice as lattice
+
+        calls = []
+        smith = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda a: calls.append(a) or smith(a))
+        m, values = _cell_case(name)
+        cd = cell_manifold_data(m, values)
+        assert len(cd.mu) == sum(d == m.n - 2 for _, d in m.cells) and calls == []
+
+    def test_value_of_wrong_dimension(self):
+        m, values = _cell_case("torus")
+        values["h1213"] = vec(1, 0)
+        with pytest.raises(DimensionMismatchError):
+            cell_manifold_data(m, values)

@@ -32,13 +32,13 @@ def _uses(name):
 
 
 def test_smith_only_where_invariant_factors_are_the_answer():
-    # rank and determinant use Bareiss elimination, square solves and inverses
-    # its reduced form, kernels the Hermite form; a Smith form is built only
-    # for invariant factors: the residual of homology's unit-pivot
-    # elimination, stabilizer orders and basis extension
+    # ranks and determinants use Bareiss elimination, square solves and
+    # inverses its reduced form, kernels the Hermite form, and a stabilizer's
+    # one relation the gcd of its entries; a Smith form is built only for
+    # invariant factors: the residual of homology's unit-pivot elimination
+    # and basis extension
     allowed = {
         ("sponge", "_rank_and_torsion"),
-        ("weights", "stabilizer_structure"),
         ("lattice", "is_unimodular_extension"),
     }
     uses = set(_uses("smith_normal_form"))
@@ -59,7 +59,6 @@ def test_one_adjugate():
         ("weights", "WeightSystem"),
         ("weights", "SubtorusChoice"),
         ("weights", "induced_weights"),
-        ("quasitoric", "vertex_weights"),
         ("quasitoric", "_strict_subtori"),
         ("classify", "_SpanFactor"),
     }
@@ -68,10 +67,17 @@ def test_one_adjugate():
     assert set(_uses("determinant")) == {
         ("lattice", "_check_smith"),
         ("lattice", "_check_hermite"),
-        ("quasitoric", "validate_star"),
+        ("quasitoric", "_star_failures"),
         ("classify", "_solve_transform"),
         ("classify", "verify_witness"),
     }
+
+
+def test_one_basis_condition():
+    # validate_star and cell_manifold_data decide the star condition through
+    # one helper: determinants at the vertices, basis extension elsewhere
+    for name in ("determinant", "is_unimodular_extension"):
+        assert {owner for module, owner in _uses(name) if module == "quasitoric"} == {"_star_failures"}, name
 
 
 def test_hermite_form_only_for_lattices():

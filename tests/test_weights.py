@@ -20,6 +20,7 @@ from complexity_one.weights import (
     stabilizer_structure,
 )
 from conftest import random_general_position_system, random_unimodular
+from oracles import invariant_factors_from_minors
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 F3 = WeightSystem(3, (vec(1, 0), vec(1, 1), vec(0, 1)))
@@ -152,6 +153,18 @@ class TestStabilizers:
             for i in range(n):
                 orders = stabilizer_structure(ws, [i]).finite_orders
                 assert orders == ((abs(c[i]),) if abs(c[i]) > 1 else ())
+
+    def test_matches_invariant_factors_of_the_relation(self):
+        # the Smith form of the 1 x k relation, from the gcds of its minors
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(3, 6)
+            ws = random_general_position_system(rng, n)
+            idx = sorted(rng.sample(range(n), rng.randint(1, n)))
+            factors = invariant_factors_from_minors([[cramer_coefficients(ws).c[i] for i in idx]])
+            got = stabilizer_structure(ws, idx)
+            assert got.torus_rank == len(idx) - len(factors)
+            assert got.finite_orders == tuple(f for f in factors if f > 1)
 
 
 class TestHopf:
