@@ -19,6 +19,9 @@ from .chardata import assemble_euler_cycle, cocycle_check, compatibility_check, 
 from .classify import compare
 from .errors import ComplexityOneError, InputFormatError, UnknownEntryError
 from .io import (
+    INPUT_DIGITS,
+    _digit_limit,
+    _excerpt,
     canonical_json,
     chardata_from_dict,
     chardata_to_dict,
@@ -84,9 +87,10 @@ def _cmd_homology(args) -> Iterator[CheckResult]:
 
 def _parse_alpha(text: str, n: int) -> IntVector:
     try:
-        alpha = IntVector(tuple(int(x) for x in text.split(",")))
+        with _digit_limit(INPUT_DIGITS):
+            alpha = IntVector(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
-        raise InputFormatError(f"--alpha must be comma-separated integers, got {text!r}") from exc
+        raise InputFormatError(f"--alpha must be comma-separated integers, got {_excerpt(text)}") from exc
     if alpha.dim != n:
         raise InputFormatError(f"--alpha has {alpha.dim} entries, the polytope has n={n}")
     return alpha
@@ -212,17 +216,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     entries: list[CheckResult] = []
     malformed = False
-    try:
-        for entry in args.run(args):
-            entries.append(entry)
-    except (InputFormatError, UnknownEntryError) as exc:
-        malformed = True
-        entries.append(CheckResult.of("input", False, str(exc)))
-    except ComplexityOneError as exc:
-        entries.append(CheckResult.of("error", False, f"{type(exc).__name__}: {exc}"))
-    report = ValidationReport(tuple(sorted(entries, key=lambda e: e.check)))
-    code = 2 if malformed else 0 if report.ok else 1
-    _emit(args, report, sys.stderr if malformed and args.format == "text" else sys.stdout)
+    # inputs stay bounded by INPUT_DIGITS, but what is computed from them (a
+    # determinant, a product in a message) may be longer and must still print
+    with _digit_limit(0):
+        try:
+            for entry in args.run(args):
+                entries.append(entry)
+        except (InputFormatError, UnknownEntryError) as exc:
+            malformed = True
+            entries.append(CheckResult.of("input", False, str(exc)))
+        except ComplexityOneError as exc:
+            entries.append(CheckResult.of("error", False, f"{type(exc).__name__}: {exc}"))
+        report = ValidationReport(tuple(sorted(entries, key=lambda e: e.check)))
+        code = 2 if malformed else 0 if report.ok else 1
+        _emit(args, report, sys.stderr if malformed and args.format == "text" else sys.stdout)
     return code
 
 

@@ -2,13 +2,17 @@
 
 All values are integers or strings; no floating point is accepted or
 produced.  Integers that do not fit in 64 bits are written as decimal
-strings and parsed back transparently.  canonical_json is byte-stable:
+strings and parsed back transparently, up to INPUT_DIGITS digits: loads
+parses under that int/str conversion limit of the interpreter, and
+_decode_int rejects longer digit strings.  canonical_json is byte-stable:
 sorted keys, fixed separators.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from typing import Any, Mapping
 
 from .chardata import AMBIENT_KINDS, Ambient, CharacteristicData
@@ -20,6 +24,27 @@ from .weights import WeightSystem
 
 _I64_MAX = 2**63 - 1
 _I64_MIN = -(2**63)
+INPUT_DIGITS = 4300  # the interpreter's default int/str conversion limit, kept as the input bound
+
+
+@contextmanager
+def _digit_limit(limit: int):
+    """Run the block with the interpreter's int/str conversion limit at limit (0: none).
+
+    The limit is interpreter-wide: another thread converting integers meanwhile sees it too.
+    """
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _excerpt(x) -> str:
+    """repr(x), or for a long value its first characters and its length."""
+    text = x if isinstance(x, str) else repr(x)
+    return repr(x) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def _encode_int(x: int):
@@ -33,21 +58,19 @@ def _decode_int(x, where: str) -> int:
         return x
     if isinstance(x, str):
         stripped = x[1:] if x.startswith("-") else x
-        if stripped.isascii() and stripped.isdigit():
-            try:
-                return int(x)
-            except ValueError:  # more digits than the interpreter converts
-                pass
-    raise InputFormatError(f"{where}: expected integer, got {x!r}")
+        if stripped.isascii() and stripped.isdigit() and len(stripped) <= INPUT_DIGITS:
+            return int(x)
+    raise InputFormatError(f"{where}: expected integer, got {_excerpt(x)}")
 
 
 def _reject_float(value: str):
-    raise InputFormatError(f"floating-point literal {value!r} is not allowed")
+    raise InputFormatError(f"floating-point literal {_excerpt(value)} is not allowed")
 
 
 def loads(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_reject_float)
+        with _digit_limit(INPUT_DIGITS):
+            return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -4,10 +4,11 @@ Each job uses the simplest elimination that answers it.  Forward Bareiss
 fraction-free elimination gives the determinant and the first independent
 rows, so ranks; its reduced (Gauss-Jordan) form gives signed maximal minors
 (the kernel line of a k x (k+1) matrix) and the adjugate behind every square
-solve and inverse.  The Hermite form serves integer_kernel, and the Smith
-form only where invariant factors are the answer (the residual of homology's
-unit-pivot elimination, is_unimodular_extension).  Values are immutable and
-every operation is pure, so concurrent use is safe.
+solve and inverse.  One unimodular row pass gives the Hermite form, which
+serves integer_kernel; the Smith form alternates that pass on a matrix and
+on its transpose, and serves only where invariant factors are the answer
+(the residual of homology's unit-pivot elimination, is_unimodular_extension).
+Values are immutable and every operation is pure, so concurrent use is safe.
 
 Conventions:
   * Smith form: U @ A @ V = D with U, V unimodular, D diagonal with
@@ -334,24 +335,24 @@ def _gcdex(a: int, b: int) -> tuple[int, int, int]:
 
 
 class _Worker:
-    """Mutable accumulator for normal-form row/column operations."""
+    """Mutable rows d and a tracker u to which every row operation on d is also applied."""
 
     def __init__(self, a: IntMatrix):
         self.m = a.rows
         self.n = a.cols
         self.d = a.row_list()
         self.u = IntMatrix.identity(a.rows).row_list()
-        self.v = IntMatrix.identity(a.cols).row_list()
+
+    def transpose(self, tracker):
+        """Replace d by its transpose and u by tracker, the tracker of d's columns; return the old u."""
+        self.d = [[row[j] for row in self.d] for j in range(self.n)]
+        self.m, self.n = self.n, self.m
+        self.u, tracker = tracker, self.u
+        return tracker
 
     def swap_rows(self, i, j):
         self.d[i], self.d[j] = self.d[j], self.d[i]
         self.u[i], self.u[j] = self.u[j], self.u[i]
-
-    def swap_cols(self, i, j):
-        for r in self.d:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
 
     def negate_row(self, i):
         self.d[i] = [-x for x in self.d[i]]
@@ -361,13 +362,6 @@ class _Worker:
         """row i += q * row j"""
         self.d[i] = [x + q * y for x, y in zip(self.d[i], self.d[j])]
         self.u[i] = [x + q * y for x, y in zip(self.u[i], self.u[j])]
-
-    def add_col(self, i, j, q):
-        """col i += q * col j"""
-        for r in self.d:
-            r[i] += q * r[j]
-        for r in self.v:
-            r[i] += q * r[j]
 
     def rot_rows(self, i, j, col):
         """Unimodular 2x2 row transform making d[j][col] = 0, d[i][col] = gcd."""
@@ -387,82 +381,63 @@ class _Worker:
             [p * s + q * t for s, t in zip(self.u[i], self.u[j])],
         )
 
-    def rot_cols(self, i, j, row):
-        """Unimodular 2x2 column transform making d[row][j] = 0."""
-        a, b = self.d[row][i], self.d[row][j]
-        if a != 0 and b % a == 0:
-            self.add_col(j, i, -(b // a))
-            return
-        g, x, y = _gcdex(a, b)
-        p, q = -(b // g), a // g
-        for r in self.d:
-            r[i], r[j] = x * r[i] + y * r[j], p * r[i] + q * r[j]
-        for r in self.v:
-            r[i], r[j] = x * r[i] + y * r[j], p * r[i] + q * r[j]
+
+def _hermite_rows(w: _Worker) -> None:
+    """Bring w.d to row-style Hermite form by row operations; unchecked."""
+    pivot_row = 0
+    for col in range(w.n):
+        row = next((i for i in range(pivot_row, w.m) if w.d[i][col]), None)
+        if row is None:
+            continue
+        if row != pivot_row:
+            w.swap_rows(pivot_row, row)
+        for i in range(pivot_row + 1, w.m):
+            if w.d[i][col]:
+                w.rot_rows(pivot_row, i, col)
+        if w.d[pivot_row][col] < 0:
+            w.negate_row(pivot_row)
+        p = w.d[pivot_row][col]
+        for i in range(pivot_row):
+            q = w.d[i][col] // p
+            if q:
+                w.add_row(i, pivot_row, -q)
+        pivot_row += 1
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transformation matrices.
 
     Returns SmithDecomposition(u, d, v, rank) with u @ a @ v = d; the result
-    is verified before returning.
+    is verified before returning.  The Hermite row pass runs alternately on
+    D and on its transpose, whose row tracker is V^T (Kannan and Bachem, SIAM
+    J. Comput. 8, 1979), until a pass leaves D diagonal; where d_i does not
+    divide d_{i+1}, row i+1 is added to row i of whichever of D and D^T the
+    pass left, and the passes go on.  This terminates: the leading entry is
+    a positive integer that drops at every pass until it divides its row and
+    column; the next pass then clears both by plain eliminations, which keep
+    the pivot row intact, and later passes leave that row and column alone,
+    so the argument recurses on the trailing block.  Each divisibility fix
+    replaces d_i by gcd(d_i, d_{i+1}) < d_i.  At least one pass runs before
+    D is tested: a diagonal input such as diag(0, 3) or (-2) is not yet in
+    Smith form.
     """
     w = _Worker(a)
-    m, n = w.m, w.n
-
-    def diagonalize(t0: int) -> None:
-        t = t0
-        while t < min(m, n):
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = abs(w.d[i][j])
-                    if x and (best is None or x < best):
-                        best, pivot = x, (i, j)
-            if pivot is None:
-                return
-            i, j = pivot
-            if i != t:
-                w.swap_rows(t, i)
-            if j != t:
-                w.swap_cols(t, j)
-            while True:
-                for i in range(t + 1, m):
-                    if w.d[i][t]:
-                        w.rot_rows(t, i, t)
-                if any(w.d[t][j] for j in range(t + 1, n)):
-                    for j in range(t + 1, n):
-                        if w.d[t][j]:
-                            w.rot_cols(t, j, t)
-                    if any(w.d[i][t] for i in range(t + 1, m)):
-                        continue
+    other = IntMatrix.identity(a.cols).row_list()  # the tracker of D's columns, as rows of V^T
+    flipped = False
+    while True:
+        _hermite_rows(w)
+        if not any(x for i, row in enumerate(w.d) for j, x in enumerate(row) if i != j):
+            r = sum(1 for i in range(min(w.m, w.n)) if w.d[i][i])
+            i = next((i for i in range(r - 1) if w.d[i + 1][i + 1] % w.d[i][i]), None)
+            if i is None:
                 break
-            t += 1
-
-    diagonalize(0)
-    r = sum(1 for k in range(min(m, n)) if w.d[k][k] != 0)
-    for k in range(r):
-        if w.d[k][k] < 0:
-            w.negate_row(k)
-    # enforce the divisibility chain
-    i = 0
-    while i < r - 1:
-        fixed = True
-        for j in range(i + 1, r):
-            if w.d[j][j] % w.d[i][i] != 0:
-                w.add_col(i, j, 1)
-                diagonalize(i)
-                for k in range(i, r):
-                    if w.d[k][k] < 0:
-                        w.negate_row(k)
-                fixed = False
-                break
-        if fixed:
-            i += 1
-
+            w.add_row(i, i + 1, 1)
+        other, flipped = w.transpose(other), not flipped
+    if flipped:
+        other = w.transpose(other)
+    m, n = a.rows, a.cols
     u = IntMatrix.from_rows(w.u) if m else IntMatrix(0, 0, ())
-    v = IntMatrix.from_rows(w.v) if n else IntMatrix(0, 0, ())
+    v = IntMatrix.from_rows(other).transpose() if n else IntMatrix(0, 0, ())
     d = IntMatrix.from_rows(w.d) if m and n else IntMatrix(m, n, (0,) * (m * n))
     dec = SmithDecomposition(u, d, v, r)
     _check_smith(a, dec)
@@ -491,25 +466,8 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     above each pivot reduced into [0, pivot).
     """
     w = _Worker(a)
-    m, n = w.m, w.n
-    pivot_row = 0
-    for col in range(n):
-        row = next((i for i in range(pivot_row, m) if w.d[i][col]), None)
-        if row is None:
-            continue
-        if row != pivot_row:
-            w.swap_rows(pivot_row, row)
-        for i in range(pivot_row + 1, m):
-            if w.d[i][col]:
-                w.rot_rows(pivot_row, i, col)
-        if w.d[pivot_row][col] < 0:
-            w.negate_row(pivot_row)
-        p = w.d[pivot_row][col]
-        for i in range(pivot_row):
-            q = w.d[i][col] // p
-            if q:
-                w.add_row(i, pivot_row, -q)
-        pivot_row += 1
+    _hermite_rows(w)
+    m, n = a.rows, a.cols
     h = IntMatrix.from_rows(w.d) if m and n else IntMatrix(m, n, (0,) * (m * n))
     u = IntMatrix.from_rows(w.u) if m else IntMatrix(0, 0, ())
     _check_hermite(a, h, u)

@@ -580,7 +580,10 @@ def face_star(s: SpongeComplex, cell_id: str) -> FaceStar:
     order = sorted(star, key=lambda x: (dims[x], x))
 
     ranks = Counter(dims[x] - k for x in star)
-    is_local = sorted(ranks.items()) == [(t, comb(s.n - k, t)) for t in range(s.n - 1 - k)]
+    # the rank count first: an invalid cell dimension may make n - 1 - k huge
+    is_local = len(ranks) == s.n - 1 - k and sorted(ranks.items()) == [
+        (t, comb(s.n - k, t)) for t in range(s.n - 1 - k)
+    ]
     if is_local:
         below: dict[str, set[str]] = {x: set() for x in star}
         for lo, hi in covers:

@@ -37,7 +37,10 @@ unit-pivot elimination.  solve_exact, the package's former Hermite-form
 solver, stays as the oracle of square solves and of the row-wise transform.
 vanishing_pattern_by_vectors and cocycle_report_by_vectors, the former
 three-term relation on IntVector sums, are the references for the one on
-the tuples of mu.
+the tuples of mu.  smith_by_pivoting, the package's former Smith form by
+least-pivot row and column rotations and a divisibility loop, is the
+reference for the one that alternates Hermite row passes; it shares only
+_gcdex and the self-check _check_smith with the package.
 """
 
 from collections import Counter
@@ -55,6 +58,9 @@ from complexity_one.errors import (
 from complexity_one.lattice import (
     IntMatrix,
     IntVector,
+    SmithDecomposition,
+    _check_smith,
+    _gcdex,
     determinant,
     hermite_normal_form,
     integer_kernel,
@@ -690,3 +696,115 @@ def cocycle_report_by_vectors(cd):
                 f"(facets {', '.join(through)})"
             )
     return ValidationReport(CheckResult.from_violations("cocycle", bad))
+
+
+class _PivotWorker:
+    """D with row tracker U and column tracker V, changed by unimodular row and column operations."""
+
+    def __init__(self, a):
+        self.m = a.rows
+        self.n = a.cols
+        self.d = a.row_list()
+        self.u = IntMatrix.identity(a.rows).row_list()
+        self.v = IntMatrix.identity(a.cols).row_list()
+
+    def swap_rows(self, i, j):
+        self.d[i], self.d[j] = self.d[j], self.d[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+
+    def swap_cols(self, i, j):
+        for r in self.d + self.v:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(self, i):
+        self.d[i] = [-x for x in self.d[i]]
+        self.u[i] = [-x for x in self.u[i]]
+
+    def add_row(self, i, j, q):
+        """row i += q * row j"""
+        self.d[i] = [x + q * y for x, y in zip(self.d[i], self.d[j])]
+        self.u[i] = [x + q * y for x, y in zip(self.u[i], self.u[j])]
+
+    def add_col(self, i, j, q):
+        """col i += q * col j"""
+        for r in self.d + self.v:
+            r[i] += q * r[j]
+
+    def rot_rows(self, i, j, col):
+        """Unimodular 2x2 row transform making d[j][col] = 0, d[i][col] = gcd."""
+        a, b = self.d[i][col], self.d[j][col]
+        if a != 0 and b % a == 0:
+            self.add_row(j, i, -(b // a))
+            return
+        g, x, y = _gcdex(a, b)
+        p, q = -(b // g), a // g
+        for t in (self.d, self.u):
+            t[i], t[j] = (
+                [x * s + y * r for s, r in zip(t[i], t[j])],
+                [p * s + q * r for s, r in zip(t[i], t[j])],
+            )
+
+    def rot_cols(self, i, j, row):
+        """Unimodular 2x2 column transform making d[row][j] = 0."""
+        a, b = self.d[row][i], self.d[row][j]
+        if a != 0 and b % a == 0:
+            self.add_col(j, i, -(b // a))
+            return
+        g, x, y = _gcdex(a, b)
+        p, q = -(b // g), a // g
+        for r in self.d + self.v:
+            r[i], r[j] = x * r[i] + y * r[j], p * r[i] + q * r[j]
+
+
+def smith_by_pivoting(a):
+    """The package's former Smith form: least-pivot row and column rotations, then a divisibility loop."""
+    w = _PivotWorker(a)
+    m, n = w.m, w.n
+
+    def diagonalize(t):
+        while t < min(m, n):
+            entries = [(abs(w.d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w.d[i][j]]
+            if not entries:
+                return
+            _, i, j = min(entries)
+            if i != t:
+                w.swap_rows(t, i)
+            if j != t:
+                w.swap_cols(t, j)
+            while True:
+                for i in range(t + 1, m):
+                    if w.d[i][t]:
+                        w.rot_rows(t, i, t)
+                if not any(w.d[t][j] for j in range(t + 1, n)):
+                    break
+                for j in range(t + 1, n):
+                    if w.d[t][j]:
+                        w.rot_cols(t, j, t)
+                if not any(w.d[i][t] for i in range(t + 1, m)):
+                    break
+            t += 1
+
+    def make_positive(t, r):
+        for k in range(t, r):
+            if w.d[k][k] < 0:
+                w.negate_row(k)
+
+    diagonalize(0)
+    r = sum(1 for k in range(min(m, n)) if w.d[k][k] != 0)
+    make_positive(0, r)
+    i = 0
+    while i < r - 1:
+        j = next((j for j in range(i + 1, r) if w.d[j][j] % w.d[i][i]), None)
+        if j is None:
+            i += 1
+            continue
+        w.add_col(i, j, 1)
+        diagonalize(i)
+        make_positive(i, r)
+
+    u = IntMatrix.from_rows(w.u) if m else IntMatrix(0, 0, ())
+    v = IntMatrix.from_rows(w.v) if n else IntMatrix(0, 0, ())
+    d = IntMatrix.from_rows(w.d) if m and n else IntMatrix(m, n, (0,) * (m * n))
+    dec = SmithDecomposition(u, d, v, r)
+    _check_smith(a, dec)
+    return dec

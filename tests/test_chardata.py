@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import complexity_one.chardata as chardata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +75,17 @@ class TestValidateMu:
         details = [e.detail for e in validate_mu(cd).failures()]
         assert any("no mu value" in d for d in details)
         assert any("not primitive" in d for d in details)
+
+
+    def test_rank_checked_only_below_the_facets(self, monkeypatch):
+        # a facet's mu-span rank is 1 once mu-domain passes, and no pair of
+        # distinct facets goes through it: one elimination per lower cell
+        calls = []
+        count = chardata.independent_rows
+        monkeypatch.setattr(chardata, "independent_rows", lambda rows, k: calls.append(k) or count(rows, k))
+        cd = load("local-model-7").data
+        assert validate_mu(cd).ok
+        assert len(calls) == sum(1 for c in cd.sponge.cells if c.dim < cd.n - 2) == 99
 
 
 class TestCompatibility:

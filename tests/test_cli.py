@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,12 +8,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import complexity_one
+import complexity_one.sponge as sponge_mod
 
 from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
 from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
@@ -536,6 +539,25 @@ class TestReduceFuzz:
             code = main(["reduce", "--polytope", str(polytope), "--lambda", str(tmp_path / "lam.json")])
         assert code == 2 and out.getvalue() == "" and err.getvalue().startswith("FAIL input: ")
 
+    def test_computed_integer_past_the_digit_limit_prints(self, tmp_path):
+        # inputs of 3,001 digits pass the input bound, and the vertex
+        # determinant of about 6,000 digits must still print in the report
+        polytope, lam = copy.deepcopy(REDUCE_INPUTS["simplex"])
+        big = str(10**3000 + 7)
+        lam.update(f1=[big, 1, 0], f2=[1, big, 0])
+        limit = sys.get_int_max_str_digits()
+        _, code, out, err = _run_reduce(tmp_path, polytope, lam, [])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 1 and err == "" and "Traceback" not in out
+        assert out.startswith("FAIL error: StarConditionError: vertex ['f1', 'f2', 'f3']: determinant ")
+
+    def test_rejected_integer_is_echoed_short(self, tmp_path):
+        polytope, lam = copy.deepcopy(REDUCE_INPUTS["simplex"])
+        polytope["n"] = "9" * 5000
+        _, code, out, err = _run_reduce(tmp_path, polytope, lam, [])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "(5000 characters)" in err
+
     def test_optimized_interpreter_reports_the_same(self, tmp_path):
         # python -O strips assert statements; the self-checks must still hold
         polytope, lam = copy.deepcopy(REDUCE_INPUTS["prism"])
@@ -547,6 +569,74 @@ class TestReduceFuzz:
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
         assert code == 0 and "Traceback" not in run.stderr
+
+
+# exported catalog entries, as the chardata commands and the override directory read them
+CATALOG_INPUTS = {name: chardata_to_dict(load(name).data) for name in ("cp3-reduction", "f3", "g42", "local-model-4")}
+CATALOG_COMMANDS = ("catalog", "validate-chardata", "compare", "validate-sponge", "homology")
+
+
+def _run_catalog_command(d, command, name, first, second):
+    """Write the entry (or its sponge) and a second copy, run the command on them in-process."""
+    (d / f"{name}.json").write_text(json.dumps(first))
+    (d / "second.json").write_text(json.dumps(second))
+    argv = {
+        "catalog": ["catalog", name],
+        "compare": ["compare", str(d / f"{name}.json"), str(d / "second.json")],
+    }.get(command, [command, str(d / f"{name}.json")])
+    out, err = StringIO(), StringIO()
+    with mock.patch.dict(os.environ, {"COMPLEXITY_ONE_CATALOG": str(d)}), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return argv, code, out.getvalue(), err.getvalue()
+
+
+class TestCatalogFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(CATALOG_INPUTS)), command=st.sampled_from(CATALOG_COMMANDS))
+    def test_mutated_entries_exit_cleanly(self, fuzz_dir, data, name, command):
+        # an exported entry with keys dropped, retyped or added, ragged
+        # lists and integers past 64 bits, read through the override
+        # directory, as chardata, as one side of a comparison or as a
+        # sponge: every outcome is a report with exit 0, 1 or 2
+        entry = CATALOG_INPUTS[name]
+        if command in ("validate-sponge", "homology"):
+            entry = entry["sponge"]
+        first, second = data.draw(_mutated(entry)), data.draw(_mutated(entry))
+        _, code, out, err = _run_catalog_command(fuzz_dir, command, name, first, second)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+
+    def test_cell_dim_past_64_bits_fails_face_stars(self, tmp_path, monkeypatch):
+        # face_star compared the rank counts with a list of n - 1 - dim
+        # binomials, which hung on a dimension of -2^64; a bounded comb
+        # makes that failure quick
+        calls = []
+
+        def bounded_comb(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise RuntimeError("face_star counts more ranks than any star has")
+            return comb(*args)
+
+        comb = sponge_mod.comb
+        monkeypatch.setattr(sponge_mod, "comb", bounded_comb)
+        entry = copy.deepcopy(CATALOG_INPUTS["g42"])
+        entry["sponge"]["cells"][0]["dim"] = str(-(2**64))
+        _, code, out, err = _run_catalog_command(tmp_path, "catalog", "g42", entry, entry)
+        assert code == 1 and err == "" and "FAIL face-stars\n" in out
+
+    def test_optimized_interpreter_reports_the_same(self, tmp_path):
+        entry = copy.deepcopy(CATALOG_INPUTS["f3"])
+        fid = min(entry["mu"])
+        entry["mu"][fid] = [2**70, 1]
+        entry["euler_sign"][fid] = str(-entry["euler_sign"][fid])
+        argv, code, out, err = _run_catalog_command(tmp_path, "catalog", "f3", entry, entry)
+        env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1]), "COMPLEXITY_ONE_CATALOG": str(tmp_path)}
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+        assert code == 1 and "Traceback" not in run.stderr
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from complexity_one.lattice import (
     vec,
 )
 from conftest import random_unimodular
-from oracles import cofactor_adjugate, cofactor_det, fraction_rank, integer_solvable, solve_exact
+from oracles import cofactor_adjugate, cofactor_det, fraction_rank, integer_solvable, smith_by_pivoting, solve_exact
 
 EYE2 = [[1, 0], [0, 1]]
 
@@ -79,6 +79,8 @@ def _shaped(m, n):
 # up to 6 x 6 and 6 x 7, singular and of full rank, with entries past 64 bits
 square_matrices = st.integers(0, 6).flatmap(lambda n: _shaped(n, n))
 minor_matrices = st.integers(0, 6).flatmap(lambda k: _shaped(k, k + 1))
+# every shape up to 6 x 6, down to 0 x n and m x 0
+rectangular_matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda mn: _shaped(*mn))
 
 
 # shapes down to 0 x n and m x 0, and products through an inner dimension
@@ -217,6 +219,33 @@ class TestSmith:
     @settings(max_examples=120, deadline=None)
     def test_rank_matches_rational_rank(self, a):
         assert smith_normal_form(a).rank == fraction_rank(a.row_list())
+
+    @given(rectangular_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_least_pivot_smith_form(self, a):
+        # D, the rank and the torsion are unique, so the alternating Hermite
+        # passes must find what row and column pivoting found; U and V may differ
+        dec, ref = smith_normal_form(a), smith_by_pivoting(a)
+        assert (dec.diagonal(), dec.rank, dec.torsion()) == (ref.diagonal(), ref.rank, ref.torsion())
+        _check_smith(a, dec)
+
+    @pytest.mark.parametrize(
+        "rows, shape, diagonal",
+        [
+            # already diagonal, yet not in Smith form: the passes must run first
+            ([[0, 0], [0, 3]], (2, 2), (3, 0)),
+            ([[-2]], (1, 1), (2,)),
+            # diagonal with a broken divisibility chain: two fixes
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (3, 3), (2, 2, 60)),
+            ([], (0, 3), ()),
+            ([[], [], []], (3, 0), ()),
+        ],
+    )
+    def test_pinned_cases(self, rows, shape, diagonal):
+        a = IntMatrix(*shape, tuple(x for r in rows for x in r))
+        dec = smith_normal_form(a)
+        assert dec.diagonal() == diagonal and dec.rank == sum(1 for x in diagonal if x)
+        assert (dec.u.rows, dec.d.rows, dec.d.cols, dec.v.cols) == (shape[0], *shape, shape[1])
 
     @pytest.mark.parametrize(
         "a, u, d, v, message",

@@ -51,6 +51,27 @@ def test_normal_forms_verify_their_results():
     assert ("lattice", "adjugate") in _uses("_check_adjugate")
 
 
+def test_one_unimodular_elimination():
+    # the Smith form alternates the Hermite row pass on D and on its
+    # transpose, so the worker needs row operations only: no column
+    # operation and no column tracker
+    tree = ast.parse((Path(complexity_one.__file__).parent / "lattice.py").read_text())
+    worker = next(top for top in tree.body if getattr(top, "name", None) == "_Worker")
+    methods = {node.name for node in worker.body if isinstance(node, ast.FunctionDef)}
+    assert "rot_rows" in methods and not [m for m in methods if "col" in m], sorted(methods)
+    fields = {
+        target.attr
+        for node in ast.walk(worker)
+        if isinstance(node, ast.Assign)
+        for target in ast.walk(node)
+        if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+    }
+    assert fields == {"m", "n", "d", "u"}, sorted(fields)
+    for name in ("smith_normal_form", "hermite_normal_form"):
+        assert ("lattice", name) in _uses("_hermite_rows"), name
+    assert ("lattice", "smith_normal_form") in _uses("_check_smith")
+
+
 def test_one_adjugate():
     # every square solve and inverse reads lattice.adjugate; nothing builds
     # cofactors from determinants or signed maximal minors by hand, and a
