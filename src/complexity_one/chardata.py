@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -63,6 +63,11 @@ class Ambient:
         if self.kind not in AMBIENT_KINDS:
             raise InputFormatError(f"ambient kind must be one of {AMBIENT_KINDS}")
 
+    @property
+    def determines_class(self) -> bool:
+        """True for spheres and boundary-trivial products, where the facet-local data pin the Euler class."""
+        return self.kind == "sphere" or (self.kind == "product" and self.boundary_trivial)
+
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicData:
@@ -98,6 +103,12 @@ class CharacteristicData:
             lacking = [f for f in through if f not in self.mu or f not in self.euler_sign]
             if lacking:
                 bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
+                continue
+            misfit = [f for f in through if self.mu[f].dim != self.n - 1]
+            if misfit:
+                bad.append(
+                    f"face {cell.id}: facets {', '.join(misfit)} carry mu of dim other than {self.n - 1}"
+                )
                 continue
             mus = [self.mu[f].entries for f in through]
             pattern = _vanishing_pattern(mus)
@@ -253,18 +264,52 @@ def assemble_euler_cycle(cd: CharacteristicData) -> EulerCycle:
     """Facet chain k(F) * mu(F) with its cycle flag.
 
     Refuses (raises ValidationError) when the cocycle relations fail.  The
-    determines_class flag is set for spheres and for boundary-trivial
-    products, where the facet-local data pins the global class.
+    determines_class flag is the ambient's.
     """
     report = cocycle_check(cd)
     if not report.ok:
         raise ValidationError("cocycle relations fail: " + report.summary(4))
     chain = {fid: cd.euler_coefficient(fid) for fid in cd.sponge.facet_ids}
     flag = weighted_cycle_check(cd.sponge, chain)
-    determines = cd.ambient.kind == "sphere" or (
-        cd.ambient.kind == "product" and cd.ambient.boundary_trivial
+    return EulerCycle(chain=chain, is_cycle=flag, determines_class=cd.ambient.determines_class)
+
+
+def _verdict(check: str, ok: bool, detail: str = "") -> ValidationReport:
+    return ValidationReport((CheckResult.of(check, ok, detail),))
+
+
+def _checks(cd: CharacteristicData) -> Iterator[tuple[str, ValidationReport]]:
+    """(stage, report) for sponge, mu, compatibility, cocycle and euler-cycle, in that order.
+
+    Lazy, so a caller that needs only the first stages runs only those.  A
+    check whose prerequisite failed is not run: it fails and names the first
+    failed prerequisite.  mu needs the sponge (validate_mu reports the sponge
+    as its first entry and stops there when it fails), compatibility needs
+    nothing, cocycle needs the sponge, and euler-cycle needs the sponge,
+    compatibility and cocycle.
+
+    euler-cycle then needs no computation of its own.  In a valid sponge each
+    (n-3)-cell c lies in exactly three facets, and only those list c in their
+    boundaries, so the boundary of the chain sum k(F) mu(F) F at c is the sum
+    of [F:c] k(F) mu(F) over the facets F through c: the sum the cocycle
+    report tests at c.  Where every facet carries a sign and a mu of dim n-1
+    (compatibility), the chain is a cycle iff the cocycle relations hold.
+    """
+    sponge = validate_sponge(cd.sponge)
+    yield "sponge", sponge
+    yield "mu", validate_mu(cd)
+    compatible = compatibility_check(cd)
+    yield "compatibility", _verdict("compatibility", compatible)
+    invalid_sponge = "sponge fails validation"
+    cocycle = cocycle_check(cd) if sponge.ok else _verdict("cocycle", False, invalid_sponge)
+    yield "cocycle", cocycle
+    prerequisites = (
+        (sponge.ok, invalid_sponge),
+        (compatible, "compatibility fails"),
+        (cocycle.ok, "cocycle relations fail"),
     )
-    return EulerCycle(chain=chain, is_cycle=flag, determines_class=determines)
+    failed = next((why for ok, why in prerequisites if not ok), "")
+    yield "euler-cycle", _verdict("euler-cycle", not failed, failed)
 
 
 def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVector, int]:

@@ -14,9 +14,10 @@ verifier that substitutes it into every condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
-from .chardata import CharacteristicData, _pair_index, compatibility_check, validate_mu
+from .chardata import CharacteristicData, _checks, _pair_index
 from .errors import ConsistencyError, PreconditionError
 from .lattice import IntMatrix, adjugate, determinant, independent_rows
 from .sponge import SpongeComplex, homology, propagate_signs
@@ -81,11 +82,12 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
 
 def _require_validated(cd: CharacteristicData, tag: str) -> None:
     # compare works on any well-formed (mu, sign) data; whether the chain is a
-    # cycle is a property of the data, not an admissibility requirement
-    rep = validate_mu(cd)
-    if not rep.ok:
-        raise PreconditionError(f"{tag} is not validated: " + rep.summary(3))
-    if not compatibility_check(cd):
+    # cycle is a property of the data, not an admissibility requirement, so
+    # only the sponge, mu and compatibility stages run
+    stages = dict(islice(_checks(cd), 3))
+    if not stages["mu"].ok:
+        raise PreconditionError(f"{tag} is not validated: " + stages["mu"].summary(3))
+    if not stages["compatibility"].ok:
         raise PreconditionError(f"{tag} carries malformed local Euler data")
 
 

@@ -15,7 +15,7 @@ import sys
 from typing import Iterator, Sequence
 
 from . import catalog as catalog_mod
-from .chardata import assemble_euler_cycle, cocycle_check, compatibility_check, validate_mu
+from .chardata import CharacteristicData, _checks
 from .classify import compare
 from .errors import ComplexityOneError, InputFormatError, UnknownEntryError
 from .io import (
@@ -63,17 +63,19 @@ def _cmd_validate_sponge(args) -> Iterator[CheckResult]:
     yield from validate_sponge(s).entries
 
 
+def _chardata_checks(cd: CharacteristicData) -> Iterator[CheckResult]:
+    """The entries of the chardata check pipeline, euler-cycle last."""
+    for stage, report in _checks(cd):
+        if stage != "sponge":  # the mu report opens with the sponge's verdict
+            yield from report.entries
+
+
 def _cmd_validate_chardata(args) -> Iterator[CheckResult]:
     cd = chardata_from_dict(read_json(args.file), args.file)
-    rep = validate_mu(cd)
-    yield from rep.entries
-    yield CheckResult.of("compatibility", compatibility_check(cd))
-    co = cocycle_check(cd)
-    yield from co.entries
-    if rep.ok and co.ok:
-        cyc = assemble_euler_cycle(cd)
-        yield CheckResult.of("euler-cycle", cyc.is_cycle)
-        pinned = "yes" if cyc.determines_class else "not pinned by ambient"
+    for entry in _chardata_checks(cd):
+        yield entry
+    if entry == CheckResult("euler-cycle", "pass"):
+        pinned = "yes" if cd.ambient.determines_class else "not pinned by ambient"
         yield CheckResult.of("determines-class", True, pinned)
 
 
@@ -96,6 +98,18 @@ def _parse_alpha(text: str, n: int) -> IntVector:
     return alpha
 
 
+def _alpha_bound(text: str) -> int:
+    """--alpha-bound: a nonnegative integer; a rejected value is echoed short."""
+    try:
+        with _digit_limit(INPUT_DIGITS):
+            bound = int(text)
+        if bound >= 0:
+            return bound
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {_excerpt(text)}")
+
+
 def _cmd_reduce(args) -> Iterator[CheckResult]:
     p = polytope_from_dict(read_json(args.polytope), args.polytope)
     lam = lambda_from_dict(read_json(args.lam), args.lam)
@@ -115,10 +129,7 @@ def _cmd_reduce(args) -> Iterator[CheckResult]:
         yield CheckResult.of("subtorus", True, f"alpha={list(st.alpha)}")
     cd = quasitoric_reduce(p, lam, st, star)
     yield CheckResult.of("reduce", True, f"sponge cells={len(cd.sponge.cells)}")
-    yield from validate_mu(cd).entries
-    yield CheckResult.of("compatibility", compatibility_check(cd))
-    yield from cocycle_check(cd).entries
-    yield CheckResult.of("euler-cycle", assemble_euler_cycle(cd).is_cycle)
+    yield from _chardata_checks(cd)
     payload = canonical_json(chardata_to_dict(cd)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -185,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--alpha", default=None, help="comma-separated character, e.g. 1,1,-1")
-    p.add_argument("--alpha-bound", type=int, default=3)
+    p.add_argument("--alpha-bound", type=_alpha_bound, default=3)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(run=_cmd_reduce)
 

@@ -682,6 +682,10 @@ def cocycle_report_by_vectors(cd):
         if lacking:
             bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
             continue
+        misfit = [f for f in through if cd.mu[f].dim != cd.n - 1]
+        if misfit:
+            bad.append(f"face {cell.id}: facets {', '.join(misfit)} carry mu of dim other than {cd.n - 1}")
+            continue
         mus = [cd.mu[f] for f in through]
         if vanishing_pattern_by_vectors(mus) is None:
             bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")

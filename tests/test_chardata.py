@@ -1,4 +1,6 @@
 import random
+from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -6,7 +8,7 @@ import complexity_one.chardata as chardata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_one.catalog import load
+from complexity_one.catalog import load, names
 from complexity_one.chardata import (
     Ambient,
     CharacteristicData,
@@ -20,13 +22,15 @@ from complexity_one.chardata import (
     solve_euler_signs,
     validate_mu,
 )
+from complexity_one.classify import compare
 from complexity_one.errors import (
     ComplexityOneError,
     PreconditionError,
     ValidationError,
 )
 from complexity_one.lattice import IntVector, primitive, vec
-from complexity_one.sponge import local_model_sponge, weighted_cycle_check
+from complexity_one.quasitoric import CharacteristicFunction, find_strict_subtorus, reduce
+from complexity_one.sponge import CheckResult, local_model_sponge, weighted_cycle_check
 from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
@@ -36,6 +40,7 @@ from complexity_one.weights import (
 )
 from conftest import random_unimodular, transformed
 from oracles import cocycle_report_by_vectors, local_euler_by_kernel, vanishing_pattern_by_vectors
+from test_quasitoric import POLYTOPES
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 
@@ -360,3 +365,70 @@ class TestThreeTermRelationOnTuples:
         changed = CharacteristicData(cd.n, cd.sponge, mu, signs)
         want = _outcome(cocycle_report_by_vectors, changed)
         assert _outcome(lambda: changed.cocycle_report) == want
+
+
+def _reduced_cube_data(n):
+    p, values = POLYTOPES[f"cube{n}"]()
+    lam = CharacteristicFunction(values)
+    return reduce(p, lam, find_strict_subtorus(p, lam)[0])
+
+
+# valid sponges with compatible data: the catalog entries and two reduced cubes
+PIPELINE_BASES = {
+    **{name: cache(lambda name=name: load(name).data) for name in names() + ["local-model-2", "local-model-5"]},
+    **{f"reduced-cube-{n}": cache(lambda n=n: _reduced_cube_data(n)) for n in (3, 4)},
+}
+STAGES = ["sponge", "mu", "compatibility", "cocycle", "euler-cycle"]
+
+
+class TestCheckPipeline:
+    def test_stages_run_in_order_and_only_when_asked(self, monkeypatch):
+        cd = load("f3").data
+        assert [stage for stage, _ in chardata._checks(cd)] == STAGES
+
+        def unasked(cd):
+            raise AssertionError("a later stage ran")
+
+        monkeypatch.setattr(chardata, "cocycle_check", unasked)
+        assert [stage for stage, _ in islice(chardata._checks(cd), 3)] == STAGES[:3]
+
+    def test_compare_runs_no_cocycle_check(self, monkeypatch):
+        def unasked(cd):
+            raise AssertionError("compare ran the cocycle check")
+
+        monkeypatch.setattr(chardata, "cocycle_check", unasked)
+        cd = load("f3").data
+        assert compare(cd, cd).equivalent
+
+    def test_euler_cycle_names_the_first_failed_prerequisite(self):
+        cd = lm3_data([vec(1, 0), vec(0, 1), vec(1, 2)])
+        stages = dict(chardata._checks(cd))
+        assert stages["compatibility"].ok and not stages["cocycle"].ok
+        assert stages["euler-cycle"].entries == (CheckResult("euler-cycle", "fail", "cocycle relations fail"),)
+        cd = lm3_data([vec(1, 0), vec(0, 1), vec(1, 2)], {"c1": 1, "c2": 0, "c3": 1})
+        stages = dict(chardata._checks(cd))
+        assert stages["euler-cycle"].entries == (CheckResult("euler-cycle", "fail", "compatibility fails"),)
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(PIPELINE_BASES)), data=st.data())
+    def test_euler_cycle_is_the_cycle_flag_of_the_chain(self, name, data):
+        # the pipeline reads euler-cycle off the cocycle report: on a valid
+        # sponge with compatible data it must be the assembled chain's cycle
+        # flag, here after Euler signs are flipped and mu values negated or swapped
+        cd = PIPELINE_BASES[name]()
+        mu, signs = dict(cd.mu), dict(cd.euler_sign)
+        facets = sorted(mu)
+        for f in data.draw(st.lists(st.sampled_from(facets), max_size=4, unique=True)):
+            change = data.draw(st.sampled_from(("flip", "negate", "swap")))
+            if change == "flip":
+                signs[f] = -signs[f]
+            elif change == "negate":
+                mu[f] = -mu[f]
+            else:
+                g = data.draw(st.sampled_from(facets))
+                mu[f], mu[g] = mu[g], mu[f]
+        changed = CharacteristicData(cd.n, cd.sponge, mu, signs, cd.ambient)
+        stages = dict(chardata._checks(changed))
+        assert stages["sponge"].ok and stages["compatibility"].ok
+        chain = {f: changed.euler_coefficient(f) for f in changed.sponge.facet_ids}
+        assert stages["euler-cycle"].ok == weighted_cycle_check(changed.sponge, chain)

@@ -558,6 +558,20 @@ class TestReduceFuzz:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert len(err.encode()) < 200 and "(5000 characters)" in err
 
+    @pytest.mark.parametrize(
+        "bound, echo",
+        [("9" * 5000, "'99999999999999999999'... (5000 characters)"), ("-1", "'-1'"), ("1.5", "'1.5'")],
+        ids=["long", "negative", "float"],
+    )
+    def test_rejected_alpha_bound_is_a_bad_argument(self, capsys, bound, echo):
+        # a negative bound admits no alpha: a bad argument, not a failed
+        # search; the files are not read before the arguments parse
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--polytope", "p.json", "--lambda", "lam.json", f"--alpha-bound={bound}"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and len(err.encode()) < 500
+        assert err.endswith(f"error: argument --alpha-bound: expected a nonnegative integer, got {echo}\n")
+
     def test_optimized_interpreter_reports_the_same(self, tmp_path):
         # python -O strips assert statements; the self-checks must still hold
         polytope, lam = copy.deepcopy(REDUCE_INPUTS["prism"])
@@ -572,7 +586,9 @@ class TestReduceFuzz:
 
 
 # exported catalog entries, as the chardata commands and the override directory read them
-CATALOG_INPUTS = {name: chardata_to_dict(load(name).data) for name in ("cp3-reduction", "f3", "g42", "local-model-4")}
+CATALOG_INPUTS = {
+    name: chardata_to_dict(load(name).data) for name in ("cp3-reduction", "f3", "g42", "local-model-2", "local-model-4")
+}
 CATALOG_COMMANDS = ("catalog", "validate-chardata", "compare", "validate-sponge", "homology")
 
 
@@ -637,6 +653,56 @@ class TestCatalogFileFuzz:
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
         assert code == 1 and "Traceback" not in run.stderr
+
+
+class TestGatedChecks:
+    # validate-chardata and catalog run one check pipeline: a check whose
+    # prerequisite failed is not run, and its entry names that prerequisite
+
+    @pytest.mark.parametrize("command", ["validate-chardata", "catalog"])
+    def test_n2_datum_without_a_sign_fails_compatibility(self, tmp_path, command):
+        # n = 2 has no codimension-one faces, so cocycle passes vacuously;
+        # the chain of the facet without a sign is never built
+        entry = copy.deepcopy(CATALOG_INPUTS["local-model-2"])
+        del entry["euler_sign"]["o"]
+        _, code, out, err = _run_catalog_command(tmp_path, command, "local-model-2", entry, entry)
+        assert code == 1 and err == "" and "Traceback" not in out
+        assert "FAIL compatibility\n" in out and "FAIL euler-cycle: compatibility fails\n" in out
+        assert "PASS cocycle" in out
+
+    @pytest.mark.parametrize("command", ["validate-chardata", "catalog"])
+    def test_mu_of_the_wrong_length_fails_cocycle_at_its_faces(self, tmp_path, command):
+        entry = copy.deepcopy(CATALOG_INPUTS["g42"])
+        fid = min(entry["mu"])
+        entry["mu"][fid] = entry["mu"][fid] + [0]
+        _, code, out, err = _run_catalog_command(tmp_path, command, "g42", entry, entry)
+        lines = out.splitlines()
+        assert code == 1 and err == "" and not any(line.startswith("FAIL error") for line in lines)
+        assert any(line.startswith("FAIL mu-") and f"mu({fid}) has dim 4, expected 3" in line for line in lines)
+        assert any(
+            line.startswith("FAIL cocycle: face ") and f": facets {fid} carry mu of dim other than 3" in line
+            for line in lines
+        )
+        assert "FAIL euler-cycle: compatibility fails" in lines
+
+    @pytest.mark.parametrize("command", ["validate-chardata", "catalog"])
+    def test_invalid_sponge_gates_cocycle_and_euler_cycle(self, tmp_path, command):
+        # neither the three-term relations nor the chain mean anything on a
+        # complex that fails the sponge axioms
+        entry = copy.deepcopy(CATALOG_INPUTS["g42"])
+        entry["sponge"]["cells"][0]["dim"] = str(-(2**64))
+        _, code, out, err = _run_catalog_command(tmp_path, command, "g42", entry, entry)
+        assert code == 1 and err == ""
+        assert "FAIL cocycle: sponge fails validation\n" in out
+        assert "FAIL euler-cycle: sponge fails validation\n" in out
+
+    def test_failed_cocycle_fails_euler_cycle(self, tmp_path):
+        entry = copy.deepcopy(CATALOG_INPUTS["f3"])
+        fid = min(entry["euler_sign"])
+        entry["euler_sign"][fid] = -entry["euler_sign"][fid]
+        _, code, out, err = _run_catalog_command(tmp_path, "validate-chardata", "f3", entry, entry)
+        assert code == 1 and "FAIL cocycle: face " in out
+        assert "FAIL euler-cycle: cocycle relations fail\n" in out and "determines-class" not in out
 
 
 @pytest.fixture(scope="module")

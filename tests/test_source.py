@@ -188,3 +188,17 @@ def test_validators_read_plain_rows():
         for node in ast.walk(top)
     }
     assert not used & banned, sorted(used & banned)
+
+
+def test_one_check_pipeline_for_characteristic_data():
+    # chardata._checks orders and gates the chardata checks; the reports of
+    # cli and catalog and compare's preconditions read its stages and run no
+    # validator of their own, and no report builds the Euler chain: with its
+    # prerequisites passed, the cocycle report decides whether it is a cycle
+    validators = ("validate_mu", "compatibility_check", "cocycle_check", "assemble_euler_cycle")
+    for name in validators + ("weighted_cycle_check",):
+        loaded_by = {module for module, _ in _uses(name)}
+        assert not loaded_by & {"cli", "catalog", "classify"}, (name, sorted(loaded_by))
+    assert {module for module, _ in _uses("_checks")} == {"cli", "catalog", "classify"}
+    assert _uses("assemble_euler_cycle") == []
+    assert _uses("weighted_cycle_check") == [("chardata", "assemble_euler_cycle")]
