@@ -9,9 +9,7 @@ from .chardata import (
     Ambient,
     CharacteristicData,
     Chart,
-    EulerCycle,
     OrbitType,
-    assemble_euler_cycle,
     cocycle_check,
     compatibility_check,
     data_from_charts,
@@ -68,7 +66,6 @@ from .sponge import (
     local_model_sponge,
     signed_incidence,
     validate_sponge,
-    weighted_cycle_check,
 )
 from .weights import (
     CramerCoefficients,

@@ -4,11 +4,12 @@ A characteristic datum assigns to every sponge facet a primitive circle
 direction mu(F) in Z^(n-1) and a sign k(F); the product k(F) * mu(F) is the
 local Euler coefficient of the facet.  Validation covers the rank
 conditions on stabilizer spans, the three-term vanishing relation at every
-codimension-one face of the sponge, and the cycle property of the
-assembled facet chain.
+codimension-one face of the sponge, and the cycle property of the facet
+chain sum k(F) mu(F) F, which the check pipeline reads off the three-term
+relations.
 
-The global Euler class is represented by this facet-local data plus the
-assembled chain; nothing topological is constructed.
+The global Euler class is represented by this facet-local data; nothing
+topological is constructed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InputFormatError,
-    ValidationError,
 )
 from .lattice import (
     IntVector,
@@ -39,7 +39,6 @@ from .sponge import (
     local_model_sponge,
     propagate_signs,
     validate_sponge,
-    weighted_cycle_check,
 )
 from .weights import WeightSystem, cramer_coefficients, hopf_type
 
@@ -91,34 +90,22 @@ class CharacteristicData:
     @cached_property
     def cocycle_report(self) -> ValidationReport:
         """The three-term relations checked once; cocycle_check returns this report."""
-        codim1 = self.sponge.cells_of_dim(self.n - 3) if self.n >= 3 else ()
-        if not codim1:
+        faces = list(_three_term_faces(self.n, self.sponge, self.mu, self.euler_sign))
+        if not faces:
             return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
         bad = []
-        for cell in codim1:
-            through = self.sponge.facets_containing(cell.id)
-            if len(through) != 3:
-                bad.append(f"face {cell.id} lies in {len(through)} facets, expected 3")
+        for face, through, defect, pattern in faces:
+            if defect:
+                bad.append(defect)
                 continue
-            lacking = [f for f in through if f not in self.mu or f not in self.euler_sign]
-            if lacking:
-                bad.append(f"face {cell.id}: facets {', '.join(lacking)} lack mu or an Euler sign")
-                continue
-            misfit = [f for f in through if self.mu[f].dim != self.n - 1]
-            if misfit:
-                bad.append(
-                    f"face {cell.id}: facets {', '.join(misfit)} carry mu of dim other than {self.n - 1}"
-                )
+            if pattern is None:
+                bad.append(f"face {face}: no +-1 combination of mu values vanishes")
                 continue
             mus = [self.mu[f].entries for f in through]
-            pattern = _vanishing_pattern(mus)
-            if pattern is None:
-                bad.append(f"face {cell.id}: no +-1 combination of mu values vanishes")
-                continue
-            signs = [self.sponge.boundary_signs[f].get(cell.id, 0) * self.euler_sign[f] for f in through]
+            signs = [self.sponge.boundary_signs[f].get(face, 0) * self.euler_sign[f] for f in through]
             if any(sum(s * x for s, x in zip(signs, column)) for column in zip(*mus)):
                 bad.append(
-                    f"face {cell.id}: stored signs do not match the vanishing pattern "
+                    f"face {face}: stored signs do not match the vanishing pattern "
                     f"(facets {', '.join(through)})"
                 )
         return ValidationReport(CheckResult.from_violations("cocycle", bad))
@@ -140,6 +127,17 @@ def _pair_index(v: IntVector, w: IntVector) -> int:
     return math.gcd(*minors) if minors else 0
 
 
+def _mu_defect(fid: str, v: IntVector, n: int) -> str:
+    """Why mu(fid) = v is not a primitive nonzero direction in Z^(n-1); "" when it is."""
+    if v.dim != n - 1:
+        return f"mu({fid}) has dim {v.dim}, expected {n - 1}"
+    if v.is_zero():
+        return f"mu({fid}) is zero"
+    if not v.is_primitive():
+        return f"mu({fid}) is not primitive"
+    return ""
+
+
 def validate_mu(cd: CharacteristicData) -> ValidationReport:
     """Rank conditions for the characteristic map, per face.
 
@@ -159,13 +157,9 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
     for fid in sorted(set(cd.mu) - facets):
         domain_bad.append(f"mu defined on non-facet {fid}")
     for fid in sorted(facets & set(cd.mu)):
-        v = cd.mu[fid]
-        if v.dim != cd.n - 1:
-            domain_bad.append(f"mu({fid}) has dim {v.dim}, expected {cd.n - 1}")
-        elif v.is_zero():
-            domain_bad.append(f"mu({fid}) is zero")
-        elif not v.is_primitive():
-            domain_bad.append(f"mu({fid}) is not primitive")
+        defect = _mu_defect(fid, cd.mu[fid], cd.n)
+        if defect:
+            domain_bad.append(defect)
     entries += CheckResult.from_violations("mu-domain", domain_bad)
     if domain_bad:
         return ValidationReport(tuple(entries))
@@ -202,7 +196,7 @@ def compatibility_check(cd: CharacteristicData) -> bool:
     """
     for fid in cd.sponge.facet_ids:
         v = cd.mu.get(fid)
-        if v is None or v.dim != cd.n - 1 or v.is_zero() or not v.is_primitive():
+        if v is None or _mu_defect(fid, v, cd.n):
             return False
         if cd.euler_sign.get(fid) not in (1, -1):
             return False
@@ -220,6 +214,38 @@ def _vanishing_pattern(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | No
             if not any(x + e1 * y + e2 * z for x, y, z in zip(v0, v1, v2)):
                 return (1, e1, e2)
     return None
+
+
+def _three_term_faces(
+    n: int,
+    sponge: SpongeComplex,
+    mu: Mapping[str, IntVector],
+    signs: Mapping[str, int] | None = None,
+) -> Iterator[tuple[str, tuple[str, ...], str, tuple[int, ...] | None]]:
+    """The three-term relation read at each codimension-one face.
+
+    Yields (face id, facets through it, defect, pattern) for each (n-3)-cell
+    of the sponge.  defect names a face that does not lie in three facets or
+    whose facets lack mu (or a sign, when signs are given) or carry mu of dim
+    other than n-1, and pattern is then None.  Otherwise defect is "" and
+    pattern is the vanishing +-1 pattern of the three mu values, or None when
+    no such combination vanishes.
+    """
+    for cell in sponge.cells_of_dim(n - 3) if n >= 3 else ():
+        face = cell.id
+        through = sponge.facets_containing(face)
+        defect = ""
+        if len(through) != 3:
+            defect = f"face {face} lies in {len(through)} facets, expected 3"
+        else:
+            lacking = [f for f in through if f not in mu or (signs is not None and f not in signs)]
+            misfit = [] if lacking else [f for f in through if mu[f].dim != n - 1]
+            if lacking:
+                defect = f"face {face}: facets {', '.join(lacking)} lack mu or an Euler sign"
+            elif misfit:
+                defect = f"face {face}: facets {', '.join(misfit)} carry mu of dim other than {n - 1}"
+        pattern = None if defect else _vanishing_pattern([mu[f].entries for f in through])
+        yield face, through, defect, pattern
 
 
 def cocycle_check(cd: CharacteristicData) -> ValidationReport:
@@ -253,27 +279,6 @@ def orbit_types(cd: CharacteristicData) -> list[OrbitType]:
     return out
 
 
-@dataclass(frozen=True)
-class EulerCycle:
-    chain: Mapping[str, IntVector]
-    is_cycle: bool
-    determines_class: bool
-
-
-def assemble_euler_cycle(cd: CharacteristicData) -> EulerCycle:
-    """Facet chain k(F) * mu(F) with its cycle flag.
-
-    Refuses (raises ValidationError) when the cocycle relations fail.  The
-    determines_class flag is the ambient's.
-    """
-    report = cocycle_check(cd)
-    if not report.ok:
-        raise ValidationError("cocycle relations fail: " + report.summary(4))
-    chain = {fid: cd.euler_coefficient(fid) for fid in cd.sponge.facet_ids}
-    flag = weighted_cycle_check(cd.sponge, chain)
-    return EulerCycle(chain=chain, is_cycle=flag, determines_class=cd.ambient.determines_class)
-
-
 def _verdict(check: str, ok: bool, detail: str = "") -> ValidationReport:
     return ValidationReport((CheckResult.of(check, ok, detail),))
 
@@ -294,6 +299,8 @@ def _checks(cd: CharacteristicData) -> Iterator[tuple[str, ValidationReport]]:
     of [F:c] k(F) mu(F) over the facets F through c: the sum the cocycle
     report tests at c.  Where every facet carries a sign and a mu of dim n-1
     (compatibility), the chain is a cycle iff the cocycle relations hold.
+    The test suite checks this against tests/oracles.py's
+    euler_cycle_by_boundary, which sums the chain's boundary cell by cell.
     """
     sponge = validate_sponge(cd.sponge)
     yield "sponge", sponge
@@ -356,16 +363,12 @@ def solve_euler_signs(
     means the mu data is not coherent.
     """
     constraints: list[tuple[str, str, int]] = []
-    codim1 = sponge.cells_of_dim(sponge.n - 3) if sponge.n >= 3 else ()
-    for cell in codim1:
-        through = sponge.facets_containing(cell.id)
-        if len(through) != 3:
-            raise ConsistencyError(f"face {cell.id} lies in {len(through)} facets, expected 3")
-        mus = [mu[f].entries for f in through]
-        inc = [sponge.boundary_signs[f][cell.id] for f in through]
-        pattern = _vanishing_pattern(mus)
+    for face, through, defect, pattern in _three_term_faces(sponge.n, sponge, mu):
+        if defect:
+            raise ConsistencyError(defect)
         if pattern is None:
-            raise ConsistencyError(f"face {cell.id}: no +-1 vanishing combination of mu values")
+            raise ConsistencyError(f"face {face}: no +-1 vanishing combination of mu values")
+        inc = [sponge.boundary_signs[f][face] for f in through]
         # need inc[t] * k[t] proportional to pattern[t]
         target = [pattern[t] * inc[t] for t in range(3)]
         for t in range(1, 3):

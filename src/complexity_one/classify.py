@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping
 
-from .chardata import CharacteristicData, _checks, _pair_index
+from .chardata import CharacteristicData, _checks, _pair_index, _three_term_faces
 from .errors import ConsistencyError, PreconditionError
 from .lattice import IntMatrix, adjugate, determinant, independent_rows
 from .sponge import SpongeComplex, homology, propagate_signs
@@ -64,12 +64,10 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
     counts = tuple(len(s.cells_of_dim(d)) for d in range(max(s.n - 1, 1)))
     h = homology(s)
     pair_idx = []
-    if s.n >= 3:
-        for cell in s.cells_of_dim(s.n - 3):
-            through = s.facets_containing(cell.id)
-            for a in range(len(through)):
-                for b in range(a + 1, len(through)):
-                    pair_idx.append(_pair_index(cd.mu[through[a]], cd.mu[through[b]]))
+    for _, through, _, _ in _three_term_faces(s.n, s, cd.mu):
+        for a in range(len(through)):
+            for b in range(a + 1, len(through)):
+                pair_idx.append(_pair_index(cd.mu[through[a]], cd.mu[through[b]]))
     return Fingerprint(
         n=cd.n,
         ambient=cd.ambient.kind,
@@ -91,13 +89,16 @@ def _require_validated(cd: CharacteristicData, tag: str) -> None:
         raise PreconditionError(f"{tag} carries malformed local Euler data")
 
 
-def _cell_signature(s: SpongeComplex, cid: str) -> tuple:
-    """Bijection-invariant local profile: dim plus face/coface counts per dim."""
-    dim = s.by_id[cid].dim
-    down = tuple(sorted(s.by_id[x].dim for x, _ in s.boundary(cid)))
-    upper = s.upper_set(cid)
-    up = tuple(sorted(s.by_id[x].dim for x in upper if x != cid))
-    return (dim, down, up)
+def _cell_signature(s: SpongeComplex, cid: str) -> tuple[int, int]:
+    """Bijection-invariant local profile: dim and the number of boundary cells.
+
+    compare searches only sponges that pass validation and share n.  There
+    incidence-structure makes every boundary cell one dimension lower, and
+    upper-counts puts an i-cell in exactly C(n-i, d-i) cells of each
+    dimension d, so the dimensions of the boundary cells and of the upper set
+    follow from these two numbers and would not refine the partition.
+    """
+    return (s.by_id[cid].dim, len(s.boundary(cid)))
 
 
 def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, int]):
@@ -140,15 +141,21 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     # the same id first, then the order of s2.cells (sorted is stable)
     candidates = [sorted(sig2[sig1[c]], key=lambda c2: c2 != c) for c in order]
 
+    if not order:
+        yield {}
+        return
     assign: dict[str, str] = {}
     used: set[str] = set()
-
-    def backtrack(pos: int):
-        if pos == len(order):
-            yield dict(assign)
-            return
+    # depth first on an explicit stack of candidate iterators, one per
+    # position up to the one being filled: a recursion would take one
+    # interpreter frame per cell
+    stack = [iter(candidates[0])]
+    while stack:
+        pos = len(stack) - 1
         c1 = order[pos]
-        for c2 in candidates[pos]:
+        if c1 in assign:  # back at this position: undo its last placement
+            used.discard(assign.pop(c1))
+        for c2 in stack[-1]:
             if c2 in used:
                 continue
             # one-directional cover preservation; sizes agree via the signatures
@@ -159,11 +166,14 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
             assign[c1] = c2
             used.add(c2)
             counts["nodes"] += 1
-            yield from backtrack(pos + 1)
-            del assign[c1]
-            used.discard(c2)
-
-    yield from backtrack(0)
+            break
+        else:
+            stack.pop()
+            continue
+        if pos + 1 == len(order):
+            yield dict(assign)
+        else:
+            stack.append(iter(candidates[pos + 1]))
 
 
 def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str]):
@@ -330,14 +340,13 @@ def compare(
             certificate=f"ambient boundary_trivial differs: {a1.boundary_trivial} vs {a2.boundary_trivial}",
         )
     f1, f2 = canonical_invariants(cd1), canonical_invariants(cd2)
-    if f1 != f2:
-        for name in ("cells_per_dim", "betti", "torsion", "pair_indices"):
-            if getattr(f1, name) != getattr(f2, name):
-                return ComparisonResult(
-                    "inequivalent",
-                    certificate=f"invariant mismatch: {name} {getattr(f1, name)} vs {getattr(f2, name)}",
-                )
-        return ComparisonResult("inequivalent", certificate="invariant mismatch")
+    # n and the ambient agree here, so a difference is in one of these fields
+    for name in ("cells_per_dim", "betti", "torsion", "pair_indices"):
+        if getattr(f1, name) != getattr(f2, name):
+            return ComparisonResult(
+                "inequivalent",
+                certificate=f"invariant mismatch: {name} {getattr(f1, name)} vs {getattr(f2, name)}",
+            )
 
     factor = _SpanFactor.of(cd1)
     euler2 = {f: cd2.euler_coefficient(f).entries for f in cd2.sponge.facet_ids}

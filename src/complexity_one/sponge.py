@@ -22,11 +22,10 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     ConsistencyError,
     DegenerateInputError,
-    DimensionMismatchError,
     InputFormatError,
     ValidationError,
 )
-from .lattice import IntMatrix, IntVector, smith_normal_form
+from .lattice import IntMatrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -280,9 +279,6 @@ class LocalModel:
     n: int
     faces: tuple[frozenset[int], ...]
 
-    def contains(self, small: frozenset[int], big: frozenset[int]) -> bool:
-        return small <= big
-
     def faces_of_dim(self, d: int) -> tuple[frozenset[int], ...]:
         return tuple(f for f in self.faces if len(f) == d)
 
@@ -520,29 +516,6 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
     residual = [[row.get(j, 0) for j in keep] for _, row in sorted(rows.items())]
     dec = smith_normal_form(IntMatrix.from_rows(residual))
     return pivots + dec.rank, dec.torsion()
-
-
-def weighted_cycle_check(s: SpongeComplex, coeffs: Mapping[str, IntVector]) -> bool:
-    """True iff the facet chain with the given vector coefficients is a cycle."""
-    facets = set(s.facet_ids)
-    keys = set(coeffs)
-    if keys != facets:
-        missing = sorted(facets - keys)
-        extra = sorted(keys - facets)
-        raise InputFormatError(
-            f"coefficients must cover exactly the facets; missing {missing}, extra {extra}"
-        )
-    dims = {v.dim for v in coeffs.values()}
-    if dims and dims != {s.n - 1}:
-        raise DimensionMismatchError(f"coefficients must have dim {s.n - 1}")
-    acc: dict[str, list[int]] = {}
-    for fid in s.facet_ids:
-        entries = coeffs[fid].entries
-        for sub, sign in s.boundary(fid):
-            cur = acc.setdefault(sub, [0] * len(entries))
-            for t, x in enumerate(entries):
-                cur[t] += sign * x
-    return not any(any(v) for v in acc.values())
 
 
 @dataclass(frozen=True)

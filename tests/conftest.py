@@ -3,10 +3,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from complexity_one.chardata import CharacteristicData
+from complexity_one.chardata import CharacteristicData, _checks
 from complexity_one.lattice import IntMatrix, IntVector, determinant, vec
 from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
 from complexity_one.sponge import Cell, SpongeComplex
+from oracles import euler_cycle_by_boundary
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
@@ -49,6 +50,11 @@ def transformed(
         mu[rl[f]] = v
         ks[rl[f]] = cd.euler_sign[f] * (-1 if f in flip else 1)
     return CharacteristicData(n=cd.n, sponge=sp, mu=mu, euler_sign=ks, ambient=cd.ambient)
+
+
+def euler_cycle_verdicts(cd: CharacteristicData) -> tuple[bool, bool]:
+    """The check pipeline's euler-cycle stage and the chain-boundary oracle, in that order."""
+    return dict(_checks(cd))["euler-cycle"].ok, euler_cycle_by_boundary(cd)
 
 
 @pytest.fixture

@@ -41,6 +41,14 @@ the tuples of mu.  smith_by_pivoting, the package's former Smith form by
 least-pivot row and column rotations and a divisibility loop, is the
 reference for the one that alternates Hermite row passes; it shares only
 _gcdex and the self-check _check_smith with the package.
+poset_bijections_recursive, the connectivity-first bijection search as a
+recursive generator with one frame per placed cell and the signature with
+the sorted dimensions of the boundary and the upper set, is the reference
+for the search on an explicit stack with the (dim, boundary size)
+signature.  euler_cycle_by_boundary, the package's former chain-cycle
+check, sums the boundary of the facet chain k(F) mu(F) F cell by cell; it is
+the reference for the check pipeline's euler-cycle stage, which reads the
+verdict off the cocycle report.
 """
 
 from collections import Counter
@@ -410,6 +418,61 @@ def poset_bijections_by_dim(s1, s2):
     yield from backtrack(0)
 
 
+def poset_bijections_recursive(s1, s2, counts):
+    """Yield dim- and cover-preserving cell bijections, connectivity first, by recursion.
+
+    The order, the candidates and counts["nodes"] are those of
+    classify._poset_bijections.
+    """
+    sig1 = {c.id: _cell_signature(s1, c.id) for c in s1.cells}
+    sig2 = {}
+    for c in s2.cells:
+        sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
+    if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
+        return
+    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
+
+    order = []
+    placed_nbrs = dict.fromkeys(sig1, 0)
+    unplaced = set(sig1)
+    while unplaced:
+        c1 = min(
+            unplaced, key=lambda x: (-placed_nbrs[x], len(sig2[sig1[x]]), -s1.by_id[x].dim, x)
+        )
+        order.append(c1)
+        unplaced.remove(c1)
+        for x in (*bnd1[c1], *cof1[c1]):
+            placed_nbrs[x] += 1
+    position = {c: i for i, c in enumerate(order)}
+    faces_before = [[x for x in bnd1[c] if position[x] < i] for i, c in enumerate(order)]
+    cofaces_before = [[x for x in cof1[c] if position[x] < i] for i, c in enumerate(order)]
+    candidates = [sorted(sig2[sig1[c]], key=lambda c2: c2 != c) for c in order]
+
+    assign = {}
+    used = set()
+
+    def backtrack(pos):
+        if pos == len(order):
+            yield dict(assign)
+            return
+        c1 = order[pos]
+        for c2 in candidates[pos]:
+            if c2 in used:
+                continue
+            if any(assign[x] not in bnd2[c2] for x in faces_before[pos]):
+                continue
+            if any(c2 not in bnd2[assign[up]] for up in cofaces_before[pos]):
+                continue
+            assign[c1] = c2
+            used.add(c2)
+            counts["nodes"] += 1
+            yield from backtrack(pos + 1)
+            del assign[c1]
+            used.discard(c2)
+
+    yield from backtrack(0)
+
+
 def solve_exact(a, b):
     """Integer solution x of a @ x = b, or None when none exists (the package's former solver).
 
@@ -700,6 +763,25 @@ def cocycle_report_by_vectors(cd):
                 f"(facets {', '.join(through)})"
             )
     return ValidationReport(CheckResult.from_violations("cocycle", bad))
+
+
+def euler_cycle_by_boundary(cd):
+    """True iff the facet chain k(F) mu(F) F of the datum is a cycle, by its boundary sum."""
+    s = cd.sponge
+    facets = set(s.facet_ids)
+    keys = set(cd.mu) & set(cd.euler_sign)
+    if not facets <= keys:
+        raise InputFormatError(f"facets {sorted(facets - keys)} lack mu or an Euler sign")
+    coeffs = {f: cd.euler_coefficient(f) for f in s.facet_ids}
+    if {v.dim for v in coeffs.values()} - {s.n - 1}:
+        raise DimensionMismatchError(f"coefficients must have dim {s.n - 1}")
+    acc = {}
+    for fid, v in coeffs.items():
+        for sub, sign in s.boundary(fid):
+            cur = acc.setdefault(sub, [0] * v.dim)
+            for t, x in enumerate(v.entries):
+                cur[t] += sign * x
+    return not any(any(v) for v in acc.values())
 
 
 class _PivotWorker:

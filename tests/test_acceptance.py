@@ -10,12 +10,7 @@ from itertools import product
 from math import lcm
 
 from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope, verify
-from complexity_one.chardata import (
-    assemble_euler_cycle,
-    cocycle_check,
-    compatibility_check,
-    validate_mu,
-)
+from complexity_one.chardata import cocycle_check, compatibility_check, validate_mu
 from complexity_one.classify import compare, verify_witness
 from complexity_one.lattice import IntMatrix, determinant, smith_normal_form, vec
 from complexity_one.quasitoric import (
@@ -25,17 +20,18 @@ from complexity_one.quasitoric import (
     find_strict_subtorus,
     reduce,
 )
-from complexity_one.sponge import homology, validate_sponge, weighted_cycle_check
+from complexity_one.sponge import homology, validate_sponge
 from complexity_one.weights import (
     WeightSystem,
     cramer_coefficients,
     is_strictly_appropriate,
     stabilizer_structure,
 )
-from conftest import random_general_position_system, random_unimodular, transformed
+from conftest import euler_cycle_verdicts, random_general_position_system, random_unimodular, transformed
 from oracles import (
     cofactor_det,
     coset_order,
+    euler_cycle_by_boundary,
     graph_betti,
     invariant_factors_from_minors,
 )
@@ -56,14 +52,14 @@ def test_criterion_1_grassmannian_pipeline():
     sponge_ok = validate_sponge(octahedron_sponge(squares=True)).ok
     ok = ok and sponge_ok
     entry = load("g42")
-    cycle = assemble_euler_cycle(entry.data)
-    ok = ok and cycle.is_cycle
+    cycle = euler_cycle_verdicts(entry.data) == (True, True)
+    ok = ok and cycle
     dt = time.monotonic() - t0
     ok = ok and dt < 1.0
     _report(
         1,
         ok,
-        f"c={list(cc.c)}, strict, octahedron+squares valid={sponge_ok}, cycle={cycle.is_cycle}",
+        f"c={list(cc.c)}, strict, octahedron+squares valid={sponge_ok}, cycle={cycle}",
         t0,
     )
 
@@ -142,7 +138,7 @@ def test_criterion_3_reduction_closure():
             assert validate_mu(cd).ok
             assert compatibility_check(cd)
             assert cocycle_check(cd).ok
-            assert assemble_euler_cycle(cd).is_cycle
+            assert euler_cycle_verdicts(cd) == (True, True)
             runs += 1
     dt = time.monotonic() - t0
     ok = runs >= 3 and dt < 5.0
@@ -306,8 +302,7 @@ def test_criterion_8_cocycle_relations():
         violations += len(report.failures())
         if cd.n >= 3:
             faces += len(cd.sponge.cells_of_dim(cd.n - 3))
-        chain = {f: cd.euler_coefficient(f) for f in cd.sponge.facet_ids}
-        if not weighted_cycle_check(cd.sponge, chain):
+        if not euler_cycle_by_boundary(cd):
             violations += 1
     ok = violations == 0 and faces > 0
     _report(8, ok, f"{faces} codimension-one faces over {len(data)} data sets, {violations} violations", t0)

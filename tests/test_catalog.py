@@ -1,11 +1,11 @@
 import pytest
 
 from complexity_one.catalog import CATALOG_ENV, load, names, verify
-from complexity_one.chardata import assemble_euler_cycle
 from complexity_one.errors import UnknownEntryError
 from complexity_one.io import canonical_json, chardata_to_dict
 from complexity_one.sponge import homology
 from complexity_one.weights import cramer_coefficients, is_strictly_appropriate
+from conftest import euler_cycle_verdicts
 
 
 def canonical_sign(c):
@@ -47,7 +47,7 @@ class TestG42:
             assert sorted(cc.c) == [-1, -1, 1, 1], vid
 
     def test_euler_chain_is_cycle(self):
-        assert assemble_euler_cycle(self.entry.data).is_cycle
+        assert euler_cycle_verdicts(self.entry.data) == (True, True)
 
     def test_betti(self):
         assert homology(self.entry.data.sponge).betti == (1, 0, 4)
@@ -74,7 +74,7 @@ class TestF3:
 
     def test_betti_and_cycle(self):
         assert homology(self.entry.data.sponge).betti == (1, 4)
-        assert assemble_euler_cycle(self.entry.data).is_cycle
+        assert euler_cycle_verdicts(self.entry.data) == (True, True)
 
 
 class TestLocalModel:

@@ -8,12 +8,11 @@ import complexity_one.chardata as chardata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_one.catalog import load, names
+from complexity_one.catalog import load, names, octahedron_sponge
 from complexity_one.chardata import (
     Ambient,
     CharacteristicData,
     _vanishing_pattern,
-    assemble_euler_cycle,
     cocycle_check,
     compatibility_check,
     local_euler_from_weights,
@@ -23,14 +22,10 @@ from complexity_one.chardata import (
     validate_mu,
 )
 from complexity_one.classify import compare
-from complexity_one.errors import (
-    ComplexityOneError,
-    PreconditionError,
-    ValidationError,
-)
+from complexity_one.errors import ComplexityOneError, InputFormatError, PreconditionError
 from complexity_one.lattice import IntVector, primitive, vec
 from complexity_one.quasitoric import CharacteristicFunction, find_strict_subtorus, reduce
-from complexity_one.sponge import CheckResult, local_model_sponge, weighted_cycle_check
+from complexity_one.sponge import CheckResult, local_model_sponge
 from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
@@ -38,8 +33,13 @@ from complexity_one.weights import (
     induced_weights,
     is_strictly_appropriate,
 )
-from conftest import random_unimodular, transformed
-from oracles import cocycle_report_by_vectors, local_euler_by_kernel, vanishing_pattern_by_vectors
+from conftest import euler_cycle_verdicts, random_unimodular, transformed
+from oracles import (
+    cocycle_report_by_vectors,
+    euler_cycle_by_boundary,
+    local_euler_by_kernel,
+    vanishing_pattern_by_vectors,
+)
 from test_quasitoric import POLYTOPES
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
@@ -158,48 +158,59 @@ class TestOrbitTypes:
             assert vals == {cd.n - 1 - d}
 
 
-class TestAssemble:
+class TestEulerCycle:
+    # the euler-cycle stage of the check pipeline, against the oracle that
+    # sums the boundary of the facet chain k(F) mu(F) F
+
     def test_local_model_cycle(self):
         ws = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(1, 1)))
         cd = local_model_data(ws)
-        ec = assemble_euler_cycle(cd)
-        assert ec.is_cycle
-        assert not ec.determines_class  # abstract ambient
+        assert euler_cycle_verdicts(cd) == (True, True)
+        assert not cd.ambient.determines_class  # abstract ambient
 
     def test_product_ambient_determines(self):
-        from complexity_one.catalog import load
-
         cd = load("f3").data
-        ec = assemble_euler_cycle(cd)
-        assert ec.is_cycle and ec.determines_class
+        assert euler_cycle_verdicts(cd) == (True, True)
+        assert cd.ambient.determines_class
 
     def test_refuses_on_cocycle_failure(self):
         cd = lm3_data([vec(1, 0), vec(0, 1), vec(1, 2)])
-        with pytest.raises(ValidationError):
-            assemble_euler_cycle(cd)
+        stages = dict(chardata._checks(cd))
+        assert stages["euler-cycle"].entries == (CheckResult("euler-cycle", "fail", "cocycle relations fail"),)
+        assert not euler_cycle_by_boundary(cd)
 
     def test_gl_equivariance(self):
-        from complexity_one.catalog import load
-
         cd = load("g42").data
         rng = random.Random(12)
         for _ in range(10):
             a = random_unimodular(rng, 3)
             moved = transformed(cd, matrix=a)
-            ec = assemble_euler_cycle(moved)
-            assert ec.is_cycle
-            base = assemble_euler_cycle(cd)
+            assert euler_cycle_verdicts(moved) == (True, True)
             for f in cd.sponge.facet_ids:
-                assert ec.chain[f] == a @ base.chain[f]
+                assert moved.euler_coefficient(f) == a @ cd.euler_coefficient(f)
 
     def test_flip_breaks_cycle_flag(self):
-        from complexity_one.catalog import load
-
         cd = load("g42").data
         f0 = sorted(cd.sponge.facet_ids)[0]
         flipped = transformed(cd, flip={f0})
-        chain = {f: flipped.euler_coefficient(f) for f in flipped.sponge.facet_ids}
-        assert not weighted_cycle_check(flipped.sponge, chain)
+        assert euler_cycle_verdicts(flipped) == (False, False)
+
+    def test_zero_chain(self):
+        # the zero chain is a cycle, but its zero mu values fail compatibility
+        s = octahedron_sponge(squares=True)
+        cd = CharacteristicData(4, s, {f: vec(0, 0, 0) for f in s.facet_ids}, {f: 1 for f in s.facet_ids})
+        assert euler_cycle_verdicts(cd) == (False, True)
+        assert dict(chardata._checks(cd))["euler-cycle"].failures()[0].detail == "compatibility fails"
+
+    def test_missing_facet_rejected(self):
+        cd = load("f3").data
+        missing = sorted(cd.mu)[-1]
+        mu = {f: v for f, v in cd.mu.items() if f != missing}
+        short = CharacteristicData(cd.n, cd.sponge, mu, cd.euler_sign, cd.ambient)
+        stages = dict(chardata._checks(short))
+        assert stages["euler-cycle"].entries == (CheckResult("euler-cycle", "fail", "compatibility fails"),)
+        with pytest.raises(InputFormatError):
+            euler_cycle_by_boundary(short)
 
 
 class TestLocalEulerFromWeights:
@@ -264,7 +275,7 @@ class TestLocalEulerFromWeights:
             assert validate_mu(cd).ok
             assert compatibility_check(cd)
             assert cocycle_check(cd).ok
-            assert assemble_euler_cycle(cd).is_cycle
+            assert euler_cycle_verdicts(cd) == (True, True)
 
     def test_hopf_patterns_match_cocycle_patterns(self):
         # pairwise sign products around each triple multiply to +1
@@ -430,5 +441,4 @@ class TestCheckPipeline:
         changed = CharacteristicData(cd.n, cd.sponge, mu, signs, cd.ambient)
         stages = dict(chardata._checks(changed))
         assert stages["sponge"].ok and stages["compatibility"].ok
-        chain = {f: changed.euler_coefficient(f) for f in changed.sponge.facet_ids}
-        assert stages["euler-cycle"].ok == weighted_cycle_check(changed.sponge, chain)
+        assert stages["euler-cycle"].ok == euler_cycle_by_boundary(changed)

@@ -1,12 +1,14 @@
 import random
 from dataclasses import replace
+from functools import cache
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_one.catalog import load
-from complexity_one.chardata import Ambient, assemble_euler_cycle, cocycle_check, validate_mu
+from complexity_one.catalog import load, names
+from complexity_one.chardata import Ambient, cocycle_check, validate_mu
 from complexity_one.classify import (
     _poset_bijections,
     _solve_gauge,
@@ -19,8 +21,9 @@ from complexity_one.classify import (
 from complexity_one.errors import ConsistencyError, PreconditionError
 from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import SubtorusChoice, reduce
-from conftest import random_unimodular, transformed
-from oracles import poset_bijections_by_dim, solve_transform_by_rows
+from conftest import euler_cycle_verdicts, random_unimodular, transformed
+from oracles import poset_bijections_by_dim, poset_bijections_recursive, solve_transform_by_rows
+from test_chardata import _reduced_cube_data
 
 
 def shuffled_relabel(cd, rng):
@@ -187,7 +190,7 @@ def test_relabel_and_transform_preserve_verdicts(name, rng):
     moved = transformed(cd, matrix=random_unimodular(rng, cd.n - 1), relabel=shuffled_relabel(cd, rng))
     assert validate_mu(moved).ok == validate_mu(cd).ok
     assert cocycle_check(moved).ok == cocycle_check(cd).ok
-    assert assemble_euler_cycle(moved).is_cycle == assemble_euler_cycle(cd).is_cycle
+    assert euler_cycle_verdicts(moved) == euler_cycle_verdicts(cd) == (True, True)
     res = compare(cd, moved)
     assert res.equivalent and verify_witness(cd, moved, res.witness)
 
@@ -229,6 +232,13 @@ def _bijection_set(search):
     return {frozenset(m.items()) for m in search}
 
 
+# valid sponges: the catalog entries and the reduced 3-, 4- and 5-cubes
+SEARCH_BASES = {
+    **{name: cache(lambda name=name: load(name).data) for name in names()},
+    **{f"reduced-cube-{n}": cache(lambda n=n: _reduced_cube_data(n)) for n in (3, 4, 5)},
+}
+
+
 class TestSearchOracles:
     @pytest.mark.parametrize("name", ["cp3-reduction", "local-model-4", "f3"])
     def test_bijections_match_dimension_descending_search(self, name):
@@ -245,6 +255,25 @@ class TestSearchOracles:
             got = list(_poset_bijections(cd.sponge, other.sponge, {"nodes": 0}))
             assert len(got) == len(want) > 0
             assert _bijection_set(got) == want
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_BASES))
+    def test_stack_search_matches_recursive_search(self, name):
+        # the same bijections in the same order, with the same node count
+        # after each one, on the datum against itself and a relabelled copy;
+        # the first 60 bijections where there are more
+        cd = SEARCH_BASES[name]()
+        relabelled = transformed(cd, relabel=shuffled_relabel(cd, random.Random(37)))
+        for other in (cd, relabelled):
+            got_counts, want_counts = {"nodes": 0}, {"nodes": 0}
+            got = islice(_poset_bijections(cd.sponge, other.sponge, got_counts), 60)
+            want = islice(poset_bijections_recursive(cd.sponge, other.sponge, want_counts), 60)
+            steps = 0
+            for g, w in zip_longest(got, want):
+                assert g is not None and w is not None
+                assert list(g.items()) == list(w.items())
+                assert got_counts == want_counts
+                steps += 1
+            assert steps > 0 and got_counts == want_counts
 
     @pytest.mark.parametrize("name, flip", [("cp3-reduction", True), ("local-model-4", False)])
     def test_transform_matches_row_wise_solves(self, name, flip):

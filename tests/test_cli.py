@@ -18,7 +18,7 @@ import complexity_one
 import complexity_one.sponge as sponge_mod
 
 from complexity_one.catalog import load, names, simplex_lambda, simplex_polytope
-from complexity_one.chardata import Ambient, CharacteristicData, assemble_euler_cycle
+from complexity_one.chardata import Ambient, CharacteristicData
 from complexity_one.classify import compare, verify_witness
 from complexity_one.cli import build_parser, main
 from complexity_one.errors import InputFormatError
@@ -36,6 +36,7 @@ from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
 from complexity_one.sponge import Cell, SpongeComplex
 from complexity_one.weights import WeightSystem
+from conftest import euler_cycle_verdicts
 from test_quasitoric import POLYTOPES
 
 
@@ -401,7 +402,8 @@ class TestRoundTrip:
         assert data["boundary_trivial"] is False
         back = chardata_from_dict(data)
         assert back.ambient == Ambient("product", False)
-        assert not assemble_euler_cycle(back).determines_class
+        assert euler_cycle_verdicts(back) == (True, True)
+        assert not back.ambient.determines_class
         data["boundary_trivial"] = 0
         with pytest.raises(InputFormatError):
             chardata_from_dict(data)
@@ -653,6 +655,30 @@ class TestCatalogFileFuzz:
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
         assert code == 1 and "Traceback" not in run.stderr
+
+
+class TestCompareAtScale:
+    def test_local_model_10_self_compare(self, tmp_path):
+        # 1,013 cells: the bijection search places one cell per level, more
+        # levels than the interpreter's default recursion limit of 1,000
+        env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1])}
+        path = str(tmp_path / "lm10.json")
+        cli = [sys.executable, "-m", "complexity_one.cli"]
+        export = subprocess.run(
+            [*cli, "catalog", "local-model-10", "--export", path], capture_output=True, text=True, env=env
+        )
+        assert export.returncode == 0, export.stderr
+        run = subprocess.run(
+            [*cli, "--format", "json", "compare", path, path], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr[-2000:]
+        results = {r["check"]: r for r in json.loads(run.stdout)["results"]}
+        assert results["verdict"]["detail"] == "Equivalent"
+        witness = json.loads(results["detail"]["detail"])
+        assert len(witness["mapping"]) == 1013
+        assert all(k == v for k, v in witness["mapping"].items())
+        assert set(witness["gauge"].values()) == {1}
+        assert witness["matrix"] == IntMatrix.identity(9).row_list()
 
 
 class TestGatedChecks:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from complexity_one.catalog import simplex_lambda, simplex_polytope
 from complexity_one.chardata import (
-    assemble_euler_cycle,
     cocycle_check,
     compatibility_check,
     validate_mu,
@@ -43,7 +42,7 @@ from complexity_one.quasitoric import (
 from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
 from complexity_one.sponge import validate_sponge
 from complexity_one.weights import induced_weights, is_strictly_appropriate
-from conftest import random_unimodular
+from conftest import euler_cycle_verdicts, random_unimodular
 from oracles import (
     color_clash_by_pairs,
     polytope_edge_error_by_scan,
@@ -387,7 +386,7 @@ class TestReduce:
         assert validate_mu(cd).ok
         assert compatibility_check(cd)
         assert cocycle_check(cd).ok
-        assert assemble_euler_cycle(cd).is_cycle
+        assert euler_cycle_verdicts(cd) == (True, True)
         assert cd.ambient.kind == "sphere"
         assert len(cd.sponge.cells_of_dim(1)) == 6
         assert len(cd.sponge.cells_of_dim(0)) == 4
@@ -426,7 +425,7 @@ class TestReduce:
         assert counts == [16, 32, 24]
         assert validate_mu(cd).ok
         assert cocycle_check(cd).ok
-        assert assemble_euler_cycle(cd).is_cycle
+        assert euler_cycle_verdicts(cd) == (True, True)
 
     def test_closure_over_polytope_family(self, simplex3, simplex3_lambda, cube3, prism3, prism3_lambda):
         cube_lam = coloring_pullback(
@@ -443,7 +442,7 @@ class TestReduce:
                 assert validate_mu(cd).ok
                 assert compatibility_check(cd)
                 assert cocycle_check(cd).ok
-                assert assemble_euler_cycle(cd).is_cycle
+                assert euler_cycle_verdicts(cd) == (True, True)
 
 
     def test_reduce_computes_local_data_once(self, monkeypatch):
@@ -558,8 +557,8 @@ class TestCellManifold:
         assert cd.ambient.kind == "product" and cd.ambient.boundary_trivial
         assert validate_mu(cd).ok
         assert cocycle_check(cd).ok
-        ec = assemble_euler_cycle(cd)
-        assert ec.is_cycle and ec.determines_class
+        assert euler_cycle_verdicts(cd) == (True, True)
+        assert cd.ambient.determines_class
         from complexity_one.sponge import homology
 
         assert homology(cd.sponge).betti == (1, 4)
@@ -589,7 +588,7 @@ class TestCellManifold:
         lam = {"t123": vec(1, 0, 0), "t124": vec(0, 1, 0), "t134": vec(0, 0, 1), "t234": vec(1, 1, 1)}
         cd = cell_manifold_data(m, lam, SubtorusChoice(vec(1, 1, -1)))
         assert validate_mu(cd).ok and cocycle_check(cd).ok
-        assert assemble_euler_cycle(cd).is_cycle
+        assert euler_cycle_verdicts(cd) == (True, True)
 
     def test_non_simple_rejected(self):
         cells, covers = self._sphere_cells()

@@ -173,7 +173,7 @@ def test_one_reduction_pipeline():
 def test_validators_read_plain_rows():
     # the mu-rank check and the three-term relation read the tuples of mu;
     # a matrix per cell or a scaled vector per sign combination is waste
-    names = {"validate_mu", "cocycle_report", "_vanishing_pattern", "solve_euler_signs"}
+    names = {"validate_mu", "cocycle_report", "_vanishing_pattern", "_three_term_faces", "solve_euler_signs"}
     tree = ast.parse((Path(complexity_one.__file__).parent / "chardata.py").read_text())
     found = [
         node
@@ -193,12 +193,40 @@ def test_validators_read_plain_rows():
 def test_one_check_pipeline_for_characteristic_data():
     # chardata._checks orders and gates the chardata checks; the reports of
     # cli and catalog and compare's preconditions read its stages and run no
-    # validator of their own, and no report builds the Euler chain: with its
-    # prerequisites passed, the cocycle report decides whether it is a cycle
-    validators = ("validate_mu", "compatibility_check", "cocycle_check", "assemble_euler_cycle")
-    for name in validators + ("weighted_cycle_check",):
+    # validator of their own
+    validators = ("validate_mu", "compatibility_check", "cocycle_check")
+    for name in validators:
         loaded_by = {module for module, _ in _uses(name)}
         assert not loaded_by & {"cli", "catalog", "classify"}, (name, sorted(loaded_by))
     assert {module for module, _ in _uses("_checks")} == {"cli", "catalog", "classify"}
-    assert _uses("assemble_euler_cycle") == []
-    assert _uses("weighted_cycle_check") == [("chardata", "assemble_euler_cycle")]
+
+
+def test_no_chain_cycle_check():
+    # with its prerequisites passed, the cocycle report decides whether the
+    # Euler chain is a cycle; no module builds the chain or sums its boundary
+    # (tests/oracles.py keeps that sum as the reference)
+    names = {"assemble_euler_cycle", "EulerCycle", "weighted_cycle_check"}
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    ]
+    assert defined == []
+    for name in names:
+        assert _uses(name) == [], name
+        assert not hasattr(complexity_one, name), name
+
+
+def test_one_owner_per_chardata_rule():
+    # the three-term relation is read at the codimension-one faces by one
+    # helper, which cocycle_report, the Euler sign solve and compare's pair
+    # indices share; the per-facet mu-domain rule is one helper too
+    assert set(_uses("_vanishing_pattern")) == {("chardata", "_three_term_faces")}
+    assert set(_uses("_three_term_faces")) == {
+        ("chardata", "CharacteristicData"),
+        ("chardata", "solve_euler_signs"),
+        ("classify", "canonical_invariants"),
+    }
+    assert {owner for module, owner in _uses("is_primitive") if module == "chardata"} == {"_mu_defect"}
+    assert set(_uses("_mu_defect")) == {("chardata", "validate_mu"), ("chardata", "compatibility_check")}
