@@ -327,7 +327,7 @@ def load(name: str) -> CatalogEntry:
         return _BUILDERS[name]()
     if name.startswith("local-model-"):
         suffix = name[len("local-model-") :]
-        if suffix.isdigit() and int(suffix) >= 2:
+        if suffix.isascii() and suffix.isdigit() and int(suffix) >= 2:
             return _build_local_model(int(suffix))
     raise UnknownEntryError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .lattice import (
     IntVector,
+    as_int,
     hermite_normal_form,
     independent_rows,
     primitive,
@@ -77,12 +78,10 @@ class CharacteristicData:
     ambient: Ambient = Ambient("abstract")
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "mu", {str(k): IntVector(tuple(v)) for k, v in dict(self.mu).items()}
-        )
-        object.__setattr__(
-            self, "euler_sign", {str(k): int(v) for k, v in dict(self.euler_sign).items()}
-        )
+        mu = {str(k): IntVector(tuple(v)) for k, v in dict(self.mu).items()}
+        signs = {str(k): as_int(v, f"Euler sign of {k}") for k, v in dict(self.euler_sign).items()}
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "euler_sign", signs)
 
     def euler_coefficient(self, facet_id: str) -> IntVector:
         return self.mu[facet_id].scale(self.euler_sign[facet_id])
@@ -341,7 +340,7 @@ def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVecto
         others = [ws.weights[m].entries for m in range(ws.n) if m not in (i, j)]
         line_rank = ws.n - 1 - len(independent_rows(others, ws.n - 1))
         raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
-    lam = primitive(lam, pin_sign=False)
+    lam = primitive(lam)
     # orient so that the pairing with weight i has the sign of c_j
     pair_i = ws.weights[i].dot(lam)
     if pair_i == 0 or ws.weights[j].dot(lam) == 0:
@@ -401,51 +400,38 @@ def data_from_charts(
     charts: Mapping[str, Chart],
     ambient: Ambient,
 ) -> CharacteristicData:
-    """Assemble characteristic data from weight charts at the 0-cells.
+    """Assemble characteristic data from weight charts, in one pass over the 0-cells.
 
-    Facet directions and Hopf signs are computed in every adjacent chart and
-    must agree; the Euler signs are then oriented to make the facet chain a
-    cycle, each orientation component seeded by the Hopf sign of its least
-    facet.
+    A facet's pair at a 0-cell is the two chart rays whose upper sets lack it.
+    Directions and Hopf signs from every adjacent chart must agree; the Euler
+    signs are then oriented to make the facet chain a cycle, each orientation
+    component seeded by the Hopf sign of its least facet.
     """
-    mu: dict[str, IntVector] = {}
-    hopf: dict[str, int] = {}
-    closure_vertices: dict[str, list[str]] = {fid: [] for fid in sponge.facet_ids}
+    found: dict[str, tuple[IntVector, int]] = {}
     for v in sponge.cells_of_dim(0):
-        for fid in sponge.facets_containing(v.id):
-            closure_vertices[fid].append(v.id)
-    for fid, vertices in closure_vertices.items():
-        if not vertices:
-            raise ConsistencyError(f"facet {fid} has no vertex in its closure")
-        for vid in vertices:
-            chart = charts[vid]
-            ws = chart.weights
-            in_facet = {
-                t
-                for t, r in enumerate(chart.rays)
-                if r in sponge.by_id and fid in sponge.upper_set(r)
-            }
-            pair = sorted(set(range(ws.n)) - in_facet)
+        through = sponge.facets_containing(v.id)
+        if not through:
+            continue
+        chart = charts[v.id]
+        uppers = [sponge.upper_set(r) if r in sponge.by_id else () for r in chart.rays]
+        for fid in through:
+            pair = [t for t, up in enumerate(uppers) if fid not in up]
             if len(pair) != 2:
                 raise ConsistencyError(
-                    f"facet {fid} meets {len(in_facet)} rays at {vid}, cannot form a chart pair"
+                    f"facet {fid} meets {len(uppers) - len(pair)} rays at {v.id}, cannot form a chart pair"
                 )
-            direction, sign = local_euler_from_weights(ws, pair[0], pair[1])
+            direction, sign = local_euler_from_weights(chart.weights, *pair)
             direction = primitive(direction)  # one pinned representative across charts
-            if fid in mu:
-                if mu[fid] != direction:
-                    raise ConsistencyError(
-                        f"charts disagree on the direction of facet {fid}"
-                    )
-                if hopf[fid] != sign:
-                    raise ConsistencyError(f"charts disagree on the Hopf sign of facet {fid}")
-            else:
-                mu[fid] = direction
-                hopf[fid] = sign
-    signs = solve_euler_signs(sponge, mu, seeds=hopf)
-    return CharacteristicData(
-        n=sponge.n, sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient
-    )
+            first = found.setdefault(fid, (direction, sign))
+            if first != (direction, sign):
+                what = "direction" if first[0] != direction else "Hopf sign"
+                raise ConsistencyError(f"charts disagree on the {what} of facet {fid}")
+    for fid in sponge.facet_ids:
+        if fid not in found:
+            raise ConsistencyError(f"facet {fid} has no vertex in its closure")
+    mu = {fid: found[fid][0] for fid in sponge.facet_ids}
+    signs = solve_euler_signs(sponge, mu, seeds={fid: found[fid][1] for fid in sponge.facet_ids})
+    return CharacteristicData(n=sponge.n, sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
 
 
 def local_model_data(ws: WeightSystem, ambient: Ambient = Ambient("abstract")) -> CharacteristicData:

@@ -13,6 +13,7 @@ verifier that substitutes it into every condition.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping
@@ -123,18 +124,21 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
         return
     bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
 
-    order: list[str] = []
+    # Keys only fall, and each fall of an unplaced cell pushes a fresh entry,
+    # its least, which pops first: its stale entries pop once it is placed.
     placed_nbrs = dict.fromkeys(sig1, 0)
-    unplaced = set(sig1)
-    while unplaced:
-        c1 = min(
-            unplaced, key=lambda x: (-placed_nbrs[x], len(sig2[sig1[x]]), -s1.by_id[x].dim, x)
-        )
-        order.append(c1)
-        unplaced.remove(c1)
-        for x in (*bnd1[c1], *cof1[c1]):
-            placed_nbrs[x] += 1
-    position = {c: i for i, c in enumerate(order)}
+    rest = {x: (len(sig2[sig1[x]]), -s1.by_id[x].dim, x) for x in sig1}
+    heap = sorted((0, *key) for key in rest.values())  # a sorted list is a heap
+    position: dict[str, int] = {}
+    while heap:
+        c1 = heapq.heappop(heap)[-1]
+        if c1 not in position:
+            position[c1] = len(position)
+            for x in (*bnd1[c1], *cof1[c1]):
+                placed_nbrs[x] += 1
+                if x not in position:
+                    heapq.heappush(heap, (-placed_nbrs[x], *rest[x]))
+    order = list(position)
     # the faces and cofaces of each cell that are placed before it
     faces_before = [[x for x in bnd1[c] if position[x] < i] for i, c in enumerate(order)]
     cofaces_before = [[x for x in cof1[c] if position[x] < i] for i, c in enumerate(order)]

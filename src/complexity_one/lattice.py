@@ -22,10 +22,26 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConsistencyError, DegenerateInputError, DimensionMismatchError
+from .errors import ConsistencyError, DegenerateInputError, DimensionMismatchError, InputFormatError
+
+
+def as_int(x, where: str) -> int:
+    """x as an int; a float, string or fraction, which int() would truncate or parse, raises."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InputFormatError(f"{where} is {x!r}, not an integer") from None
+
+
+def _as_ints(entries: tuple, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, entries))  # the fast path of the hot constructors
+    except TypeError:
+        return tuple(as_int(e, f"{what} entry {i}") for i, e in enumerate(entries))
 
 
 @dataclass(frozen=True)
@@ -35,7 +51,7 @@ class IntVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", _as_ints(self.entries, "vector"))
 
     @property
     def dim(self) -> int:
@@ -90,21 +106,14 @@ def vec(*entries: int) -> IntVector:
     return IntVector(tuple(entries))
 
 
-def primitive(v: IntVector, pin_sign: bool = True) -> IntVector:
-    """v divided by the gcd of its entries.
-
-    With pin_sign (the default) the first nonzero entry of the result is
-    made positive; callers that carry their own orientation pass
-    pin_sign=False to keep the sign of v.
-    """
+def primitive(v: IntVector) -> IntVector:
+    """v divided by the gcd of its entries, its first nonzero entry made positive."""
     g = v.content()
     if g == 0:
         raise DegenerateInputError("primitive() of the zero vector")
     w = tuple(a // g for a in v.entries)
-    if pin_sign:
-        lead = next(a for a in w if a != 0)
-        if lead < 0:
-            w = tuple(-a for a in w)
+    if next(a for a in w if a != 0) < 0:
+        w = tuple(-a for a in w)
     return IntVector(w)
 
 
@@ -117,7 +126,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        ent = tuple(int(e) for e in self.entries)
+        ent = _as_ints(self.entries, "matrix")
         if len(ent) != self.rows * self.cols:
             raise DimensionMismatchError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(ent)}"

@@ -48,7 +48,11 @@ for the search on an explicit stack with the (dim, boundary size)
 signature.  euler_cycle_by_boundary, the package's former chain-cycle
 check, sums the boundary of the facet chain k(F) mu(F) F cell by cell; it is
 the reference for the check pipeline's euler-cycle stage, which reads the
-verdict off the cocycle report.
+verdict off the cocycle report.  data_from_charts_by_facets, the former
+data_from_charts that indexed the 0-cells under each facet and rebuilt the
+set of chart rays in the facet for every (facet, 0-cell) pair, is the
+reference for the one pass over the 0-cells; it shares the per-chart
+direction and the sign solver with the package.
 """
 
 from collections import Counter
@@ -56,6 +60,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from complexity_one.chardata import (
+    CharacteristicData,
+    local_euler_from_weights,
+    solve_euler_signs,
+)
 from complexity_one.errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -73,6 +82,7 @@ from complexity_one.lattice import (
     hermite_normal_form,
     integer_kernel,
     is_unimodular_extension,
+    primitive,
     smith_normal_form,
     stack_rows,
 )
@@ -894,3 +904,39 @@ def smith_by_pivoting(a):
     dec = SmithDecomposition(u, d, v, r)
     _check_smith(a, dec)
     return dec
+
+
+def data_from_charts_by_facets(sponge, charts, ambient):
+    """data_from_charts facet by facet: each facet's 0-cells first, then its pair in each chart."""
+    mu = {}
+    hopf = {}
+    closure_vertices = {fid: [] for fid in sponge.facet_ids}
+    for v in sponge.cells_of_dim(0):
+        for fid in sponge.facets_containing(v.id):
+            closure_vertices[fid].append(v.id)
+    for fid, vertices in closure_vertices.items():
+        if not vertices:
+            raise ConsistencyError(f"facet {fid} has no vertex in its closure")
+        for vid in vertices:
+            chart = charts[vid]
+            ws = chart.weights
+            in_facet = {
+                t for t, r in enumerate(chart.rays) if r in sponge.by_id and fid in sponge.upper_set(r)
+            }
+            pair = sorted(set(range(ws.n)) - in_facet)
+            if len(pair) != 2:
+                raise ConsistencyError(
+                    f"facet {fid} meets {len(in_facet)} rays at {vid}, cannot form a chart pair"
+                )
+            direction, sign = local_euler_from_weights(ws, pair[0], pair[1])
+            direction = primitive(direction)
+            if fid in mu:
+                if mu[fid] != direction:
+                    raise ConsistencyError(f"charts disagree on the direction of facet {fid}")
+                if hopf[fid] != sign:
+                    raise ConsistencyError(f"charts disagree on the Hopf sign of facet {fid}")
+            else:
+                mu[fid] = direction
+                hopf[fid] = sign
+    signs = solve_euler_signs(sponge, mu, seeds=hopf)
+    return CharacteristicData(n=sponge.n, sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)

@@ -366,3 +366,21 @@ def test_criterion_13_local_model_10_verify():
     dt = time.monotonic() - t0
     ok = report.ok and dt < 0.4
     _report(13, ok, f"catalog.verify(local-model-10) ok={report.ok} in {dt:.3f}s (bound 0.4s)", t0)
+
+
+def test_criterion_14_reduced_cube_7_self_compare():
+    n = 7
+    facets = tuple(f"{s}{i}" for i in range(n) for s in "mp")
+    verts = tuple(
+        frozenset(f"{s}{i}" for i, s in enumerate(signs)) for signs in product("mp", repeat=n)
+    )
+    cube = SimplePolytope(n, facets, verts)
+    lam = coloring_pullback(cube, {f"{s}{i}": i + 1 for i in range(n) for s in "mp"})
+    cd = reduce(cube, lam, find_strict_subtorus(cube, lam)[0])
+    stats = {}
+    t0 = time.monotonic()
+    res = compare(cd, cd, stats=stats)
+    dt = time.monotonic() - t0
+    cells = len(cd.sponge.cells)
+    ok = cells == 2172 and res.equivalent and stats["nodes"] == cells and dt < 1.5
+    _report(14, ok, f"compare(reduced 7-cube, itself), {cells} cells: {res.verdict} in {dt:.3f}s (bound 1.5s)", t0)

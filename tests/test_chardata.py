@@ -4,7 +4,9 @@ from itertools import islice
 
 import pytest
 
+import complexity_one.catalog as catalog
 import complexity_one.chardata as chardata
+import complexity_one.quasitoric as quasitoric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +14,11 @@ from complexity_one.catalog import load, names, octahedron_sponge
 from complexity_one.chardata import (
     Ambient,
     CharacteristicData,
+    Chart,
     _vanishing_pattern,
     cocycle_check,
     compatibility_check,
+    data_from_charts,
     local_euler_from_weights,
     local_model_data,
     orbit_types,
@@ -22,10 +26,10 @@ from complexity_one.chardata import (
     validate_mu,
 )
 from complexity_one.classify import compare
-from complexity_one.errors import ComplexityOneError, InputFormatError, PreconditionError
+from complexity_one.errors import ComplexityOneError, ConsistencyError, InputFormatError, PreconditionError
 from complexity_one.lattice import IntVector, primitive, vec
 from complexity_one.quasitoric import CharacteristicFunction, find_strict_subtorus, reduce
-from complexity_one.sponge import CheckResult, local_model_sponge
+from complexity_one.sponge import CheckResult, Cell, SpongeComplex, local_model_sponge
 from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
@@ -36,11 +40,12 @@ from complexity_one.weights import (
 from conftest import euler_cycle_verdicts, random_unimodular, transformed
 from oracles import (
     cocycle_report_by_vectors,
+    data_from_charts_by_facets,
     euler_cycle_by_boundary,
     local_euler_by_kernel,
     vanishing_pattern_by_vectors,
 )
-from test_quasitoric import POLYTOPES
+from test_quasitoric import _cube, torus_three_hexagons
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 
@@ -105,6 +110,10 @@ class TestCompatibility:
     def test_non_primitive_rejected(self):
         cd = lm3_data([vec(2, 0), vec(0, 1), vec(1, 1)])
         assert not compatibility_check(cd)
+
+    def test_fractional_euler_sign_rejected(self):
+        with pytest.raises(InputFormatError, match=r"Euler sign of c1 is -1\.5, not an integer"):
+            lm3_data([vec(1, 0), vec(0, 1), vec(1, 1)], {"c1": -1.5, "c2": 1, "c3": 1})
 
 
 class TestCocycle:
@@ -379,7 +388,7 @@ class TestThreeTermRelationOnTuples:
 
 
 def _reduced_cube_data(n):
-    p, values = POLYTOPES[f"cube{n}"]()
+    p, values = _cube(n)
     lam = CharacteristicFunction(values)
     return reduce(p, lam, find_strict_subtorus(p, lam)[0])
 
@@ -442,3 +451,96 @@ class TestCheckPipeline:
         stages = dict(chardata._checks(changed))
         assert stages["sponge"].ok and stages["compatibility"].ok
         assert stages["euler-cycle"].ok == euler_cycle_by_boundary(changed)
+
+
+# Two 0-cells u, v joined by three edges: for n = 3 the edges are the facets,
+# and the pair of edge e at a 0-cell is the two other edges of its chart.
+THETA = SpongeComplex.from_covers(
+    3, [("u", 0), ("v", 0), ("e1", 1), ("e2", 1), ("e3", 1)], {e: ["u", "v"] for e in ("e1", "e2", "e3")}
+)
+DIAGONAL = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(-1, -1)))  # all pairs Hopf
+ANTI = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(1, 1)))  # pair (1, 2) anti-Hopf
+
+
+def _recorded_builds(build, monkeypatch):
+    """(arguments, result) of each data_from_charts call that build() makes."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, data_from_charts(*args)))
+        return calls[-1][1]
+
+    for module in (chardata, catalog, quasitoric):
+        monkeypatch.setattr(module, "data_from_charts", recording)
+    build()
+    return calls
+
+
+def _data_from_torus():
+    m = torus_three_hexagons()
+    tops = sorted(t for t, d in m.cells if d == 2)
+    return quasitoric.cell_manifold_data(m, dict(zip(tops, [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])))
+
+
+ORACLE_BUILDS = {
+    **{name: (lambda name=name: load(name)) for name in names() + ["local-model-2", "local-model-5"]},
+    **{f"reduced-cube-{n}": (lambda n=n: _reduced_cube_data(n)) for n in range(3, 7)},
+    "torus-cell-manifold": _data_from_torus,
+}
+
+
+class TestDataFromCharts:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDS))
+    def test_matches_facet_by_facet_assembly(self, name, monkeypatch):
+        calls = _recorded_builds(ORACLE_BUILDS[name], monkeypatch)
+        assert calls
+        for args, got in calls:
+            want = data_from_charts_by_facets(*args)
+            assert list(got.mu.items()) == list(want.mu.items())
+            assert list(got.euler_sign.items()) == list(want.euler_sign.items())
+            assert got.ambient == want.ambient
+
+    def test_reads_each_ray_upper_set_once(self, monkeypatch):
+        ws = load("local-model-10").weight_systems["o"]
+        rays = {f"c{i}" for i in range(1, 11)}
+        reads = []
+        upper_set = SpongeComplex.upper_set
+
+        def counting(self, cell_id):
+            reads.append(cell_id)
+            return upper_set(self, cell_id)
+
+        monkeypatch.setattr(SpongeComplex, "upper_set", counting)
+        local_model_data(ws)
+        assert sum(r in rays for r in reads) == 10
+
+    def test_facet_needs_two_rays_outside_it(self):
+        charts = {"o": Chart(DIAGONAL, ("c1", "c1", "c2"))}
+        with pytest.raises(ConsistencyError, match="^facet c1 meets 2 rays at o, cannot form a chart pair$"):
+            data_from_charts(local_model_sponge(3), charts, Ambient("abstract"))
+
+    def test_charts_disagree_on_a_direction(self):
+        # at v, e1 pairs with the edges at indices 0 and 2, so its direction
+        # is the line killing (0, 1), not (1, 0) as at u
+        charts = {"u": Chart(DIAGONAL, ("e1", "e2", "e3")), "v": Chart(DIAGONAL, ("e2", "e1", "e3"))}
+        with pytest.raises(ConsistencyError, match="^charts disagree on the direction of facet e1$"):
+            data_from_charts(THETA, charts, Ambient("abstract"))
+
+    def test_charts_disagree_on_a_hopf_sign(self):
+        charts = {"u": Chart(DIAGONAL, ("e1", "e2", "e3")), "v": Chart(ANTI, ("e1", "e2", "e3"))}
+        with pytest.raises(ConsistencyError, match="^charts disagree on the Hopf sign of facet e1$"):
+            data_from_charts(THETA, charts, Ambient("abstract"))
+
+    def test_facet_without_a_zero_cell(self):
+        base = local_model_sponge(3)
+        sponge = SpongeComplex(3, (*base.cells, Cell("x", 1)), base.incidence)
+        charts = {"o": Chart(DIAGONAL, ("c1", "c2", "c3"))}
+        with pytest.raises(ConsistencyError, match="^facet x has no vertex in its closure$"):
+            data_from_charts(sponge, charts, Ambient("abstract"))
+
+    def test_zero_cell_without_a_facet_needs_no_chart(self):
+        base = local_model_sponge(4)
+        sponge = SpongeComplex(4, (*base.cells, Cell("lone", 0)), base.incidence)
+        ws = WeightSystem(4, (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)))
+        cd = data_from_charts(sponge, {"o": Chart(ws, ("c1", "c2", "c3", "c4"))}, Ambient("abstract"))
+        assert cd.mu == local_model_data(ws).mu

@@ -195,6 +195,14 @@ class TestCommands:
     def test_unknown_catalog_exits_2(self, capsys):
         assert main(["catalog", "missing-entry"]) == 2
 
+    @pytest.mark.parametrize("name", ["local-model-\u00b2", "local-model-\u0663"])
+    def test_non_ascii_digit_suffix_is_unknown(self, capsys, name):
+        # a superscript two, which int() rejects, and an Arabic-Indic three,
+        # which int() reads as 3: neither names a local model
+        assert main(["catalog", name]) == 2
+        out, err = capsys.readouterr()
+        assert f"unknown catalog entry {name!r}" in err and "Traceback" not in out + err
+
     @pytest.mark.parametrize("argv", [["compare", "--bogus"], ["reduce", "--polytope"], ["nope"], []])
     def test_bad_flags_exit_2_from_the_one_parser(self, capsys, argv):
         # main reuses one parser; its usage and error text match a freshly built one

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexity_one.errors import ConsistencyError, DegenerateInputError, DimensionMismatchError
+from complexity_one.errors import ConsistencyError, DegenerateInputError, DimensionMismatchError, InputFormatError
 from complexity_one.lattice import (
     Adjugate,
     IntMatrix,
@@ -305,6 +305,25 @@ class TestKernel:
                 assert all(x == 1 for x in dec.diagonal()[: len(basis)])
 
 
+class TestIntegerEntries:
+    def test_fractional_vector_entries_rejected(self):
+        with pytest.raises(InputFormatError, match=r"vector entry 0 is 1\.5, not an integer"):
+            vec(1.5, -2.7)
+
+    def test_string_vector_entry_rejected(self):
+        with pytest.raises(InputFormatError, match="vector entry 0 is '3', not an integer"):
+            vec("3")
+
+    def test_float_matrix_entry_rejected(self):
+        with pytest.raises(InputFormatError, match=r"matrix entry 3 is 4\.0, not an integer"):
+            IntMatrix(2, 2, (1, 2, 3, 4.0))
+
+    def test_ints_and_bools_pass(self):
+        v = vec(True, -2, 10**30)
+        assert v.entries == (1, -2, 10**30) and all(type(e) is int for e in v.entries)
+        assert IntMatrix(1, 2, (False, 3)).entries == (0, 3)
+
+
 class TestPrimitive:
     def test_examples(self):
         assert list(primitive(vec(2, -2, 2, -2))) == [1, -1, 1, -1]
@@ -314,9 +333,6 @@ class TestPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             primitive(vec(0, 0))
-
-    def test_sign_not_pinned_when_disabled(self):
-        assert list(primitive(vec(-2, 4), pin_sign=False)) == [-1, 2]
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(lambda e: any(e)))
     def test_content_one_and_recovers(self, entries):

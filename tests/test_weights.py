@@ -5,6 +5,7 @@ import pytest
 from complexity_one.errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    InputFormatError,
     PreconditionError,
     StarConditionError,
 )
@@ -45,6 +46,11 @@ class TestCramer:
         cc = cramer_coefficients(NONSTRICT)
         assert cc.c_tilde == (-2, -2, -4)
         assert up_to_sign(cc.c, (1, 1, 2))
+
+    def test_fractional_weights_rejected(self):
+        # int() would truncate them to (0, 1), (1, 0), (-1, -1), a valid system
+        with pytest.raises(InputFormatError, match=r"vector entry 0 is 0\.5, not an integer"):
+            WeightSystem(3, ((0.5, 1), (1, 0.9), (-1, -1)))
 
     def test_identity_fuzz(self):
         rng = random.Random(1)
