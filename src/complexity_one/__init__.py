@@ -56,13 +56,11 @@ from .sponge import (
     Cell,
     FaceStar,
     HomologyResult,
-    LocalModel,
     SpongeComplex,
     ValidationReport,
     face_star,
     filtration,
     homology,
-    local_model,
     local_model_sponge,
     signed_incidence,
     validate_sponge,

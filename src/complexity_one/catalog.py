@@ -33,7 +33,7 @@ from .chardata import (
     local_model_data,
 )
 from .errors import ConsistencyError, UnknownEntryError
-from .io import chardata_from_dict, read_json
+from .io import chardata_from_dict, parse_int, read_json
 from .lattice import IntVector, vec
 from .quasitoric import CharacteristicFunction, SimplePolytope, _face_id, reduce as quasitoric_reduce
 from .sponge import (
@@ -57,7 +57,6 @@ CATALOG_ENV = "COMPLEXITY_ONE_CATALOG"
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
     name: str
-    description: str
     data: CharacteristicData
     weight_systems: Mapping[str, WeightSystem] = field(default_factory=dict)
     expected: Mapping[str, object] = field(default_factory=dict)
@@ -147,10 +146,6 @@ def _build_g42() -> CatalogEntry:
     }
     return CatalogEntry(
         name="g42",
-        description=(
-            "Rank-3 torus on the Grassmannian of 2-planes in C^4: six fixed "
-            "points, octahedron-with-squares sponge, orbit space a 5-sphere"
-        ),
         data=data,
         weight_systems=weight_systems,
         expected=expected,
@@ -220,10 +215,6 @@ def _build_f3() -> CatalogEntry:
     }
     return CatalogEntry(
         name="f3",
-        description=(
-            "Rank-2 torus on full flags in C^3: six fixed points, K_{3,3} "
-            "sponge on a torus, orbit space a 4-sphere"
-        ),
         data=data,
         weight_systems=weight_systems,
         expected=expected,
@@ -263,10 +254,6 @@ def _build_cp3() -> CatalogEntry:
     }
     return CatalogEntry(
         name="cp3-reduction",
-        description=(
-            "Reduction of the standard characteristic data on the 3-simplex "
-            "by the subtorus with character (1, 1, -1)"
-        ),
         data=data,
         weight_systems=weight_systems,
         expected=expected,
@@ -290,7 +277,6 @@ def _build_local_model(n: int) -> CatalogEntry:
     }
     return CatalogEntry(
         name=f"local-model-{n}",
-        description=f"One chart of the corner model for ambient parameter {n}",
         data=data,
         weight_systems={"o": ws},
         expected=expected,
@@ -320,15 +306,13 @@ def load(name: str) -> CatalogEntry:
         path = os.path.join(override_dir, f"{name}.json")
         if os.path.exists(path):
             data = chardata_from_dict(read_json(path), where=path)
-            return CatalogEntry(
-                name=name, description=f"external entry from {path}", data=data
-            )
+            return CatalogEntry(name=name, data=data)
     if name in _BUILDERS:
         return _BUILDERS[name]()
     if name.startswith("local-model-"):
-        suffix = name[len("local-model-") :]
-        if suffix.isascii() and suffix.isdigit() and int(suffix) >= 2:
-            return _build_local_model(int(suffix))
+        n = parse_int(name[len("local-model-") :])
+        if n is not None and n >= 2:
+            return _build_local_model(n)
     raise UnknownEntryError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
 
 

@@ -15,7 +15,7 @@ topological is constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -53,7 +53,8 @@ class Ambient:
 
     For the product kind, boundary_trivial records that the free part over
     the boundary is a trivial bundle; with that flag the facet-local data
-    determines the Euler class uniquely.
+    determines the Euler class uniquely.  Only a product has that boundary,
+    so the flag is false only for the product kind.
     """
 
     kind: str
@@ -62,6 +63,8 @@ class Ambient:
     def __post_init__(self):
         if self.kind not in AMBIENT_KINDS:
             raise InputFormatError(f"ambient kind must be one of {AMBIENT_KINDS}")
+        if not self.boundary_trivial and self.kind != "product":
+            raise InputFormatError(f"boundary_trivial false needs the product ambient, got {self.kind!r}")
 
     @property
     def determines_class(self) -> bool:
@@ -71,13 +74,14 @@ class Ambient:
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicData:
-    n: int
     sponge: SpongeComplex
     mu: Mapping[str, IntVector]
     euler_sign: Mapping[str, int]
     ambient: Ambient = Ambient("abstract")
+    n: int = field(init=False)  # the sponge's n, read as a plain attribute
 
     def __post_init__(self):
+        object.__setattr__(self, "n", self.sponge.n)
         mu = {str(k): IntVector(tuple(v)) for k, v in dict(self.mu).items()}
         signs = {str(k): as_int(v, f"Euler sign of {k}") for k, v in dict(self.euler_sign).items()}
         object.__setattr__(self, "mu", mu)
@@ -431,7 +435,7 @@ def data_from_charts(
             raise ConsistencyError(f"facet {fid} has no vertex in its closure")
     mu = {fid: found[fid][0] for fid in sponge.facet_ids}
     signs = solve_euler_signs(sponge, mu, seeds={fid: found[fid][1] for fid in sponge.facet_ids})
-    return CharacteristicData(n=sponge.n, sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+    return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
 
 
 def local_model_data(ws: WeightSystem, ambient: Ambient = Ambient("abstract")) -> CharacteristicData:

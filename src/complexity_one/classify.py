@@ -14,7 +14,7 @@ verifier that substitutes it into every condition.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Mapping
 
@@ -49,11 +49,10 @@ class Fingerprint:
     Equal fingerprints are necessary (not sufficient) for equivalence.
     pair_indices collects, over facet pairs sharing a codimension-one face
     of the sponge, the index of the span of their directions inside its
-    saturation; this is unimodular-invariant.
+    saturation; this is unimodular-invariant.  compare settles n and the
+    ambient before it reads a fingerprint, so neither is a field.
     """
 
-    n: int
-    ambient: str
     cells_per_dim: tuple[int, ...]
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
@@ -70,8 +69,6 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
             for b in range(a + 1, len(through)):
                 pair_idx.append(_pair_index(cd.mu[through[a]], cd.mu[through[b]]))
     return Fingerprint(
-        n=cd.n,
-        ambient=cd.ambient.kind,
         cells_per_dim=counts,
         betti=h.betti,
         torsion=h.torsion,
@@ -344,8 +341,7 @@ def compare(
             certificate=f"ambient boundary_trivial differs: {a1.boundary_trivial} vs {a2.boundary_trivial}",
         )
     f1, f2 = canonical_invariants(cd1), canonical_invariants(cd2)
-    # n and the ambient agree here, so a difference is in one of these fields
-    for name in ("cells_per_dim", "betti", "torsion", "pair_indices"):
+    for name in (f.name for f in fields(Fingerprint)):
         if getattr(f1, name) != getattr(f2, name):
             return ComparisonResult(
                 "inequivalent",

@@ -19,13 +19,13 @@ from .chardata import CharacteristicData, _checks
 from .classify import compare
 from .errors import ComplexityOneError, InputFormatError, UnknownEntryError
 from .io import (
-    INPUT_DIGITS,
     _digit_limit,
     _excerpt,
     canonical_json,
     chardata_from_dict,
     chardata_to_dict,
     lambda_from_dict,
+    parse_int,
     polytope_from_dict,
     read_json,
     sponge_from_dict,
@@ -88,11 +88,10 @@ def _cmd_homology(args) -> Iterator[CheckResult]:
 
 
 def _parse_alpha(text: str, n: int) -> IntVector:
-    try:
-        with _digit_limit(INPUT_DIGITS):
-            alpha = IntVector(tuple(int(x) for x in text.split(",")))
-    except ValueError as exc:
-        raise InputFormatError(f"--alpha must be comma-separated integers, got {_excerpt(text)}") from exc
+    entries = tuple(parse_int(x) for x in text.split(","))
+    if None in entries:
+        raise InputFormatError(f"--alpha must be comma-separated integers, got {_excerpt(text)}")
+    alpha = IntVector(entries)
     if alpha.dim != n:
         raise InputFormatError(f"--alpha has {alpha.dim} entries, the polytope has n={n}")
     return alpha
@@ -100,14 +99,10 @@ def _parse_alpha(text: str, n: int) -> IntVector:
 
 def _alpha_bound(text: str) -> int:
     """--alpha-bound: a nonnegative integer; a rejected value is echoed short."""
-    try:
-        with _digit_limit(INPUT_DIGITS):
-            bound = int(text)
-        if bound >= 0:
-            return bound
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {_excerpt(text)}")
+    bound = parse_int(text)
+    if bound is None or bound < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {_excerpt(text)}")
+    return bound
 
 
 def _cmd_reduce(args) -> Iterator[CheckResult]:

@@ -4,8 +4,8 @@ All values are integers or strings; no floating point is accepted or
 produced.  Integers that do not fit in 64 bits are written as decimal
 strings and parsed back transparently, up to INPUT_DIGITS digits: loads
 parses under that int/str conversion limit of the interpreter, and
-_decode_int rejects longer digit strings.  canonical_json is byte-stable:
-sorted keys, fixed separators.
+parse_int, the one reader of integer text, rejects longer digit strings.
+canonical_json is byte-stable: sorted keys, fixed separators.
 """
 
 from __future__ import annotations
@@ -51,16 +51,23 @@ def _encode_int(x: int):
     return x if _I64_MIN <= x <= _I64_MAX else str(x)
 
 
+def parse_int(text: str) -> int | None:
+    """The integer that text spells as an optional "-" then at most INPUT_DIGITS ASCII digits, else None."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit() and len(digits) <= INPUT_DIGITS:
+        return int(text)
+    return None
+
+
 def _decode_int(x, where: str) -> int:
     if isinstance(x, bool):
         raise InputFormatError(f"{where}: expected integer, got boolean")
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
-        stripped = x[1:] if x.startswith("-") else x
-        if stripped.isascii() and stripped.isdigit() and len(stripped) <= INPUT_DIGITS:
-            return int(x)
-    raise InputFormatError(f"{where}: expected integer, got {_excerpt(x)}")
+    value = parse_int(x) if isinstance(x, str) else None
+    if value is None:
+        raise InputFormatError(f"{where}: expected integer, got {_excerpt(x)}")
+    return value
 
 
 def _reject_float(value: str):
@@ -185,21 +192,25 @@ def chardata_from_dict(data: Mapping, where: str = "chardata") -> Characteristic
             raise InputFormatError(f"{where}: missing key {key!r}")
     n = _decode_int(data["n"], f"{where}.n")
     sponge = sponge_from_dict(data["sponge"], f"{where}.sponge")
+    if n != sponge.n:  # n is written for readers of the file; the sponge fixes it
+        raise InputFormatError(f"{where}.n: {_excerpt(n)} differs from the sponge's n = {_excerpt(sponge.n)}")
     if not isinstance(data["mu"], Mapping) or not isinstance(data["euler_sign"], Mapping):
         raise InputFormatError(f"{where}: 'mu' and 'euler_sign' must be objects")
     mu = {str(k): _vector(v, f"{where}.mu[{k}]") for k, v in data["mu"].items()}
     signs = {
         str(k): _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()
     }
-    ambient = data["ambient"]
-    if ambient not in AMBIENT_KINDS:
-        raise InputFormatError(f"{where}.ambient: unknown kind {ambient!r}")
+    kind = data["ambient"]
+    if kind not in AMBIENT_KINDS:
+        raise InputFormatError(f"{where}.ambient: unknown kind {kind!r}")
     boundary_trivial = data.get("boundary_trivial", True)
     if not isinstance(boundary_trivial, bool):
         raise InputFormatError(f"{where}.boundary_trivial: expected a boolean")
-    return CharacteristicData(
-        n=n, sponge=sponge, mu=mu, euler_sign=signs, ambient=Ambient(ambient, boundary_trivial)
-    )
+    try:
+        ambient = Ambient(kind, boundary_trivial)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
+    return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
 
 
 def polytope_to_dict(p: SimplePolytope) -> dict:

@@ -268,35 +268,6 @@ class SpongeComplex:
         return out
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """Truncated Boolean lattice: subsets of {1..n} of size at most n-2.
-
-    The empty set is the origin; a face I is contained in J iff I is a
-    subset of J, and dim(I) = |I|.
-    """
-
-    n: int
-    faces: tuple[frozenset[int], ...]
-
-    def faces_of_dim(self, d: int) -> tuple[frozenset[int], ...]:
-        return tuple(f for f in self.faces if len(f) == d)
-
-    def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(self.faces_of_dim(d)) for d in range(self.n - 1))
-
-
-def local_model(n: int) -> LocalModel:
-    """Face poset of the corner-of-coordinate-subspaces model in dimension n-2."""
-    if n < 2:
-        raise DegenerateInputError(f"local model needs n >= 2, got {n}")
-    faces = []
-    for size in range(0, n - 1):
-        for sub in combinations(range(1, n + 1), size):
-            faces.append(frozenset(sub))
-    return LocalModel(n=n, faces=tuple(faces))
-
-
 def propagate_signs(
     nodes: Sequence[str],
     relations: Iterable[tuple[str, str, int]],
@@ -389,20 +360,21 @@ def signed_incidence(
 
 
 def local_model_sponge(n: int) -> SpongeComplex:
-    """The local model realized as a sponge complex.
+    """The corner of coordinate subspaces in dimension n-2, as a sponge complex.
 
-    Face ids: "o" for the origin, "c<i>" for rays, "c<i>.<j>..." above.
+    Its faces are the subsets of {1..n} of size at most n-2, ordered by
+    inclusion, with dim(I) = |I|; the empty set is the origin.  Face ids:
+    "o" for the origin, "c<i>" for rays, "c<i>.<j>..." above.
     """
-    model = local_model(n)
-    def fid(face: frozenset[int]) -> str:
-        return "o" if not face else "c" + ".".join(str(i) for i in sorted(face))
+    if n < 2:
+        raise DegenerateInputError(f"local model needs n >= 2, got {n}")
 
-    cells = [(fid(f), len(f)) for f in model.faces]
-    covers: dict[str, list[str]] = {}
-    for f in model.faces:
-        if f:
-            covers[fid(f)] = sorted(fid(f - {i}) for i in f)
-    return SpongeComplex.from_covers(n, cells, covers)
+    def fid(face: tuple[int, ...]) -> str:
+        return "c" + ".".join(map(str, face)) if face else "o"
+
+    faces = [sub for size in range(n - 1) for sub in combinations(range(1, n + 1), size)]
+    covers = {fid(f): sorted(fid(f[:t] + f[t + 1 :]) for t in range(len(f))) for f in faces if f}
+    return SpongeComplex.from_covers(n, [(fid(f), len(f)) for f in faces], covers)
 
 
 def validate_sponge(s: SpongeComplex) -> ValidationReport:

@@ -49,7 +49,7 @@ def transformed(
             v = matrix @ v
         mu[rl[f]] = v
         ks[rl[f]] = cd.euler_sign[f] * (-1 if f in flip else 1)
-    return CharacteristicData(n=cd.n, sponge=sp, mu=mu, euler_sign=ks, ambient=cd.ambient)
+    return CharacteristicData(sponge=sp, mu=mu, euler_sign=ks, ambient=cd.ambient)
 
 
 def euler_cycle_verdicts(cd: CharacteristicData) -> tuple[bool, bool]:

@@ -939,4 +939,4 @@ def data_from_charts_by_facets(sponge, charts, ambient):
                 mu[fid] = direction
                 hopf[fid] = sign
     signs = solve_euler_signs(sponge, mu, seeds=hopf)
-    return CharacteristicData(n=sponge.n, sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+    return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)

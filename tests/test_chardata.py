@@ -54,7 +54,7 @@ def lm3_data(mu3, signs=None):
     s = local_model_sponge(3)
     mu = {"c1": mu3[0], "c2": mu3[1], "c3": mu3[2]}
     ks = signs or {"c1": 1, "c2": 1, "c3": 1}
-    return CharacteristicData(n=3, sponge=s, mu=mu, euler_sign=ks, ambient=Ambient("abstract"))
+    return CharacteristicData(sponge=s, mu=mu, euler_sign=ks, ambient=Ambient("abstract"))
 
 
 class TestValidateMu:
@@ -77,7 +77,6 @@ class TestValidateMu:
     def test_missing_and_nonprimitive_reported(self):
         s = local_model_sponge(3)
         cd = CharacteristicData(
-            n=3,
             sponge=s,
             mu={"c1": vec(2, 0), "c2": vec(0, 1)},
             euler_sign={"c1": 1, "c2": 1, "c3": 1},
@@ -138,7 +137,7 @@ class TestCocycle:
 
     def test_degenerate_dimension_passes(self):
         s = local_model_sponge(2)
-        cd = CharacteristicData(n=2, sponge=s, mu={"o": vec(1)}, euler_sign={"o": 1})
+        cd = CharacteristicData(sponge=s, mu={"o": vec(1)}, euler_sign={"o": 1})
         assert cocycle_check(cd).ok
 
 
@@ -207,7 +206,7 @@ class TestEulerCycle:
     def test_zero_chain(self):
         # the zero chain is a cycle, but its zero mu values fail compatibility
         s = octahedron_sponge(squares=True)
-        cd = CharacteristicData(4, s, {f: vec(0, 0, 0) for f in s.facet_ids}, {f: 1 for f in s.facet_ids})
+        cd = CharacteristicData(s, {f: vec(0, 0, 0) for f in s.facet_ids}, {f: 1 for f in s.facet_ids})
         assert euler_cycle_verdicts(cd) == (False, True)
         assert dict(chardata._checks(cd))["euler-cycle"].failures()[0].detail == "compatibility fails"
 
@@ -215,7 +214,7 @@ class TestEulerCycle:
         cd = load("f3").data
         missing = sorted(cd.mu)[-1]
         mu = {f: v for f, v in cd.mu.items() if f != missing}
-        short = CharacteristicData(cd.n, cd.sponge, mu, cd.euler_sign, cd.ambient)
+        short = CharacteristicData(cd.sponge, mu, cd.euler_sign, cd.ambient)
         stages = dict(chardata._checks(short))
         assert stages["euler-cycle"].entries == (CheckResult("euler-cycle", "fail", "compatibility fails"),)
         with pytest.raises(InputFormatError):
@@ -382,7 +381,7 @@ class TestThreeTermRelationOnTuples:
                 mu[f] = IntVector(tuple(data.draw(_small_vectors)))
             else:
                 mu.pop(f)
-        changed = CharacteristicData(cd.n, cd.sponge, mu, signs)
+        changed = CharacteristicData(cd.sponge, mu, signs)
         want = _outcome(cocycle_report_by_vectors, changed)
         assert _outcome(lambda: changed.cocycle_report) == want
 
@@ -447,7 +446,7 @@ class TestCheckPipeline:
             else:
                 g = data.draw(st.sampled_from(facets))
                 mu[f], mu[g] = mu[g], mu[f]
-        changed = CharacteristicData(cd.n, cd.sponge, mu, signs, cd.ambient)
+        changed = CharacteristicData(cd.sponge, mu, signs, cd.ambient)
         stages = dict(chardata._checks(changed))
         assert stages["sponge"].ok and stages["compatibility"].ok
         assert stages["euler-cycle"].ok == euler_cycle_by_boundary(changed)

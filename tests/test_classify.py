@@ -84,7 +84,6 @@ class TestCompareBasics:
         from complexity_one.sponge import local_model_sponge
 
         bad = CharacteristicData(
-            n=3,
             sponge=local_model_sponge(3),
             mu={"c1": vec(1, 0), "c2": vec(1, 0), "c3": vec(0, 1)},
             euler_sign={"c1": 1, "c2": 1, "c3": 1},
@@ -174,10 +173,8 @@ class TestFingerprints:
 
     def test_fields(self):
         fp = canonical_invariants(load("g42").data)
-        assert fp.n == 4
         assert fp.cells_per_dim == (6, 12, 11)
         assert fp.betti == (1, 0, 4)
-        assert fp.ambient == "sphere"
         assert len(fp.pair_indices) == 3 * 12  # three facet pairs per edge
 
 
@@ -309,7 +306,6 @@ class TestSearchOracles:
 
         sponge = local_model_sponge(4)
         parallel = CharacteristicData(
-            n=4,
             sponge=sponge,
             mu={f: vec(1, 0, 0) for f in sponge.facet_ids},
             euler_sign={f: 1 for f in sponge.facet_ids},

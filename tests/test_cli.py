@@ -40,6 +40,14 @@ from conftest import euler_cycle_verdicts
 from test_quasitoric import POLYTOPES
 
 
+SIMPLEX = canonical_json(polytope_to_dict(simplex_polytope())).encode()
+
+
+def _exported(name: str, **changes) -> bytes:
+    """The catalog entry as the catalog exports it, with the top-level changes applied."""
+    return canonical_json({**chardata_to_dict(load(name).data), **changes}).encode()
+
+
 @pytest.fixture
 def workdir(tmp_path):
     ws = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
@@ -222,14 +230,23 @@ class TestCommands:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, content",
+        "argv, content",
         [
-            ("validate-sponge", b'{"n":3,"cells":5}'),
-            ("homology", b'{"n":3,"cells":5}'),
-            ("validate-weights", b'{"n":3,\xff"weights":[]}'),
-            ("validate-weights", b'{"n":3,"weights":[[1,0],[0,1],[1]]}'),
-            ("catalog", b'{"n":3,\xff"weights":[]}'),
-            ("reduce", canonical_json(polytope_to_dict(simplex_polytope())).encode()),
+            ("validate-sponge {bad}", b'{"n":3,"cells":5}'),
+            ("homology {bad}", b'{"n":3,"cells":5}'),
+            ("validate-weights {bad}", b'{"n":3,\xff"weights":[]}'),
+            ("validate-weights {bad}", b'{"n":3,"weights":[[1,0],[0,1],[1]]}'),
+            ("catalog bad", b'{"n":3,\xff"weights":[]}'),
+            # the polytope is a valid n=3 simplex; the malformed input is alpha
+            ("reduce --polytope {bad} --lambda {lam} --alpha=1,0", SIMPLEX),
+            ("reduce --polytope {bad} --lambda {lam} --alpha=\u0661,1,-1", SIMPLEX),
+            ("reduce --polytope {bad} --lambda {lam} --alpha=1_0,1,-1", SIMPLEX),
+            # a top-level n other than the sponge's, and a sphere that is not boundary trivial
+            ("validate-chardata {bad}", _exported("f3", n=2)),
+            ("compare {bad} {good}", _exported("f3", n=2)),
+            ("catalog bad", _exported("f3", n=2)),
+            ("validate-chardata {bad}", _exported("g42", boundary_trivial=False)),
+            ("compare {good} {bad}", _exported("g42", boundary_trivial=False)),
         ],
         ids=[
             "sponge-int-cells",
@@ -238,21 +255,25 @@ class TestCommands:
             "ragged-weights",
             "catalog-non-ascii",
             "reduce-alpha-wrong-length",
+            "reduce-alpha-arabic-indic-digit",
+            "reduce-alpha-underscore",
+            "chardata-n-not-the-sponges",
+            "compare-n-not-the-sponges",
+            "catalog-n-not-the-sponges",
+            "chardata-sphere-not-boundary-trivial",
+            "compare-sphere-not-boundary-trivial",
         ],
     )
-    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, command, content):
+    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, argv, content):
         # a catalog name resolves to <dir>/<name>.json through the override directory
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         monkeypatch.setenv("COMPLEXITY_ONE_CATALOG", str(tmp_path))
         lam = tmp_path / "lam.json"
         lam.write_text(canonical_json(lambda_to_dict(simplex_lambda())))
-        argv = {
-            "catalog": [command, "bad"],
-            # bad.json is a valid n=3 polytope; the malformed input is a length-2 alpha
-            "reduce": [command, "--polytope", str(bad), "--lambda", str(lam), "--alpha=1,0"],
-        }.get(command, [command, str(bad)])
-        code = main(argv)
+        good = tmp_path / "good.json"
+        good.write_bytes(_exported("g42"))
+        code = main([a.format(bad=bad, lam=lam, good=good) for a in argv.split()])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("FAIL input: ")
 
@@ -405,7 +426,7 @@ class TestRoundTrip:
 
     def test_boundary_trivial_false_round_trips(self):
         cd = load("f3").data
-        cd = CharacteristicData(cd.n, cd.sponge, cd.mu, cd.euler_sign, Ambient("product", False))
+        cd = CharacteristicData(cd.sponge, cd.mu, cd.euler_sign, Ambient("product", False))
         data = loads(canonical_json(chardata_to_dict(cd)))
         assert data["boundary_trivial"] is False
         back = chardata_from_dict(data)
@@ -570,8 +591,15 @@ class TestReduceFuzz:
 
     @pytest.mark.parametrize(
         "bound, echo",
-        [("9" * 5000, "'99999999999999999999'... (5000 characters)"), ("-1", "'-1'"), ("1.5", "'1.5'")],
-        ids=["long", "negative", "float"],
+        [
+            ("9" * 5000, "'99999999999999999999'... (5000 characters)"),
+            ("-1", "'-1'"),
+            ("1.5", "'1.5'"),
+            ("\u0663", "'\u0663'"),
+            ("1_0", "'1_0'"),
+            ("+1", "'+1'"),
+        ],
+        ids=["long", "negative", "float", "arabic-indic-digit", "underscore", "plus-sign"],
     )
     def test_rejected_alpha_bound_is_a_bad_argument(self, capsys, bound, echo):
         # a negative bound admits no alpha: a bad argument, not a failed

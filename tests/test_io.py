@@ -2,10 +2,12 @@
 
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from complexity_one.catalog import load, names
 from complexity_one.chardata import Ambient, CharacteristicData
+from complexity_one.errors import InputFormatError
 from complexity_one.io import (
     canonical_json,
     chardata_from_dict,
@@ -121,14 +123,19 @@ def test_reduce_output_round_trip(case):
 @given(
     st.sampled_from(names()),
     st.sampled_from(("sphere", "product", "abstract")),
-    st.booleans(),
     st.data(),
 )
-def test_catalog_chardata_round_trip(name, kind, boundary_trivial, data):
+def test_catalog_chardata_round_trip(name, kind, data):
     cd = load(name).data
     signs = {
         f: k * data.draw(st.sampled_from((1, -1)), label=f) for f, k in sorted(cd.euler_sign.items())
     }
-    cd = CharacteristicData(cd.n, cd.sponge, cd.mu, signs, Ambient(kind, boundary_trivial))
+    if kind == "product":
+        boundary_trivial = data.draw(st.booleans(), label="boundary_trivial")
+    else:  # only a product has a boundary over which the free part can be nontrivial
+        with pytest.raises(InputFormatError):
+            Ambient(kind, False)
+        boundary_trivial = True
+    cd = CharacteristicData(cd.sponge, cd.mu, signs, Ambient(kind, boundary_trivial))
     assert_round_trip(chardata_to_dict, chardata_from_dict, cd)
     assert_round_trip(sponge_to_dict, sponge_from_dict, cd.sponge)

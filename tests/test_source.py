@@ -230,3 +230,20 @@ def test_one_owner_per_chardata_rule():
     }
     assert {owner for module, owner in _uses("is_primitive") if module == "chardata"} == {"_mu_defect"}
     assert set(_uses("_mu_defect")) == {("chardata", "validate_mu"), ("chardata", "compatibility_check")}
+
+
+def test_no_field_the_data_fix():
+    # a datum's n is its sponge's; compare settles n and the ambient before
+    # it reads a fingerprint, and then compares every fingerprint field
+    from dataclasses import fields
+
+    from complexity_one.chardata import CharacteristicData
+    from complexity_one.classify import Fingerprint
+    from complexity_one.sponge import local_model_sponge
+
+    assert [f.name for f in fields(CharacteristicData) if f.init] == ["sponge", "mu", "euler_sign", "ambient"]
+    assert CharacteristicData(local_model_sponge(3), {}, {}).n == 3
+    assert [f.name for f in fields(Fingerprint)] == ["cells_per_dim", "betti", "torsion", "pair_indices"]
+    assert ("classify", "compare") in _uses("fields") and ("classify", "compare") in _uses("Fingerprint")
+    for name in ("LocalModel", "local_model"):
+        assert _uses(name) == [] and not hasattr(complexity_one, name), name

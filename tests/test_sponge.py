@@ -40,7 +40,6 @@ from complexity_one.sponge import (
     face_star,
     filtration,
     homology,
-    local_model,
     local_model_sponge,
     propagate_signs,
     signed_incidence,
@@ -58,28 +57,35 @@ from test_lattice import _shaped
 from test_quasitoric import torus_three_hexagons
 
 
+def _face_counts(s: SpongeComplex) -> tuple[int, ...]:
+    return tuple(len(s.cells_of_dim(d)) for d in range(s.n - 1))
+
+
 class TestLocalModel:
     def test_counts_n4(self):
-        assert local_model(4).face_counts() == (1, 4, 6)
+        assert _face_counts(local_model_sponge(4)) == (1, 4, 6)
 
     def test_counts_n3(self):
-        assert local_model(3).face_counts() == (1, 3)
+        assert _face_counts(local_model_sponge(3)) == (1, 3)
 
     def test_counts_n2(self):
-        assert local_model(2).face_counts() == (1,)
+        assert _face_counts(local_model_sponge(2)) == (1,)
 
     def test_small_n_rejected(self):
         with pytest.raises(DegenerateInputError):
-            local_model(1)
+            local_model_sponge(1)
 
     def test_containment_is_subset_order(self):
-        # the faces are the subsets of {1..n} of size at most n-2, so every
-        # subset of a face is a face
-        m = local_model(4)
-        faces = set(m.faces)
+        # the faces are the subsets of {1..n} of size at most n-2, and a
+        # face's boundary is the faces one element smaller
+        s = local_model_sponge(4)
+        atoms = {c.id: frozenset() if c.id == "o" else frozenset(map(int, c.id[1:].split("."))) for c in s.cells}
+        faces = set(atoms.values())
         assert frozenset() in faces and frozenset({1, 2}) in faces
-        assert all(f - {x} in faces for f in faces for x in f)
-        assert frozenset({1, 2, 3}) not in faces
+        assert frozenset({1, 2, 3}) not in faces and len(faces) == len(atoms)
+        for cid, face in atoms.items():
+            assert len(face) == s.by_id[cid].dim
+            assert {atoms[b] for b in s.boundary_signs[cid]} == {face - {x} for x in face}
 
     def test_sponge_realization_validates(self):
         for n in (2, 3, 4, 5):
@@ -693,8 +699,8 @@ STAR_CASES = {
 def _face_stars_entry(s: SpongeComplex) -> CheckResult:
     """catalog.verify's face-stars entry for s, with a unit mu and sign +1 on every facet."""
     mu = {f: (1,) + (0,) * (s.n - 2) for f in s.facet_ids}
-    cd = CharacteristicData(s.n, s, mu, {f: 1 for f in s.facet_ids})
-    report = verify(CatalogEntry("s", "", cd))
+    cd = CharacteristicData(s, mu, {f: 1 for f in s.facet_ids})
+    report = verify(CatalogEntry("s", cd))
     return next(e for e in report.entries if e.check == "face-stars")
 
 
