@@ -54,7 +54,6 @@ from .quasitoric import (
 )
 from .sponge import (
     Cell,
-    FaceStar,
     HomologyResult,
     SpongeComplex,
     ValidationReport,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import Mapping
 
 from .chardata import CharacteristicData, _checks, _pair_index, _three_term_faces
@@ -125,7 +125,8 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     # its least, which pops first: its stale entries pop once it is placed.
     placed_nbrs = dict.fromkeys(sig1, 0)
     rest = {x: (len(sig2[sig1[x]]), -s1.by_id[x].dim, x) for x in sig1}
-    heap = sorted((0, *key) for key in rest.values())  # a sorted list is a heap
+    heap = [(0, *key) for key in rest.values()]
+    heapq.heapify(heap)
     position: dict[str, int] = {}
     while heap:
         c1 = heapq.heappop(heap)[-1]
@@ -139,8 +140,11 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     # the faces and cofaces of each cell that are placed before it
     faces_before = [[x for x in bnd1[c] if position[x] < i] for i, c in enumerate(order)]
     cofaces_before = [[x for x in cof1[c] if position[x] < i] for i, c in enumerate(order)]
-    # the same id first, then the order of s2.cells (sorted is stable)
-    candidates = [sorted(sig2[sig1[c]], key=lambda c2: c2 != c) for c in order]
+
+    def candidates(c1):
+        """The same id first, then the rest of its class in the order of s2.cells."""
+        same = (c1,) if c1 in s2.by_id and _cell_signature(s2, c1) == sig1[c1] else ()
+        return chain(same, (c2 for c2 in sig2[sig1[c1]] if c2 != c1))
 
     if not order:
         yield {}
@@ -150,7 +154,7 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     # depth first on an explicit stack of candidate iterators, one per
     # position up to the one being filled: a recursion would take one
     # interpreter frame per cell
-    stack = [iter(candidates[0])]
+    stack = [candidates(order[0])]
     while stack:
         pos = len(stack) - 1
         c1 = order[pos]
@@ -174,7 +178,7 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
         if pos + 1 == len(order):
             yield dict(assign)
         else:
-            stack.append(iter(candidates[pos + 1]))
+            stack.append(candidates(order[pos + 1]))
 
 
 def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str]):
@@ -184,16 +188,15 @@ def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str
     gauge is determined up to one sign per connected component of the
     incidence graph; all completions are enumerated.
     """
-    inc1, inc2 = s1.boundary_signs, s2.boundary_signs
-    cells = sorted(c.id for c in s1.cells)
+    inc1, inc2 = s1.boundary_signs, s2.boundary_signs  # in id order, built once per complex
     relations = []
-    for c in cells:
-        for d, sign1 in inc1[c].items():
+    for c, bnd in inc1.items():
+        for d, sign1 in bnd.items():
             sign2 = inc2[mapping[c]].get(mapping[d])
             if sign2 is None:
                 return  # mapping does not even preserve incidence
             relations.append((c, d, sign1 * sign2))
-    components = propagate_signs(cells, relations)
+    components = propagate_signs(inc1, relations)
     if any(conflict is not None for _, conflict in components):
         return
     for flips in range(1 << len(components)):

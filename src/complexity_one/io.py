@@ -70,6 +70,13 @@ def _decode_int(x, where: str) -> int:
     return value
 
 
+def _text(x, where: str) -> str:
+    """x itself if it is a string: str() would turn null, a number or a list into an id."""
+    if not isinstance(x, str):
+        raise InputFormatError(f"{where}: expected a string, got {_excerpt(x)}")
+    return x
+
+
 def _reject_float(value: str):
     raise InputFormatError(f"floating-point literal {_excerpt(value)} is not allowed")
 
@@ -151,25 +158,26 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     for i, c in enumerate(data["cells"]):
         if not isinstance(c, Mapping) or "id" not in c or "dim" not in c:
             raise InputFormatError(f"{where}.cells[{i}]: need 'id' and 'dim'")
-        cells.append(
-            Cell(str(c["id"]), _decode_int(c["dim"], f"{where}.cells[{i}].dim"), str(c.get("label", "")))
-        )
+        at = f"{where}.cells[{i}]"
+        label = _text(c.get("label", ""), f"{at}.label")
+        cells.append(Cell(_text(c["id"], f"{at}.id"), _decode_int(c["dim"], f"{at}.dim"), label))
     incidence = {}
     raw_inc = data.get("incidence", {})
     if not isinstance(raw_inc, Mapping):
         raise InputFormatError(f"{where}.incidence: expected an object")
     ids = {c.id for c in cells}
     for cid, entries in raw_inc.items():
-        if str(cid) not in ids:  # unknown subcells stay a validation failure
+        if cid not in ids:  # unknown subcells stay a validation failure
             raise InputFormatError(f"{where}.incidence: key {cid!r} is not a cell id")
+        at = f"{where}.incidence[{cid}]"
         if not isinstance(entries, list):
-            raise InputFormatError(f"{where}.incidence[{cid}]: expected a list")
+            raise InputFormatError(f"{at}: expected a list")
         pairs = []
         for e in entries:
             if not isinstance(e, list) or len(e) != 2:
-                raise InputFormatError(f"{where}.incidence[{cid}]: entries are [id, sign] pairs")
-            pairs.append((str(e[0]), _decode_int(e[1], f"{where}.incidence[{cid}]")))
-        incidence[str(cid)] = tuple(pairs)
+                raise InputFormatError(f"{at}: entries are [id, sign] pairs")
+            pairs.append((_text(e[0], at), _decode_int(e[1], at)))
+        incidence[cid] = tuple(pairs)
     return SpongeComplex(n=n, cells=tuple(cells), incidence=incidence)
 
 
@@ -230,8 +238,10 @@ def polytope_from_dict(data: Mapping, where: str = "polytope") -> SimplePolytope
         raise InputFormatError(f"{where}: 'facets' and 'vertices' must be lists")
     if not all(isinstance(v, list) for v in data["vertices"]):
         raise InputFormatError(f"{where}.vertices: each vertex is a list of facet ids")
-    facets = tuple(str(f) for f in data["facets"])
-    vertices = tuple(frozenset(str(f) for f in v) for v in data["vertices"])
+    facets = tuple(_text(f, f"{where}.facets[{i}]") for i, f in enumerate(data["facets"]))
+    vertices = tuple(
+        frozenset(_text(f, f"{where}.vertices[{i}]") for f in v) for i, v in enumerate(data["vertices"])
+    )
     return SimplePolytope(n=n, facets=facets, vertices=vertices)
 
 

@@ -30,6 +30,7 @@ from .lattice import (
     IntMatrix,
     IntVector,
     adjugate,
+    as_int,
     determinant,
     independent_rows,
     is_unimodular_extension,
@@ -340,12 +341,10 @@ class CellManifold:
     covers: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple((str(c), int(d)) for c, d in self.cells)
-        )
-        object.__setattr__(
-            self, "covers", {str(k): tuple(str(x) for x in v) for k, v in dict(self.covers).items()}
-        )
+        object.__setattr__(self, "n", as_int(self.n, "cell manifold n"))
+        cells = tuple((str(c), as_int(d, f"dim of cell {c!r}")) for c, d in self.cells)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "covers", {str(k): tuple(map(str, v)) for k, v in dict(self.covers).items()})
         ids = [c for c, _ in self.cells]
         if len(set(ids)) != len(ids):
             raise InputFormatError("duplicate cell ids")
@@ -454,26 +453,27 @@ def _reduction_data(
     ray dual to top cell t is the edge at the 0-cell missing exactly t.
     """
     sponge = m.skeleton_sponge()
-    edges_by_vertex: dict[str, list[tuple[str, set[str]]]] = {}
+    # a top cell through an edge holds the edge's 0-cells, so at a 0-cell v the
+    # edge lies in the top cells through v but those it misses: dual to t if t alone
+    dual: dict[str, dict[str, list[str]]] = {}  # 0-cell -> missed top cell -> edges
     for e, d in m.cells:
         if d == 1:
             through = set(m.top_cells_containing(e))
-            for v in m.closure(e):
-                if m.dims[v] == 0:
-                    edges_by_vertex.setdefault(v, []).append((e, through))
+            for v in set(m.covers.get(e, ())):
+                missed = set(m.top_cells_containing(v)) - through
+                if m.dims[v] == 0 and len(missed) == 1:
+                    dual.setdefault(v, {}).setdefault(missed.pop(), []).append(e)
     charts: dict[str, Chart] = {}
     for c, d in m.cells:
         if d != 0:
             continue
         tops = m.top_cells_containing(c)
         ws = induced_weights([values[t] for t in tops], st)
-        rays: list[str] = []
-        for t in tops:
-            matches = [e for e, through in edges_by_vertex.get(c, []) if through == set(tops) - {t}]
+        rays = [dual.get(c, {}).get(t, []) for t in tops]
+        for t, matches in zip(tops, rays):
             if len(matches) != 1:
                 raise ConsistencyError(
                     f"vertex {c}: expected one edge avoiding top cell {t}, found {len(matches)}"
                 )
-            rays.append(matches[0])
-        charts[c] = Chart(ws, tuple(rays))
+        charts[c] = Chart(ws, tuple(e for (e,) in rays))
     return data_from_charts(sponge, charts, ambient)

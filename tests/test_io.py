@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complexity_one.catalog import load, names
+from complexity_one.catalog import load, names, simplex_polytope
 from complexity_one.chardata import Ambient, CharacteristicData
 from complexity_one.errors import InputFormatError
 from complexity_one.io import (
@@ -30,6 +30,7 @@ from complexity_one.quasitoric import (
     find_strict_subtorus,
     reduce,
 )
+from complexity_one.sponge import Cell, SpongeComplex
 from complexity_one.weights import WeightSystem
 
 FEW = settings(max_examples=15, deadline=None)
@@ -139,3 +140,51 @@ def test_catalog_chardata_round_trip(name, kind, data):
     cd = CharacteristicData(cd.sponge, cd.mu, signs, Ambient(kind, boundary_trivial))
     assert_round_trip(chardata_to_dict, chardata_from_dict, cd)
     assert_round_trip(sponge_to_dict, sponge_from_dict, cd.sponge)
+
+
+def test_ids_and_labels_round_trip():
+    # labels that str() of a wrong type would produce are ordinary strings
+    # here and come back as written; an absent label reads as ""
+    cells = [Cell("v,1", 0, "None"), Cell("v 2", 0, "7"), Cell("e:1", 1, "['x']")]
+    s = SpongeComplex(3, tuple(cells), {"e:1": (("v 2", 1), ("v,1", -1))})
+    assert_round_trip(sponge_to_dict, sponge_from_dict, s)
+    back = sponge_from_dict(loads(canonical_json(sponge_to_dict(s))))
+    assert back.by_id == s.by_id
+    data = sponge_to_dict(s)
+    del data["cells"][0]["label"]
+    assert sponge_from_dict(data).by_id["v 2"].label == ""
+
+
+def _with(data: dict, path: tuple, value) -> dict:
+    """A deep copy of JSON data with the entry at path replaced by value."""
+    data = loads(canonical_json(data))
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+G42_SPONGE = sponge_to_dict(load("g42").data.sponge)
+G42_EDGE = min(G42_SPONGE["incidence"])
+SIMPLEX = polytope_to_dict(simplex_polytope())
+
+
+@pytest.mark.parametrize(
+    "read, data, path, value, where",
+    [
+        (sponge_from_dict, G42_SPONGE, ("cells", 0, "label"), None, "sponge.cells[0].label"),
+        (sponge_from_dict, G42_SPONGE, ("cells", 0, "label"), ["x"], "sponge.cells[0].label"),
+        (sponge_from_dict, G42_SPONGE, ("cells", 2, "id"), 7, "sponge.cells[2].id"),
+        (sponge_from_dict, G42_SPONGE, ("incidence", G42_EDGE, 1, 0), ["x"], f"sponge.incidence[{G42_EDGE}]"),
+        (polytope_from_dict, SIMPLEX, ("facets", 1), 7, "polytope.facets[1]"),
+        (polytope_from_dict, SIMPLEX, ("vertices", 2, 0), None, "polytope.vertices[2]"),
+    ],
+    ids=["null-label", "list-label", "int-id", "list-incidence-id", "int-facet", "null-vertex-entry"],
+)
+def test_non_string_ids_and_labels_rejected(read, data, path, value, where):
+    # str() made these "None", "['x']" and "7"
+    with pytest.raises(InputFormatError) as exc:
+        read(_with(data, path, value))
+    assert str(exc.value).startswith(f"{where}: expected a string, got ")

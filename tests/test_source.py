@@ -247,3 +247,84 @@ def test_no_field_the_data_fix():
     assert ("classify", "compare") in _uses("fields") and ("classify", "compare") in _uses("Fingerprint")
     for name in ("LocalModel", "local_model"):
         assert _uses(name) == [] and not hasattr(complexity_one, name), name
+
+
+def _function_uses(name):
+    """(module, innermost enclosing function) of every load of `name` in the package."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                found.append((module, owner))
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def _function(module, name):
+    tree = ast.parse((Path(complexity_one.__file__).parent / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _calls(fn, name):
+    return [node for node in ast.walk(fn) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+def test_face_star_is_one_bit():
+    # catalog.verify reads only whether a star is local, so face_star returns
+    # that bit and sorts nothing; the old 4-tuple lives on as the tests' oracle
+    from complexity_one.sponge import face_star, local_model_sponge
+
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "FaceStar"
+    ]
+    assert defined == [] and _uses("FaceStar") == [] and not hasattr(complexity_one, "FaceStar")
+    s = local_model_sponge(4)
+    assert [type(face_star(s, c.id)) for c in s.cells] == [bool] * len(s.cells)
+    assert _calls(_function("sponge", "face_star"), "sorted") == []
+
+
+def test_defects_found_once():
+    # the complex finds its dimension and boundary-squared defects once;
+    # validation_report and homology read the same cached tuples
+    from functools import cached_property
+
+    from complexity_one.sponge import SpongeComplex
+
+    for name in ("cell_dim_defects", "boundary_squared_defects"):
+        assert isinstance(vars(SpongeComplex)[name], cached_property), name
+        assert set(_function_uses(name)) == {("sponge", "validation_report"), ("sponge", "homology")}, name
+        called = [
+            f"{path.name}:{node.lineno}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
+        ]
+        assert called == [], (name, called)
+
+
+def test_reduction_edges_from_covers():
+    # a 0-cell's edges come from the covers of the 1-cells; the closure walk
+    # serves only the index of top cells through each cell
+    assert {owner for module, owner in _function_uses("closure") if module == "quasitoric"} == {"_top_cells_by_cell"}
+
+
+def test_search_indices_built_once():
+    # the first datum's side of the gauge relations is its boundary_signs,
+    # built once per complex in id order, and each cell's candidates are a
+    # lazy walk of its signature class, not a sorted copy of it
+    assert _calls(_function("classify", "_solve_gauge"), "sorted") == []
+    search = _function("classify", "_poset_bijections")
+    assert _calls(search, "sorted") == []
+    per_cell_lists = [
+        node.lineno
+        for node in ast.walk(search)
+        if isinstance(node, ast.ListComp) and any(getattr(n, "id", None) == "sig2" for n in ast.walk(node))
+    ]
+    assert per_cell_lists == []

@@ -202,14 +202,13 @@ class TestHomology:
 class TestFaceStar:
     def test_local_model_origin(self):
         s = local_model_sponge(4)
-        star = face_star(s, "o")
-        assert star.is_local
-        assert len(star.cell_dims) == 11
+        assert face_star(s, "o") is True
+        assert len(s.upper_set("o")) == 11
 
     def test_octahedron_all_cells_local(self):
         s = octahedron_sponge(squares=True)
         for c in s.cells:
-            assert face_star(s, c.id).is_local, c.id
+            assert face_star(s, c.id), c.id
 
     def test_overcrowded_edge_not_local(self):
         cells = [("v1", 0), ("v2", 0)] + [(e, 1) for e in "eabcd"] + [
@@ -221,7 +220,7 @@ class TestFaceStar:
         s = SpongeComplex(
             n=4, cells=tuple(Cell(c, d) for c, d in sorted(cells)), incidence=inc
         )
-        assert not face_star(s, "e").is_local
+        assert face_star(s, "e") is False
 
     def test_unknown_cell(self):
         with pytest.raises(InputFormatError):
@@ -229,7 +228,44 @@ class TestFaceStar:
 
     @pytest.mark.parametrize("case", ["five-edges-five-wedges", "doubled-wedge"])
     def test_miscounted_vertex_star_not_local(self, case):
-        assert not face_star(STAR_SPONGES[case](), "v").is_local
+        assert face_star(STAR_SPONGES[case](), "v") is False
+
+
+# int() truncated these or parsed strings: dim 1.9 was 1, sign 1.5 was 1, "1" was 1,
+# and an n or a Cell dim of 3.0 made validate_sponge raise a bare TypeError
+NON_INTEGERS = {
+    "cell-dim-float": (
+        lambda: SpongeComplex(3, [("a", 0), ("b", 0), ("e", 1.9)], {"e": [("a", 1), ("b", -1)]}),
+        "dim of cell 'e' is 1.9",
+    ),
+    "cell-dim-string": (
+        lambda: SpongeComplex(3, [("a", 0), ("b", 0), ("e", "1")], {"e": [("a", 1), ("b", -1)]}),
+        "dim of cell 'e' is '1'",
+    ),
+    "incidence-sign-float": (
+        lambda: SpongeComplex(3, [("a", 0), ("b", 0), ("e", 1)], {"e": [("a", 1.5), ("b", -1)]}),
+        "incidence sign e->a is 1.5",
+    ),
+    "sponge-n-float": (lambda: SpongeComplex(3.0, [("a", 0)], {}), "sponge n is 3.0"),
+    "cell-object-dim-float": (lambda: SpongeComplex(3, [Cell("a", 3.0)], {}), "dim of cell 'a' is 3.0"),
+    "manifold-dim-float": (lambda: CellManifold(2, [("a", 0.7)], {}), "dim of cell 'a' is 0.7"),
+    "manifold-n-float": (lambda: CellManifold(2.0, [("a", 0)], {}), "cell manifold n is 2.0"),
+}
+
+
+class TestNonIntegerFields:
+    @pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+    def test_rejected_naming_the_entry(self, case):
+        build, where = NON_INTEGERS[case]
+        with pytest.raises(InputFormatError) as exc:
+            build()
+        assert str(exc.value) == f"{where}, not an integer"
+
+    def test_integers_kept(self):
+        s = SpongeComplex(3, [("a", 0), ("b", 0), ("e", 1)], {"e": [("a", 1), ("b", -1)]})
+        assert s.by_id["e"].dim == 1 and s.incidence["e"] == (("a", 1), ("b", -1))
+        assert homology(s).betti == (1, 0)
+        assert CellManifold(2, [("a", 0)], {}).cells == (("a", 0),)
 
 
 def _vertex_star(rays: int, wedges: list[tuple[int, int]]) -> SpongeComplex:
@@ -243,7 +279,7 @@ def _vertex_star(rays: int, wedges: list[tuple[int, int]]) -> SpongeComplex:
 
 
 def _assert_star_matches_search(s: SpongeComplex) -> None:
-    """face_star agrees with the backtracking reference on every cell, errors included."""
+    """face_star agrees with the backtracking reference's is_local on every cell, errors included."""
     for c in s.cells:
         try:
             want = face_star_search(s, c.id)
@@ -251,8 +287,7 @@ def _assert_star_matches_search(s: SpongeComplex) -> None:
             with pytest.raises(KeyError):
                 face_star(s, c.id)
             continue
-        got = face_star(s, c.id)
-        assert (got.base, got.cell_dims, got.relation, got.is_local) == want, c.id
+        assert face_star(s, c.id) is want[3], c.id
 
 
 def _prism() -> SimplePolytope:
@@ -705,7 +740,7 @@ def _face_stars_entry(s: SpongeComplex) -> CheckResult:
 
 
 def _stars_local(s: SpongeComplex, cells) -> bool:
-    return all(face_star(s, c.id).is_local for c in cells)
+    return all(face_star(s, c.id) for c in cells)
 
 
 def _assert_facet_index_filters_upper_sets(s: SpongeComplex) -> None:
