@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -27,10 +27,12 @@ from .errors import (
 )
 from .lattice import (
     IntVector,
+    as_id,
     as_int,
+    dot,
     hermite_normal_form,
     independent_rows,
-    primitive,
+    primitive_entries,
     stack_rows,
 )
 from .sponge import (
@@ -41,7 +43,7 @@ from .sponge import (
     propagate_signs,
     validate_sponge,
 )
-from .weights import WeightSystem, cramer_coefficients, hopf_type
+from .weights import WeightSystem, cramer_coefficients, hopf_type, strict_coefficients
 
 
 AMBIENT_KINDS = ("sphere", "product", "abstract")
@@ -82,8 +84,10 @@ class CharacteristicData:
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.sponge.n)
-        mu = {str(k): IntVector(tuple(v)) for k, v in dict(self.mu).items()}
-        signs = {str(k): as_int(v, f"Euler sign of {k}") for k, v in dict(self.euler_sign).items()}
+        mu = {as_id(k, "mu key"): IntVector(tuple(v)) for k, v in dict(self.mu).items()}
+        signs = {
+            as_id(k, "Euler sign key"): as_int(v, f"Euler sign of {k}") for k, v in dict(self.euler_sign).items()
+        }
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "euler_sign", signs)
 
@@ -325,33 +329,47 @@ def _checks(cd: CharacteristicData) -> Iterator[tuple[str, ValidationReport]]:
 def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVector, int]:
     """Circle direction and Hopf sign of the facet missing weights i and j.
 
-    The direction is the primitive generator of the rank-one lattice of
-    cocharacters vanishing on all other weights (and so, by the Cramer
-    relation, on c_i alpha_i + c_j alpha_j).  It is read off the weight
-    system's one adjugate of its first n-1 weights, whose column a_i pairs
-    to zero with each of those weights but weight i (a_(n-1) is zero): the
-    line c_j a_i - c_i a_j pairs to zero with the first n-1 weights but i
-    and j, and by the Cramer relation with the last one too.  It is
-    oriented so its pairing vector against the weights is a positive
-    multiple of c_j e_i - c_i e_j.  The returned sign is hopf_type(ws, i, j),
-    which also guards the indices and strictness.
+    The one-pair view of _pair_lines, which data_from_charts sweeps over a
+    whole chart.  The direction is oriented so its pairing vector against
+    the weights is a positive multiple of c_j e_i - c_i e_j.  The returned
+    sign is hopf_type(ws, i, j), which also guards the indices and strictness.
     """
     sign = hopf_type(ws, i, j)
-    c = cramer_coefficients(ws).c
-    a = ws.adjugate_columns
-    lam = IntVector(tuple(c[j] * x - c[i] * y for x, y in zip(a[i], a[j])))
-    if lam.is_zero():
-        others = [ws.weights[m].entries for m in range(ws.n) if m not in (i, j)]
-        line_rank = ws.n - 1 - len(independent_rows(others, ws.n - 1))
-        raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
-    lam = primitive(lam)
+    lam = IntVector(_pair_lines(ws)(i, j)[0])
     # orient so that the pairing with weight i has the sign of c_j
-    pair_i = ws.weights[i].dot(lam)
-    if pair_i == 0 or ws.weights[j].dot(lam) == 0:
-        raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
-    if pair_i * c[j] < 0:
+    if ws.weights[i].dot(lam) * cramer_coefficients(ws).c[j] < 0:
         lam = -lam
     return lam, sign
+
+
+def _pair_lines(ws: WeightSystem) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
+    """The stabilizer line and Hopf sign of each pair of a strict system, read off its one adjugate.
+
+    Strictness is checked, and c and the adjugate columns are read, once per
+    system.  The returned function maps a pair (i, j) of distinct indices to
+    c_i c_j and the primitive generator, first nonzero entry positive, of
+    the rank-one lattice of cocharacters vanishing on all weights but i and
+    j (and so, by the Cramer relation, on c_i alpha_i + c_j alpha_j).  Column a_i of the
+    adjugate of the first n-1 weights pairs to zero with each of those
+    weights but weight i (a_(n-1) is zero), so the line c_j a_i - c_i a_j
+    pairs to zero with the first n-1 weights but i and j, and by the Cramer
+    relation with the last one too.
+    """
+    c = strict_coefficients(ws)
+    a = ws.adjugate_columns
+    rows = [w.entries for w in ws.weights]
+
+    def line(i: int, j: int) -> tuple[tuple[int, ...], int]:
+        lam = primitive_entries([c[j] * x - c[i] * y for x, y in zip(a[i], a[j])])
+        if lam is None:
+            others = [rows[m] for m in range(ws.n) if m not in (i, j)]
+            line_rank = ws.n - 1 - len(independent_rows(others, ws.n - 1))
+            raise ConsistencyError(f"stabilizer line for pair ({i}, {j}) has rank {line_rank}")
+        if not dot(rows[i], lam) or not dot(rows[j], lam):
+            raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
+        return lam, c[i] * c[j]
+
+    return line
 
 
 def solve_euler_signs(
@@ -392,7 +410,8 @@ class Chart:
     rays: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(str(r) for r in self.rays))
+        rays = tuple(r if type(r) is str else as_id(r, f"chart ray {t}") for t, r in enumerate(self.rays))
+        object.__setattr__(self, "rays", rays)
         if len(self.rays) != self.weights.n:
             raise DegenerateInputError(
                 f"chart has {len(self.rays)} rays for n={self.weights.n}"
@@ -406,26 +425,32 @@ def data_from_charts(
 ) -> CharacteristicData:
     """Assemble characteristic data from weight charts, in one pass over the 0-cells.
 
-    A facet's pair at a 0-cell is the two chart rays whose upper sets lack it.
-    Directions and Hopf signs from every adjacent chart must agree; the Euler
-    signs are then oriented to make the facet chain a cycle, each orientation
-    component seeded by the Hopf sign of its least facet.
+    A facet's pair at a 0-cell is the two chart rays whose upper sets lack it,
+    and its line is read off the chart's one adjugate (_pair_lines), which
+    each chart sweeps once.  Directions and Hopf signs from every adjacent
+    chart must agree; the Euler signs are then oriented to make the facet
+    chain a cycle, each orientation component seeded by the Hopf sign of its
+    least facet.
     """
-    found: dict[str, tuple[IntVector, int]] = {}
+    found: dict[str, tuple[tuple[int, ...], int]] = {}
     for v in sponge.cells_of_dim(0):
         through = sponge.facets_containing(v.id)
         if not through:
             continue
-        chart = charts[v.id]
+        chart = charts.get(v.id)
+        if chart is None:
+            raise ConsistencyError(f"0-cell {v.id} lies in a facet but has no chart")
         uppers = [sponge.upper_set(r) if r in sponge.by_id else () for r in chart.rays]
+        lines = None
         for fid in through:
             pair = [t for t, up in enumerate(uppers) if fid not in up]
             if len(pair) != 2:
                 raise ConsistencyError(
                     f"facet {fid} meets {len(uppers) - len(pair)} rays at {v.id}, cannot form a chart pair"
                 )
-            direction, sign = local_euler_from_weights(chart.weights, *pair)
-            direction = primitive(direction)  # one pinned representative across charts
+            if lines is None:  # strictness is checked once per chart, after its first pair
+                lines = _pair_lines(chart.weights)
+            direction, sign = lines(*pair)
             first = found.setdefault(fid, (direction, sign))
             if first != (direction, sign):
                 what = "direction" if first[0] != direction else "Hopf sign"
@@ -433,7 +458,7 @@ def data_from_charts(
     for fid in sponge.facet_ids:
         if fid not in found:
             raise ConsistencyError(f"facet {fid} has no vertex in its closure")
-    mu = {fid: found[fid][0] for fid in sponge.facet_ids}
+    mu = {fid: IntVector(found[fid][0]) for fid in sponge.facet_ids}
     signs = solve_euler_signs(sponge, mu, seeds={fid: found[fid][1] for fid in sponge.facet_ids})
     return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
 

@@ -4,10 +4,11 @@ Each job uses the simplest elimination that answers it.  Forward Bareiss
 fraction-free elimination gives the determinant and the first independent
 rows, so ranks; its reduced (Gauss-Jordan) form gives signed maximal minors
 (the kernel line of a k x (k+1) matrix) and the adjugate behind every square
-solve and inverse.  One unimodular row pass gives the Hermite form, which
-serves integer_kernel; the Smith form alternates that pass on a matrix and
-on its transpose, and serves only where invariant factors are the answer
-(the residual of homology's unit-pivot elimination, is_unimodular_extension).
+solve and inverse; one reduced pass over [a | I] gives both at once.  One
+unimodular row pass gives the Hermite form, which serves integer_kernel;
+the Smith form alternates that pass on a matrix and on its transpose, and
+serves only where invariant factors are the answer (the residual of
+homology's unit-pivot elimination, is_unimodular_extension).
 Values are immutable and every operation is pure, so concurrent use is safe.
 
 Conventions:
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateInputError, DimensionMismatchError, InputFormatError
@@ -35,6 +37,13 @@ def as_int(x, where: str) -> int:
         return operator.index(x)
     except TypeError:
         raise InputFormatError(f"{where} is {x!r}, not an integer") from None
+
+
+def as_id(x, where: str) -> str:
+    """x as a cell, facet or ray id; anything but a string, which str() would rename, raises."""
+    if isinstance(x, str):
+        return x
+    raise InputFormatError(f"{where} is {x!r}, not a string")
 
 
 def _as_ints(entries: tuple, what: str) -> tuple[int, ...]:
@@ -82,7 +91,7 @@ class IntVector:
 
     def dot(self, other: "IntVector") -> int:
         self._same_dim(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries))
+        return dot(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -102,19 +111,31 @@ class IntVector:
         return f"IntVector({list(self.entries)!r})"
 
 
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The pairing of two plain rows of ints; the kernel of every product below."""
+    return sum(map(operator.mul, u, v))
+
+
 def vec(*entries: int) -> IntVector:
     return IntVector(tuple(entries))
 
 
 def primitive(v: IntVector) -> IntVector:
     """v divided by the gcd of its entries, its first nonzero entry made positive."""
-    g = v.content()
-    if g == 0:
+    w = primitive_entries(v.entries)
+    if w is None:
         raise DegenerateInputError("primitive() of the zero vector")
-    w = tuple(a // g for a in v.entries)
-    if next(a for a in w if a != 0) < 0:
-        w = tuple(-a for a in w)
     return IntVector(w)
+
+
+def primitive_entries(v: Sequence[int]) -> tuple[int, ...] | None:
+    """primitive() on plain ints: v over its gcd, first nonzero entry positive; None for zero."""
+    g = math.gcd(*v)
+    if g == 0:
+        return None
+    if next(a for a in v if a) < 0:
+        g = -g
+    return tuple(a // g for a in v)
 
 
 @dataclass(frozen=True)
@@ -168,6 +189,12 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
+    @cached_property
+    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, sliced once for every product with a vector."""
+        c = self.cols
+        return tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
+
     def transpose(self) -> "IntMatrix":
         c = self.cols
         return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in self.entries[j::c]))
@@ -180,17 +207,21 @@ class IntMatrix:
             if self.cols != other.dim:
                 raise DimensionMismatchError(f"{self.rows}x{self.cols} @ vector of dim {other.dim}")
             x = other.entries
-            return IntVector(tuple(sum(a * b for a, b in zip(r, x)) for r in self.row_list()))
+            return IntVector(tuple(dot(r, x) for r in self.row_tuples))
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-            cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-            out = (sum(a * b for a, b in zip(r, c)) for r in self.row_list() for c in cols)
-            return IntMatrix(self.rows, other.cols, tuple(out))
+            return IntMatrix(self.rows, other.cols, _products(self.row_tuples, other))
         return NotImplemented
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.row_list()!r})"
+
+
+def _products(rows: Sequence[Sequence[int]], b: IntMatrix) -> tuple[int, ...]:
+    """The entries of the product of the given rows with b, row-major, as plain ints."""
+    cols = [b.entries[j :: b.cols] for j in range(b.cols)]
+    return tuple(dot(r, c) for r in rows for c in cols)
 
 
 def stack_rows(vectors: Sequence[IntVector], cols: int | None = None) -> IntMatrix:
@@ -222,8 +253,8 @@ def _bareiss(m: list[list[int]], cols: int, reduced: bool = False) -> tuple[list
             sign = -sign
         top, p = m[r], m[r][c]
         for i in range(0 if reduced else r + 1, len(m)):
-            if i != r:
-                f = m[i][c]
+            f = m[i][c]
+            if i != r and (f or p != prev):  # else the row is scaled by p / prev = 1
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
         pivots.append(c)
@@ -247,15 +278,19 @@ def signed_maximal_minors(a: IntMatrix) -> IntVector:
     """
     if a.cols != a.rows + 1:
         raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
-    m, pivots, sign = _bareiss(a.row_list(), a.cols, reduced=True)
-    v = [0] * a.cols
-    if len(pivots) == a.rows:
-        f = min(set(range(a.cols)) - set(pivots))
+    return IntVector(_minors(*_bareiss(a.row_list(), a.cols, reduced=True), a.cols))
+
+
+def _minors(m: list[list[int]], pivots: list[int], sign: int, cols: int) -> tuple[int, ...]:
+    """The signed maximal minors read off the reduced form of a k x (k+1) matrix, as plain ints."""
+    v = [0] * cols
+    if len(pivots) == cols - 1:
+        f = min(set(range(cols)) - set(pivots))
         s = (-1) ** f * sign
         v[f] = s * m[-1][pivots[-1]] if m else s
         for r, c in zip(m, pivots):
             v[c] = -s * r[f]
-    return IntVector(tuple(v))
+    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -289,20 +324,43 @@ def adjugate(a: IntMatrix) -> Adjugate:
     """
     if not a.is_square():
         raise DimensionMismatchError(f"adjugate of a {a.rows}x{a.cols} matrix")
-    n = a.rows
-    m = [r + [int(i == j) for j in range(n)] for i, r in enumerate(a.row_list())]
-    m, pivots, sign = _bareiss(m, n, reduced=True)
-    if len(pivots) < n:
-        return Adjugate(0, None)
-    det = sign * m[-1][n - 1] if m else 1
-    result = Adjugate(det, IntMatrix(n, n, tuple(sign * x for r in m for x in r[n:])))
-    _check_adjugate(a, result)
-    return result
+    return _beside_identity(a)[1]
+
+
+def minors_and_adjugate(a: IntMatrix) -> tuple[IntVector, Adjugate]:
+    """signed_maximal_minors(a) and the adjugate of a's leading k x k block b, from one elimination.
+
+    The reduced form of [a | I] pivots on the columns of a alone, so its first
+    k + 1 columns are those of the reduced form of a, which give the minors.
+    When b is invertible its pivots are the first k columns, and the identity
+    block ends as s adj(b), as in adjugate; otherwise the adjugate is
+    Adjugate(0, None).  The adjugate is verified before it is returned.
+    """
+    if a.cols != a.rows + 1:
+        raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
+    (m, pivots, sign), adj = _beside_identity(a)
+    return IntVector(_minors(m, pivots, sign, a.cols)), adj
+
+
+def _beside_identity(a: IntMatrix) -> tuple[tuple[list[list[int]], list[int], int], Adjugate]:
+    """The reduced form of [a | I], pivoting on a's columns, and the adjugate of a's leading square block.
+
+    The adjugate is verified before it is returned.
+    """
+    k, cols = a.rows, a.cols
+    m = [r + [int(i == j) for j in range(k)] for i, r in enumerate(a.row_list())]
+    m, pivots, sign = _bareiss(m, cols, reduced=True)
+    if pivots != list(range(k)):
+        return (m, pivots, sign), Adjugate(0, None)
+    det = sign * m[-1][k - 1] if m else 1
+    result = Adjugate(det, IntMatrix(k, k, tuple(sign * x for r in m for x in r[cols:])))
+    _check_adjugate(a if cols == k else IntMatrix(k, k, tuple(x for r in a.row_tuples for x in r[:k])), result)
+    return (m, pivots, sign), result
 
 
 def _check_adjugate(a: IntMatrix, result: Adjugate) -> None:
     n = a.rows
-    if (a @ result.adj).entries != tuple(result.det * (i == j) for i in range(n) for j in range(n)):
+    if _products(a.row_tuples, result.adj) != tuple(result.det * (i == j) for i in range(n) for j in range(n)):
         raise ConsistencyError("adjugate check: A*adj != det*I")
 
 

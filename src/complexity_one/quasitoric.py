@@ -30,11 +30,12 @@ from .lattice import (
     IntMatrix,
     IntVector,
     adjugate,
+    as_id,
     as_int,
     determinant,
     independent_rows,
     is_unimodular_extension,
-    primitive,
+    primitive_entries,
     stack_rows,
 )
 from .sponge import CheckResult, SpongeComplex, ValidationReport
@@ -50,10 +51,13 @@ class SimplePolytope:
     vertices: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "facets", tuple(str(f) for f in self.facets))
-        object.__setattr__(
-            self, "vertices", tuple(frozenset(str(f) for f in v) for v in self.vertices)
+        facets = tuple(f if type(f) is str else as_id(f, f"facets[{t}]") for t, f in enumerate(self.facets))
+        vertices = tuple(
+            frozenset(f if type(f) is str else as_id(f, f"vertices[{t}] entry") for f in v)
+            for t, v in enumerate(self.vertices)
         )
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "vertices", vertices)
         self._validate()
 
     def _validate(self) -> None:
@@ -134,7 +138,7 @@ class CharacteristicFunction:
     values: Mapping[str, IntVector]
 
     def __post_init__(self):
-        vals = {str(k): IntVector(tuple(v)) for k, v in dict(self.values).items()}
+        vals = {as_id(k, "lambda key"): IntVector(tuple(v)) for k, v in dict(self.values).items()}
         for k, v in vals.items():
             if v.is_zero() or not v.is_primitive():
                 raise DegenerateInputError(f"lambda({k}) must be primitive and nonzero")
@@ -260,10 +264,10 @@ def induced_mu(lam1: IntVector, lam2: IntVector, st: SubtorusChoice) -> IntVecto
         raise DegenerateInputError(
             "both facet circles lie in the subtorus: intersection is not a circle"
         )
-    u = lam1.scale(p2) - lam2.scale(p1)
-    if u.is_zero():
+    u = primitive_entries([p2 * a - p1 * b for a, b in zip(lam1, lam2)])
+    if u is None:
         raise DegenerateInputError("facet circles coincide")
-    return st.kernel_coordinates(primitive(u))
+    return st.kernel_coordinates(IntVector(u))
 
 
 def polytope_sponge(p: SimplePolytope) -> SpongeComplex:
@@ -296,12 +300,12 @@ def reduce(
         )
     values = {_face_id({f}): lam[f] for f in p.facets}
     cd = _reduction_data(p.boundary, values, st, Ambient("sphere"))
-    # mu must match the facet-pair construction
+    # mu must match the facet-pair construction, compared on plain ints
     for face in p.faces_of_codim(2):
         f, g = sorted(face)
         fid = _face_id(face)
         expect = induced_mu(lam[f], lam[g], st)
-        if primitive(expect) != primitive(cd.mu[fid]):
+        if primitive_entries(expect.entries) != primitive_entries(cd.mu[fid].entries):
             raise ConsistencyError(f"chart mu and facet-pair mu disagree on {fid}")
     return cd
 
@@ -342,9 +346,13 @@ class CellManifold:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n, "cell manifold n"))
-        cells = tuple((str(c), as_int(d, f"dim of cell {c!r}")) for c, d in self.cells)
+        cells = tuple((as_id(c, "cell id"), as_int(d, f"dim of cell {c!r}")) for c, d in self.cells)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "covers", {str(k): tuple(map(str, v)) for k, v in dict(self.covers).items()})
+        covers = {
+            as_id(k, "covers key"): tuple(x if type(x) is str else as_id(x, f"covers[{k!r}] entry") for x in v)
+            for k, v in dict(self.covers).items()
+        }
+        object.__setattr__(self, "covers", covers)
         ids = [c for c, _ in self.cells]
         if len(set(ids)) != len(ids):
             raise InputFormatError("duplicate cell ids")
@@ -420,7 +428,7 @@ def cell_manifold_data(
     if not rep.ok:
         raise ValidationError(rep.summary(4))
     values = lam.values if isinstance(lam, CharacteristicFunction) else {
-        str(k): IntVector(tuple(v)) for k, v in dict(lam).items()
+        as_id(k, "lambda key"): IntVector(tuple(v)) for k, v in dict(lam).items()
     }
     missing = [t for t in m.top_cells if t not in values]
     if missing:

@@ -25,7 +25,7 @@ from .errors import (
     InputFormatError,
     ValidationError,
 )
-from .lattice import IntMatrix, as_int, smith_normal_form
+from .lattice import IntMatrix, as_id, as_int, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,10 @@ class Cell:
     label: str = ""
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            as_id(self.id, "cell id")
+        if type(self.label) is not str:
+            as_id(self.label, f"label of cell {self.id!r}")
         if type(self.dim) is not int:
             object.__setattr__(self, "dim", as_int(self.dim, f"dim of cell {self.id!r}"))
 
@@ -90,13 +94,17 @@ class SpongeComplex:
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n, "sponge n"))
         cells = tuple(
-            c if isinstance(c, Cell) else Cell(str(c[0]), c[1], str(c[2]) if len(c) > 2 else "")
+            c if isinstance(c, Cell) else Cell(c[0], c[1], c[2] if len(c) > 2 else "")
             for c in self.cells
         )
         object.__setattr__(self, "cells", cells)
         inc = {
-            str(k): tuple(
-                (str(i), s if type(s) is int else as_int(s, f"incidence sign {k}->{i}")) for i, s in v
+            as_id(k, "incidence key"): tuple(
+                (
+                    i if type(i) is str else as_id(i, f"incidence[{k!r}] entry"),
+                    s if type(s) is int else as_int(s, f"incidence sign {k}->{i}"),
+                )
+                for i, s in v
             )
             for k, v in dict(self.incidence).items()
         }

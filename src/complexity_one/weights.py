@@ -5,10 +5,11 @@ determines the Cramer coefficients; their normalized values decide general
 position, strictness (all unit coefficients) and the finite parts of
 coordinate stabilizers.  Signs of the stored weights are part of the data
 (an omniorientation); every predicate that is sign-independent is tested to
-be so.  A weight system computes its Cramer coefficients once, and once the
+be so.  A weight system runs one elimination, of the weights as columns
+beside an identity block, which gives both its Cramer coefficients and the
 one adjugate its stabilizer lines are read from; a subtorus choice computes
 its kernel frame once, and induced weight systems are read through that
-frame.
+frame on plain rows.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .lattice import (
     IntMatrix,
     IntVector,
     adjugate,
+    dot,
     kernel_complement,
-    signed_maximal_minors,
+    minors_and_adjugate,
     stack_rows,
 )
 
@@ -45,7 +47,11 @@ class CramerCoefficients:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """n weight vectors in Z^(n-1); their signs are part of the data."""
+    """n weight vectors in Z^(n-1); their signs are part of the data.
+
+    The Cramer coefficients and the adjugate columns are computed together,
+    on first use, by one elimination, and both are verified there.
+    """
 
     n: int
     weights: tuple[IntVector, ...]
@@ -60,33 +66,40 @@ class WeightSystem:
             if w.dim != self.n - 1:
                 raise DimensionMismatchError(f"weight of dim {w.dim}, expected {self.n - 1}")
 
-    def matrix(self) -> IntMatrix:
-        """Weights as rows, n x (n-1)."""
-        return stack_rows(list(self.weights))
-
     @cached_property
+    def _eliminated(self) -> tuple[CramerCoefficients, tuple[tuple[int, ...], ...]]:
+        """The Cramer coefficients, checked against the relation, and the adjugate columns.
+
+        Both come from one reduced elimination of [W^T | I], W^T having the
+        weights as columns (lattice.minors_and_adjugate): its minors are the
+        signed maximal minors of W^T, and its adjugate is that of the leading
+        block A^T, A the first n-1 weights, whose rows are the columns of adj(A).
+        """
+        minors, adj = minors_and_adjugate(IntMatrix.from_cols(self.weights))
+        c_tilde = tuple(-x for x in minors)
+        rows = [w.entries for w in self.weights]
+        residual = [dot(c_tilde, column) for column in zip(*rows)]
+        if any(residual):
+            raise ConsistencyError(f"Cramer identity violated: residual {residual}")
+        g = math.gcd(*c_tilde) or 1  # all minors vanish: c is c_tilde itself
+        k = self.n - 1
+        e = adj.adj.entries if adj.adj is not None else (0,) * (k * k)
+        columns = tuple(e[i * k : (i + 1) * k] for i in range(k))
+        return CramerCoefficients(c_tilde, g, tuple(x // g for x in c_tilde)), columns + ((0,) * k,)
+
+    @property
     def _cramer(self) -> CramerCoefficients:
         """Signed maximal minors of the weights, checked against the relation once."""
-        c_tilde = [-x for x in signed_maximal_minors(self.matrix().transpose())]
-        total = self.weights[0].scale(0)
-        for ci, a in zip(c_tilde, self.weights):
-            total = total + a.scale(ci)
-        if not total.is_zero():
-            raise ConsistencyError(f"Cramer identity violated: residual {list(total)}")
-        g = math.gcd(*c_tilde) or 1  # all minors vanish: c is c_tilde itself
-        return CramerCoefficients(tuple(c_tilde), g, tuple(x // g for x in c_tilde))
+        return self._eliminated[0]
 
-    @cached_property
+    @property
     def adjugate_columns(self) -> tuple[tuple[int, ...], ...]:
         """Columns a_0..a_(n-2) of the adjugate of the first n-1 weights, then a_(n-1) = 0.
 
         Weight m < n-1 pairs with a_i to the determinant of those weights when
         m = i and to 0 otherwise; every column is zero when that determinant is.
         """
-        k = self.n - 1
-        adj = adjugate(stack_rows(list(self.weights[:k]))).adj
-        entries = adj.entries if adj is not None else (0,) * (k * k)
-        return tuple(entries[i::k] for i in range(k)) + ((0,) * k,)
+        return self._eliminated[1]
 
 
 @dataclass(frozen=True)
@@ -148,10 +161,19 @@ def hopf_type(ws: WeightSystem, i: int, j: int) -> int:
         raise IndexError("hopf_type needs two distinct indices")
     if not 0 <= i < ws.n or not 0 <= j < ws.n:
         raise IndexError(f"indices ({i}, {j}) out of range for n={ws.n}")
+    c = strict_coefficients(ws)
+    return c[i] * c[j]
+
+
+def strict_coefficients(ws: WeightSystem) -> tuple[int, ...]:
+    """The normalized coefficients c of a strictly appropriate system, each +-1.
+
+    Raises PreconditionError for any other system; hopf_type and the chart
+    sweep of chardata.data_from_charts guard strictness through it.
+    """
     if not is_strictly_appropriate(ws):
         raise PreconditionError("hopf_type requires a strictly appropriate system")
-    c = ws._cramer.c
-    return c[i] * c[j]
+    return ws._cramer.c
 
 
 @dataclass(frozen=True)
@@ -212,6 +234,9 @@ def induced_weights(lambda_basis: Sequence[IntVector], st: SubtorusChoice) -> We
     adj = adjugate(stack_rows(lams))
     if adj.det not in (1, -1):
         raise StarConditionError(f"lambda vectors have determinant {adj.det}, not a Z-basis")
-    dual = adj.inverse()  # column i pairs to 1 with lams[i]
-    frame = st.complement @ dual  # column i is dual column i in the complement basis
-    return WeightSystem(n=n, weights=tuple(map(frame.col, range(n))))
+    # the inverse is det * adj, and its column i pairs to 1 with lams[i]; the
+    # weight is that column written in the complement basis
+    d, e = adj.det, adj.adj.entries
+    frame = st.complement.row_tuples
+    weights = tuple(tuple(d * dot(row, e[i::n]) for row in frame) for i in range(n))
+    return WeightSystem(n=n, weights=weights)

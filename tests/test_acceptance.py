@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one summary line
 per criterion with its runtime.
 """
 
+import hashlib
 import random
 import time
 from itertools import product
@@ -12,6 +13,7 @@ from math import lcm
 from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope, verify
 from complexity_one.chardata import cocycle_check, compatibility_check, validate_mu
 from complexity_one.classify import compare, verify_witness
+from complexity_one.io import canonical_json, chardata_to_dict
 from complexity_one.lattice import IntMatrix, determinant, smith_normal_form, vec
 from complexity_one.quasitoric import (
     SimplePolytope,
@@ -35,6 +37,9 @@ from oracles import (
     graph_betti,
     invariant_factors_from_minors,
 )
+
+# sha256 of the canonical JSON of the reduced 8-cube (coloring lambda, first alpha found)
+CUBE_8_DIGEST = "e06426c6e9a768636265269b1f974665e19cdb7b235eec33b4ff6a199b0b0b9b"
 
 
 def _report(num, ok, detail, t0):
@@ -384,3 +389,21 @@ def test_criterion_14_reduced_cube_7_self_compare():
     cells = len(cd.sponge.cells)
     ok = cells == 2172 and res.equivalent and stats["nodes"] == cells and dt < 1.5
     _report(14, ok, f"compare(reduced 7-cube, itself), {cells} cells: {res.verdict} in {dt:.3f}s (bound 1.5s)", t0)
+
+
+def test_criterion_15_cube_8_reduce():
+    n = 8
+    facets = tuple(f"{s}{i}" for i in range(n) for s in "mp")
+    verts = tuple(
+        frozenset(f"{s}{i}" for i, s in enumerate(signs)) for signs in product("mp", repeat=n)
+    )
+    cube = SimplePolytope(n, facets, verts)
+    lam = coloring_pullback(cube, {f"{s}{i}": i + 1 for i in range(n) for s in "mp"})
+    t0 = time.monotonic()
+    st = find_strict_subtorus(cube, lam)[0]
+    cd = reduce(cube, lam, st)
+    dt = time.monotonic() - t0
+    digest = hashlib.sha256(canonical_json(chardata_to_dict(cd)).encode()).hexdigest()
+    cells = len(cd.sponge.cells)
+    ok = cells == 6544 and digest == CUBE_8_DIGEST and dt < 1.5
+    _report(15, ok, f"reduce(8-cube, alpha={list(st.alpha)}): {cells} cells in {dt:.3f}s (bound 1.5s)", t0)

@@ -459,6 +459,50 @@ THETA = SpongeComplex.from_covers(
 )
 DIAGONAL = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(-1, -1)))  # all pairs Hopf
 ANTI = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(1, 1)))  # pair (1, 2) anti-Hopf
+NONSTRICT = WeightSystem(3, (vec(2, 0), vec(0, 2), vec(-1, -1)))
+DEGENERATE = WeightSystem(3, (vec(1, 0), vec(2, 0), vec(-1, -1)))  # not in general position
+LM3 = local_model_sponge(3)
+_NOT_STRICT = "hopf_type requires a strictly appropriate system"
+_NOT_GENERAL = "weight system is not in general position"
+_NO_PAIR = "facet {} meets {} rays at o, cannot form a chart pair"
+_DISAGREE = "charts disagree on the %s of facet e1"
+
+
+def _theta_charts(at_u, at_v, rays_at_v):
+    """Charts on THETA: at_u with rays e1, e2, e3 at u, and at_v with the given rays at v."""
+    return {"u": Chart(at_u, ("e1", "e2", "e3")), "v": Chart(at_v, rays_at_v)}
+
+
+def _random_strict_system(rng, n):
+    """A basis of Z^(n-1), minus a +-1 sum of it, each weight's sign chosen at random."""
+    unimodular = random_unimodular(rng, n - 1)
+    basis = [unimodular.row(r) for r in range(n - 1)]
+    last = IntVector((0,) * (n - 1))
+    for row in basis:
+        last = last - row.scale(rng.choice((1, -1)))
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return WeightSystem(n, tuple(w.scale(s) for w, s in zip((*basis, last), signs)))
+
+
+class TestChartSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 7), rng=st.randoms(use_true_random=False))
+    def test_pairs_match_the_kernel_line(self, n, rng):
+        ws = _random_strict_system(rng, n)
+        lines = chardata._pair_lines(ws)
+        want = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    direction, sign = local_euler_by_kernel(ws, i, j)
+                    assert lines(i, j) == (primitive(direction).entries, sign)
+                    assert local_euler_from_weights(ws, i, j) == (direction, sign)
+                    want[i, j] = primitive(direction)
+        # the local model's facet c<I> misses the rays outside I, so its pair is their indices
+        cd = local_model_data(ws)
+        for fid in cd.sponge.facet_ids:
+            inside = {int(t) - 1 for t in fid[1:].split(".")} if fid != "o" else set()
+            assert cd.mu[fid] == want[tuple(t for t in range(n) if t not in inside)]
 
 
 def _recorded_builds(build, monkeypatch):
@@ -536,6 +580,46 @@ class TestDataFromCharts:
         charts = {"o": Chart(DIAGONAL, ("c1", "c2", "c3"))}
         with pytest.raises(ConsistencyError, match="^facet x has no vertex in its closure$"):
             data_from_charts(sponge, charts, Ambient("abstract"))
+
+    def test_missing_chart(self):
+        with pytest.raises(ConsistencyError, match="^0-cell o lies in a facet but has no chart$"):
+            data_from_charts(local_model_sponge(3), {}, Ambient("abstract"))
+        with pytest.raises(ConsistencyError, match="^0-cell v lies in a facet but has no chart$"):
+            data_from_charts(THETA, {"u": Chart(DIAGONAL, ("e1", "e2", "e3"))}, Ambient("abstract"))
+
+    @pytest.mark.parametrize(
+        "sponge, charts, error, message",
+        [
+            # the texts and the order of the checks are those of the per-pair assembly
+            (LM3, {"o": Chart(NONSTRICT, ("c1", "c2", "c3"))}, PreconditionError, _NOT_STRICT),
+            (LM3, {"o": Chart(DEGENERATE, ("c1", "c2", "c3"))}, PreconditionError, _NOT_GENERAL),
+            (LM3, {"o": Chart(DIAGONAL, ("c1", "c2", "zz"))}, ConsistencyError, _NO_PAIR.format("c3", 0)),
+            # a ray off the sponge lacks every facet; c1's pair is formed, then strictness fails
+            (LM3, {"o": Chart(NONSTRICT, ("c1", "zz", "c3"))}, PreconditionError, _NOT_STRICT),
+            # the first facet's pair fails before the chart's strictness is read
+            (LM3, {"o": Chart(NONSTRICT, ("c1", "c1", "c2"))}, ConsistencyError, _NO_PAIR.format("c1", 2)),
+            (THETA, _theta_charts(DIAGONAL, NONSTRICT, ("e1", "e2", "e3")), PreconditionError, _NOT_STRICT),
+            (THETA, _theta_charts(DIAGONAL, DIAGONAL, ("e2", "e1", "e3")), ConsistencyError, _DISAGREE % "direction"),
+            (THETA, _theta_charts(DIAGONAL, ANTI, ("e1", "e2", "e3")), ConsistencyError, _DISAGREE % "Hopf sign"),
+        ],
+        ids=[
+            "non-strict",
+            "not-general",
+            "ray-off-sponge",
+            "ray-off-then-non-strict",
+            "pair-before-strictness",
+            "second-chart-non-strict",
+            "disagree-direction",
+            "disagree-sign",
+        ],
+    )
+    def test_malformed_chart_messages(self, sponge, charts, error, message):
+        with pytest.raises(error) as info:
+            data_from_charts(sponge, charts, Ambient("abstract"))
+        assert type(info.value) is error and str(info.value) == message
+        with pytest.raises(error) as oracle:
+            data_from_charts_by_facets(sponge, charts, Ambient("abstract"))
+        assert str(oracle.value) == message
 
     def test_zero_cell_without_a_facet_needs_no_chart(self):
         base = local_model_sponge(4)

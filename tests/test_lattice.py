@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexity_one import lattice
 from complexity_one.errors import ConsistencyError, DegenerateInputError, DimensionMismatchError, InputFormatError
 from complexity_one.lattice import (
     Adjugate,
@@ -20,6 +21,7 @@ from complexity_one.lattice import (
     integer_kernel,
     is_unimodular_extension,
     kernel_complement,
+    minors_and_adjugate,
     primitive,
     signed_maximal_minors,
     smith_normal_form,
@@ -83,6 +85,15 @@ minor_matrices = st.integers(0, 6).flatmap(lambda k: _shaped(k, k + 1))
 rectangular_matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda mn: _shaped(*mn))
 
 
+# k x (k+1) whose leading k x k block is singular (a product through k' < k)
+# while the last column is free, so the whole often has full rank
+singular_lead_matrices = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.integers(0, k - 1).flatmap(lambda r: _product(k, r, k)), _entries(k)).map(
+        lambda bc: IntMatrix.from_rows([list(bc[0].row(i)) + [bc[1][i]] for i in range(k)])
+    )
+)
+
+
 # shapes down to 0 x n and m x 0, and products through an inner dimension
 # k <= 3, so that rank-deficient matrices are common
 any_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
@@ -136,6 +147,39 @@ class TestSignedMaximalMinors:
         assert signed_maximal_minors(IntMatrix(0, 1, ())) == vec(1)
         with pytest.raises(DimensionMismatchError):
             signed_maximal_minors(IntMatrix.identity(2))
+
+
+class TestMinorsAndAdjugate:
+    @given(st.one_of(minor_matrices, singular_lead_matrices))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_separate_eliminations(self, a):
+        minors, adj = minors_and_adjugate(a)
+        lead = IntMatrix(a.rows, a.rows, tuple(x for r in a.row_list() for x in r[: a.rows]))
+        assert minors == signed_maximal_minors(a)
+        assert adj == adjugate(lead)
+
+    def test_singular_leading_block_of_full_rank(self):
+        a = IntMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
+        minors, adj = minors_and_adjugate(a)
+        assert minors == signed_maximal_minors(a) == vec(2, -1, 0)
+        assert adj == Adjugate(0, None)
+
+    def test_one_elimination(self, monkeypatch):
+        calls = []
+        bareiss = lattice._bareiss
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return bareiss(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_bareiss", counting)
+        minors_and_adjugate(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]]))
+        assert calls == [3]
+
+    def test_empty_and_bad_shapes(self):
+        assert minors_and_adjugate(IntMatrix(0, 1, ())) == (vec(1), Adjugate(1, IntMatrix(0, 0, ())))
+        with pytest.raises(DimensionMismatchError):
+            minors_and_adjugate(IntMatrix.identity(2))
 
 
 class TestAdjugate:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -25,7 +26,7 @@ from complexity_one.errors import (
     StarConditionError,
     ValidationError,
 )
-from complexity_one.lattice import vec
+from complexity_one.lattice import IntMatrix, adjugate, vec
 from complexity_one.quasitoric import (
     CellManifold,
     CharacteristicFunction,
@@ -39,7 +40,7 @@ from complexity_one.quasitoric import (
     reduce,
     validate_star,
 )
-from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
+from complexity_one.io import canonical_json, chardata_to_dict, lambda_to_dict, polytope_to_dict
 from complexity_one.sponge import validate_sponge
 from complexity_one.weights import induced_weights, is_strictly_appropriate
 from conftest import euler_cycle_verdicts, random_unimodular
@@ -447,10 +448,11 @@ class TestReduce:
 
     def test_reduce_computes_local_data_once(self, monkeypatch):
         # every elimination of the reduce is counted: per vertex one
-        # determinant for the star condition, one for the Cramer minors, one
-        # adjugate for the induced weights and one for all of the chart's
-        # stabilizer lines; then the subtorus frame's adjugate and the two
-        # Hermite self-checks of its one kernel
+        # determinant for the star condition, one adjugate for the induced
+        # weights and one elimination for both the Cramer minors and the
+        # adjugate behind all of the chart's stabilizer lines; then the
+        # subtorus frame's adjugate and the two Hermite self-checks of its
+        # one kernel
         from complexity_one import lattice
 
         facets = tuple(f"{ax}{s}" for ax in "wxyz" for s in "mp")
@@ -478,9 +480,58 @@ class TestReduce:
             if in_package and getattr(mod, "kernel_complement", None) is original:
                 monkeypatch.setattr(mod, "kernel_complement", counted(original))
         cd = reduce(cube4, lam, SubtorusChoice(vec(1, 1, 1, -1)))
-        assert calls["_bareiss"] <= 4 * len(verts) + 3
+        assert calls["_bareiss"] <= 3 * len(verts) + 3
         assert calls["kernel_complement"] == 1
         assert validate_mu(cd).ok
+
+    def test_cli_reduce_of_cube5_eliminations(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's cube5 op with alpha given: 323 eliminations when
+        # each vertex ran three for its charts, 32 fewer with one per weight system
+        from complexity_one import lattice
+
+        p, values = _cube(5)
+        (tmp_path / "p.json").write_text(canonical_json(polytope_to_dict(p)))
+        (tmp_path / "lam.json").write_text(canonical_json(lambda_to_dict(CharacteristicFunction(values))))
+        calls = []
+        bareiss = lattice._bareiss
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return bareiss(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_bareiss", counting)
+        args = ["--format", "json", "reduce", "--polytope", str(tmp_path / "p.json")]
+        args += ["--lambda", str(tmp_path / "lam.json"), "--alpha=1,-1,-1,-1,-1", "-o", str(tmp_path / "out.json")]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert len(calls) <= 291
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("cube3", "37510fd387a5a27af78366e2d8436d9557283a6e8ab460c3235ad025cf028f10"),
+            ("cube4", "f123d8251e01efddc752c2d799a87557acbcdc76577ba54d38b86e11e979c9e6"),
+            ("cube5", "08dfc9775eadf1f7a377cef6873a696b66eb3660a5b3759ee0870c58d2415d6f"),
+            ("cube6", "d93dba5f8038b0b9ed4d9a3c7e12b05905c486cd7d9f9e2f776ffac3bbbf2f60"),
+            ("cube7", "0430b1b524978718162643593edf267d07edb6a5639606dba13dfc7f7f7533f1"),
+            ("cube4-conjugated", "836ed62bc99c027b6851697080e8a2c2834ce0d3c245f29760bb09dc32c27c47"),
+        ],
+    )
+    def test_golden_bytes(self, case, digest):
+        # the sha256 of the reduced cube's canonical JSON, coloring lambda and
+        # the first alpha found; the conjugated case moves lambda by A and
+        # alpha by A^-T, so every pairing is unchanged
+        n = int(case[4])
+        p, values = _cube(n)
+        lam = coloring_pullback(p, {f: 1 + list(v).index(1) for f, v in values.items()})
+        st = find_strict_subtorus(p, lam)[0]
+        if case.endswith("conjugated"):
+            a = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [2, 1, 1, 0], [0, 0, -1, 1]])
+            lam = CharacteristicFunction({f: a @ v for f, v in lam.values.items()})
+            st = SubtorusChoice(adjugate(a).inverse().transpose() @ st.alpha)
+            assert list(st.alpha) == [5, -4, -2, -1]
+        cd = reduce(p, lam, st)
+        assert hashlib.sha256(canonical_json(chardata_to_dict(cd)).encode()).hexdigest() == digest
 
 
 class TestColoring:

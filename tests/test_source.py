@@ -48,7 +48,9 @@ def test_smith_only_where_invariant_factors_are_the_answer():
 def test_normal_forms_verify_their_results():
     assert ("lattice", "smith_normal_form") in _uses("_check_smith")
     assert ("lattice", "hermite_normal_form") in _uses("_check_hermite")
-    assert ("lattice", "adjugate") in _uses("_check_adjugate")
+    # adjugate and minors_and_adjugate share one elimination beside the identity, which checks its result
+    assert set(_uses("_check_adjugate")) == {("lattice", "_beside_identity")}
+    assert set(_uses("_beside_identity")) == {("lattice", "adjugate"), ("lattice", "minors_and_adjugate")}
 
 
 def test_one_unimodular_elimination():
@@ -75,15 +77,16 @@ def test_one_unimodular_elimination():
 def test_one_adjugate():
     # every square solve and inverse reads lattice.adjugate; nothing builds
     # cofactors from determinants or signed maximal minors by hand, and a
-    # chart's stabilizer lines come from its weight system's one adjugate
+    # weight system's Cramer minors and the one adjugate its chart's
+    # stabilizer lines come from are one elimination
     assert set(_uses("adjugate")) == {
-        ("weights", "WeightSystem"),
         ("weights", "SubtorusChoice"),
         ("weights", "induced_weights"),
         ("quasitoric", "_strict_subtori"),
         ("classify", "_SpanFactor"),
     }
-    assert set(_uses("signed_maximal_minors")) == {("weights", "WeightSystem")}
+    assert set(_uses("minors_and_adjugate")) == {("weights", "WeightSystem")}
+    assert _uses("signed_maximal_minors") == []
     # a determinant is loaded only where it is the answer itself
     assert set(_uses("determinant")) == {
         ("lattice", "_check_smith"),
@@ -144,7 +147,15 @@ def test_one_sign_propagation():
 def test_eliminations_read_plain_rows():
     # Bareiss elimination and what reads it work on lists of ints; building
     # an IntVector or IntMatrix per row or per minor is waste
-    names = ("_bareiss", "signed_maximal_minors", "adjugate", "independent_rows")
+    names = (
+        "_bareiss",
+        "signed_maximal_minors",
+        "_minors",
+        "adjugate",
+        "minors_and_adjugate",
+        "_beside_identity",
+        "independent_rows",
+    )
     tree = ast.parse((Path(complexity_one.__file__).parent / "lattice.py").read_text())
     kernels = [top for top in tree.body if getattr(top, "name", None) in names]
     assert len(kernels) == len(names)
@@ -328,3 +339,57 @@ def test_search_indices_built_once():
         if isinstance(node, ast.ListComp) and any(getattr(n, "id", None) == "sig2" for n in ast.walk(node))
     ]
     assert per_cell_lists == []
+
+
+def _method(module, cls, name):
+    tree = ast.parse((Path(complexity_one.__file__).parent / f"{module}.py").read_text())
+    owner = next(top for top in tree.body if getattr(top, "name", None) == cls)
+    return next(node for node in owner.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_constructors_own_their_ids():
+    # an id that is not a string raises InputFormatError naming the entry;
+    # no constructor renames it with str()
+    checked = [
+        _method("sponge", "Cell", "__post_init__"),
+        _method("sponge", "SpongeComplex", "__post_init__"),
+        _method("quasitoric", "SimplePolytope", "__post_init__"),
+        _method("quasitoric", "CharacteristicFunction", "__post_init__"),
+        _method("quasitoric", "CellManifold", "__post_init__"),
+        _method("chardata", "CharacteristicData", "__post_init__"),
+        _method("chardata", "Chart", "__post_init__"),
+        _function("quasitoric", "cell_manifold_data"),
+    ]
+    for fn in checked:
+        assert _calls(fn, "str") == [] and _calls(fn, "as_id"), fn.lineno
+
+
+def test_chart_lines_in_one_sweep():
+    # data_from_charts checks a chart's strictness and reads its c and its
+    # adjugate columns once, through _pair_lines; local_euler_from_weights is
+    # the one-pair view of the same code and no package code calls it
+    assert set(_uses("_pair_lines")) == {
+        ("chardata", "data_from_charts"),
+        ("chardata", "local_euler_from_weights"),
+    }
+    assert _uses("local_euler_from_weights") == []
+    sweep = _function("chardata", "data_from_charts")
+    for name in ("hopf_type", "primitive", "cramer_coefficients", "is_strictly_appropriate"):
+        assert _calls(sweep, name) == [], name
+    assert set(_uses("strict_coefficients")) == {("weights", "hopf_type"), ("chardata", "_pair_lines")}
+
+
+def test_reduction_reads_plain_rows():
+    # induced weights are the adjugate's columns in the complement frame, on
+    # plain rows: no inverse matrix, no matrix product, no column re-wrapped;
+    # reduce's facet-pair cross-check compares plain lines too
+    weights = _function("weights", "induced_weights")
+    loaded = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(weights)}
+    assert not loaded & {"inverse", "col", "from_cols"}, sorted(loaded & {"inverse", "col", "from_cols"})
+    assert not [node for node in ast.walk(weights) if isinstance(node, ast.MatMult)]
+    for name in ("reduce", "induced_mu"):
+        assert _calls(_function("quasitoric", name), "primitive") == [], name
+    induced = {getattr(node, "attr", None) for node in ast.walk(_function("quasitoric", "induced_mu"))}
+    assert not induced & {"scale", "is_zero"}, sorted(induced & {"scale", "is_zero"})
+    matmul = _method("lattice", "IntMatrix", "__matmul__")
+    assert not [node for node in ast.walk(matmul) if getattr(node, "attr", None) == "row_list"]

@@ -22,11 +22,13 @@ from complexity_one.catalog import (
     simplex_polytope,
     verify,
 )
-from complexity_one.chardata import CharacteristicData
-from complexity_one.lattice import smith_normal_form
+from complexity_one.chardata import CharacteristicData, Chart
+from complexity_one.lattice import smith_normal_form, vec
 from complexity_one.quasitoric import (
     CellManifold,
+    CharacteristicFunction,
     SimplePolytope,
+    cell_manifold_data,
     coloring_pullback,
     find_strict_subtorus,
     polytope_sponge,
@@ -45,6 +47,7 @@ from complexity_one.sponge import (
     signed_incidence,
     validate_sponge,
 )
+from complexity_one.weights import WeightSystem
 from oracles import (
     face_star_search,
     graph_betti,
@@ -266,6 +269,60 @@ class TestNonIntegerFields:
         assert s.by_id["e"].dim == 1 and s.incidence["e"] == (("a", 1), ("b", -1))
         assert homology(s).betti == (1, 0)
         assert CellManifold(2, [("a", 0)], {}).cells == (("a", 0),)
+
+
+_LM3 = local_model_sponge(3)
+_DIAGONAL = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(-1, -1)))
+NON_STRING_IDS = {
+    "cell-id-none": (lambda: SpongeComplex(3, [(None, 0), (7, 0)], {}), "cell id is None"),
+    "cell-id-int": (lambda: SpongeComplex(3, [("a", 0), (7, 0)], {}), "cell id is 7"),
+    "cell-label-none": (lambda: SpongeComplex(3, [("a", 0, None)], {}), "label of cell 'a' is None"),
+    "cell-object-id": (lambda: SpongeComplex(3, [Cell(("a",), 0)], {}), "cell id is ('a',)"),
+    "incidence-key": (lambda: SpongeComplex(3, [("a", 0)], {1: [("a", 1)]}), "incidence key is 1"),
+    "incidence-entry": (
+        lambda: SpongeComplex(3, [("a", 0), ("e", 1)], {"e": [(0, 1)]}),
+        "incidence['e'] entry is 0",
+    ),
+    "polytope-facet": (
+        lambda: SimplePolytope(1, ("a", 2), (frozenset({"a"}), frozenset({2}))),
+        "facets[1] is 2",
+    ),
+    "polytope-vertex": (
+        lambda: SimplePolytope(1, ("a", "b"), (frozenset({"a"}), frozenset({None}))),
+        "vertices[1] entry is None",
+    ),
+    "lambda-key": (lambda: CharacteristicFunction({1: (1, 0)}), "lambda key is 1"),
+    "manifold-cell": (lambda: CellManifold(2, [(1, 0)], {}), "cell id is 1"),
+    "manifold-covers-key": (lambda: CellManifold(2, [("a", 0)], {None: ["a"]}), "covers key is None"),
+    "manifold-covers-entry": (
+        lambda: CellManifold(2, [("a", 0), ("e", 1)], {"e": ["a", 2.5]}),
+        "covers['e'] entry is 2.5",
+    ),
+    "manifold-lambda-key": (
+        lambda: cell_manifold_data(torus_three_hexagons(), {0: (1, 0, 0)}),
+        "lambda key is 0",
+    ),
+    "mu-key": (lambda: CharacteristicData(_LM3, {1: (1, 0)}, {}), "mu key is 1"),
+    "euler-sign-key": (lambda: CharacteristicData(_LM3, {}, {None: 1}), "Euler sign key is None"),
+    "chart-ray": (lambda: Chart(_DIAGONAL, (1, None, 2.5)), "chart ray 0 is 1"),
+}
+
+
+class TestNonStringIds:
+    @pytest.mark.parametrize("case", sorted(NON_STRING_IDS))
+    def test_rejected_naming_the_entry(self, case):
+        # str() renamed these: None became "None" and 7 became "7"
+        build, where = NON_STRING_IDS[case]
+        with pytest.raises(InputFormatError) as exc:
+            build()
+        assert str(exc.value) == f"{where}, not a string"
+
+    def test_strings_kept(self):
+        s = SpongeComplex(3, [("None", 0), ("7", 0, "x")], {})
+        assert [(c.id, c.label) for c in s.cells] == [("None", ""), ("7", "x")]
+        p = SimplePolytope(1, ("1", "2"), (frozenset({"1"}), frozenset({"2"})))
+        assert p.facets == ("1", "2")
+        assert Chart(_DIAGONAL, ("c1", "c2", "c3")).rays == ("c1", "c2", "c3")
 
 
 def _vertex_star(rays: int, wedges: list[tuple[int, int]]) -> SpongeComplex:

@@ -9,7 +9,8 @@ from complexity_one.errors import (
     PreconditionError,
     StarConditionError,
 )
-from complexity_one.lattice import IntVector, primitive, vec
+from complexity_one import lattice
+from complexity_one.lattice import IntVector, adjugate, primitive, vec
 from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
@@ -21,7 +22,7 @@ from complexity_one.weights import (
     stabilizer_structure,
 )
 from conftest import random_general_position_system, random_unimodular
-from oracles import invariant_factors_from_minors
+from oracles import cofactor_adjugate, cofactor_det, invariant_factors_from_minors
 
 G42 = WeightSystem(4, (vec(1, 0, -1), vec(0, 1, -1), vec(-1, 0, -1), vec(0, -1, -1)))
 F3 = WeightSystem(3, (vec(1, 0), vec(1, 1), vec(0, 1)))
@@ -107,6 +108,37 @@ class TestCramer:
             WeightSystem(3, (vec(1, 0), vec(1, 1)))
         with pytest.raises(DimensionMismatchError):
             WeightSystem(3, (vec(1, 0, 0), vec(1, 1, 0), vec(0, 1, 0)))
+
+
+class TestOneElimination:
+    def test_one_bareiss_for_coefficients_and_adjugate(self, monkeypatch):
+        calls = []
+        bareiss = lattice._bareiss
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return bareiss(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_bareiss", counting)
+        ws = WeightSystem(4, G42.weights)
+        cramer_coefficients(ws)
+        ws.adjugate_columns
+        is_strictly_appropriate(ws)
+        hopf_type(ws, 0, 1)
+        assert calls == [4]
+
+    def test_adjugate_columns_match_cofactors(self):
+        rng = random.Random(27)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            ws = random_general_position_system(rng, n)
+            if rng.random() < 0.3:  # a singular leading block: weight 0 repeated
+                ws = WeightSystem(n, (ws.weights[0],) * min(2, n - 1) + ws.weights[min(2, n - 1) :])
+            k = n - 1
+            adj = cofactor_adjugate([list(w) for w in ws.weights[:k]])
+            singular = cofactor_det([list(w) for w in ws.weights[:k]]) == 0
+            want = [tuple(0 if singular else adj[r][i] for r in range(k)) for i in range(k)] + [(0,) * k]
+            assert list(ws.adjugate_columns) == want
 
 
 class TestPredicates:
@@ -226,6 +258,20 @@ class TestInducedWeights:
     def test_non_primitive_alpha_rejected(self):
         with pytest.raises(DegenerateInputError):
             induced_weights([vec(1, 0), vec(0, 1)], SubtorusChoice(vec(2, 2)))
+
+    def test_matches_the_dual_basis_frame(self):
+        # the weights are the columns of complement @ inverse(lambda matrix)
+        rng = random.Random(28)
+        for _ in range(120):
+            n = rng.randint(2, 6)
+            lam = random_unimodular(rng, n)
+            alpha = IntVector(tuple(rng.randint(-3, 3) for _ in range(n)))
+            if alpha.is_zero():
+                continue
+            st = SubtorusChoice(primitive(alpha))
+            frame = st.complement @ adjugate(lam).inverse()
+            ws = induced_weights([lam.row(i) for i in range(n)], st)
+            assert ws.weights == tuple(frame.col(i) for i in range(n))
 
     def test_coefficients_equal_pairings_up_to_sign(self):
         rng = random.Random(6)
