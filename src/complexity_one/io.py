@@ -204,10 +204,8 @@ def chardata_from_dict(data: Mapping, where: str = "chardata") -> Characteristic
         raise InputFormatError(f"{where}.n: {_excerpt(n)} differs from the sponge's n = {_excerpt(sponge.n)}")
     if not isinstance(data["mu"], Mapping) or not isinstance(data["euler_sign"], Mapping):
         raise InputFormatError(f"{where}: 'mu' and 'euler_sign' must be objects")
-    mu = {str(k): _vector(v, f"{where}.mu[{k}]") for k, v in data["mu"].items()}
-    signs = {
-        str(k): _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()
-    }
+    mu = {k: _vector(v, f"{where}.mu[{k}]") for k, v in data["mu"].items()}
+    signs = {k: _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()}
     kind = data["ambient"]
     if kind not in AMBIENT_KINDS:
         raise InputFormatError(f"{where}.ambient: unknown kind {kind!r}")
@@ -252,6 +250,4 @@ def lambda_to_dict(lam: CharacteristicFunction) -> dict:
 def lambda_from_dict(data: Mapping, where: str = "lambda") -> CharacteristicFunction:
     if not isinstance(data, Mapping):
         raise InputFormatError(f"{where}: expected an object of facet -> vector")
-    return CharacteristicFunction(
-        {str(k): _vector(v, f"{where}[{k}]") for k, v in data.items()}
-    )
+    return CharacteristicFunction({k: _vector(v, f"{where}[{k}]") for k, v in data.items()})

@@ -315,14 +315,15 @@ def coloring_pullback(p: SimplePolytope, coloring: Mapping[str, int]) -> Charact
     missing = [f for f in p.facets if f not in coloring]
     if missing:
         raise InputFormatError(f"coloring missing facets {sorted(missing)}")
-    for f, c in coloring.items():
-        if not 1 <= int(c) <= p.n:
+    colors = {f: as_int(c, f"color of {f}") for f, c in coloring.items()}
+    for f, c in colors.items():
+        if not 1 <= c <= p.n:
             raise ColoringError(f"color of {f} must lie in 1..{p.n}, got {c}")
     for f, g in map(sorted, p.faces_of_codim(2)):
-        if coloring[f] == coloring[g]:
-            raise ColoringError(f"adjacent facets {f}, {g} share color {coloring[f]}")
+        if colors[f] == colors[g]:
+            raise ColoringError(f"adjacent facets {f}, {g} share color {colors[f]}")
     values = {
-        f: IntVector(tuple(1 if t == coloring[f] - 1 else 0 for t in range(p.n)))
+        f: IntVector(tuple(1 if t == colors[f] - 1 else 0 for t in range(p.n)))
         for f in p.facets
     }
     lam = CharacteristicFunction(values)

@@ -423,9 +423,16 @@ def homology(s: SpongeComplex) -> HomologyResult:
     counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
+    pivoted: set[int] = set()
     for d in range(1, top + 1):
-        # the boundary operator from d-chains to (d-1)-chains, one column per d-cell
-        index = {c.id: i for i, c in enumerate(s.cells_of_dim(d - 1))}
+        # The boundary operator from d-chains to (d-1)-chains, one column per
+        # d-cell, without the rows of the (d-1)-cells the last operator took
+        # unit pivots in.  On its cycles those coordinates are integral
+        # combinations of the others, so forgetting them is injective there
+        # and maps the cycles onto a saturated sublattice: rank and torsion
+        # stay (Kaczynski, Mischaikow and Mrozek, Computational Homology,
+        # 2004, ch. 4).
+        index = {c.id: i for i, c in enumerate(s.cells_of_dim(d - 1)) if i not in pivoted}
         columns = []
         for c in s.cells_of_dim(d):
             col: dict[int, int] = {}
@@ -433,14 +440,14 @@ def homology(s: SpongeComplex) -> HomologyResult:
                 if sub in index:
                     col[index[sub]] = col.get(index[sub], 0) + sign
             columns.append(col)
-        ranks[d], torsion[d - 1] = _rank_and_torsion(columns)
+        ranks[d], torsion[d - 1], pivoted = _rank_and_torsion(columns)
     # the alternating sum of these Betti numbers is the Euler characteristic for any ranks
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     return HomologyResult(betti=betti, torsion=tuple(torsion))
 
 
-def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and nontrivial invariant factors of the integer matrix with these sparse columns.
+def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[int, ...], set[int]]:
+    """Rank, nontrivial invariant factors and unit-pivot columns of a sparse integer matrix.
 
     Unit pivots go first (Dumas, Saunders and Villard, J. Symb. Comput. 32,
     2001; Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004,
@@ -448,7 +455,8 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
     (r-1)(c-1), ties to the least (row, column), clears its column by row
     additions and drops its row and column.  The steps are unimodular, so
     each adds one to the rank and a factor 1.  Only the residual without a
-    unit entry takes a Smith form.
+    unit entry takes a Smith form.  Each pivot column is left with one unit
+    entry, which is why homology may drop those cells' rows one dimension up.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -466,7 +474,7 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
 
     heap = units(rows, ())
     heapify(heap)
-    pivots = 0
+    pivots: set[int] = set()
     while heap:
         fill, p, q = heappop(heap)
         pivot = rows.get(p)
@@ -492,15 +500,15 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-        pivots += 1
+        pivots.add(q)
         for entry in units(below, pivot):
             heappush(heap, entry)
     if not rows:
-        return pivots, ()
+        return len(pivots), (), pivots
     keep = sorted({j for row in rows.values() for j in row})
     residual = [[row.get(j, 0) for j in keep] for _, row in sorted(rows.items())]
     dec = smith_normal_form(IntMatrix.from_rows(residual))
-    return pivots + dec.rank, dec.torsion()
+    return len(pivots) + dec.rank, dec.torsion(), pivots
 
 
 def face_star(s: SpongeComplex, cell_id: str) -> bool:

@@ -31,6 +31,7 @@ from .lattice import (
     IntMatrix,
     IntVector,
     adjugate,
+    as_int,
     dot,
     kernel_complement,
     minors_and_adjugate,
@@ -145,7 +146,7 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
     zero, so the Smith form of that 1 x k relation is (g), g their gcd: torus
     rank k - 1 and the cyclic factor Z/g.
     """
-    idx = sorted(set(int(i) for i in indices))
+    idx = sorted({as_int(i, "stabilizer index") for i in indices})
     if not idx:
         raise DegenerateInputError("empty index set")
     if idx[0] < 0 or idx[-1] >= ws.n:

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from complexity_one.catalog import CATALOG_ENV, load, names, verify
@@ -26,6 +29,42 @@ class TestEntries:
 
     def test_names_listing(self):
         assert set(names()) >= {"g42", "f3", "cp3-reduction", "local-model-4"}
+
+    @pytest.mark.parametrize(
+        "field, value, failing",
+        [
+            ("cells_per_dim", [6, 8], {"cells-per-dim"}),
+            ("cells_per_dim", [5, 9], {"cells-per-dim", "fixed-points"}),
+            ("betti", [1, 3], {"betti"}),
+        ],
+    )
+    def test_wrong_shape_fails(self, field, value, failing):
+        rep = verify(replace(load("f3"), **{field: value}))
+        assert {e.check for e in rep.failures()} == failing
+
+
+# sha256 of the canonical JSON of verify(load(name)).to_dict(), pinned when
+# the per-entry expectations became two typed fields
+VERIFY_DIGESTS = {
+    "g42": "a6ed35540754130d4f412a8dd4a4c1135e992eedf8959ddfa019ce9beb8458ad",
+    "f3": "82eaa742993fad9a7477c994142a73218584bad0fc6ee53956f7b3e256164680",
+    "cp3-reduction": "14acfe41c730bb8eeff6fabc99191fddb0dea611cbf6b2981d594bda0dfcc102",
+    "local-model-2": "18def21fc419b10b530ac7a6183884b5e5f22b3935e5ba29747abda94bbff0aa",
+    "local-model-3": "0a2c5d1f8fbab017fe1e3da98ecfbf76d5b3dafea02ad5e47d7e7ef2ad540c4d",
+    "local-model-4": "bc962e337b0b9c917ce76b434bdbf3fd26d19428a238b6719e76b74e4e629823",
+    "local-model-5": "ecd03ef5946de34191555e5c458f280d66a4beb71ca382bfc4df0eb9e925eacb",
+    "local-model-6": "32e76e4cc68a0b286c89b4cf2c82bd70beb0ec632eb0af6883e17cab3a4f820e",
+    "local-model-7": "deeca9e29043795757e8fae4e83fbbdf2b7c9b3f416b7b0e17f0230d743e3e3a",
+    "local-model-8": "a27423a5cdb34765f7edbc41dc0e7ae58b3a9cf021cd8bc1404de030bbfa1d23",
+    "local-model-9": "cf16d859be12c7a5bcfce37aacefb3267048031bf23018aaa140400fb39251dc",
+    "local-model-10": "4a68ff533d51bd413d8328c922948cc7ea85a351b3e1af036212a9473d1449a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_reports_are_pinned(name):
+    report = canonical_json(verify(load(name)).to_dict())
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_DIGESTS[name]
 
 
 class TestG42:
@@ -99,7 +138,12 @@ class TestOverride:
         monkeypatch.setenv(CATALOG_ENV, str(tmp_path))
         entry = load("mine")
         assert entry.data.n == cd.n
-        assert verify(entry).ok
+        report = verify(entry)
+        assert report.ok
+        # a file gives data alone, so no check of a known shape or of weights runs
+        assert [e.check for e in report.entries] == [
+            "sponge-valid", "mu-valid", "compatibility", "cocycle", "euler-cycle", "face-stars"
+        ]
 
     def test_override_does_not_shadow_builtin_without_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CATALOG_ENV, str(tmp_path))

@@ -188,3 +188,23 @@ def test_non_string_ids_and_labels_rejected(read, data, path, value, where):
     with pytest.raises(InputFormatError) as exc:
         read(_with(data, path, value))
     assert str(exc.value).startswith(f"{where}: expected a string, got ")
+
+
+def _rekeyed(mapping, key):
+    """A copy of mapping with its first key replaced by key."""
+    (first, value), *rest = mapping.items()
+    return {key: value, **dict(rest)}
+
+
+@pytest.mark.parametrize("key", [7, None], ids=["int", "null"])
+def test_non_string_keys_rejected(key):
+    # str() turned a mu, Euler-sign or lambda key 7 into the facet "7"
+    data = chardata_to_dict(load("cp3-reduction").data)
+    cases = [
+        (chardata_from_dict, {**data, "mu": _rekeyed(data["mu"], key)}, "mu key"),
+        (chardata_from_dict, {**data, "euler_sign": _rekeyed(data["euler_sign"], key)}, "Euler sign key"),
+        (lambda_from_dict, {key: [1, 0], "f2": [0, 1]}, "lambda key"),
+    ]
+    for read, bad, what in cases:
+        with pytest.raises(InputFormatError, match=f"^{what} is {key!r}, not a string$"):
+            read(bad)

@@ -558,6 +558,13 @@ class TestColoring:
         with pytest.raises(ColoringError):
             coloring_pullback(cube3, {"xm": 1, "xp": 1, "ym": 2, "yp": 2, "zm": 3, "zp": 4})
 
+    @pytest.mark.parametrize("color", ["1", 1.5, 1.0, None])
+    def test_non_integer_color_rejected(self, cube3, color):
+        # int() let "1" through to a bare TypeError and 1.5 to a misleading primitivity error
+        colors = {"xm": color, "xp": 1, "ym": 2, "yp": 2, "zm": 3, "zp": 3}
+        with pytest.raises(InputFormatError, match="color of xm"):
+            coloring_pullback(cube3, colors)
+
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(POLYTOPES)), data=st.data())
     def test_first_clash_matches_facet_pair_scan(self, name, data):

@@ -260,6 +260,18 @@ def test_no_field_the_data_fix():
         assert _uses(name) == [] and not hasattr(complexity_one, name), name
 
 
+def test_catalog_entries_keep_what_differs():
+    # what every worked example shares (strict weights, unit Cramer
+    # coefficients, an Euler cycle, as many fixed points as 0-cells) is code in
+    # catalog.verify, and the weights at the fixed points come from the charts
+    from dataclasses import fields
+
+    from complexity_one.catalog import CatalogEntry
+
+    assert [f.name for f in fields(CatalogEntry)] == ["name", "data", "weight_systems", "cells_per_dim", "betti"]
+    assert _uses("expected") == []
+
+
 def _function_uses(name):
     """(module, innermost enclosing function) of every load of `name` in the package."""
     found = []

@@ -177,6 +177,12 @@ class TestStabilizers:
         with pytest.raises(DegenerateInputError):
             stabilizer_structure(G42, [])
 
+    @pytest.mark.parametrize("indices", [[0.7, 1.2], ["1", "2"], [0, 1.0]])
+    def test_non_integer_indices_rejected(self, indices):
+        # int() would read 0.7 and 1.2 as {0, 1} and parse "1"
+        with pytest.raises(InputFormatError, match="stabilizer index"):
+            stabilizer_structure(G42, indices)
+
     def test_connectedness_criterion_matches_strictness(self):
         rng = random.Random(4)
         for _ in range(300):
