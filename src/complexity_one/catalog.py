@@ -36,7 +36,7 @@ from .chardata import (
 from .errors import ConsistencyError, UnknownEntryError
 from .io import chardata_from_dict, parse_int, read_json
 from .lattice import IntVector, vec
-from .quasitoric import CharacteristicFunction, SimplePolytope, _face_id, reduce as quasitoric_reduce
+from .quasitoric import CharacteristicFunction, SimplePolytope, _reduce
 from .sponge import (
     CheckResult,
     SpongeComplex,
@@ -220,10 +220,8 @@ def _build_cp3() -> CatalogEntry:
     p = simplex_polytope()
     lam = simplex_lambda()
     st = SubtorusChoice(vec(1, 1, -1))
-    data = quasitoric_reduce(p, lam, st)
-    weight_systems = {
-        _face_id(v): induced_weights([lam[f] for f in sorted(v)], st) for v in p.vertices
-    }
+    data, charts = _reduce(p, lam, st)
+    weight_systems = {vid: chart.weights for vid, chart in charts.items()}
     return CatalogEntry("cp3-reduction", data, weight_systems, [4, 6], [1, 3])
 
 
@@ -278,15 +276,10 @@ def verify(entry: CatalogEntry) -> ValidationReport:
         for stage, rep in stages.items()
     ]
 
-    # A valid sponge's stars are decided at its fixed points.  Every boundary
-    # entry drops the dimension by one and every cell of dimension >= 1 has a
-    # boundary, so every cell x lies above some 0-cell v, and star(x) is an
-    # upper set of star(v).  When star(v) is a truncated Boolean lattice on n
-    # atoms, star(x) is the set of supersets of x's atom set: again a truncated
-    # Boolean lattice, on n - dim x atoms, so face_star(x) holds.
-    # An invalid sponge lacks that structure, so every cell is checked.
-    based = cd.sponge.cells_of_dim(0) if stages["sponge"].ok else cd.sponge.cells
-    stars_ok = all(face_star(cd.sponge, c.id) for c in based)
+    # a valid sponge's stars are decided at its fixed points (stars_local);
+    # an invalid sponge lacks that structure, so every cell is checked
+    s = cd.sponge
+    stars_ok = s.stars_local if stages["sponge"].ok else all(face_star(s, c.id) for c in s.cells)
     entries.append(CheckResult.of("face-stars", stars_ok))
 
     # every worked example is strictly appropriate at each fixed point, which

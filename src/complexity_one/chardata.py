@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -36,6 +36,7 @@ from .lattice import (
     stack_rows,
 )
 from .sponge import (
+    Cell,
     CheckResult,
     SpongeComplex,
     ValidationReport,
@@ -95,13 +96,22 @@ class CharacteristicData:
         return self.mu[facet_id].scale(self.euler_sign[facet_id])
 
     @cached_property
+    def three_term_faces(self) -> tuple[tuple[str, tuple[str, ...], str, tuple[int, ...] | None], ...]:
+        """_three_term_faces of the sponge and mu, read once for validate_mu, cocycle and the fingerprint."""
+        return tuple(_three_term_faces(self.n, self.sponge, self.mu))
+
+    @cached_property
     def cocycle_report(self) -> ValidationReport:
         """The three-term relations checked once; cocycle_check returns this report."""
-        faces = list(_three_term_faces(self.n, self.sponge, self.mu, self.euler_sign))
-        if not faces:
+        if not self.three_term_faces:
             return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
+        unsigned = {f for f in self.sponge.facet_ids if f not in self.euler_sign}
         bad = []
-        for face, through, defect, pattern in faces:
+        for face, through, defect, pattern in self.three_term_faces:
+            if unsigned and len(through) == 3 and not unsigned.isdisjoint(through):
+                lacking = [f for f in through if f not in self.mu or f in unsigned]
+                bad.append(f"face {face}: facets {', '.join(lacking)} lack mu or an Euler sign")
+                continue
             if defect:
                 bad.append(defect)
                 continue
@@ -176,20 +186,45 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
     # The one facet through a facet is itself, whose mu spans rank 1, so
     # only the cells below the facets can fail.
     signless = {f: max(v.entries, (-v).entries) for f, v in cd.mu.items()}
+
+    def rank_defects(cells: Iterable[Cell]) -> list[str]:
+        bad = []
+        for cell in cells:
+            through = cd.sponge.facets_containing(cell.id)
+            want = cd.n - 1 - cell.dim
+            got = len(independent_rows([cd.mu[f].entries for f in through], cd.n - 1))
+            if got != want:
+                bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {want}")
+            if len({signless[f] for f in through}) < len(through):
+                for a in range(len(through)):
+                    for b in range(a + 1, len(through)):
+                        if signless[through[a]] == signless[through[b]]:
+                            bad.append(f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu")
+        return bad
+
+    # The fixed points decide mu-rank when every 0-cell's star is local and
+    # every (n-3)-cell lies in three facets whose mu admit a vanishing +-1
+    # combination.  Fix a 0-cell v, whose star is the truncated Boolean
+    # lattice on n atoms, and an atom b0.  A cell x above v is the set of
+    # its atoms, and the facets through x are the pairs in the set B of the
+    # other m = n - dim x atoms.  The relation at the (n-3)-cell missing
+    # {b0, j, k} gives mu(jk) = +-mu(b0 j) +-mu(b0 k), so each mu is +-e_b or
+    # +-e_j +-e_k in the n - 1 values mu(b0 b).  When those have rank n - 1
+    # (v passes), the facets through x span rank m - 1 = n - 1 - dim x, and
+    # distinct ones have distinct supports, so none are parallel.  Every
+    # cell lies above some 0-cell (SpongeComplex.stars_local), so mu-rank
+    # passes everywhere iff it passes at the 0-cells; a failing report is
+    # still read off every cell.  At n = 3 the cells below the facets are
+    # the 0-cells, so there the loop is already at the fixed points.
+    decided = (
+        cd.n > 3
+        and cd.sponge.stars_local
+        and all(not defect and pattern is not None for _, _, defect, pattern in cd.three_term_faces)
+    )
+    fixed = (c for c in cd.sponge.cells_of_dim(0) if c.id not in facets)
     rank_bad = []
-    for cell in sorted((c for c in cd.sponge.cells if c.id not in facets), key=lambda c: c.id):
-        through = cd.sponge.facets_containing(cell.id)
-        want = cd.n - 1 - cell.dim
-        got = len(independent_rows([cd.mu[f].entries for f in through], cd.n - 1))
-        if got != want:
-            rank_bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {want}")
-        if len({signless[f] for f in through}) < len(through):
-            for a in range(len(through)):
-                for b in range(a + 1, len(through)):
-                    if signless[through[a]] == signless[through[b]]:
-                        rank_bad.append(
-                            f"facets {through[a]}, {through[b]} share face {cell.id} with parallel mu"
-                        )
+    if not decided or rank_defects(fixed):
+        rank_bad = rank_defects(sorted((c for c in cd.sponge.cells if c.id not in facets), key=lambda c: c.id))
     entries += CheckResult.from_violations("mu-rank", rank_bad)
     return ValidationReport(tuple(entries))
 
@@ -224,19 +259,17 @@ def _vanishing_pattern(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | No
 
 
 def _three_term_faces(
-    n: int,
-    sponge: SpongeComplex,
-    mu: Mapping[str, IntVector],
-    signs: Mapping[str, int] | None = None,
+    n: int, sponge: SpongeComplex, mu: Mapping[str, IntVector]
 ) -> Iterator[tuple[str, tuple[str, ...], str, tuple[int, ...] | None]]:
     """The three-term relation read at each codimension-one face.
 
     Yields (face id, facets through it, defect, pattern) for each (n-3)-cell
     of the sponge.  defect names a face that does not lie in three facets or
-    whose facets lack mu (or a sign, when signs are given) or carry mu of dim
-    other than n-1, and pattern is then None.  Otherwise defect is "" and
-    pattern is the vanishing +-1 pattern of the three mu values, or None when
-    no such combination vanishes.
+    whose facets lack mu or carry mu of dim other than n-1, and pattern is
+    then None.  Otherwise defect is "" and pattern is the vanishing +-1
+    pattern of the three mu values, or None when no such combination
+    vanishes.  Signs play no part: cocycle_report adds the facets that lack
+    one.
     """
     for cell in sponge.cells_of_dim(n - 3) if n >= 3 else ():
         face = cell.id
@@ -245,7 +278,7 @@ def _three_term_faces(
         if len(through) != 3:
             defect = f"face {face} lies in {len(through)} facets, expected 3"
         else:
-            lacking = [f for f in through if f not in mu or (signs is not None and f not in signs)]
+            lacking = [f for f in through if f not in mu]
             misfit = [] if lacking else [f for f in through if mu[f].dim != n - 1]
             if lacking:
                 defect = f"face {face}: facets {', '.join(lacking)} lack mu or an Euler sign"

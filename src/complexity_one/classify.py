@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Mapping
 
-from .chardata import CharacteristicData, _checks, _pair_index, _three_term_faces
+from .chardata import CharacteristicData, _checks, _pair_index
 from .errors import ConsistencyError, PreconditionError
 from .lattice import IntMatrix, adjugate, determinant, independent_rows
 from .sponge import SpongeComplex, homology, propagate_signs
@@ -64,7 +64,7 @@ def canonical_invariants(cd: CharacteristicData) -> Fingerprint:
     counts = tuple(len(s.cells_of_dim(d)) for d in range(max(s.n - 1, 1)))
     h = homology(s)
     pair_idx = []
-    for _, through, _, _ in _three_term_faces(s.n, s, cd.mu):
+    for _, through, _, _ in cd.three_term_faces:
         for a in range(len(through)):
             for b in range(a + 1, len(through)):
                 pair_idx.append(_pair_index(cd.mu[through[a]], cd.mu[through[b]]))

@@ -292,6 +292,16 @@ def reduce(
     intersections.  star, when given, is validate_star(p, lam), already
     computed by the caller.
     """
+    return _reduce(p, lam, st, star)[0]
+
+
+def _reduce(
+    p: SimplePolytope,
+    lam: CharacteristicFunction,
+    st: SubtorusChoice,
+    star: ValidationReport | None = None,
+) -> tuple[CharacteristicData, dict[str, Chart]]:
+    """reduce's data with the chart at each 0-cell that built them."""
     _require_star(validate_star(p, lam) if star is None else star)
     bad = [f for f in p.facets if abs(st.pairing(lam[f])) != 1]
     if bad:
@@ -299,7 +309,7 @@ def reduce(
             f"subtorus is not strict: pairings with {sorted(bad)} are not +-1"
         )
     values = {_face_id({f}): lam[f] for f in p.facets}
-    cd = _reduction_data(p.boundary, values, st, Ambient("sphere"))
+    cd, charts = _reduction_data(p.boundary, values, st, Ambient("sphere"))
     # mu must match the facet-pair construction, compared on plain ints
     for face in p.faces_of_codim(2):
         f, g = sorted(face)
@@ -307,7 +317,7 @@ def reduce(
         expect = induced_mu(lam[f], lam[g], st)
         if primitive_entries(expect.entries) != primitive_entries(cd.mu[fid].entries):
             raise ConsistencyError(f"chart mu and facet-pair mu disagree on {fid}")
-    return cd
+    return cd, charts
 
 
 def coloring_pullback(p: SimplePolytope, coloring: Mapping[str, int]) -> CharacteristicFunction:
@@ -449,13 +459,13 @@ def cell_manifold_data(
         if bad:
             raise PreconditionError(f"subtorus is not strict on top cells {bad}")
 
-    return _reduction_data(m, values, st, Ambient("product", boundary_trivial=True))
+    return _reduction_data(m, values, st, Ambient("product", boundary_trivial=True))[0]
 
 
 def _reduction_data(
     m: CellManifold, values: Mapping[str, IntVector], st: SubtorusChoice, ambient: Ambient
-) -> CharacteristicData:
-    """Characteristic data of the subtorus action from values on the top cells of m.
+) -> tuple[CharacteristicData, dict[str, Chart]]:
+    """Characteristic data of the subtorus action from values on the top cells of m, with their charts.
 
     The sponge is the codimension-two skeleton.  A 0-cell's chart holds the
     weights induced by the values of the sorted top cells through it, and the
@@ -485,4 +495,4 @@ def _reduction_data(
                     f"vertex {c}: expected one edge avoiding top cell {t}, found {len(matches)}"
                 )
         charts[c] = Chart(ws, tuple(e for (e,) in rays))
-    return data_from_charts(sponge, charts, ambient)
+    return data_from_charts(sponge, charts, ambient), charts

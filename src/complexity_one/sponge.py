@@ -239,10 +239,12 @@ class SpongeComplex:
 
         entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects)
 
-        # each cell reports its first wrong count in ascending dimension; the
-        # counts before it match, so the expected count stays within n times the cells
+        # local stars at the 0-cells fix every count (stars_local); otherwise
+        # each cell reports its first wrong count in ascending dimension, and
+        # as the counts before it match, the expected count stays within n
+        # times the cells
         count_bad = []
-        if not dim_bad and not structure_bad:
+        if not dim_bad and not structure_bad and not self.stars_local:
             for c in self.cells:
                 got = Counter(self.by_id[x].dim for x in self.upper_set(c.id))
                 want = 1
@@ -256,6 +258,73 @@ class SpongeComplex:
                     want = want * (self.n - d) // (d - c.dim + 1)
         entries += CheckResult.from_violations("upper-counts", count_bad)
         return ValidationReport(tuple(entries))
+
+    @cached_property
+    def stars_local(self) -> bool:
+        """Whether face_star holds at every 0-cell, decided on atom bit masks.
+
+        The star of a 0-cell v is local iff it has C(n, t) cells of each
+        dimension t, and each t-cell x has exactly t boundary cells of
+        dimension t-1 in the star whose atom sets join to t atoms, no two
+        t-cells with the same atoms; the atoms of a 1-cell are its own bit.
+        That is face_star's test, with each atom set an int.
+
+        In a complex that passes cell-dims and incidence-structure the stars
+        at the 0-cells decide every other.  Every boundary entry drops the
+        dimension by one and every cell of dimension >= 1 has a boundary, so
+        every cell x lies above some 0-cell v, and star(x) is an upper set of
+        star(v).  When star(v) is a truncated Boolean lattice on n atoms,
+        star(x) is the set of supersets of x's atom set: a truncated Boolean
+        lattice on n - dim x atoms.  So face_star(x) holds, and x lies in
+        C(n - dim x, d - dim x) cells of each dimension d, which is
+        upper-counts.  validate_mu decides mu-rank at the 0-cells on the same
+        grounds.
+        """
+        zero = self.cells_of_dim(0)
+        # a local star has cells of the n - 1 dimensions 0..n-2, so no star is
+        # local when n - 1 exceeds the cells, and the binomials stay small
+        if not zero or not 2 <= self.n <= len(self.cells) + 1:
+            return not zero
+        counts = [comb(self.n, t) for t in range(self.n - 1)]
+        return all(self._star_local_at(v.id, counts) for v in zero)
+
+    def _star_local_at(self, v: str, counts: list[int]) -> bool:
+        """face_star at the 0-cell v, whose star must have counts[t] cells of dimension t."""
+        by_id, inc, top = self.by_id, self.incidence, len(counts)
+        star = self._upper_sets[v]
+        if len(star) != sum(counts):
+            return False
+        layers: list[list[str]] = [[] for _ in counts]
+        for x in star:
+            c = by_id.get(x)
+            if c is None or not 0 <= c.dim < top:
+                return False
+            layers[c.dim].append(x)
+        if any(len(layer) != want for layer, want in zip(layers, counts)):
+            return False
+        below = {v: 0}  # the atoms of the star's cells one dimension down
+        for t in range(1, top):
+            atoms: dict[str, int] = {}
+            for i, x in enumerate(layers[t]):
+                mask, common, found = 0, -1, 0
+                for y, _ in inc.get(x, ()):
+                    if y in below:
+                        mask |= below[y]
+                        common &= below[y]
+                        found += 1
+                # face_star counts a cell that a boundary lists twice once
+                if found != t and len({y for y, _ in inc.get(x, ()) if y in below}) != t:
+                    return False
+                if t == 1:
+                    mask = 1 << i  # a 1-cell is its own atom
+                elif mask.bit_count() != t or common:
+                    # t distinct (t-1)-sets of t atoms meet in none; fewer meet
+                    return False
+                atoms[x] = mask
+            if t > 1 and len(set(atoms.values())) != len(atoms):
+                return False
+            below = atoms
+        return True
 
     @cached_property
     def cell_dim_defects(self) -> tuple[str, ...]:
@@ -525,9 +594,8 @@ def face_star(s: SpongeComplex, cell_id: str) -> bool:
     and r covers one rank down; given the rest, those r covers are exactly
     the cells one rank down whose atoms it contains.
 
-    In a valid sponge the stars at the 0-cells decide every other star; the
-    lemma is in catalog.verify, which checks only those stars when
-    validate_sponge passes.
+    In a valid sponge the stars at the 0-cells decide every other star;
+    SpongeComplex.stars_local holds the lemma and decides those stars.
     """
     if cell_id not in s.by_id:
         raise InputFormatError(f"unknown cell id {cell_id!r}")

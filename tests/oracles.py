@@ -52,13 +52,17 @@ verdict off the cocycle report.  data_from_charts_by_facets, the former
 data_from_charts that indexed the 0-cells under each facet and rebuilt the
 set of chart rays in the facet for every (facet, 0-cell) pair, is the
 reference for the one pass over the 0-cells; it shares the per-chart
-direction and the sign solver with the package.
+direction and the sign solver with the package.  mu_rank_by_cells and
+upper_counts_by_cells, validate_mu's and validation_report's former loops
+over every cell, with a Gaussian rank and a count of each upper set, are
+the references for the checks decided at the 0-cells; they read a complex
+through by_id and upper_set.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 from complexity_one.chardata import (
     CharacteristicData,
@@ -940,3 +944,38 @@ def data_from_charts_by_facets(sponge, charts, ambient):
                 hopf[fid] = sign
     signs = solve_euler_signs(sponge, mu, seeds=hopf)
     return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+
+
+def mu_rank_by_cells(cd):
+    """validate_mu's former mu-rank violations: the rank and parallel pairs at every cell below the facets.
+
+    The cells go in id order; the facets through a cell are those in its
+    upper set.  Needs a sponge and mu that pass validate_mu's earlier checks.
+    """
+    s, k = cd.sponge, cd.n - 1
+    bad = []
+    for cell in sorted((c for c in s.cells if c.dim != cd.n - 2), key=lambda c: c.id):
+        through = sorted(x for x in s.upper_set(cell.id) if s.by_id[x].dim == cd.n - 2)
+        got = fraction_rank([list(cd.mu[f].entries) for f in through]) if through else 0
+        if got != k - cell.dim:
+            bad.append(f"face {cell.id} (dim {cell.dim}): mu-span rank {got}, expected {k - cell.dim}")
+        for a, b in combinations(through, 2):
+            if cd.mu[a] == cd.mu[b] or cd.mu[a] == -cd.mu[b]:
+                bad.append(f"facets {a}, {b} share face {cell.id} with parallel mu")
+    return bad
+
+
+def upper_counts_by_cells(s):
+    """validation_report's former upper-counts violations: each cell's first wrong count by dimension.
+
+    Needs a complex that passes cell-dims and incidence-structure.
+    """
+    bad = []
+    for c in s.cells:
+        got = Counter(s.by_id[x].dim for x in s.upper_set(c.id))
+        for d in range(c.dim, s.n - 1):
+            want = comb(s.n - c.dim, d - c.dim)
+            if got[d] != want:
+                bad.append(f"cell {c.id} (dim {c.dim}) lies in {got[d]} cells of dim {d}, expected {want}")
+                break
+    return bad

@@ -5,6 +5,7 @@ per criterion with its runtime.
 """
 
 import hashlib
+import json
 import random
 import time
 from functools import lru_cache
@@ -12,9 +13,9 @@ from itertools import product
 from math import lcm
 
 from complexity_one.catalog import load, octahedron_sponge, simplex_lambda, simplex_polytope, verify
-from complexity_one.chardata import cocycle_check, compatibility_check, validate_mu
+from complexity_one.chardata import _checks, cocycle_check, compatibility_check, validate_mu
 from complexity_one.classify import compare, verify_witness
-from complexity_one.io import canonical_json, chardata_to_dict
+from complexity_one.io import canonical_json, chardata_from_dict, chardata_to_dict
 from complexity_one.lattice import IntMatrix, determinant, smith_normal_form, vec
 from complexity_one.quasitoric import (
     SimplePolytope,
@@ -418,3 +419,23 @@ def test_criterion_16_renamed_cube_8_homology():
     dt = time.monotonic() - t0
     ok = h.betti == (1, 0, 0, 0, 0, 0, 15) and not any(h.torsion) and dt < 1.0
     _report(16, ok, f"homology(renamed reduced 8-cube, {len(s.cells)} cells): betti={list(h.betti)} in {dt:.3f}s (bound 1.0s)", t0)
+
+
+def test_criterion_17_cube_8_checks_at_the_fixed_points(monkeypatch):
+    # the check pipeline decides mu-rank with one elimination per 0-cell:
+    # 256 on the reduced 8-cube, where the per-cell loop made 6,432.  On a
+    # 2-vCPU VM the checks took 0.44-0.76 s before and 0.28-0.52 s after; the
+    # count tells the two apart, and the bound leaves room for a slower host
+    import complexity_one.chardata as chardata
+
+    text = canonical_json(chardata_to_dict(_cube_8_reduction()[0]))
+    cd = chardata_from_dict(json.loads(text))
+    calls = []
+    count = chardata.independent_rows
+    monkeypatch.setattr(chardata, "independent_rows", lambda rows, k: calls.append(k) or count(rows, k))
+    t0 = time.monotonic()
+    stages = dict(_checks(cd))
+    dt = time.monotonic() - t0
+    failed = [stage for stage, report in stages.items() if not report.ok]
+    ok = not failed and len(calls) == 256 and dt < 1.0
+    _report(17, ok, f"checks of the reduced 8-cube read back: failed {failed}, {len(calls)} eliminations in {dt:.3f}s (bound 1.0s)", t0)

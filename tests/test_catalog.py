@@ -67,6 +67,20 @@ def test_verify_reports_are_pinned(name):
     assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_DIGESTS[name]
 
 
+def test_cp3_weight_systems_are_the_reduction_charts(monkeypatch):
+    # the entry reads the weight systems its reduction built, one
+    # induced_weights per fixed point, and builds none of its own
+    import complexity_one.catalog as catalog
+    import complexity_one.quasitoric as quasitoric
+
+    calls = []
+    for module in (catalog, quasitoric):
+        induced = module.induced_weights
+        monkeypatch.setattr(module, "induced_weights", lambda rows, st, f=induced: calls.append(rows) or f(rows, st))
+    entry = load("cp3-reduction")
+    assert len(calls) == len(entry.weight_systems) == len(entry.data.sponge.cells_of_dim(0)) == 4
+
+
 class TestG42:
     def setup_method(self):
         self.entry = load("g42")

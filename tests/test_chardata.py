@@ -7,7 +7,7 @@ import pytest
 import complexity_one.catalog as catalog
 import complexity_one.chardata as chardata
 import complexity_one.quasitoric as quasitoric
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from complexity_one.catalog import load, names, octahedron_sponge
@@ -43,6 +43,7 @@ from oracles import (
     data_from_charts_by_facets,
     euler_cycle_by_boundary,
     local_euler_by_kernel,
+    mu_rank_by_cells,
     vanishing_pattern_by_vectors,
 )
 from test_quasitoric import _cube, torus_three_hexagons
@@ -86,15 +87,36 @@ class TestValidateMu:
         assert any("not primitive" in d for d in details)
 
 
-    def test_rank_checked_only_below_the_facets(self, monkeypatch):
-        # a facet's mu-span rank is 1 once mu-domain passes, and no pair of
-        # distinct facets goes through it: one elimination per lower cell
+    def test_rank_decided_at_the_fixed_points(self, monkeypatch):
+        # a valid datum's mu-rank is decided at its 0-cells, one elimination
+        # each: local-model-7 has one 0-cell among the 99 cells below its
+        # facets, and catalog.verify of local-model-10 reads the same report
         calls = []
         count = chardata.independent_rows
         monkeypatch.setattr(chardata, "independent_rows", lambda rows, k: calls.append(k) or count(rows, k))
         cd = load("local-model-7").data
         assert validate_mu(cd).ok
-        assert len(calls) == sum(1 for c in cd.sponge.cells if c.dim < cd.n - 2) == 99
+        assert calls == [6]
+        entry = load("local-model-10")
+        calls.clear()
+        assert catalog.verify(entry).ok
+        assert calls == [9]
+
+    def test_rank_failure_behind_a_passing_gate_reads_every_cell(self, monkeypatch):
+        # mu projected along (1, 1, 1) keeps every three-term relation and
+        # every value primitive, but spans rank 2 at the 0-cell: the one
+        # elimination there fails, and the report is the per-cell loop's
+        cd = load("local-model-4").data
+        mu = {f: vec(v[0] - v[2], v[1] - v[2], 0) for f, v in cd.mu.items()}
+        projected = CharacteristicData(cd.sponge, mu, cd.euler_sign, cd.ambient)
+        assert all(not defect and pattern for _, _, defect, pattern in projected.three_term_faces)
+        calls = []
+        count = chardata.independent_rows
+        monkeypatch.setattr(chardata, "independent_rows", lambda rows, k: calls.append(k) or count(rows, k))
+        report = validate_mu(projected)
+        want = mu_rank_by_cells(projected)
+        assert want and report.failures() == CheckResult.from_violations("mu-rank", want)
+        assert len(calls) == 1 + sum(1 for c in cd.sponge.cells if c.dim < cd.n - 2)
 
 
 class TestCompatibility:
@@ -466,6 +488,68 @@ _NOT_STRICT = "hopf_type requires a strictly appropriate system"
 _NOT_GENERAL = "weight system is not in general position"
 _NO_PAIR = "facet {} meets {} rays at o, cannot form a chart pair"
 _DISAGREE = "charts disagree on the %s of facet e1"
+
+
+@st.composite
+def _mutated_data(draw):
+    """A datum of PIPELINE_BASES with its mu replaced, mapped or projected, a sign flipped, or a cover
+    dropped or added."""
+    cd = PIPELINE_BASES[draw(st.sampled_from(sorted(PIPELINE_BASES)))]()
+    s, k = cd.sponge, cd.n - 1
+    cells, incidence = list(s.cells), {key: list(v) for key, v in s.incidence.items()}
+    mu, signs = dict(cd.mu), dict(cd.euler_sign)
+    facets = sorted(s.facet_ids)
+    small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    kind = draw(st.sampled_from(("replace", "map", "project", "flip", "drop", "add")))
+    if kind == "replace":
+        # by another facet's +-mu, which makes a parallel pair, or by any small vector
+        fid = draw(st.sampled_from(facets))
+        other = cd.mu[draw(st.sampled_from(facets))]
+        mu[fid] = draw(st.sampled_from((other, -other, IntVector(tuple(draw(small))))))
+    elif kind == "map":
+        # a linear map keeps every three-term relation; a singular one lowers the ranks
+        a = [draw(small) for _ in range(k)]
+        mu = {f: IntVector(tuple(sum(x * y for x, y in zip(row, v.entries)) for row in a)) for f, v in mu.items()}
+    elif kind == "project":
+        # along a direction w with last entry 1: the relations stay and the rank drops
+        w = [draw(st.integers(-1, 1)) for _ in range(k - 1)] + [1]
+        mu = {f: IntVector(tuple(x - v[-1] * y for x, y in zip(v.entries, w))) for f, v in mu.items()}
+    elif kind == "flip":
+        fid = draw(st.sampled_from(facets))
+        signs[fid] = -signs[fid]
+    elif kind == "drop":
+        keys = sorted(key for key, v in incidence.items() if v)
+        assume(keys)  # n = 2 has no covers
+        key = draw(st.sampled_from(keys))
+        incidence[key].pop(draw(st.integers(0, len(incidence[key]) - 1)))
+    else:
+        uppers = [c for c in cells if c.dim >= 1]
+        assume(uppers)
+        upper = draw(st.sampled_from(uppers))
+        listed = {x for x, _ in incidence[upper.id]}
+        lower = [c.id for c in s.cells_of_dim(upper.dim - 1) if c.id not in listed]
+        assume(lower)
+        incidence[upper.id].append((draw(st.sampled_from(lower)), draw(st.sampled_from((1, -1)))))
+    return CharacteristicData(SpongeComplex(s.n, tuple(cells), incidence), mu, signs, cd.ambient)
+
+
+class TestMuRankAtTheFixedPoints:
+    """validate_mu decides mu-rank at the 0-cells, and its reports are the per-cell loop's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cd=_mutated_data())
+    def test_reports_match_the_loop_over_every_cell(self, cd):
+        report = validate_mu(cd)
+        head = tuple(e for e in report.entries if e.check != "mu-rank")
+        if all(e.status == "pass" for e in head):
+            assert report.entries == head + CheckResult.from_violations("mu-rank", mu_rank_by_cells(cd))
+        else:
+            assert report.entries == head
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_BASES))
+    def test_valid_data_pass_like_the_loop(self, name):
+        cd = PIPELINE_BASES[name]()
+        assert validate_mu(cd).ok and mu_rank_by_cells(cd) == []
 
 
 def _theta_charts(at_u, at_v, rays_at_v):

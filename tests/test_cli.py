@@ -646,7 +646,7 @@ class TestReduceFuzz:
         argv, code, out, err = _run_reduce(tmp_path, polytope, lam, ["--alpha=1,1,-1"])
         env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1])}
         run = subprocess.run(
-            [sys.executable, "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-B", "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
         assert code == 0 and "Traceback" not in run.stderr
@@ -716,7 +716,7 @@ class TestCatalogFileFuzz:
         argv, code, out, err = _run_catalog_command(tmp_path, "catalog", "f3", entry, entry)
         env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1]), "COMPLEXITY_ONE_CATALOG": str(tmp_path)}
         run = subprocess.run(
-            [sys.executable, "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-B", "-O", "-m", "complexity_one.cli", *argv], capture_output=True, text=True, env=env
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
         assert code == 1 and "Traceback" not in run.stderr
@@ -728,7 +728,7 @@ class TestCompareAtScale:
         # levels than the interpreter's default recursion limit of 1,000
         env = {"PYTHONPATH": str(Path(complexity_one.__file__).parents[1])}
         path = str(tmp_path / "lm10.json")
-        cli = [sys.executable, "-m", "complexity_one.cli"]
+        cli = [sys.executable, "-B", "-m", "complexity_one.cli"]
         export = subprocess.run(
             [*cli, "catalog", "local-model-10", "--export", path], capture_output=True, text=True, env=env
         )

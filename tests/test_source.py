@@ -168,10 +168,14 @@ def test_eliminations_read_plain_rows():
 
 
 def test_one_reduction_pipeline():
-    # reduce and cell_manifold_data share one chart builder, and a face of
-    # the polytope is named by one helper
-    for name in ("Chart", "induced_weights", "data_from_charts"):
+    # reduce and cell_manifold_data share one chart builder, whose charts
+    # _reduce hands on without building any, and the cp3 catalog entry reads
+    # them; a face of the polytope is named by one helper
+    for name in ("induced_weights", "data_from_charts"):
         assert {owner for module, owner in _uses(name) if module == "quasitoric"} == {"_reduction_data"}, name
+    assert {owner for module, owner in _uses("Chart") if module == "quasitoric"} == {"_reduction_data", "_reduce"}
+    assert _calls(_function("quasitoric", "_reduce"), "Chart") == []
+    assert {owner for module, owner in _uses("induced_weights") if module == "catalog"} == {"_build_local_model"}
     face_ids = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -231,12 +235,17 @@ def test_no_chain_cycle_check():
 
 def test_one_owner_per_chardata_rule():
     # the three-term relation is read at the codimension-one faces by one
-    # helper, which cocycle_report, the Euler sign solve and compare's pair
-    # indices share; the per-facet mu-domain rule is one helper too
+    # helper, which a datum's three_term_faces and the Euler sign solve
+    # share; the per-facet mu-domain rule is one helper too
     assert set(_uses("_vanishing_pattern")) == {("chardata", "_three_term_faces")}
     assert set(_uses("_three_term_faces")) == {
         ("chardata", "CharacteristicData"),
         ("chardata", "solve_euler_signs"),
+    }
+    # a datum reads its faces once: mu-rank's gate, cocycle and the pair indices share them
+    assert set(_uses("three_term_faces")) == {
+        ("chardata", "CharacteristicData"),
+        ("chardata", "validate_mu"),
         ("classify", "canonical_invariants"),
     }
     assert {owner for module, owner in _uses("is_primitive") if module == "chardata"} == {"_mu_defect"}

@@ -55,6 +55,7 @@ from oracles import (
     incidence_indices,
     signed_incidence_by_kernel,
     simplicial_betti,
+    upper_counts_by_cells,
 )
 from test_lattice import _shaped
 from test_quasitoric import torus_three_hexagons
@@ -884,9 +885,9 @@ class TestStarsAtFixedPoints:
     @pytest.mark.parametrize("case", sorted(STAR_CASES))
     def test_valid_sponges_decide_stars_at_the_fixed_points(self, case):
         s = STAR_CASES[case]()
-        assert validate_sponge(s).ok
+        assert validate_sponge(s).ok and upper_counts_by_cells(s) == []
         everywhere = _stars_local(s, s.cells)
-        assert _stars_local(s, s.cells_of_dim(0)) == everywhere
+        assert _stars_local(s, s.cells_of_dim(0)) == everywhere == s.stars_local
         assert _face_stars_entry(s) == CheckResult.of("face-stars", everywhere)
         _assert_facet_index_filters_upper_sets(s)
 
@@ -909,17 +910,112 @@ class TestStarsAtFixedPoints:
         assert _stars_local(s, s.cells_of_dim(0))
         assert _face_stars_entry(s) == CheckResult("face-stars", "fail")
 
-    def test_face_star_runs_once_per_fixed_point(self, monkeypatch):
+    def test_one_star_test_per_fixed_point(self, monkeypatch):
+        # validate_sponge, validate_mu and the face-stars entry read one
+        # cached bit, which tests each 0-cell's star once and no other star
         import complexity_one.catalog as catalog
 
-        bases = []
+        def refuse(s, cell_id):
+            raise AssertionError("face_star runs on a valid sponge")
 
-        def counted(s, cell_id):
-            bases.append(cell_id)
-            return face_star(s, cell_id)
+        tested = []
+        star_local_at = SpongeComplex._star_local_at
+        monkeypatch.setattr(catalog, "face_star", refuse)
+        monkeypatch.setattr(
+            SpongeComplex, "_star_local_at", lambda s, v, counts: tested.append(v) or star_local_at(s, v, counts)
+        )
+        for name in ("g42", "f3", "cp3-reduction", "local-model-7"):
+            entry = load(name)
+            tested.clear()
+            assert verify(entry).ok
+            assert tested == [c.id for c in entry.data.sponge.cells_of_dim(0)], name
 
-        monkeypatch.setattr(catalog, "face_star", counted)
-        for name, fixed in (("g42", 6), ("f3", 6), ("local-model-7", 1)):
-            bases.clear()
-            assert verify(load(name)).ok
-            assert len(bases) == fixed, name
+
+# small complexes of n = 2 to 5, whose covers the strategy below changes
+COVER_BASES = [f"local-model-sponge-{n}" for n in (2, 3, 4, 5)] + ["reduced-cube-3"] + [
+    name for name in MUTATION_BASES if not name.startswith("local-model-sponge")
+]
+
+
+@st.composite
+def covers_changed(draw):
+    """A complex of COVER_BASES with one or two covers dropped, added or listed twice (in
+    place of another or besides it), a cell capped by a new cell one dimension up, or a
+    new 0-cell."""
+    s = STAR_CASES[draw(st.sampled_from(COVER_BASES))]()
+    cells, incidence = list(s.cells), {k: list(v) for k, v in s.incidence.items()}
+    for step in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("drop", "add", "twice", "repeat", "cap", "point")))
+        keys = sorted(k for k, v in incidence.items() if v)
+        uppers = [c for c in cells if c.dim >= 1 and c.id in incidence]
+        if kind == "drop" and keys:
+            key = draw(st.sampled_from(keys))
+            incidence[key].pop(draw(st.integers(0, len(incidence[key]) - 1)))
+        elif kind in ("twice", "repeat") and keys:
+            key = draw(st.sampled_from(keys))
+            entry = draw(st.sampled_from(incidence[key]))
+            if kind == "twice":
+                incidence[key].append(entry)
+            else:
+                incidence[key][draw(st.integers(0, len(incidence[key]) - 1))] = entry
+        elif kind == "add" and uppers:
+            upper = draw(st.sampled_from(uppers))
+            listed = {x for x, _ in incidence[upper.id]}
+            lower = [c.id for c in cells if c.dim == upper.dim - 1 and c.id not in listed]
+            if lower:
+                incidence[upper.id].append((draw(st.sampled_from(lower)), draw(st.sampled_from((1, -1)))))
+        elif kind == "point":
+            cells.append(Cell(f"point{step}", 0))
+        else:
+            below = draw(st.sampled_from(cells))
+            cells.append(Cell(f"cap{step}", below.dim + 1))
+            incidence[f"cap{step}"] = [(below.id, 1)]
+    return SpongeComplex(s.n, tuple(cells), incidence)
+
+
+def _two_dim_complexes():
+    """Complexes with n = 2: points, and points under a 1-cell, which no sponge with n = 2 has."""
+    yield SpongeComplex(2, (), {})
+    yield local_model_sponge(2)
+    yield SpongeComplex(2, (Cell("a", 0), Cell("b", 0)), {})
+    yield SpongeComplex(2, (Cell("a", 0), Cell("e", 1)), {"e": (("a", -1),)})
+    yield SpongeComplex(2, (Cell("a", 0), Cell("b", 0), Cell("e", 1)), {"e": (("b", 1), ("a", -1))})
+
+
+class TestChecksAtTheFixedPoints:
+    """stars_local is face_star at every 0-cell, and upper-counts reads it as the per-cell loop would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(mutated_sponges(), covers_changed()))
+    def test_star_bit_is_face_star_at_the_fixed_points(self, s):
+        assert s.stars_local is all(face_star(s, v.id) for v in s.cells_of_dim(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(mutated_sponges(), covers_changed()))
+    def test_upper_counts_match_the_loop_over_every_cell(self, s):
+        report = validate_sponge(s)
+        k = next(i for i, e in enumerate(report.entries) if e.check == "upper-counts")
+        structured = all(e.status == "pass" for e in report.entries[:k] if e.check != "boundary-squared")
+        want = upper_counts_by_cells(s) if structured else []
+        assert report.entries[k:] == CheckResult.from_violations("upper-counts", want)
+
+    @pytest.mark.parametrize("s", list(_two_dim_complexes()), ids=["empty", "point", "two-points", "edge", "segment"])
+    def test_two_dim_complexes(self, s):
+        assert s.stars_local is all(face_star(s, v.id) for v in s.cells_of_dim(0))
+        assert validate_sponge(s).entries[-1:] == (CheckResult("upper-counts", "pass"),)
+
+    @pytest.mark.parametrize(
+        "listed, local",
+        [
+            # a cover listed twice besides the others is one cover to face_star
+            ((("c1.2", 1), ("c1.3", -1), ("c2.3", 1), ("c1.2", 1)), True),
+            # listed twice in place of another, the three entries are two covers,
+            # though their atoms still join to three
+            ((("c1.2", 1), ("c1.3", -1), ("c1.2", 1)), False),
+        ],
+    )
+    def test_a_cover_listed_twice_counts_once(self, listed, local):
+        s = local_model_sponge(5)
+        s = SpongeComplex(s.n, s.cells, {**s.incidence, "c1.2.3": listed})
+        assert face_star(s, "o") is local
+        assert s.stars_local is local
