@@ -9,13 +9,10 @@ from .chardata import (
     Ambient,
     CharacteristicData,
     Chart,
-    OrbitType,
     cocycle_check,
     compatibility_check,
     data_from_charts,
-    local_euler_from_weights,
     local_model_data,
-    orbit_types,
     solve_euler_signs,
     validate_mu,
 )
@@ -58,7 +55,6 @@ from .sponge import (
     SpongeComplex,
     ValidationReport,
     face_star,
-    filtration,
     homology,
     local_model_sponge,
     signed_incidence,
@@ -70,7 +66,6 @@ from .weights import (
     SubtorusChoice,
     WeightSystem,
     cramer_coefficients,
-    hopf_type,
     induced_weights,
     is_general_position,
     is_strictly_appropriate,

@@ -30,10 +30,8 @@ from .lattice import (
     as_id,
     as_int,
     dot,
-    hermite_normal_form,
     independent_rows,
     primitive_entries,
-    stack_rows,
 )
 from .sponge import (
     Cell,
@@ -44,7 +42,7 @@ from .sponge import (
     propagate_signs,
     validate_sponge,
 )
-from .weights import WeightSystem, cramer_coefficients, hopf_type, strict_coefficients
+from .weights import WeightSystem, strict_coefficients
 
 
 AMBIENT_KINDS = ("sphere", "product", "abstract")
@@ -97,7 +95,10 @@ class CharacteristicData:
 
     @cached_property
     def three_term_faces(self) -> tuple[tuple[str, tuple[str, ...], str, tuple[int, ...] | None], ...]:
-        """_three_term_faces of the sponge and mu, read once for validate_mu, cocycle and the fingerprint."""
+        """_three_term_faces of the sponge and mu, read once for validate_mu, cocycle and the fingerprint.
+
+        data_from_charts sets it to the faces its Euler sign solve read.
+        """
         return tuple(_three_term_faces(self.n, self.sponge, self.mu))
 
     @cached_property
@@ -126,13 +127,6 @@ class CharacteristicData:
                     f"(facets {', '.join(through)})"
                 )
         return ValidationReport(CheckResult.from_violations("cocycle", bad))
-
-
-@dataclass(frozen=True)
-class OrbitType:
-    face_id: str | None  # None stands for the free stratum
-    stabilizer_span: tuple[IntVector, ...]
-    orbit_dim: int
 
 
 def _pair_index(v: IntVector, w: IntVector) -> int:
@@ -298,27 +292,6 @@ def cocycle_check(cd: CharacteristicData) -> ValidationReport:
     return cd.cocycle_report
 
 
-def orbit_types(cd: CharacteristicData) -> list[OrbitType]:
-    """Stabilizer sublattice basis and orbit dimension per face, plus the free stratum.
-
-    The basis is the Hermite form of the facet directions through the face,
-    so it generates their integer span deterministically.
-    """
-    out = []
-    for cell in sorted(cd.sponge.cells, key=lambda c: (c.dim, c.id)):
-        vs = [cd.mu[f] for f in cd.sponge.facets_containing(cell.id)]
-        if vs:
-            h, _ = hermite_normal_form(stack_rows(vs))
-            basis = tuple(h.row(i) for i in range(h.rows) if not h.row(i).is_zero())
-        else:
-            basis = ()
-        out.append(
-            OrbitType(face_id=cell.id, stabilizer_span=basis, orbit_dim=cd.n - 1 - len(basis))
-        )
-    out.append(OrbitType(face_id=None, stabilizer_span=(), orbit_dim=cd.n - 1))
-    return out
-
-
 def _verdict(check: str, ok: bool, detail: str = "") -> ValidationReport:
     return ValidationReport((CheckResult.of(check, ok, detail),))
 
@@ -357,22 +330,6 @@ def _checks(cd: CharacteristicData) -> Iterator[tuple[str, ValidationReport]]:
     )
     failed = next((why for ok, why in prerequisites if not ok), "")
     yield "euler-cycle", _verdict("euler-cycle", not failed, failed)
-
-
-def local_euler_from_weights(ws: WeightSystem, i: int, j: int) -> tuple[IntVector, int]:
-    """Circle direction and Hopf sign of the facet missing weights i and j.
-
-    The one-pair view of _pair_lines, which data_from_charts sweeps over a
-    whole chart.  The direction is oriented so its pairing vector against
-    the weights is a positive multiple of c_j e_i - c_i e_j.  The returned
-    sign is hopf_type(ws, i, j), which also guards the indices and strictness.
-    """
-    sign = hopf_type(ws, i, j)
-    lam = IntVector(_pair_lines(ws)(i, j)[0])
-    # orient so that the pairing with weight i has the sign of c_j
-    if ws.weights[i].dot(lam) * cramer_coefficients(ws).c[j] < 0:
-        lam = -lam
-    return lam, sign
 
 
 def _pair_lines(ws: WeightSystem) -> Callable[[int, int], tuple[tuple[int, ...], int]]:
@@ -416,8 +373,17 @@ def solve_euler_signs(
     facet.  Raises ConsistencyError when no +-1 assignment exists, which
     means the mu data is not coherent.
     """
+    return _euler_signs(sponge, mu, seeds)[0]
+
+
+def _euler_signs(
+    sponge: SpongeComplex, mu: Mapping[str, IntVector], seeds: Mapping[str, int]
+) -> tuple[dict[str, int], tuple[tuple[str, tuple[str, ...], str, tuple[int, ...] | None], ...]]:
+    """solve_euler_signs, with the three-term faces it read."""
+    faces = []
     constraints: list[tuple[str, str, int]] = []
     for face, through, defect, pattern in _three_term_faces(sponge.n, sponge, mu):
+        faces.append((face, through, defect, pattern))
         if defect:
             raise ConsistencyError(defect)
         if pattern is None:
@@ -432,7 +398,7 @@ def solve_euler_signs(
         if conflict is not None:
             raise ConsistencyError(f"orientation constraints are inconsistent at facet {conflict}")
         signs.update(component)
-    return signs
+    return signs, tuple(faces)
 
 
 @dataclass(frozen=True)
@@ -492,8 +458,10 @@ def data_from_charts(
         if fid not in found:
             raise ConsistencyError(f"facet {fid} has no vertex in its closure")
     mu = {fid: IntVector(found[fid][0]) for fid in sponge.facet_ids}
-    signs = solve_euler_signs(sponge, mu, seeds={fid: found[fid][1] for fid in sponge.facet_ids})
-    return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+    signs, faces = _euler_signs(sponge, mu, seeds={fid: found[fid][1] for fid in sponge.facet_ids})
+    cd = CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+    object.__setattr__(cd, "three_term_faces", faces)  # the same sponge and mu, read once
+    return cd
 
 
 def local_model_data(ws: WeightSystem, ambient: Ambient = Ambient("abstract")) -> CharacteristicData:

@@ -269,20 +269,13 @@ def determinant(a: IntMatrix) -> int:
     return 0 if len(pivots) < a.rows else sign * m[-1][-1] if m else 1
 
 
-def signed_maximal_minors(a: IntMatrix) -> IntVector:
-    """v_t = (-1)^t det(a without column t) for a k x (k+1) matrix a.
+def _minors(m: list[list[int]], pivots: list[int], sign: int, cols: int) -> tuple[int, ...]:
+    """v_t = (-1)^t det(a without column t) for a k x (k+1) matrix a, read off its reduced form.
 
     a @ v = 0 by Laplace expansion, and v spans ker(a) over Q (else v = 0).
     In the reduced form, with f the column without a pivot, d the last pivot and
     s = (-1)^f times the swap sign, v_f = s d and v_c = -s m[i][f] at row i's pivot c.
     """
-    if a.cols != a.rows + 1:
-        raise DimensionMismatchError(f"maximal minors of a {a.rows}x{a.cols} matrix")
-    return IntVector(_minors(*_bareiss(a.row_list(), a.cols, reduced=True), a.cols))
-
-
-def _minors(m: list[list[int]], pivots: list[int], sign: int, cols: int) -> tuple[int, ...]:
-    """The signed maximal minors read off the reduced form of a k x (k+1) matrix, as plain ints."""
     v = [0] * cols
     if len(pivots) == cols - 1:
         f = min(set(range(cols)) - set(pivots))
@@ -328,10 +321,11 @@ def adjugate(a: IntMatrix) -> Adjugate:
 
 
 def minors_and_adjugate(a: IntMatrix) -> tuple[IntVector, Adjugate]:
-    """signed_maximal_minors(a) and the adjugate of a's leading k x k block b, from one elimination.
+    """The signed maximal minors of a (_minors) and the adjugate of its leading k x k block b.
 
-    The reduced form of [a | I] pivots on the columns of a alone, so its first
-    k + 1 columns are those of the reduced form of a, which give the minors.
+    Both come from one elimination: the reduced form of [a | I] pivots on the
+    columns of a alone, so its first k + 1 columns are those of the reduced
+    form of a, which give the minors.
     When b is invertible its pivots are the first k columns, and the identity
     block ends as s adj(b), as in adjugate; otherwise the adjugate is
     Adjugate(0, None).  The adjugate is verified before it is returned.

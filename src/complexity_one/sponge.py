@@ -3,8 +3,7 @@
 A sponge for parameter n is a regular cell complex of dimension n-2 whose
 local structure matches the truncated Boolean model: every i-cell lies in
 exactly C(n-i, d-i) cells of dimension d.  Cells carry signed incidence;
-"type" of a point is implemented as the dimension of its cell, and the
-filtration is the dimension filtration.
+"type" of a point is implemented as the dimension of its cell.
 
 Complexes are immutable after construction and all queries are pure.
 """
@@ -15,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -261,13 +260,7 @@ class SpongeComplex:
 
     @cached_property
     def stars_local(self) -> bool:
-        """Whether face_star holds at every 0-cell, decided on atom bit masks.
-
-        The star of a 0-cell v is local iff it has C(n, t) cells of each
-        dimension t, and each t-cell x has exactly t boundary cells of
-        dimension t-1 in the star whose atom sets join to t atoms, no two
-        t-cells with the same atoms; the atoms of a 1-cell are its own bit.
-        That is face_star's test, with each atom set an int.
+        """Whether the star at every 0-cell is local (_star_local_at).
 
         In a complex that passes cell-dims and incidence-structure the stars
         at the 0-cells decide every other.  Every boundary entry drops the
@@ -280,47 +273,59 @@ class SpongeComplex:
         upper-counts.  validate_mu decides mu-rank at the 0-cells on the same
         grounds.
         """
-        zero = self.cells_of_dim(0)
-        # a local star has cells of the n - 1 dimensions 0..n-2, so no star is
-        # local when n - 1 exceeds the cells, and the binomials stay small
-        if not zero or not 2 <= self.n <= len(self.cells) + 1:
-            return not zero
-        counts = [comb(self.n, t) for t in range(self.n - 1)]
-        return all(self._star_local_at(v.id, counts) for v in zero)
+        return all(self._star_local_at(v.id) for v in self.cells_of_dim(0))
 
-    def _star_local_at(self, v: str, counts: list[int]) -> bool:
-        """face_star at the 0-cell v, whose star must have counts[t] cells of dimension t."""
-        by_id, inc, top = self.by_id, self.incidence, len(counts)
-        star = self._upper_sets[v]
+    def _star_local_at(self, x: str) -> bool:
+        """Whether the star of the cell x, its upper set, has local-model shape.
+
+        That is, whether the star is poset-isomorphic to the faces of the
+        local model containing a fixed face of x's dimension: the truncated
+        Boolean lattice on m = n - dim x atoms.  A face of that lattice is the set of its atoms, the rank-one faces below it, and a
+        star cell's rank is its dimension less dim x.  The star is local iff
+        it has C(m, t) cells of each rank t in 0..m-2, each cell y of rank
+        t >= 1 has exactly t covers one rank down in the star, whose atom sets
+        join to t atoms, and no two cells have the same atoms; a rank-one
+        cell is its own atom.  Atom sets are bit masks.  A cover listed twice
+        counts once, and a star member that is not a cell fails the star.
+        """
+        by_id, inc = self.by_id, self.incidence
+        k = by_id[x].dim
+        m = self.n - k
+        # a local star has cells of the m - 1 ranks 0..m-2, so no star is
+        # local when m - 1 exceeds the cells, and the binomials stay small
+        if not 1 <= m - 1 <= len(self.cells):
+            return False
+        counts = [comb(m, t) for t in range(m - 1)]
+        star = self._upper_sets[x]
         if len(star) != sum(counts):
             return False
         layers: list[list[str]] = [[] for _ in counts]
-        for x in star:
-            c = by_id.get(x)
-            if c is None or not 0 <= c.dim < top:
+        for y in star:
+            c = by_id.get(y)
+            if c is None or not 0 <= c.dim - k < len(counts):
                 return False
-            layers[c.dim].append(x)
+            layers[c.dim - k].append(y)
         if any(len(layer) != want for layer, want in zip(layers, counts)):
             return False
-        below = {v: 0}  # the atoms of the star's cells one dimension down
-        for t in range(1, top):
+        below = {x: 0}  # the atoms of the star's cells one rank down
+        for t in range(1, len(counts)):
             atoms: dict[str, int] = {}
-            for i, x in enumerate(layers[t]):
+            for i, y in enumerate(layers[t]):
                 mask, common, found = 0, -1, 0
-                for y, _ in inc.get(x, ()):
-                    if y in below:
-                        mask |= below[y]
-                        common &= below[y]
+                for z, _ in inc.get(y, ()):
+                    if z in below:
+                        mask |= below[z]
+                        common &= below[z]
                         found += 1
-                # face_star counts a cell that a boundary lists twice once
-                if found != t and len({y for y, _ in inc.get(x, ()) if y in below}) != t:
+                # a cover listed twice counts once
+                if found != t and len({z for z, _ in inc.get(y, ()) if z in below}) != t:
                     return False
                 if t == 1:
-                    mask = 1 << i  # a 1-cell is its own atom
+                    mask = 1 << i  # a rank-one cell is its own atom
                 elif mask.bit_count() != t or common:
                     # t distinct (t-1)-sets of t atoms meet in none; fewer meet
                     return False
-                atoms[x] = mask
+                atoms[y] = mask
             if t > 1 and len(set(atoms.values())) != len(atoms):
                 return False
             below = atoms
@@ -470,12 +475,6 @@ def validate_sponge(s: SpongeComplex) -> ValidationReport:
     return s.validation_report
 
 
-def filtration(s: SpongeComplex) -> list[frozenset[str]]:
-    """Cumulative cell-id sets Z_0 <= ... <= Z_(n-2), by cell dimension."""
-    layers = (frozenset(c.id for c in s.cells_of_dim(k)) for k in range(s.n - 1))
-    return list(accumulate(layers, frozenset.union))
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     betti: tuple[int, ...]
@@ -581,40 +580,12 @@ def _rank_and_torsion(columns: Sequence[Mapping[int, int]]) -> tuple[int, tuple[
 
 
 def face_star(s: SpongeComplex, cell_id: str) -> bool:
-    """Whether the upper set of a cell, its star, has local-model shape.
+    """Whether the star of a cell, its upper set, has local-model shape.
 
-    That is, whether the star is poset-isomorphic to the faces of the local
-    model containing a fixed face of the same dimension, i.e. to the
-    truncated Boolean lattice on m = n-k elements (k the cell dimension).
-    A face of that lattice is the set of its atoms, the rank-one faces below
-    it.  So each star cell x of rank r = dim(x)-k gets the atoms below it
-    (x itself at rank one, else the union over its covers one rank down),
-    and the star is local iff it has C(m, t) cells of each rank t in
-    0..n-2-k, no two cells have the same atoms, and every cell has r atoms
-    and r covers one rank down; given the rest, those r covers are exactly
-    the cells one rank down whose atoms it contains.
-
-    In a valid sponge the stars at the 0-cells decide every other star;
-    SpongeComplex.stars_local holds the lemma and decides those stars.
+    The test is SpongeComplex._star_local_at, the one that stars_local runs at
+    the 0-cells; stars_local holds the lemma by which, in a valid sponge,
+    those stars decide every other.
     """
     if cell_id not in s.by_id:
         raise InputFormatError(f"unknown cell id {cell_id!r}")
-    k = s.by_id[cell_id].dim
-    star = s.upper_set(cell_id)
-    dims = {x: s.by_id[x].dim for x in star}
-    ranks = Counter(d - k for d in dims.values())
-    # the rank count first: an invalid cell dimension may make n - 1 - k huge
-    if len(ranks) != s.n - 1 - k or any(ranks[t] != comb(s.n - k, t) for t in range(s.n - 1 - k)):
-        return False
-    layers: list[list[str]] = [[] for _ in ranks]
-    for x, d in dims.items():
-        layers[d - k].append(x)
-    below = {x: {y for y, _ in s.boundary(x) if dims.get(y) == dims[x] - 1} for x in star}
-    atoms: dict[str, frozenset[str]] = {}
-    for layer in layers:  # covers one rank down come first
-        for x in layer:
-            below_atoms = (atoms[y] for y in below[x])
-            atoms[x] = frozenset((x,)) if dims[x] == k + 1 else frozenset().union(*below_atoms)
-    return len(set(atoms.values())) == len(star) and all(
-        len(atoms[x]) == len(below[x]) == dims[x] - k for x in star
-    )
+    return s._star_local_at(cell_id)

@@ -156,21 +156,11 @@ def stabilizer_structure(ws: WeightSystem, indices: Iterable[int]) -> Stabilizer
     return StabilizerStructure(torus_rank=len(idx) - 1, finite_orders=(g,) if g > 1 else ())
 
 
-def hopf_type(ws: WeightSystem, i: int, j: int) -> int:
-    """Sign of c_i / c_j for a strict system: +1 Hopf, -1 anti-Hopf."""
-    if i == j:
-        raise IndexError("hopf_type needs two distinct indices")
-    if not 0 <= i < ws.n or not 0 <= j < ws.n:
-        raise IndexError(f"indices ({i}, {j}) out of range for n={ws.n}")
-    c = strict_coefficients(ws)
-    return c[i] * c[j]
-
-
 def strict_coefficients(ws: WeightSystem) -> tuple[int, ...]:
     """The normalized coefficients c of a strictly appropriate system, each +-1.
 
-    Raises PreconditionError for any other system; hopf_type and the chart
-    sweep of chardata.data_from_charts guard strictness through it.
+    Raises PreconditionError for any other system; the chart sweep of
+    chardata.data_from_charts guards strictness through it.
     """
     if not is_strictly_appropriate(ws):
         raise PreconditionError("hopf_type requires a strictly appropriate system")

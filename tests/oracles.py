@@ -15,7 +15,9 @@ per-row transform, as the reference for the factored one.  Two former
 integer-kernel constructions are kept as references for their replacements:
 signed_incidence_by_kernel, which took each boundary's fundamental cycle
 from integer_kernel, for sign propagation, and local_euler_by_kernel, which
-took the stabilizer line from integer_kernel, for signed maximal minors.
+takes the stabilizer line from integer_kernel and the Hopf sign from the
+Cramer coefficients, for the lines that _pair_lines reads off a chart's
+adjugate.
 Two former quasitoric checks are kept as references for their shortcuts:
 strict_subtori_by_box, the search of the whole box of characters, for the
 solve from one basis, and validate_star_by_smith, one Smith form per face,
@@ -51,8 +53,9 @@ the reference for the check pipeline's euler-cycle stage, which reads the
 verdict off the cocycle report.  data_from_charts_by_facets, the former
 data_from_charts that indexed the 0-cells under each facet and rebuilt the
 set of chart rays in the facet for every (facet, 0-cell) pair, is the
-reference for the one pass over the 0-cells; it shares the per-chart
-direction and the sign solver with the package.  mu_rank_by_cells and
+reference for the one pass over the 0-cells; it takes each direction and
+Hopf sign from local_euler_by_kernel and shares the sign solver with the
+package.  mu_rank_by_cells and
 upper_counts_by_cells, validate_mu's and validation_report's former loops
 over every cell, with a Gaussian rank and a count of each upper set, are
 the references for the checks decided at the 0-cells; they read a complex
@@ -64,15 +67,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 
-from complexity_one.chardata import (
-    CharacteristicData,
-    local_euler_from_weights,
-    solve_euler_signs,
-)
+from complexity_one.chardata import CharacteristicData, solve_euler_signs
 from complexity_one.errors import (
     ConsistencyError,
     DimensionMismatchError,
     InputFormatError,
+    PreconditionError,
     StarConditionError,
     ValidationError,
 )
@@ -91,7 +91,7 @@ from complexity_one.lattice import (
     stack_rows,
 )
 from complexity_one.sponge import CheckResult, HomologyResult, SpongeComplex, ValidationReport
-from complexity_one.weights import cramer_coefficients, hopf_type
+from complexity_one.weights import cramer_coefficients
 
 
 def cofactor_det(m):
@@ -589,12 +589,18 @@ def signed_incidence_by_kernel(cells, covers):
 
 
 def local_euler_by_kernel(ws, i, j):
-    """local_euler_from_weights with the stabilizer line from integer_kernel.
+    """Circle direction and Hopf sign c_i c_j of the facet missing weights i and j of a strict system.
 
-    The line is the kernel of the other n-2 weights and c_i alpha_i + c_j alpha_j.
+    The direction is the stabilizer line from integer_kernel: the kernel of
+    the other n-2 weights and c_i alpha_i + c_j alpha_j, oriented so that
+    its pairing with weight i has the sign of c_j.
     """
-    sign = hopf_type(ws, i, j)
-    c = cramer_coefficients(ws).c
+    cramer = cramer_coefficients(ws)
+    if 0 in cramer.c_tilde:
+        raise PreconditionError("weight system is not in general position")
+    c = cramer.c
+    if any(abs(x) != 1 for x in c):
+        raise PreconditionError("hopf_type requires a strictly appropriate system")
     alphas = ws.weights
     rows = [alphas[m] for m in range(ws.n) if m not in (i, j)]
     rows.append(alphas[i].scale(c[i]) + alphas[j].scale(c[j]))
@@ -607,7 +613,7 @@ def local_euler_by_kernel(ws, i, j):
         raise ConsistencyError("stabilizer direction pairs to zero with its own weights")
     if pair_i * c[j] < 0:
         lam = -lam
-    return lam, sign
+    return lam, c[i] * c[j]
 
 
 def strict_subtori_by_box(values, n, bound):
@@ -932,7 +938,7 @@ def data_from_charts_by_facets(sponge, charts, ambient):
                 raise ConsistencyError(
                     f"facet {fid} meets {len(in_facet)} rays at {vid}, cannot form a chart pair"
                 )
-            direction, sign = local_euler_from_weights(ws, pair[0], pair[1])
+            direction, sign = local_euler_by_kernel(ws, pair[0], pair[1])
             direction = primitive(direction)
             if fid in mu:
                 if mu[fid] != direction:

@@ -19,9 +19,7 @@ from complexity_one.chardata import (
     cocycle_check,
     compatibility_check,
     data_from_charts,
-    local_euler_from_weights,
     local_model_data,
-    orbit_types,
     solve_euler_signs,
     validate_mu,
 )
@@ -33,9 +31,9 @@ from complexity_one.sponge import CheckResult, Cell, SpongeComplex, local_model_
 from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
-    hopf_type,
     induced_weights,
     is_strictly_appropriate,
+    strict_coefficients,
 )
 from conftest import euler_cycle_verdicts, random_unimodular, transformed
 from oracles import (
@@ -163,31 +161,6 @@ class TestCocycle:
         assert cocycle_check(cd).ok
 
 
-class TestOrbitTypes:
-    def test_local_model_profile(self):
-        ws = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(1, 1)))
-        cd = local_model_data(ws)
-        types = {t.face_id: t for t in orbit_types(cd)}
-        assert types["o"].orbit_dim == 0
-        for ray in ("c1", "c2", "c3"):
-            assert types[ray].orbit_dim == 1
-            assert len(types[ray].stabilizer_span) == 1
-        assert types[None].orbit_dim == 2 and types[None].stabilizer_span == ()
-
-    def test_rank_monotone_in_dimension(self):
-        from complexity_one.catalog import load
-
-        cd = load("g42").data
-        ranks = {}
-        for t in orbit_types(cd):
-            if t.face_id is None:
-                continue
-            d = cd.sponge.by_id[t.face_id].dim
-            ranks.setdefault(d, set()).add(cd.n - 1 - t.orbit_dim)
-        for d, vals in ranks.items():
-            assert vals == {cd.n - 1 - d}
-
-
 class TestEulerCycle:
     # the euler-cycle stage of the check pipeline, against the oracle that
     # sums the boundary of the facet chain k(F) mu(F) F
@@ -244,20 +217,23 @@ class TestEulerCycle:
 
 
 class TestLocalEulerFromWeights:
+    """The direction and Hopf sign of each facet at a chart, as _pair_lines reads them off its adjugate."""
+
     def test_grassmannian_signs(self):
-        assert local_euler_from_weights(G42, 0, 1)[1] == -1
-        assert local_euler_from_weights(G42, 0, 2)[1] == 1
-        assert local_euler_from_weights(G42, 2, 3)[1] == -1
+        lines = chardata._pair_lines(G42)
+        assert lines(0, 1)[1] == -1
+        assert lines(0, 2)[1] == 1
+        assert lines(2, 3)[1] == -1
 
     def test_diagonal_system_all_plus(self):
-        ws = WeightSystem(3, (vec(1, 0), vec(0, 1), vec(-1, -1)))
+        lines = chardata._pair_lines(WeightSystem(3, (vec(1, 0), vec(0, 1), vec(-1, -1))))
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert local_euler_from_weights(ws, i, j)[1] == 1
+                    assert lines(i, j)[1] == 1
 
     def test_direction_is_stabilizer_line(self):
-        mu, _ = local_euler_from_weights(G42, 0, 1)
+        mu = IntVector(chardata._pair_lines(G42)(0, 1)[0])
         # direction must pair to zero with the omitted weights
         assert G42.weights[2].dot(mu) == 0
         assert G42.weights[3].dot(mu) == 0
@@ -267,22 +243,25 @@ class TestLocalEulerFromWeights:
         rng = random.Random(15)
         for n in range(3, 7):
             for _ in range(6):
-                unimodular = random_unimodular(rng, n - 1)
-                basis = [unimodular.row(r) for r in range(n - 1)]
-                last = IntVector((0,) * (n - 1))
-                for row in basis:
-                    last = last - row.scale(rng.choice((1, -1)))
-                signs = tuple(rng.choice((1, -1)) for _ in range(n))
-                ws = WeightSystem(n, tuple(w.scale(s) for w, s in zip((*basis, last), signs)))
+                ws = _random_strict_system(rng, n)
+                lines = chardata._pair_lines(ws)
                 for i in range(n):
                     for j in range(n):
                         if i != j:
-                            assert local_euler_from_weights(ws, i, j) == local_euler_by_kernel(ws, i, j)
+                            direction, sign = local_euler_by_kernel(ws, i, j)
+                            # the kernel line pairs with weight i as c_j does; the
+                            # chart's line is that line with its first nonzero entry positive
+                            assert ws.weights[i].dot(direction) * strict_coefficients(ws)[j] > 0
+                            line, got_sign = lines(i, j)
+                            assert line == primitive(direction).entries and got_sign == sign
+                            assert IntVector(line) in (direction, -direction)
 
     def test_non_strict_rejected(self):
         ws = WeightSystem(3, (vec(2, 0), vec(0, 2), vec(-1, -1)))
-        with pytest.raises(PreconditionError):
-            local_euler_from_weights(ws, 0, 1)
+        with pytest.raises(PreconditionError, match=f"^{_NOT_STRICT}$"):
+            chardata._pair_lines(ws)
+        with pytest.raises(PreconditionError, match=f"^{_NOT_STRICT}$"):
+            local_euler_by_kernel(ws, 0, 1)
 
     def test_round_trip_through_local_model(self):
         rng = random.Random(13)
@@ -323,16 +302,13 @@ class TestLocalEulerFromWeights:
                 if any(abs(alpha.dot(l)) != 1 for l in lams):
                     continue
                 ws = induced_weights(lams, SubtorusChoice(alpha))
+            lines, c = chardata._pair_lines(ws), strict_coefficients(ws)
             for i in range(n):
                 for j in range(i + 1, n):
                     for k in range(j + 1, n):
-                        sij = local_euler_from_weights(ws, i, j)[1]
-                        sjk = local_euler_from_weights(ws, j, k)[1]
-                        sik = local_euler_from_weights(ws, i, k)[1]
-                        assert sij * sjk * sik == hopf_type(ws, i, j) * hopf_type(
-                            ws, j, k
-                        ) * hopf_type(ws, i, k)
-                        assert sij == hopf_type(ws, i, j)
+                        sij, sjk, sik = lines(i, j)[1], lines(j, k)[1], lines(i, k)[1]
+                        assert sij * sjk * sik == 1
+                        assert (sij, sjk, sik) == (c[i] * c[j], c[j] * c[k], c[i] * c[k])
 
 
 class TestSolver:
@@ -580,7 +556,6 @@ class TestChartSweep:
                 if i != j:
                     direction, sign = local_euler_by_kernel(ws, i, j)
                     assert lines(i, j) == (primitive(direction).entries, sign)
-                    assert local_euler_from_weights(ws, i, j) == (direction, sign)
                     want[i, j] = primitive(direction)
         # the local model's facet c<I> misses the rays outside I, so its pair is their indices
         cd = local_model_data(ws)

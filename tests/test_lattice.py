@@ -23,7 +23,6 @@ from complexity_one.lattice import (
     kernel_complement,
     minors_and_adjugate,
     primitive,
-    signed_maximal_minors,
     smith_normal_form,
     stack_rows,
     vec,
@@ -132,36 +131,34 @@ class TestDeterminant:
         assert determinant(a) == cofactor_det(a.row_list()) == 0
 
 
-class TestSignedMaximalMinors:
+def _cofactor_minors(a):
+    """v_t = (-1)^t det(a without column t), by cofactor expansion."""
+    rows = a.row_list()
+    return vec(*((-1) ** t * cofactor_det([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols)))
+
+
+class TestMinorsAndAdjugate:
     @given(minor_matrices)
     @settings(max_examples=80, deadline=None)
     def test_cofactors_spanning_the_kernel(self, a):
         # k x (k+1) of rank <= k: full rank gives the kernel line, else zero
-        rows = a.row_list()
-        v = signed_maximal_minors(a)
-        assert list(v) == [(-1) ** t * cofactor_det([r[:t] + r[t + 1 :] for r in rows]) for t in range(a.cols)]
+        v, _ = minors_and_adjugate(a)
+        assert v == _cofactor_minors(a)
         assert (a @ v).is_zero()
-        assert v.is_zero() == (fraction_rank(rows) < a.rows)
+        assert v.is_zero() == (fraction_rank(a.row_list()) < a.rows)
 
-    def test_empty_and_bad_shapes(self):
-        assert signed_maximal_minors(IntMatrix(0, 1, ())) == vec(1)
-        with pytest.raises(DimensionMismatchError):
-            signed_maximal_minors(IntMatrix.identity(2))
-
-
-class TestMinorsAndAdjugate:
     @given(st.one_of(minor_matrices, singular_lead_matrices))
     @settings(max_examples=150, deadline=None)
     def test_equals_the_separate_eliminations(self, a):
         minors, adj = minors_and_adjugate(a)
         lead = IntMatrix(a.rows, a.rows, tuple(x for r in a.row_list() for x in r[: a.rows]))
-        assert minors == signed_maximal_minors(a)
+        assert minors == _cofactor_minors(a)
         assert adj == adjugate(lead)
 
     def test_singular_leading_block_of_full_rank(self):
         a = IntMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
         minors, adj = minors_and_adjugate(a)
-        assert minors == signed_maximal_minors(a) == vec(2, -1, 0)
+        assert minors == _cofactor_minors(a) == vec(2, -1, 0)
         assert adj == Adjugate(0, None)
 
     def test_one_elimination(self, monkeypatch):
@@ -178,8 +175,9 @@ class TestMinorsAndAdjugate:
 
     def test_empty_and_bad_shapes(self):
         assert minors_and_adjugate(IntMatrix(0, 1, ())) == (vec(1), Adjugate(1, IntMatrix(0, 0, ())))
-        with pytest.raises(DimensionMismatchError):
-            minors_and_adjugate(IntMatrix.identity(2))
+        for shape in (IntMatrix.identity(2), IntMatrix.zero(2, 4), IntMatrix.zero(3, 2)):
+            with pytest.raises(DimensionMismatchError):
+                minors_and_adjugate(shape)
 
 
 class TestAdjugate:

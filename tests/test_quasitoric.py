@@ -506,6 +506,28 @@ class TestReduce:
         capsys.readouterr()
         assert len(calls) <= 291
 
+    def test_cli_reduce_reads_the_three_term_faces_once(self, tmp_path, monkeypatch, capsys):
+        # the Euler sign solve and the checks after it share one pass over the
+        # codimension-one faces of the reduced datum; they made two
+        from complexity_one import chardata
+
+        p, values = _cube(4)
+        (tmp_path / "p.json").write_text(canonical_json(polytope_to_dict(p)))
+        (tmp_path / "lam.json").write_text(canonical_json(lambda_to_dict(CharacteristicFunction(values))))
+        passes = []
+        three_term_faces = chardata._three_term_faces
+
+        def counting(*args):
+            passes.append(args[1])
+            return three_term_faces(*args)
+
+        monkeypatch.setattr(chardata, "_three_term_faces", counting)
+        args = ["reduce", "--polytope", str(tmp_path / "p.json"), "--lambda", str(tmp_path / "lam.json")]
+        assert main([*args, "-o", str(tmp_path / "out.json")]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS cocycle" in out and "PASS mu" in out
+        assert len(passes) == 1
+
     @pytest.mark.parametrize(
         "case, digest",
         [

@@ -86,7 +86,6 @@ def test_one_adjugate():
         ("classify", "_SpanFactor"),
     }
     assert set(_uses("minors_and_adjugate")) == {("weights", "WeightSystem")}
-    assert _uses("signed_maximal_minors") == []
     # a determinant is loaded only where it is the answer itself
     assert set(_uses("determinant")) == {
         ("lattice", "_check_smith"),
@@ -105,12 +104,9 @@ def test_one_basis_condition():
 
 
 def test_hermite_form_only_for_lattices():
-    # the Hermite form answers kernel lattices and stabilizer spans;
-    # solve_exact lives on only as the tests' independent oracle
-    assert set(_uses("hermite_normal_form")) == {
-        ("lattice", "integer_kernel"),
-        ("chardata", "orbit_types"),
-    }
+    # the Hermite form answers kernel lattices; solve_exact lives on only as
+    # the tests' independent oracle
+    assert set(_uses("hermite_normal_form")) == {("lattice", "integer_kernel")}
     assert _uses("solve_exact") == []
 
 
@@ -139,7 +135,7 @@ def test_one_sign_propagation():
     # cell orientations, Euler signs and compare's gauges share one routine
     assert set(_uses("propagate_signs")) == {
         ("sponge", "signed_incidence"),
-        ("chardata", "solve_euler_signs"),
+        ("chardata", "_euler_signs"),
         ("classify", "_solve_gauge"),
     }
 
@@ -149,7 +145,6 @@ def test_eliminations_read_plain_rows():
     # an IntVector or IntMatrix per row or per minor is waste
     names = (
         "_bareiss",
-        "signed_maximal_minors",
         "_minors",
         "adjugate",
         "minors_and_adjugate",
@@ -188,7 +183,14 @@ def test_one_reduction_pipeline():
 def test_validators_read_plain_rows():
     # the mu-rank check and the three-term relation read the tuples of mu;
     # a matrix per cell or a scaled vector per sign combination is waste
-    names = {"validate_mu", "cocycle_report", "_vanishing_pattern", "_three_term_faces", "solve_euler_signs"}
+    names = {
+        "validate_mu",
+        "cocycle_report",
+        "_vanishing_pattern",
+        "_three_term_faces",
+        "solve_euler_signs",
+        "_euler_signs",
+    }
     tree = ast.parse((Path(complexity_one.__file__).parent / "chardata.py").read_text())
     found = [
         node
@@ -236,12 +238,14 @@ def test_no_chain_cycle_check():
 def test_one_owner_per_chardata_rule():
     # the three-term relation is read at the codimension-one faces by one
     # helper, which a datum's three_term_faces and the Euler sign solve
-    # share; the per-facet mu-domain rule is one helper too
+    # share, and a datum built from charts takes the faces its sign solve
+    # read; the per-facet mu-domain rule is one helper too
     assert set(_uses("_vanishing_pattern")) == {("chardata", "_three_term_faces")}
     assert set(_uses("_three_term_faces")) == {
         ("chardata", "CharacteristicData"),
-        ("chardata", "solve_euler_signs"),
+        ("chardata", "_euler_signs"),
     }
+    assert set(_uses("_euler_signs")) == {("chardata", "solve_euler_signs"), ("chardata", "data_from_charts")}
     # a datum reads its faces once: mu-rank's gate, cocycle and the pair indices share them
     assert set(_uses("three_term_faces")) == {
         ("chardata", "CharacteristicData"),
@@ -307,7 +311,8 @@ def _calls(fn, name):
 
 def test_face_star_is_one_bit():
     # catalog.verify reads only whether a star is local, so face_star returns
-    # that bit and sorts nothing; the old 4-tuple lives on as the tests' oracle
+    # that bit and sorts nothing; the old 4-tuple lives on as the tests' oracle.
+    # face_star and stars_local run one star test, on atom bit masks
     from complexity_one.sponge import face_star, local_model_sponge
 
     defined = [
@@ -320,6 +325,9 @@ def test_face_star_is_one_bit():
     s = local_model_sponge(4)
     assert [type(face_star(s, c.id)) for c in s.cells] == [bool] * len(s.cells)
     assert _calls(_function("sponge", "face_star"), "sorted") == []
+    assert set(_function_uses("_star_local_at")) == {("sponge", "stars_local"), ("sponge", "face_star")}
+    loaded = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(_function("sponge", "face_star"))}
+    assert not loaded & {"frozenset", "Counter", "comb", "upper_set"}, sorted(loaded & {"frozenset", "Counter", "comb", "upper_set"})
 
 
 def test_defects_found_once():
@@ -387,17 +395,37 @@ def test_constructors_own_their_ids():
 
 def test_chart_lines_in_one_sweep():
     # data_from_charts checks a chart's strictness and reads its c and its
-    # adjugate columns once, through _pair_lines; local_euler_from_weights is
-    # the one-pair view of the same code and no package code calls it
-    assert set(_uses("_pair_lines")) == {
-        ("chardata", "data_from_charts"),
-        ("chardata", "local_euler_from_weights"),
-    }
-    assert _uses("local_euler_from_weights") == []
+    # adjugate columns once, through _pair_lines, the one reader of the
+    # strict coefficients
+    assert set(_uses("_pair_lines")) == {("chardata", "data_from_charts")}
     sweep = _function("chardata", "data_from_charts")
     for name in ("hopf_type", "primitive", "cramer_coefficients", "is_strictly_appropriate"):
         assert _calls(sweep, name) == [], name
-    assert set(_uses("strict_coefficients")) == {("weights", "hopf_type"), ("chardata", "_pair_lines")}
+    assert set(_uses("strict_coefficients")) == {("chardata", "_pair_lines")}
+
+
+def test_no_function_that_nothing_calls():
+    # the filtration, orbit types, one-pair Hopf signs and local Euler data
+    # and the bare signed maximal minors had no caller in the package; their
+    # rules live on in cells_of_dim, validate_mu's mu-rank, strict_coefficients,
+    # _pair_lines and minors_and_adjugate
+    names = {
+        "filtration",
+        "orbit_types",
+        "OrbitType",
+        "hopf_type",
+        "local_euler_from_weights",
+        "signed_maximal_minors",
+    }
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    ]
+    assert defined == []
+    for name in sorted(names):
+        assert _uses(name) == [] and not hasattr(complexity_one, name), name
 
 
 def test_reduction_reads_plain_rows():

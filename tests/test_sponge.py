@@ -40,7 +40,6 @@ from complexity_one.sponge import (
     SpongeComplex,
     _rank_and_torsion,
     face_star,
-    filtration,
     homology,
     local_model_sponge,
     propagate_signs,
@@ -128,24 +127,6 @@ class TestValidate:
             ("cell-dims", "complex has dimension 1, expected 48")
         ]
         assert [e.status for e in rep.entries if e.check == "upper-counts"] == ["pass"]
-
-
-class TestFiltration:
-    def test_local_model_n4(self):
-        s = local_model_sponge(4)
-        zs = filtration(s)
-        assert [len(z) for z in zs] == [1, 5, 11]
-        assert zs[0] == frozenset({"o"})
-        assert zs[0] <= zs[1] <= zs[2]
-        assert zs[-1] == {c.id for c in s.cells}
-
-    def test_k33(self):
-        zs = filtration(k33_sponge())
-        assert [len(z) for z in zs] == [6, 15]
-
-    def test_zero_dimensional(self):
-        s = SpongeComplex(n=2, cells=(Cell("p", 0), Cell("q", 0)), incidence={})
-        assert filtration(s) == [frozenset({"p", "q"})]
 
 
 class TestHomology:
@@ -336,16 +317,18 @@ def _vertex_star(rays: int, wedges: list[tuple[int, int]]) -> SpongeComplex:
     return SpongeComplex.from_covers(4, cells, covers)
 
 
+def _search_local(s: SpongeComplex, cell_id: str) -> bool:
+    """The backtracking reference's is_local; a star member that is not a cell fails the star."""
+    try:
+        return face_star_search(s, cell_id)[3]
+    except KeyError:
+        return False
+
+
 def _assert_star_matches_search(s: SpongeComplex) -> None:
-    """face_star agrees with the backtracking reference's is_local on every cell, errors included."""
+    """face_star agrees with the backtracking reference's is_local on every cell."""
     for c in s.cells:
-        try:
-            want = face_star_search(s, c.id)
-        except KeyError:  # a star member that is not a cell
-            with pytest.raises(KeyError):
-                face_star(s, c.id)
-            continue
-        assert face_star(s, c.id) is want[3], c.id
+        assert face_star(s, c.id) is _search_local(s, c.id), c.id
 
 
 def _prism() -> SimplePolytope:
@@ -921,9 +904,7 @@ class TestStarsAtFixedPoints:
         tested = []
         star_local_at = SpongeComplex._star_local_at
         monkeypatch.setattr(catalog, "face_star", refuse)
-        monkeypatch.setattr(
-            SpongeComplex, "_star_local_at", lambda s, v, counts: tested.append(v) or star_local_at(s, v, counts)
-        )
+        monkeypatch.setattr(SpongeComplex, "_star_local_at", lambda s, x: tested.append(x) or star_local_at(s, x))
         for name in ("g42", "f3", "cp3-reduction", "local-model-7"):
             entry = load(name)
             tested.clear()
@@ -983,12 +964,18 @@ def _two_dim_complexes():
 
 
 class TestChecksAtTheFixedPoints:
-    """stars_local is face_star at every 0-cell, and upper-counts reads it as the per-cell loop would."""
+    """stars_local is the reference star test at every 0-cell, face_star is it at every cell, and
+    upper-counts reads the bit as the per-cell loop would."""
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.one_of(mutated_sponges(), covers_changed()))
     def test_star_bit_is_face_star_at_the_fixed_points(self, s):
-        assert s.stars_local is all(face_star(s, v.id) for v in s.cells_of_dim(0))
+        assert s.stars_local is all(_search_local(s, v.id) for v in s.cells_of_dim(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(mutated_sponges(), covers_changed()))
+    def test_face_star_is_the_search_at_every_cell(self, s):
+        _assert_star_matches_search(s)
 
     @settings(max_examples=200, deadline=None)
     @given(s=st.one_of(mutated_sponges(), covers_changed()))
@@ -1001,7 +988,8 @@ class TestChecksAtTheFixedPoints:
 
     @pytest.mark.parametrize("s", list(_two_dim_complexes()), ids=["empty", "point", "two-points", "edge", "segment"])
     def test_two_dim_complexes(self, s):
-        assert s.stars_local is all(face_star(s, v.id) for v in s.cells_of_dim(0))
+        assert s.stars_local is all(_search_local(s, v.id) for v in s.cells_of_dim(0))
+        _assert_star_matches_search(s)
         assert validate_sponge(s).entries[-1:] == (CheckResult("upper-counts", "pass"),)
 
     @pytest.mark.parametrize(
@@ -1017,5 +1005,6 @@ class TestChecksAtTheFixedPoints:
     def test_a_cover_listed_twice_counts_once(self, listed, local):
         s = local_model_sponge(5)
         s = SpongeComplex(s.n, s.cells, {**s.incidence, "c1.2.3": listed})
+        assert _search_local(s, "o") is local
         assert face_star(s, "o") is local
         assert s.stars_local is local

@@ -15,11 +15,11 @@ from complexity_one.weights import (
     SubtorusChoice,
     WeightSystem,
     cramer_coefficients,
-    hopf_type,
     induced_weights,
     is_general_position,
     is_strictly_appropriate,
     stabilizer_structure,
+    strict_coefficients,
 )
 from conftest import random_general_position_system, random_unimodular
 from oracles import cofactor_adjugate, cofactor_det, invariant_factors_from_minors
@@ -124,7 +124,7 @@ class TestOneElimination:
         cramer_coefficients(ws)
         ws.adjugate_columns
         is_strictly_appropriate(ws)
-        hopf_type(ws, 0, 1)
+        strict_coefficients(ws)
         assert calls == [4]
 
     def test_adjugate_columns_match_cofactors(self):
@@ -212,17 +212,16 @@ class TestStabilizers:
 
 
 class TestHopf:
-    def test_grassmannian_signs(self):
-        assert hopf_type(G42, 0, 1) == -1
-        assert hopf_type(G42, 0, 2) == 1
+    """The Hopf sign of a pair is c_i c_j, from the unit coefficients strict_coefficients returns."""
 
-    def test_diagonal_rejected(self):
-        with pytest.raises(IndexError):
-            hopf_type(G42, 1, 1)
+    def test_grassmannian_signs(self):
+        c = strict_coefficients(G42)
+        assert c[0] * c[1] == -1
+        assert c[0] * c[2] == 1
 
     def test_non_strict_rejected(self):
-        with pytest.raises(PreconditionError):
-            hopf_type(NONSTRICT, 0, 1)
+        with pytest.raises(PreconditionError, match="^hopf_type requires a strictly appropriate system$"):
+            strict_coefficients(NONSTRICT)
 
     def test_multiplicative_on_triples(self):
         rng = random.Random(5)
@@ -232,15 +231,14 @@ class TestHopf:
             if not is_strictly_appropriate(ws):
                 continue
             found += 1
+            c = strict_coefficients(ws)
+            assert c == cramer_coefficients(ws).c and all(abs(x) == 1 for x in c)
             n = ws.n
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
                         if len({i, j, k}) == 3:
-                            assert (
-                                hopf_type(ws, i, j) * hopf_type(ws, j, k)
-                                == hopf_type(ws, i, k)
-                            )
+                            assert (c[i] * c[j]) * (c[j] * c[k]) == c[i] * c[k]
 
 
 class TestInducedWeights:
