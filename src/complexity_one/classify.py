@@ -14,14 +14,15 @@ verifier that substitutes it into every condition.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Mapping
 
 from .chardata import CharacteristicData, _checks, _pair_index
 from .errors import ConsistencyError, PreconditionError
-from .lattice import IntMatrix, adjugate, determinant, independent_rows
-from .sponge import SpongeComplex, homology, propagate_signs
+from .lattice import IntMatrix, adjugate, determinant, dot, independent_rows
+from .sponge import SpongeComplex, homology, sign_walk, signs_along
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,21 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     id.  Each cell tries the candidate with its own id first, so comparing
     data with itself yields the identity first.  Every cover is checked once
     its later cell is placed, so the set of bijections does not depend on the
-    order.  counts["nodes"] counts the assignments made.
+    order.  counts["nodes"] counts the assignments made.  The search works on
+    ints: s1's cells by their place in the order, s2's by their index.
     """
-    from collections import Counter
-
     sig1 = {c.id: _cell_signature(s1, c.id) for c in s1.cells}
-    sig2: dict[tuple, list[str]] = {}
-    for c in s2.cells:
-        sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
+    ids2 = [c.id for c in s2.cells]
+    index2 = {c2: j for j, c2 in enumerate(ids2)}
+    sig2_of = [_cell_signature(s2, c2) for c2 in ids2]
+    sig2: dict[tuple, list[int]] = {}
+    for j, sig in enumerate(sig2_of):
+        sig2.setdefault(sig, []).append(j)
     if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
         return
-    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
+    bnd1, cof1, bnd2, cof2 = s1.boundary_signs, s1.cofaces, s2.boundary_signs, s2.cofaces
+    # the faces and cofaces of each cell of s2; dims tell them apart
+    nbrs2 = [frozenset(map(index2.__getitem__, (*bnd2[c2], *cof2[c2]))) for c2 in ids2]
 
     # Keys only fall, and each fall of an unplaced cell pushes a fresh entry,
     # its least, which pops first: its stale entries pop once it is placed.
@@ -128,75 +133,71 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     heap = [(0, *key) for key in rest.values()]
     heapq.heapify(heap)
     position: dict[str, int] = {}
+    nbrs_before: list[list[int]] = []  # the positions of each cell's faces and cofaces placed before it
     while heap:
         c1 = heapq.heappop(heap)[-1]
         if c1 not in position:
             position[c1] = len(position)
+            nbrs_before.append([])
             for x in (*bnd1[c1], *cof1[c1]):
-                placed_nbrs[x] += 1
-                if x not in position:
+                if x in position:
+                    nbrs_before[-1].append(position[x])
+                else:
+                    placed_nbrs[x] += 1
                     heapq.heappush(heap, (-placed_nbrs[x], *rest[x]))
     order = list(position)
-    # the faces and cofaces of each cell that are placed before it
-    faces_before = [[x for x in bnd1[c] if position[x] < i] for i, c in enumerate(order)]
-    cofaces_before = [[x for x in cof1[c] if position[x] < i] for i, c in enumerate(order)]
 
     def candidates(c1):
         """The same id first, then the rest of its class in the order of s2.cells."""
-        same = (c1,) if c1 in s2.by_id and _cell_signature(s2, c1) == sig1[c1] else ()
-        return chain(same, (c2 for c2 in sig2[sig1[c1]] if c2 != c1))
+        same = index2.get(c1)
+        first = (same,) if same is not None and sig2_of[same] == sig1[c1] else ()
+        return chain(first, (j for j in sig2[sig1[c1]] if j != same))
 
     if not order:
         yield {}
         return
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-    # depth first on an explicit stack of candidate iterators, one per
-    # position up to the one being filled: a recursion would take one
-    # interpreter frame per cell
-    stack = [candidates(order[0])]
+    assign: list[int] = []  # the cell of s2 at each filled position
+    used = [False] * len(ids2)
+    # depth first on an explicit stack (a recursion would take one frame per
+    # cell) of candidate iterators, each with the images of its cell's faces
+    # and cofaces placed before it: one-directional cover preservation, sizes
+    # agree via the signatures
+    stack = [(candidates(order[0]), set())]
     while stack:
         pos = len(stack) - 1
-        c1 = order[pos]
-        if c1 in assign:  # back at this position: undo its last placement
-            used.discard(assign.pop(c1))
-        for c2 in stack[-1]:
-            if c2 in used:
-                continue
-            # one-directional cover preservation; sizes agree via the signatures
-            if any(assign[x] not in bnd2[c2] for x in faces_before[pos]):
-                continue
-            if any(c2 not in bnd2[assign[up]] for up in cofaces_before[pos]):
-                continue
-            assign[c1] = c2
-            used.add(c2)
-            counts["nodes"] += 1
-            break
+        if len(assign) > pos:  # back at this position: undo its last placement
+            used[assign.pop()] = False
+        options, placed = stack[-1]
+        for c2 in options:
+            if not used[c2] and placed <= nbrs2[c2]:
+                assign.append(c2)
+                used[c2] = True
+                counts["nodes"] += 1
+                break
         else:
             stack.pop()
             continue
         if pos + 1 == len(order):
-            yield dict(assign)
+            yield dict(zip(order, map(ids2.__getitem__, assign)))
         else:
-            stack.append(candidates(order[pos + 1]))
+            pos += 1
+            stack.append((candidates(order[pos]), set(map(assign.__getitem__, nbrs_before[pos]))))
 
 
-def _solve_gauge(s1: SpongeComplex, s2: SpongeComplex, mapping: Mapping[str, str]):
+def _solve_gauge(walk, relations, s2: SpongeComplex, mapping: Mapping[str, str]):
     """Per-cell signs making the incidences agree; yields each consistent gauge.
 
-    Constraints: inc2(b(C), b(D)) = gauge(C) * gauge(D) * inc1(C, D).  The
-    gauge is determined up to one sign per connected component of the
-    incidence graph; all completions are enumerated.
+    Constraints: inc2(b(C), b(D)) = gauge(C) * gauge(D) * inc1(C, D), one per
+    incidence (C, D, inc1) of relations, whose sign_walk is walk: compare
+    builds both once.  The gauge is determined up to one sign per connected
+    component of the incidence graph; all completions are enumerated, the
+    first component's flip varying fastest.
     """
-    inc1, inc2 = s1.boundary_signs, s2.boundary_signs  # in id order, built once per complex
-    relations = []
-    for c, bnd in inc1.items():
-        for d, sign1 in bnd.items():
-            sign2 = inc2[mapping[c]].get(mapping[d])
-            if sign2 is None:
-                return  # mapping does not even preserve incidence
-            relations.append((c, d, sign1 * sign2))
-    components = propagate_signs(inc1, relations)
+    inc2 = s2.boundary_signs
+    rels = [sign1 * inc2[mapping[c]].get(mapping[d], 0) for c, d, sign1 in relations]
+    if 0 in rels:
+        return  # mapping does not even preserve incidence
+    components = signs_along(walk, rels)
     if any(conflict is not None for _, conflict in components):
         return
     for flips in range(1 << len(components)):
@@ -214,13 +215,15 @@ class _SpanFactor:
     m1 has the Euler coefficients of the spanning facets (the first facets by
     id with independent directions) as columns; it is square and nonsingular,
     and m1 @ adj == det * I.  A m1 = m2 then has the unique rational solution
-    A = m2 @ adj / det.  adj holds the rows of the adjugate and rest the other
-    facets with their Euler coefficients, as plain ints.
+    A = m2 @ adj / det.  adj holds the rows of the adjugate, adj_cols its
+    columns, and rest the other facets with their Euler coefficients, as
+    plain ints.
     """
 
     span: tuple[str, ...]
     det: int
     adj: tuple[tuple[int, ...], ...]
+    adj_cols: tuple[tuple[int, ...], ...]
     rest: tuple[tuple[str, tuple[int, ...]], ...]
 
     @classmethod
@@ -230,11 +233,13 @@ class _SpanFactor:
         span = tuple(facets[i] for i in independent_rows([cd.mu[f] for f in facets], k))
         rest = tuple((f, cd.euler_coefficient(f).entries) for f in facets if f not in span)
         if not span:
-            return cls(span, 1, tuple(map(tuple, IntMatrix.identity(k).row_list())), rest)
+            rows = tuple(map(tuple, IntMatrix.identity(k).row_list()))
+            return cls(span, 1, rows, rows, rest)
         if len(span) != k:
             raise ConsistencyError(f"spanning facets {list(span)} do not span Q^{k}")
         adj = adjugate(IntMatrix.from_cols([cd.euler_coefficient(f) for f in span]))
-        return cls(span, adj.det, tuple(map(tuple, adj.adj.row_list())), rest)
+        rows = tuple(map(tuple, adj.adj.row_list()))
+        return cls(span, adj.det, rows, tuple(zip(*rows)), rest)
 
 
 def _solve_transform(
@@ -248,28 +253,26 @@ def _solve_transform(
 
     euler2 holds the Euler coefficients sigma2 of the second datum.
     counts["transforms"] counts the gauges whose spanning facets give an
-    integral A.
+    integral A.  The other facets are checked on plain ints before the
+    determinant, which only a transform that fits every facet needs.
     """
     k = len(factor.adj)
     if not factor.span:  # no facets: every A qualifies, the identity among them
         return IntMatrix.identity(k)
-    # the columns of m2, then A = m2 @ adj / det row by row
-    m2 = [[gauge[f] * x for x in euler2[mapping[f]]] for f in factor.span]
+    # A = m2 @ adj / det row by row, m2 having gauge(F) sigma2(b(F)) as columns
     a = []
-    for i in range(k):
-        row = [sum(c[i] * r[j] for c, r in zip(m2, factor.adj)) for j in range(k)]
+    for m2_row in zip(*([gauge[f] * x for x in euler2[mapping[f]]] for f in factor.span)):
+        row = [dot(m2_row, col) for col in factor.adj_cols]
         if any(x % factor.det for x in row):
             return None
         a.append([x // factor.det for x in row])
     counts["transforms"] += 1
-    transform = IntMatrix(k, k, tuple(x for row in a for x in row))
-    if determinant(transform) not in (1, -1):
-        return None
     for fid, e1 in factor.rest:  # A m1 = m2 holds on the span by construction
         g, e2 = gauge[fid], euler2[mapping[fid]]
-        if any(sum(x * y for x, y in zip(row, e1)) != g * z for row, z in zip(a, e2)):
+        if any(dot(row, e1) != g * z for row, z in zip(a, e2)):
             return None
-    return transform
+    transform = IntMatrix(k, k, tuple(x for row in a for x in row))
+    return transform if determinant(transform) in (1, -1) else None
 
 
 def verify_witness(
@@ -322,8 +325,16 @@ def compare(
     When stats is a dict, compare sets its counters of the search: "nodes"
     (cell assignments made), "bijections" (complete cell bijections),
     "gauges" (gauge assignments tried) and "transforms" (gauges whose
-    spanning facets give an integral A, before the unimodularity and
-    all-facet checks).  They stay 0 when compare stops before the search.
+    spanning facets give an integral A, before the all-facet and
+    unimodularity checks).  They stay 0 when compare stops before the search.
+
+    A bijection's gauges come in pairs g, -g (every component flipped), -g
+    after g.  If g gives the transform A, -g gives -A: -A is integral iff A
+    is, det(-A) = +-det A, and (-A) sigma1 = (-g) sigma2 iff A sigma1 =
+    g sigma2; verify_witness reads the gauge through gauge(C) gauge(D) and
+    A sigma1 = g sigma2, and the directions up to sign (with no facets both
+    get the identity).  So -g has the verdict of g: compare solves the first
+    half and counts the second as tried, with the first half's transforms.
     """
     counts = stats if stats is not None else {}
     counts.update(nodes=0, bijections=0, gauges=0, transforms=0)
@@ -351,11 +362,16 @@ def compare(
                 certificate=f"invariant mismatch: {name} {getattr(f1, name)} vs {getattr(f2, name)}",
             )
 
+    inc1 = cd1.sponge.boundary_signs
+    relations = [(c, d, sign) for c, bnd in inc1.items() for d, sign in bnd.items()]
+    walk = sign_walk(inc1, relations)
+    first_half = max(1, (1 << len(walk)) >> 1)  # of each bijection's gauges; -g follows g
     factor = _SpanFactor.of(cd1)
     euler2 = {f: cd2.euler_coefficient(f).entries for f in cd2.sponge.facet_ids}
     for mapping in _poset_bijections(cd1.sponge, cd2.sponge, counts):
         counts["bijections"] += 1
-        for gauge in _solve_gauge(cd1.sponge, cd2.sponge, mapping):
+        gauges, transforms = counts["gauges"], counts["transforms"]
+        for gauge in islice(_solve_gauge(walk, relations, cd2.sponge, mapping), first_half):
             counts["gauges"] += 1
             a = _solve_transform(factor, euler2, mapping, gauge, counts)
             if a is None:
@@ -363,6 +379,9 @@ def compare(
             witness = EquivalenceWitness(mapping=mapping, gauge=gauge, matrix=a)
             if verify_witness(cd1, cd2, witness):
                 return ComparisonResult("equivalent", witness=witness)
+        if walk:  # the negations of the gauges just tried, with their verdicts
+            counts["gauges"] += counts["gauges"] - gauges
+            counts["transforms"] += counts["transforms"] - transforms
     return ComparisonResult(
         "inequivalent",
         certificate=(

@@ -371,27 +371,58 @@ def propagate_signs(
     A relation (a, b, r) asks for s_b = r * s_a.  Per component, in the
     order of its least node (nodes come sorted): its signs, pinned by that
     node's seed (default +1), and the first node where the relations
-    conflict, or None.
+    conflict, or None.  The walk is the graph's alone: a caller that signs
+    one graph many times runs sign_walk once and signs_along each time.
+    """
+    relations = list(relations)
+    return signs_along(sign_walk(nodes, relations), [r for _, _, r in relations], seeds)
+
+
+def sign_walk(nodes: Iterable[str], edges: Sequence[tuple[str, str, int]]) -> list[tuple[str, list, list]]:
+    """The depth-first walk of propagate_signs over the edges e = (a, b, _).
+
+    Per component, in the order of its least node: its root, the tree edges
+    (node, parent, e) in the order the walk reaches their nodes, and each
+    other edge (a loop twice) as (cur, other, e) where the walk first checks
+    it: from cur, with other already reached.
     """
     adj: dict[str, list[tuple[str, int]]] = {}
-    for a, b, r in relations:
-        adj.setdefault(a, []).append((b, r))
-        adj.setdefault(b, []).append((a, r))
-    components: list[tuple[dict[str, int], str | None]] = []
-    placed: set[str] = set()
+    for e, (a, b, _) in enumerate(edges):
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    walk = []
+    # reached nodes, True once their edges are scanned: an edge's end scanned first checks it
+    scanned: dict[str, bool] = {}
     for start in nodes:
-        if start in placed:
+        if start in scanned:
             continue
-        signs, conflict, frontier = {start: (seeds or {}).get(start, 1)}, None, [start]
+        scanned[start] = False
+        tree, closing, frontier = [], [], [start]
         while frontier:
             cur = frontier.pop()
-            for other, rel in adj.get(cur, ()):
-                if other not in signs:
-                    signs[other] = signs[cur] * rel
+            for other, e in adj.get(cur, ()):
+                if other not in scanned:
+                    scanned[other] = False
+                    tree.append((other, cur, e))
                     frontier.append(other)
-                elif signs[other] != signs[cur] * rel and conflict is None:
-                    conflict = other
-        placed.update(signs)
+                elif not scanned[other]:
+                    closing.append((cur, other, e))
+            scanned[cur] = True
+        walk.append((start, tree, closing))
+    return walk
+
+
+def signs_along(
+    walk: Sequence[tuple[str, list, list]], rels: Sequence[int], seeds: Mapping[str, int] | None = None
+) -> list[tuple[dict[str, int], str | None]]:
+    """propagate_signs on a sign_walk, edge e relating its ends by rels[e]."""
+    components: list[tuple[dict[str, int], str | None]] = []
+    seeds = seeds or {}
+    for root, tree, closing in walk:
+        signs = {root: seeds.get(root, 1)}
+        for node, parent, e in tree:
+            signs[node] = signs[parent] * rels[e]
+        conflict = next((other for cur, other, e in closing if signs[other] != signs[cur] * rels[e]), None)
         components.append((signs, conflict))
     return components
 

@@ -59,7 +59,12 @@ package.  mu_rank_by_cells and
 upper_counts_by_cells, validate_mu's and validation_report's former loops
 over every cell, with a Gaussian rank and a count of each upper set, are
 the references for the checks decided at the 0-cells; they read a complex
-through by_id and upper_set.
+through by_id and upper_set.  propagate_signs_in_one_pass, the package's
+former propagate_signs that signed the nodes and checked the relations in
+the one walk, is the reference for the walk split from its signing pass,
+and gauges_by_propagation, compare's former gauge solver that rebuilt the
+relations and propagated them for every bijection, for the gauges signed
+along one walk per compare.
 """
 
 from collections import Counter
@@ -485,6 +490,61 @@ def poset_bijections_recursive(s1, s2, counts):
             used.discard(c2)
 
     yield from backtrack(0)
+
+
+def propagate_signs_in_one_pass(nodes, relations, seeds=None):
+    """Per component: the signs s_b = r * s_a of relations (a, b, r) and the first conflict.
+
+    Signs and checks come from one depth-first walk; each component is
+    pinned by its first node's seed (default +1).
+    """
+    adj = {}
+    for a, b, r in relations:
+        adj.setdefault(a, []).append((b, r))
+        adj.setdefault(b, []).append((a, r))
+    components = []
+    placed = set()
+    for start in nodes:
+        if start in placed:
+            continue
+        signs, conflict, frontier = {start: (seeds or {}).get(start, 1)}, None, [start]
+        while frontier:
+            cur = frontier.pop()
+            for other, rel in adj.get(cur, ()):
+                if other not in signs:
+                    signs[other] = signs[cur] * rel
+                    frontier.append(other)
+                elif signs[other] != signs[cur] * rel and conflict is None:
+                    conflict = other
+        placed.update(signs)
+        components.append((signs, conflict))
+    return components
+
+
+def gauges_by_propagation(s1, s2, mapping):
+    """Yield each per-cell sign assignment making the incidences of s1 and s2 agree.
+
+    Constraints: inc2(b(C), b(D)) = gauge(C) * gauge(D) * inc1(C, D), one
+    relation per incidence, propagated afresh; one sign per component is
+    free, the first component's flip varying fastest.
+    """
+    inc1, inc2 = s1.boundary_signs, s2.boundary_signs
+    relations = []
+    for c, bnd in inc1.items():
+        for d, sign1 in bnd.items():
+            sign2 = inc2[mapping[c]].get(mapping[d])
+            if sign2 is None:
+                return
+            relations.append((c, d, sign1 * sign2))
+    components = propagate_signs_in_one_pass(inc1, relations)
+    if any(conflict is not None for _, conflict in components):
+        return
+    for flips in range(1 << len(components)):
+        gauge = {}
+        for c_idx, (signs, _) in enumerate(components):
+            flip = -1 if flips >> c_idx & 1 else 1
+            gauge.update((x, flip * sign) for x, sign in signs.items())
+        yield gauge
 
 
 def solve_exact(a, b):

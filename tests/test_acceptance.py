@@ -439,3 +439,32 @@ def test_criterion_17_cube_8_checks_at_the_fixed_points(monkeypatch):
     failed = [stage for stage, report in stages.items() if not report.ok]
     ok = not failed and len(calls) == 256 and dt < 1.0
     _report(17, ok, f"checks of the reduced 8-cube read back: failed {failed}, {len(calls)} eliminations in {dt:.3f}s (bound 1.0s)", t0)
+
+
+def test_criterion_18_local_model_6_flip(monkeypatch):
+    # compare solves one transform per pair of gauges g and -g, and checks
+    # every facet on plain ints before it takes a determinant: 720 solves and
+    # no determinant on this flip, where a solve per gauge made 1,440 of
+    # each.  On a 2-vCPU VM, in 10 alternating process pairs, the compare
+    # took 0.47-0.69 s before and 0.15-0.21 s after; the counts tell the two
+    # apart, and the bound leaves room for a slower host
+    import complexity_one.classify as classify
+
+    cd = load("local-model-6").data
+    flipped = transformed(cd, flip={sorted(cd.sponge.facet_ids)[0]})
+    solves, determinants = [], []
+    solve, det = classify._solve_transform, classify.determinant
+    monkeypatch.setattr(classify, "_solve_transform", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(classify, "determinant", lambda a: determinants.append(1) or det(a))
+    t0 = time.monotonic()
+    res = compare(cd, flipped)
+    dt = time.monotonic() - t0
+    ok = res.verdict == "inequivalent" and "(1440 gauge assignments tried)" in res.certificate
+    ok = ok and len(solves) == 720 and not determinants and dt < 0.6
+    _report(
+        18,
+        ok,
+        f"compare(local-model-6, flipped) {res.verdict}: {len(solves)} transform solves, "
+        f"{len(determinants)} determinants in {dt:.3f}s (bound 0.6s)",
+        t0,
+    )

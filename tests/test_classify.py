@@ -11,7 +11,7 @@ from complexity_one.catalog import load, names
 from complexity_one.chardata import Ambient, cocycle_check, validate_mu
 from complexity_one.classify import (
     _poset_bijections,
-    _solve_gauge,
+    _solve_gauge as _gauges_on_walk,
     _solve_transform,
     _SpanFactor,
     canonical_invariants,
@@ -21,9 +21,20 @@ from complexity_one.classify import (
 from complexity_one.errors import ConsistencyError, PreconditionError
 from complexity_one.lattice import IntMatrix, vec
 from complexity_one.quasitoric import SubtorusChoice, reduce
+from complexity_one.sponge import Cell, SpongeComplex, sign_walk, signs_along
 from conftest import euler_cycle_verdicts, random_unimodular, transformed
-from oracles import poset_bijections_by_dim, poset_bijections_recursive, solve_transform_by_rows
+from oracles import (
+    gauges_by_propagation,
+    poset_bijections_by_dim,
+    poset_bijections_recursive,
+    solve_transform_by_rows,
+)
 from test_chardata import _reduced_cube_data
+
+# test_transform_matches_row_wise_solves pairs each bijection with the gauges
+# of the former per-bijection propagation; TestGaugeWalk holds them equal to
+# the gauges compare signs along its one walk
+_solve_gauge = gauges_by_propagation
 
 
 def shuffled_relabel(cd, rng):
@@ -198,10 +209,13 @@ class TestSearchStats:
         [
             ("g42", {"nodes": 1143, "bijections": 48, "gauges": 96, "transforms": 96}),
             ("f3", {"nodes": 762, "bijections": 72, "gauges": 144, "transforms": 144}),
+            ("local-model-5", {"nodes": 2446, "bijections": 120, "gauges": 240, "transforms": 240}),
+            ("local-model-6", {"nodes": 32947, "bijections": 720, "gauges": 1440, "transforms": 1440}),
+            ("reduced-cube-4", {"nodes": 25488, "bijections": 384, "gauges": 768, "transforms": 768}),
         ],
     )
     def test_flip_counts(self, name, counts):
-        cd = load(name).data
+        cd = _reduced_cube_data(4) if name == "reduced-cube-4" else load(name).data
         flipped = transformed(cd, flip={sorted(cd.sponge.facet_ids)[0]})
         stats = {}
         res = compare(cd, flipped, stats=stats)
@@ -313,3 +327,87 @@ class TestSearchOracles:
         )
         with pytest.raises(ConsistencyError):
             _SpanFactor.of(parallel)
+
+
+def _incidence_walk(s):
+    """The incidences (C, D, inc(C, D)) of s and their sign_walk, as compare builds them."""
+    relations = [(c, d, sign) for c, bnd in s.boundary_signs.items() for d, sign in bnd.items()]
+    return relations, sign_walk(s.boundary_signs, relations)
+
+
+def _gauges_along_walk(s1, s2, mapping):
+    relations, walk = _incidence_walk(s1)
+    return list(_gauges_on_walk(walk, relations, s2, mapping))
+
+
+def _reoriented(s, cells):
+    """s with the orientation of each of cells reversed: its incidences change sign."""
+    inc = {
+        c: tuple((x, -sign if (c in cells) != (x in cells) else sign) for x, sign in bnd)
+        for c, bnd in s.incidence.items()
+    }
+    return SpongeComplex(s.n, s.cells, inc)
+
+
+def _assert_gauges_match(s1, s2, limit):
+    # equal to the oracle's gauges in order and in key order; the last half
+    # negates the first, in reverse: flips f and ~f, ~f the later
+    bijections = 0
+    for mapping in islice(_poset_bijections(s1, s2, {"nodes": 0}), limit):
+        got = _gauges_along_walk(s1, s2, mapping)
+        want = list(gauges_by_propagation(s1, s2, mapping))
+        assert [list(g.items()) for g in got] == [list(w.items()) for w in want]
+        for g, negated in zip(got[: len(got) // 2], reversed(got)):
+            assert negated == {x: -sign for x, sign in g.items()}
+        bijections += 1
+    assert bijections > 0
+
+
+# the catalog entries and the reduced 3-cube
+GAUGE_BASES = {name: SEARCH_BASES[name] for name in (*names(), "reduced-cube-3")}
+
+
+class TestGaugeWalk:
+    @pytest.mark.parametrize("name", sorted(GAUGE_BASES))
+    @settings(max_examples=10, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), flip=st.booleans())
+    def test_gauges_match_propagation(self, name, rng, flip):
+        # on a relabelled, transformed and maybe flipped copy whose cells are
+        # partly re-oriented, so that the gauges are not all +1
+        cd = GAUGE_BASES[name]()
+        facets = sorted(cd.sponge.facet_ids)
+        other = transformed(
+            cd,
+            matrix=random_unimodular(rng, cd.n - 1),
+            relabel=shuffled_relabel(cd, rng),
+            flip={rng.choice(facets)} if flip else frozenset(),
+        ).sponge
+        other = _reoriented(other, {c.id for c in other.cells if rng.random() < 0.3})
+        _assert_gauges_match(cd.sponge, other, 12)
+
+    def test_components_pair_by_complement(self):
+        # three components, two edges and a lone vertex, so 8 gauges per
+        # bijection, paired by complementing the flips of all three
+        cells = [("a0", 0), ("a1", 0), ("b0", 0), ("b1", 0), ("v", 0), ("ea", 1), ("eb", 1)]
+        inc = {"ea": (("a1", 1), ("a0", -1)), "eb": (("b1", 1), ("b0", -1))}
+        s1 = SpongeComplex(3, tuple(Cell(c, d) for c, d in cells), inc)
+        s2 = _reoriented(s1, {"a0", "eb"})
+        assert len(_incidence_walk(s1)[1]) == 3
+        _assert_gauges_match(s1, s2, None)
+        assert {len(_gauges_along_walk(s1, s2, m)) for m in _poset_bijections(s1, s2, {"nodes": 0})} == {8}
+
+    def test_signs_conflicting_on_a_cycle(self):
+        # a triangle whose 2-cell meets one edge with the wrong sign in s2:
+        # the identity preserves covers, but not the signs around the cycle
+        dims = {"a": 0, "b": 0, "c": 0, "ab": 1, "bc": 1, "ca": 1, "f": 2}
+        cells = tuple(Cell(c, d) for c, d in dims.items())
+        edges = {"ab": (("b", 1), ("a", -1)), "bc": (("c", 1), ("b", -1)), "ca": (("a", 1), ("c", -1))}
+        s1 = SpongeComplex(4, cells, {**edges, "f": (("ab", 1), ("bc", 1), ("ca", 1))})
+        s2 = SpongeComplex(4, cells, {**edges, "f": (("ab", -1), ("bc", 1), ("ca", 1))})
+        identity = dict(zip(dims, dims))
+        relations, walk = _incidence_walk(s1)
+        rels = [sign * s2.boundary_signs[c][d] for c, d, sign in relations]
+        [(_, conflict)] = signs_along(walk, rels)
+        assert conflict is not None
+        assert _gauges_along_walk(s1, s2, identity) == list(gauges_by_propagation(s1, s2, identity)) == []
+        assert len(_gauges_along_walk(s1, s1, identity)) == 2

@@ -132,12 +132,30 @@ def test_integer_kernel_only_frames_a_subtorus():
 
 
 def test_one_sign_propagation():
-    # cell orientations, Euler signs and compare's gauges share one routine
+    # cell orientations, Euler signs and compare's gauges share one walk,
+    # sign_walk, and one signing pass along it, signs_along: propagate_signs
+    # runs both for the orientations and the Euler signs, compare walks its
+    # first sponge once and _solve_gauge signs the walk per bijection
     assert set(_uses("propagate_signs")) == {
         ("sponge", "signed_incidence"),
         ("chardata", "_euler_signs"),
-        ("classify", "_solve_gauge"),
     }
+    assert set(_uses("sign_walk")) == {("sponge", "propagate_signs"), ("classify", "compare")}
+    assert set(_uses("signs_along")) == {("sponge", "propagate_signs"), ("classify", "_solve_gauge")}
+
+
+def test_compare_walks_once():
+    # the incidence graph the gauges are signed on is the first sponge's
+    # whatever the bijection: compare builds its relations and its walk
+    # before the search, and the per-bijection code only signs them
+    compare = _function("classify", "compare")
+    [search] = [
+        node for node in ast.walk(compare) if isinstance(node, ast.For) and _calls(node.iter, "_poset_bijections")
+    ]
+    assert len(_calls(compare, "sign_walk")) == 1 and _calls(search, "sign_walk") == []
+    for name in ("_solve_gauge", "_solve_transform", "_poset_bijections"):
+        assert _calls(_function("classify", name), "sign_walk") == [], name
+        assert _calls(_function("classify", name), "propagate_signs") == [], name
 
 
 def test_eliminations_read_plain_rows():

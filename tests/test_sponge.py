@@ -52,6 +52,7 @@ from oracles import (
     graph_betti,
     homology_by_smith,
     incidence_indices,
+    propagate_signs_in_one_pass,
     signed_incidence_by_kernel,
     simplicial_betti,
     upper_counts_by_cells,
@@ -423,6 +424,24 @@ class TestPropagateSigns:
             ({"a": 1, "b": -1, "c": 1}, "b"),
             ({"d": -1, "e": 1}, None),
             ({"f": 1}, None),
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.lists(st.sampled_from("abcdefgh"), unique=True),
+        relations=st.lists(
+            st.tuples(st.sampled_from("abcdefghxy"), st.sampled_from("abcdefghxy"), st.sampled_from((1, -1))),
+            max_size=14,
+        ),
+        seeds=st.dictionaries(st.sampled_from("abcdefgh"), st.sampled_from((1, -1))),
+    )
+    def test_walk_then_signs_is_the_one_pass(self, nodes, relations, seeds):
+        # the same signs in the same key order and the same first conflict,
+        # on graphs with parallel edges, loops and nodes missing from nodes
+        got = propagate_signs(nodes, iter(relations), seeds)
+        want = propagate_signs_in_one_pass(nodes, relations, seeds)
+        assert [(list(signs.items()), conflict) for signs, conflict in got] == [
+            (list(signs.items()), conflict) for signs, conflict in want
         ]
 
 
