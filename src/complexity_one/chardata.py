@@ -119,8 +119,10 @@ class CharacteristicData:
             if pattern is None:
                 bad.append(f"face {face}: no +-1 combination of mu values vanishes")
                 continue
-            mus = [self.mu[f].entries for f in through]
             signs = [self.sponge.boundary_signs[f].get(face, 0) * self.euler_sign[f] for f in through]
+            if signs[1:] == [signs[0] * pattern[1], signs[0] * pattern[2]]:
+                continue  # the signs are a multiple of the pattern, whose combination vanishes
+            mus = [self.mu[f].entries for f in through]
             if any(sum(s * x for s, x in zip(signs, column)) for column in zip(*mus)):
                 bad.append(
                     f"face {face}: stored signs do not match the vanishing pattern "
@@ -245,10 +247,14 @@ def _vanishing_pattern(vectors: Sequence[Sequence[int]]) -> tuple[int, ...] | No
     for v in (v1, v2):
         if len(v) != len(v0):
             raise DimensionMismatchError(f"vector dims {len(v0)} != {len(v)}")
+    # e2 * v2 = -(v0 + e1 * v1): e2 = 1 when the sum is -v2, e2 = -1 when it is v2
+    plus, minus = list(v2), [-z for z in v2]
     for e1 in (1, -1):
-        for e2 in (1, -1):
-            if not any(x + e1 * y + e2 * z for x, y, z in zip(v0, v1, v2)):
-                return (1, e1, e2)
+        partial = [x + e1 * y for x, y in zip(v0, v1)]
+        if partial == minus:
+            return (1, e1, 1)
+        if partial == plus:
+            return (1, e1, -1)
     return None
 
 
@@ -432,6 +438,8 @@ def data_from_charts(
     least facet.
     """
     found: dict[str, tuple[tuple[int, ...], int]] = {}
+    # the facets above each ray, off the index; a malformed sponge's whole upper sets
+    above = sponge.facets_containing if sponge._index is not None else sponge.upper_set
     for v in sponge.cells_of_dim(0):
         through = sponge.facets_containing(v.id)
         if not through:
@@ -439,7 +447,7 @@ def data_from_charts(
         chart = charts.get(v.id)
         if chart is None:
             raise ConsistencyError(f"0-cell {v.id} lies in a facet but has no chart")
-        uppers = [sponge.upper_set(r) if r in sponge.by_id else () for r in chart.rays]
+        uppers = [above(r) if r in sponge.by_id else () for r in chart.rays]
         lines = None
         for fid in through:
             pair = [t for t, up in enumerate(uppers) if fid not in up]

@@ -88,8 +88,8 @@ def _require_validated(cd: CharacteristicData, tag: str) -> None:
         raise PreconditionError(f"{tag} carries malformed local Euler data")
 
 
-def _cell_signature(s: SpongeComplex, cid: str) -> tuple[int, int]:
-    """Bijection-invariant local profile: dim and the number of boundary cells.
+def _signatures(s: SpongeComplex) -> list[tuple[int, int]]:
+    """Bijection-invariant local profile of each cell, by index: dim and the number of boundary cells.
 
     compare searches only sponges that pass validation and share n.  There
     incidence-structure makes every boundary cell one dimension lower, and
@@ -97,7 +97,8 @@ def _cell_signature(s: SpongeComplex, cid: str) -> tuple[int, int]:
     dimension d, so the dimensions of the boundary cells and of the upper set
     follow from these two numbers and would not refine the partition.
     """
-    return (s.by_id[cid].dim, len(s.boundary(cid)))
+    index = s._index
+    return [(d, len(b)) for d, b in zip(index.dims, index.bnd)]
 
 
 def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, int]):
@@ -111,45 +112,45 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     data with itself yields the identity first.  Every cover is checked once
     its later cell is placed, so the set of bijections does not depend on the
     order.  counts["nodes"] counts the assignments made.  The search works on
-    ints: s1's cells by their place in the order, s2's by their index.
+    the ints of both sponges' indices (int order is id order), so only a
+    complete bijection is mapped back to ids.
     """
-    sig1 = {c.id: _cell_signature(s1, c.id) for c in s1.cells}
-    ids2 = [c.id for c in s2.cells]
-    index2 = {c2: j for j, c2 in enumerate(ids2)}
-    sig2_of = [_cell_signature(s2, c2) for c2 in ids2]
+    index1, index2 = s1._index, s2._index
+    sig1, sig2_of = _signatures(s1), _signatures(s2)
     sig2: dict[tuple, list[int]] = {}
-    for j, sig in enumerate(sig2_of):
-        sig2.setdefault(sig, []).append(j)
-    if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
+    for c2 in s2.cells:  # each class in the order of s2.cells
+        j = index2.pos[c2.id]
+        sig2.setdefault(sig2_of[j], []).append(j)
+    sizes = {sig: len(cls) for sig, cls in sig2.items()}
+    if Counter(sig1) != Counter(sizes):
         return
-    bnd1, cof1, bnd2, cof2 = s1.boundary_signs, s1.cofaces, s2.boundary_signs, s2.cofaces
-    # the faces and cofaces of each cell of s2; dims tell them apart
-    nbrs2 = [frozenset(map(index2.__getitem__, (*bnd2[c2], *cof2[c2]))) for c2 in ids2]
+    nbrs1, nbrs2 = index1.neighbours, index2.neighbours
 
     # Keys only fall, and each fall of an unplaced cell pushes a fresh entry,
     # its least, which pops first: its stale entries pop once it is placed.
-    placed_nbrs = dict.fromkeys(sig1, 0)
-    rest = {x: (len(sig2[sig1[x]]), -s1.by_id[x].dim, x) for x in sig1}
-    heap = [(0, *key) for key in rest.values()]
+    placed_nbrs = [0] * len(sig1)
+    rest = [(sizes[sig], -d, x) for x, (sig, d) in enumerate(zip(sig1, index1.dims))]
+    heap = [(0, *key) for key in rest]
     heapq.heapify(heap)
-    position: dict[str, int] = {}
+    position = [-1] * len(sig1)
+    order: list[int] = []
     nbrs_before: list[list[int]] = []  # the positions of each cell's faces and cofaces placed before it
     while heap:
         c1 = heapq.heappop(heap)[-1]
-        if c1 not in position:
-            position[c1] = len(position)
+        if position[c1] < 0:
+            position[c1] = len(order)
+            order.append(c1)
             nbrs_before.append([])
-            for x in (*bnd1[c1], *cof1[c1]):
-                if x in position:
+            for x in nbrs1[c1]:
+                if position[x] >= 0:
                     nbrs_before[-1].append(position[x])
                 else:
                     placed_nbrs[x] += 1
                     heapq.heappush(heap, (-placed_nbrs[x], *rest[x]))
-    order = list(position)
 
     def candidates(c1):
         """The same id first, then the rest of its class in the order of s2.cells."""
-        same = index2.get(c1)
+        same = index2.pos.get(index1.ids[c1])
         first = (same,) if same is not None and sig2_of[same] == sig1[c1] else ()
         return chain(first, (j for j in sig2[sig1[c1]] if j != same))
 
@@ -157,7 +158,7 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
         yield {}
         return
     assign: list[int] = []  # the cell of s2 at each filled position
-    used = [False] * len(ids2)
+    used = [False] * len(sig2_of)
     # depth first on an explicit stack (a recursion would take one frame per
     # cell) of candidate iterators, each with the images of its cell's faces
     # and cofaces placed before it: one-directional cover preservation, sizes
@@ -178,7 +179,7 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
             stack.pop()
             continue
         if pos + 1 == len(order):
-            yield dict(zip(order, map(ids2.__getitem__, assign)))
+            yield dict(zip(map(index1.ids.__getitem__, order), map(index2.ids.__getitem__, assign)))
         else:
             pos += 1
             stack.append((candidates(order[pos]), set(map(assign.__getitem__, nbrs_before[pos]))))

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
-from typing import Any, Mapping
+from typing import Any
 
 from .chardata import AMBIENT_KINDS, Ambient, CharacteristicData
 from .errors import InputFormatError
@@ -112,7 +113,12 @@ def _int_list(v: IntVector) -> list:
     return [_encode_int(x) for x in v]
 
 
-def _vector(data, where: str) -> IntVector:
+def _vector(data, where: str, key=None) -> IntVector:
+    """data as a vector; where, then [key] if a key is given, names it in an error, and is formatted only there."""
+    if type(data) is list and all(type(x) is int for x in data):
+        return IntVector(tuple(data))
+    if key is not None:
+        where = f"{where}[{key}]"
     if not isinstance(data, list):
         raise InputFormatError(f"{where}: expected a list of integers")
     return IntVector(tuple(_decode_int(x, where) for x in data))
@@ -131,7 +137,8 @@ def weight_system_from_dict(data: Mapping, where: str = "weight system") -> Weig
         raise InputFormatError(f"{where}.weights: expected a list")
     if len(weights) != n or any(not isinstance(w, list) or len(w) != n - 1 for w in weights):
         raise InputFormatError(f"{where}.weights: expected {n} lists of {n - 1} integers")
-    return WeightSystem(n=n, weights=tuple(_vector(w, f"{where}.weights[{i}]") for i, w in enumerate(weights)))
+    at = f"{where}.weights"
+    return WeightSystem(n=n, weights=tuple(_vector(w, at, i) for i, w in enumerate(weights)))
 
 
 def sponge_to_dict(s: SpongeComplex) -> dict:
@@ -158,9 +165,12 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     for i, c in enumerate(data["cells"]):
         if not isinstance(c, Mapping) or "id" not in c or "dim" not in c:
             raise InputFormatError(f"{where}.cells[{i}]: need 'id' and 'dim'")
-        at = f"{where}.cells[{i}]"
-        label = _text(c.get("label", ""), f"{at}.label")
-        cells.append(Cell(_text(c["id"], f"{at}.id"), _decode_int(c["dim"], f"{at}.dim"), label))
+        cid, dim, label = c["id"], c["dim"], c.get("label", "")
+        if type(cid) is not str or type(dim) is not int or type(label) is not str:
+            at = f"{where}.cells[{i}]"
+            label = _text(label, f"{at}.label")
+            cid, dim = _text(cid, f"{at}.id"), _decode_int(dim, f"{at}.dim")
+        cells.append(Cell(cid, dim, label))
     incidence = {}
     raw_inc = data.get("incidence", {})
     if not isinstance(raw_inc, Mapping):
@@ -169,11 +179,14 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     for cid, entries in raw_inc.items():
         if cid not in ids:  # unknown subcells stay a validation failure
             raise InputFormatError(f"{where}.incidence: key {cid!r} is not a cell id")
-        at = f"{where}.incidence[{cid}]"
         if not isinstance(entries, list):
-            raise InputFormatError(f"{at}: expected a list")
+            raise InputFormatError(f"{where}.incidence[{cid}]: expected a list")
         pairs = []
         for e in entries:
+            if type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int:
+                pairs.append((e[0], e[1]))
+                continue
+            at = f"{where}.incidence[{cid}]"
             if not isinstance(e, list) or len(e) != 2:
                 raise InputFormatError(f"{at}: entries are [id, sign] pairs")
             pairs.append((_text(e[0], at), _decode_int(e[1], at)))
@@ -204,8 +217,11 @@ def chardata_from_dict(data: Mapping, where: str = "chardata") -> Characteristic
         raise InputFormatError(f"{where}.n: {_excerpt(n)} differs from the sponge's n = {_excerpt(sponge.n)}")
     if not isinstance(data["mu"], Mapping) or not isinstance(data["euler_sign"], Mapping):
         raise InputFormatError(f"{where}: 'mu' and 'euler_sign' must be objects")
-    mu = {k: _vector(v, f"{where}.mu[{k}]") for k, v in data["mu"].items()}
-    signs = {k: _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()}
+    at = f"{where}.mu"
+    mu = {k: _vector(v, at, k) for k, v in data["mu"].items()}
+    signs = {
+        k: v if type(v) is int else _decode_int(v, f"{where}.euler_sign[{k}]") for k, v in data["euler_sign"].items()
+    }
     kind = data["ambient"]
     if kind not in AMBIENT_KINDS:
         raise InputFormatError(f"{where}.ambient: unknown kind {kind!r}")
@@ -236,9 +252,10 @@ def polytope_from_dict(data: Mapping, where: str = "polytope") -> SimplePolytope
         raise InputFormatError(f"{where}: 'facets' and 'vertices' must be lists")
     if not all(isinstance(v, list) for v in data["vertices"]):
         raise InputFormatError(f"{where}.vertices: each vertex is a list of facet ids")
-    facets = tuple(_text(f, f"{where}.facets[{i}]") for i, f in enumerate(data["facets"]))
+    facets = tuple(f if type(f) is str else _text(f, f"{where}.facets[{i}]") for i, f in enumerate(data["facets"]))
     vertices = tuple(
-        frozenset(_text(f, f"{where}.vertices[{i}]") for f in v) for i, v in enumerate(data["vertices"])
+        frozenset(f if type(f) is str else _text(f, f"{where}.vertices[{i}]") for f in v)
+        for i, v in enumerate(data["vertices"])
     )
     return SimplePolytope(n=n, facets=facets, vertices=vertices)
 
@@ -250,4 +267,4 @@ def lambda_to_dict(lam: CharacteristicFunction) -> dict:
 def lambda_from_dict(data: Mapping, where: str = "lambda") -> CharacteristicFunction:
     if not isinstance(data, Mapping):
         raise InputFormatError(f"{where}: expected an object of facet -> vector")
-    return CharacteristicFunction({k: _vector(v, f"{where}[{k}]") for k, v in data.items()})
+    return CharacteristicFunction({k: _vector(v, where, k) for k, v in data.items()})

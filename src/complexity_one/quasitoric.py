@@ -38,7 +38,7 @@ from .lattice import (
     primitive_entries,
     stack_rows,
 )
-from .sponge import CheckResult, SpongeComplex, ValidationReport
+from .sponge import CheckResult, SpongeComplex, ValidationReport, _masked, _masks_above
 from .weights import SubtorusChoice, induced_weights
 
 
@@ -376,27 +376,31 @@ class CellManifold:
     def top_cells(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, d in self.cells if d == self.n - 1))
 
-    def closure(self, cell: str) -> frozenset[str]:
-        seen = {cell}
-        frontier = [cell]
-        while frontier:
-            cur = frontier.pop()
-            for sub in self.covers.get(cur, ()):
-                if sub not in seen:
-                    seen.add(sub)
-                    frontier.append(sub)
-        return frozenset(seen)
-
     @cached_property
-    def _top_cells_by_cell(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for t in self.top_cells:  # sorted, so each list comes out sorted
-            for c in self.closure(t):
-                out.setdefault(c, []).append(t)
-        return {c: tuple(tops) for c, tops in out.items()}
+    def _top_cell_masks(self) -> dict[str, int]:
+        """Per id in the cells or the covers, the top cells whose closure holds it, as a mask over top_cells.
+
+        A cover links up to the cell that lists it.  When every cover is of
+        lower dimension than the cell listing it (an id that is no cell
+        counting as dimension -1), descending dimensions are top-down;
+        otherwise (a cover of another dimension, a cycle) the builder ORs
+        the masks to a fixed point.
+        """
+        dims = self.dims
+        ids = sorted({*dims, *self.covers, *(x for below in self.covers.values() for x in below)})
+        pos = {c: i for i, c in enumerate(ids)}
+        up: list[list[int]] = [[] for _ in ids]
+        top_down = True
+        for c, below in self.covers.items():
+            for x in below:
+                up[pos[x]].append(pos[c])
+                top_down = top_down and dims.get(x, -1) < dims.get(c, -1)
+        order = sorted(range(len(ids)), key=lambda i: dims.get(ids[i], -1), reverse=True)
+        masks = _masks_above(order, up, [pos[t] for t in self.top_cells], top_down)
+        return dict(zip(ids, masks))
 
     def top_cells_containing(self, cell: str) -> tuple[str, ...]:
-        return self._top_cells_by_cell.get(cell, ())
+        return _masked(self.top_cells, self._top_cell_masks.get(cell, 0))
 
     def validate_simple(self) -> ValidationReport:
         bad = []

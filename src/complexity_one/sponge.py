@@ -77,6 +77,91 @@ class ValidationReport:
         return [{"check": e.check, "status": e.status, "detail": e.detail} for e in self.entries]
 
 
+def _masks_above(order: Sequence[int], up: Sequence[Sequence[int]], tops: Sequence[int], top_down: bool) -> list[int]:
+    """Per node, the nodes of tops above it (itself included) as a bit mask: bit t for tops[t].
+
+    up[x] lists the nodes just above x.  A node's mask is its own bit, if it
+    is a top, ORed with the masks of the nodes above it, so when order is
+    top-down (each node after every node above it) one pass in that order
+    builds every mask.  Otherwise the passes repeat until none changes a
+    mask: the least fixed point, which is what lies above along the links
+    whatever they are, cycles included.
+    """
+    masks = [0] * len(up)
+    for t, x in enumerate(tops):
+        masks[x] |= 1 << t
+    changed = True
+    while changed:
+        changed = False
+        for x in order:
+            mask = masks[x]
+            for y in up[x]:
+                mask |= masks[y]
+            if mask != masks[x]:
+                masks[x] = mask
+                changed = not top_down
+    return masks
+
+
+def _masked(items: Sequence[str], mask: int) -> tuple[str, ...]:
+    """The items at the set bits of mask, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class _Index:
+    """A complex's cells and incidence on ints, cell i being the i-th id in sorted order.
+
+    So int order is id order.  bnd[i] is cell i's boundary as (cell, sign)
+    pairs in the order of its incidence entry, and cof[i] its cofaces in
+    ascending order.  Only a complex that passes incidence-structure has one.
+    """
+
+    ids: tuple[str, ...]
+    pos: dict[str, int]
+    dims: list[int]
+    bnd: list[tuple[tuple[int, int], ...]]
+    cof: list[list[int]]
+
+    @classmethod
+    def of(cls, by_id: Mapping[str, Cell], incidence: Mapping[str, Sequence[tuple[str, int]]]) -> _Index | None:
+        """The index, or None exactly where validation_report's incidence-structure check fails."""
+        if not by_id.keys() >= incidence.keys():
+            return None  # an incidence key that is not a cell
+        ids = tuple(sorted(by_id))
+        pos = {c: i for i, c in enumerate(ids)}
+        dims = [by_id[c].dim for c in ids]
+        bnd: list[tuple[tuple[int, int], ...]] = []
+        cof: list[list[int]] = [[] for _ in ids]
+        for i, c in enumerate(ids):
+            entries = incidence.get(c, ())
+            d = dims[i]
+            if (d == 0) == bool(entries):
+                return None  # a 0-cell with a boundary, or another cell without one
+            row = []
+            for sub, sign in entries:
+                j = pos.get(sub)
+                if j is None or dims[j] != d - 1 or sign not in (1, -1):
+                    return None
+                up = cof[j]
+                if up and up[-1] == i:
+                    return None  # listed twice: the cells are filled in ascending order
+                up.append(i)
+                row.append((j, sign))
+            bnd.append(tuple(row))
+        return cls(ids, pos, dims, bnd, cof)
+
+    @cached_property
+    def neighbours(self) -> list[frozenset[int]]:
+        """Each cell's faces and cofaces; their dims tell them apart."""
+        return [frozenset([*(j for j, _ in b), *c]) for b, c in zip(self.bnd, self.cof)]
+
+
 @dataclass(frozen=True, eq=False)
 class SpongeComplex:
     """Regular cell complex of dimension n-2 with signed incidence.
@@ -186,20 +271,32 @@ class SpongeComplex:
         return self._upper_sets[cell_id]
 
     @cached_property
-    def _facets_by_cell(self) -> dict[str, tuple[str, ...]]:
-        # a cell whose upper set holds an id that is not a cell gets no entry,
-        # so facets_containing raises KeyError there
+    def _index(self) -> _Index | None:
+        """The incidence on ints (_Index), built once; None decides that incidence-structure fails."""
+        return _Index.of(self.by_id, self.incidence)
+
+    @cached_property
+    def _facet_masks(self) -> list[int]:
+        """Per cell of the index, the facets above it as a bit mask over facet_ids."""
+        index = self._index
         top = self.n - 2
-        return {
-            cid: tuple(sorted(x for x in up if self.by_id[x].dim == top))
-            for cid, up in self._upper_sets.items()
-            if self.by_id.keys() >= up
-        }
+        order = sorted(range(len(index.ids)), key=index.dims.__getitem__, reverse=True)
+        facets = [i for i, d in enumerate(index.dims) if d == top]  # in id order, as facet_ids
+        # every coface is one dimension up, so descending dims are top-down
+        return _masks_above(order, index.cof, facets, top_down=True)
 
     def facets_containing(self, cell_id: str) -> tuple[str, ...]:
         """The facets (cells of dim n-2) in the upper set of the cell, sorted by id."""
-        self.upper_set(cell_id)  # unknown ids raise InputFormatError
-        return self._facets_by_cell[cell_id]
+        index = self._index
+        if index is None:  # malformed incidence: filter the upper set
+            up = self.upper_set(cell_id)
+            if not self.by_id.keys() >= up:
+                raise KeyError(cell_id)  # an upper-set id that is not a cell
+            return tuple(sorted(x for x in up if self.by_id[x].dim == self.n - 2))
+        i = index.pos.get(cell_id)
+        if i is None:
+            raise InputFormatError(f"unknown cell id {cell_id!r}")
+        return _masked(self.facet_ids, self._facet_masks[i])
 
     @cached_property
     def validation_report(self) -> ValidationReport:
@@ -207,33 +304,34 @@ class SpongeComplex:
         dim_bad = self.cell_dim_defects
         entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
+        # the index builds iff incidence-structure passes; only a failing
+        # complex is walked for its messages
         structure_bad = []
-        for c in self.cells:
-            bnd = self.boundary(c.id)
-            if c.dim == 0:
-                if bnd:
-                    structure_bad.append(f"0-cell {c.id} has boundary entries")
-                continue
-            if not bnd:
-                structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
-                continue
-            seen = set()
-            for sub, sign in bnd:
-                if sub not in self.by_id:
-                    structure_bad.append(f"{c.id} references unknown cell {sub}")
+        if self._index is None:
+            for c in self.cells:
+                bnd = self.boundary(c.id)
+                if c.dim == 0:
+                    if bnd:
+                        structure_bad.append(f"0-cell {c.id} has boundary entries")
                     continue
-                if self.by_id[sub].dim != c.dim - 1:
-                    structure_bad.append(
-                        f"{c.id} (dim {c.dim}) lists {sub} of dim {self.by_id[sub].dim}"
-                    )
-                if sign not in (1, -1):
-                    structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
-                if sub in seen:
-                    structure_bad.append(f"{c.id} lists {sub} twice")
-                seen.add(sub)
-        for key in self.incidence:
-            if key not in self.by_id:
-                structure_bad.append(f"incidence key {key} is not a cell")
+                if not bnd:
+                    structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
+                    continue
+                seen = set()
+                for sub, sign in bnd:
+                    if sub not in self.by_id:
+                        structure_bad.append(f"{c.id} references unknown cell {sub}")
+                        continue
+                    if self.by_id[sub].dim != c.dim - 1:
+                        structure_bad.append(f"{c.id} (dim {c.dim}) lists {sub} of dim {self.by_id[sub].dim}")
+                    if sign not in (1, -1):
+                        structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
+                    if sub in seen:
+                        structure_bad.append(f"{c.id} lists {sub} twice")
+                    seen.add(sub)
+            for key in self.incidence:
+                if key not in self.by_id:
+                    structure_bad.append(f"incidence key {key} is not a cell")
         entries += CheckResult.from_violations("incidence-structure", structure_bad)
 
         entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects)
@@ -280,53 +378,62 @@ class SpongeComplex:
 
         That is, whether the star is poset-isomorphic to the faces of the
         local model containing a fixed face of x's dimension: the truncated
-        Boolean lattice on m = n - dim x atoms.  A face of that lattice is the set of its atoms, the rank-one faces below it, and a
-        star cell's rank is its dimension less dim x.  The star is local iff
-        it has C(m, t) cells of each rank t in 0..m-2, each cell y of rank
-        t >= 1 has exactly t covers one rank down in the star, whose atom sets
-        join to t atoms, and no two cells have the same atoms; a rank-one
-        cell is its own atom.  Atom sets are bit masks.  A cover listed twice
-        counts once, and a star member that is not a cell fails the star.
+        Boolean lattice on m = n - dim x atoms.  A face of that lattice is
+        the set of its atoms, the rank-one faces below it, and a star cell's
+        rank is its dimension less dim x.  The star is local iff it has
+        C(m, t) cells of each rank t in 0..m-2, each cell y of rank t >= 1
+        has exactly t covers one rank down in the star, whose atom sets join
+        to t atoms, and no two cells have the same atoms; a rank-one cell is
+        its own atom.  Atom sets are bit masks, ORed up from each rank to the
+        next.  The covers of a cell of rank t >= 2 are distinct (t-1)-sets,
+        so at most t of them lie in t atoms, and the count of covers over
+        the whole rank decides that each cell has t.
+
+        On the index the star is searched rank by rank up the cofaces, and
+        the search stops at the first rank of the wrong size.  On malformed
+        incidence the star is the upper set, a star member that is not a
+        cell fails it, and a cover listed twice counts once.
         """
-        by_id, inc = self.by_id, self.incidence
-        k = by_id[x].dim
+        k = self.by_id[x].dim
         m = self.n - k
         # a local star has cells of the m - 1 ranks 0..m-2, so no star is
         # local when m - 1 exceeds the cells, and the binomials stay small
         if not 1 <= m - 1 <= len(self.cells):
             return False
         counts = [comb(m, t) for t in range(m - 1)]
-        star = self._upper_sets[x]
-        if len(star) != sum(counts):
-            return False
-        layers: list[list[str]] = [[] for _ in counts]
-        for y in star:
-            c = by_id.get(y)
-            if c is None or not 0 <= c.dim - k < len(counts):
+        index = self._index
+        if index is not None:
+            x, up = index.pos[x], index.cof
+        else:
+            star = self._upper_sets[x]
+            if len(star) != sum(counts):
                 return False
-            layers[c.dim - k].append(y)
-        if any(len(layer) != want for layer, want in zip(layers, counts)):
-            return False
+            rank = {}
+            for y in star:
+                c = self.by_id.get(y)
+                if c is None or not 0 <= c.dim - k < len(counts):
+                    return False
+                rank[y] = c.dim - k
+            up = {y: [] for y in star}  # each star cell's cofaces one rank up in the star
+            for y, r in rank.items():
+                for z in {z for z, _ in self.boundary(y) if rank.get(z) == r - 1}:
+                    up[z].append(y)
         below = {x: 0}  # the atoms of the star's cells one rank down
-        for t in range(1, len(counts)):
-            atoms: dict[str, int] = {}
-            for i, y in enumerate(layers[t]):
-                mask, common, found = 0, -1, 0
-                for z, _ in inc.get(y, ()):
-                    if z in below:
-                        mask |= below[z]
-                        common &= below[z]
-                        found += 1
-                # a cover listed twice counts once
-                if found != t and len({z for z, _ in inc.get(y, ()) if z in below}) != t:
-                    return False
-                if t == 1:
-                    mask = 1 << i  # a rank-one cell is its own atom
-                elif mask.bit_count() != t or common:
-                    # t distinct (t-1)-sets of t atoms meet in none; fewer meet
-                    return False
-                atoms[y] = mask
-            if t > 1 and len(set(atoms.values())) != len(atoms):
+        for t, want in enumerate(counts[1:] + [0], 1):  # and no cell one rank past the star
+            atoms: dict = {}
+            covers = 0
+            for z, mask in below.items():
+                covers += len(up[z])
+                for y in up[z]:
+                    atoms[y] = atoms.get(y, 0) | mask
+            if len(atoms) != want:
+                return False
+            if t == 1:
+                below = {y: 1 << i for i, y in enumerate(atoms)}  # a rank-one cell is its own atom
+                continue
+            if covers != t * want or any(mask.bit_count() != t for mask in atoms.values()):
+                return False
+            if len(set(atoms.values())) != want:
                 return False
             below = atoms
         return True
@@ -347,17 +454,23 @@ class SpongeComplex:
     @cached_property
     def boundary_squared_defects(self) -> tuple[str, ...]:
         """One entry per cell of dimension >= 2, in id order, whose boundary has a nonzero boundary."""
+        index = self._index
+        if index is not None:
+            cells = [i for i, d in enumerate(index.dims) if d >= 2]
+            faces, name = index.bnd.__getitem__, index.ids.__getitem__
+        else:  # malformed incidence, whose entries may name ids that are not cells
+            cells = [c.id for c in sorted(self.cells, key=lambda c: c.id) if c.dim >= 2]
+            faces, name = self.boundary, str
         out = []
-        for c in sorted(self.cells, key=lambda c: c.id):
-            if c.dim < 2:
-                continue
-            acc: dict[str, int] = {}
-            for sub, sign in self.boundary(c.id):
-                for sub2, sign2 in self.boundary(sub):
-                    acc[sub2] = acc.get(sub2, 0) + sign * sign2
-            bad = {k: v for k, v in acc.items() if v != 0}
-            if bad:
-                out.append(f"d(d({c.id})) != 0 at {sorted(bad)}")
+        for c in cells:
+            acc: dict = {}  # the nonzero coefficients of d(d(c)) so far
+            for sub, sign in faces(c):
+                for sub2, sign2 in faces(sub):
+                    v = acc.pop(sub2, 0) + sign * sign2
+                    if v:
+                        acc[sub2] = v
+            if acc:
+                out.append(f"d(d({name(c)})) != 0 at {list(map(name, sorted(acc)))}")
         return tuple(out)
 
 

@@ -1,13 +1,21 @@
+import os
 import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import settings
 
 from complexity_one.chardata import CharacteristicData, _checks
 from complexity_one.lattice import IntMatrix, IntVector, determinant, vec
 from complexity_one.quasitoric import CharacteristicFunction, SimplePolytope
 from complexity_one.sponge import Cell, SpongeComplex
 from oracles import euler_cycle_by_boundary
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci), so that a failing example
+# prints the blob that reproduces it with @reproduce_failure
+settings.register_profile("ci", print_blob=True)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:

@@ -64,7 +64,13 @@ former propagate_signs that signed the nodes and checked the relations in
 the one walk, is the reference for the walk split from its signing pass,
 and gauges_by_propagation, compare's former gauge solver that rebuilt the
 relations and propagated them for every bijection, for the gauges signed
-along one walk per compare.
+along one walk per compare.  upper_sets_by_search, facets_by_upper_sets and
+top_cells_by_closure, the package's former string-keyed walks (an upper
+set per cell up the cofaces, the facets filtered out of each, and a
+closure per top cell down the covers), are the references for the dense
+int index and its bit masks, and validation_report_by_walks, the sponge
+axioms as the package checked them on string ids with the upper-counts
+loop over every cell, for the report the index decides.
 """
 
 from collections import Counter
@@ -1045,3 +1051,120 @@ def upper_counts_by_cells(s):
                 bad.append(f"cell {c.id} (dim {c.dim}) lies in {got[d]} cells of dim {d}, expected {want}")
                 break
     return bad
+
+
+def upper_sets_by_search(s):
+    """SpongeComplex's former _upper_sets: per cell, every id reached up the cofaces, itself included.
+
+    A search per cell, not a recursion: a malformed incidence may be cyclic
+    or name ids that are not cells.  Top dimension first, the search takes
+    in the known upper set of a coface whole.
+    """
+    out = {}
+    for c in sorted(s.cells, key=lambda c: -c.dim):
+        seen = {c.id}
+        frontier = [c.id]
+        while frontier:
+            for up in s.cofaces.get(frontier.pop(), ()):
+                if up in seen:
+                    continue
+                if up in out:
+                    seen |= out[up]
+                else:
+                    seen.add(up)
+                    frontier.append(up)
+        out[c.id] = frozenset(seen)
+    return out
+
+
+def facets_by_upper_sets(s):
+    """SpongeComplex's former _facets_by_cell: the facets (dim n-2) in each cell's upper set, sorted by id.
+
+    A cell whose upper set holds an id that is not a cell gets no entry, so
+    facets_containing raised KeyError there.
+    """
+    return {
+        cid: tuple(sorted(x for x in up if s.by_id[x].dim == s.n - 2))
+        for cid, up in upper_sets_by_search(s).items()
+        if s.by_id.keys() >= up
+    }
+
+
+def top_cells_by_closure(m):
+    """CellManifold's former _top_cells_by_cell: per id in a top cell's closure down the covers, those top cells.
+
+    Ids in no closure get no entry; top_cells_containing gave them ().
+    """
+    out = {}
+    for t in sorted(c for c, d in m.cells if d == m.n - 1):
+        seen = {t}
+        frontier = [t]
+        while frontier:
+            for sub in m.covers.get(frontier.pop(), ()):
+                if sub not in seen:
+                    seen.add(sub)
+                    frontier.append(sub)
+        for c in seen:
+            out.setdefault(c, []).append(t)
+    return {c: tuple(tops) for c, tops in out.items()}
+
+
+def validation_report_by_walks(s):
+    """validation_report as the package built it on string ids, its entries in order.
+
+    incidence-structure walks every cell's boundary, boundary-squared sums
+    each d(d(c)) in a dict, and upper-counts runs upper_counts_by_cells
+    whenever cell-dims and incidence-structure pass: with local stars at
+    the 0-cells that loop finds nothing (SpongeComplex.stars_local), which
+    is where the package skips it.
+    """
+    dim_bad = [f"n must be >= 2, got {s.n}"] if s.n < 2 else []
+    dim_bad += [f"cell {c.id} has dim {c.dim} outside 0..{s.n - 2}" for c in s.cells if not 0 <= c.dim <= s.n - 2]
+    top = max((c.dim for c in s.cells), default=0)
+    if s.cells and top != s.n - 2:
+        dim_bad.append(f"complex has dimension {top}, expected {s.n - 2}")
+    dims = {c.id: c.dim for c in s.cells}
+    structure_bad = []
+    for c in s.cells:
+        bnd = s.incidence.get(c.id, ())
+        if c.dim == 0:
+            if bnd:
+                structure_bad.append(f"0-cell {c.id} has boundary entries")
+            continue
+        if not bnd:
+            structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
+            continue
+        seen = set()
+        for sub, sign in bnd:
+            if sub not in dims:
+                structure_bad.append(f"{c.id} references unknown cell {sub}")
+                continue
+            if dims[sub] != c.dim - 1:
+                structure_bad.append(f"{c.id} (dim {c.dim}) lists {sub} of dim {dims[sub]}")
+            if sign not in (1, -1):
+                structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
+            if sub in seen:
+                structure_bad.append(f"{c.id} lists {sub} twice")
+            seen.add(sub)
+    structure_bad += [f"incidence key {key} is not a cell" for key in s.incidence if key not in dims]
+    square_bad = []
+    for cid in sorted(dims):
+        if dims[cid] < 2:
+            continue
+        acc = {}
+        for sub, sign in s.incidence.get(cid, ()):
+            for sub2, sign2 in s.incidence.get(sub, ()):
+                acc[sub2] = acc.get(sub2, 0) + sign * sign2
+        bad = {k: v for k, v in acc.items() if v != 0}
+        if bad:
+            square_bad.append(f"d(d({cid})) != 0 at {sorted(bad)}")
+    count_bad = upper_counts_by_cells(s) if not dim_bad and not structure_bad else []
+    entries = []
+    for check, violations in (
+        ("cell-dims", dim_bad),
+        ("incidence-structure", structure_bad),
+        ("boundary-squared", square_bad),
+        ("upper-counts", count_bad),
+    ):
+        entries += CheckResult.from_violations(check, violations)
+    return ValidationReport(tuple(entries))

@@ -425,7 +425,9 @@ def test_criterion_17_cube_8_checks_at_the_fixed_points(monkeypatch):
     # the check pipeline decides mu-rank with one elimination per 0-cell:
     # 256 on the reduced 8-cube, where the per-cell loop made 6,432.  On a
     # 2-vCPU VM the checks took 0.44-0.76 s before and 0.28-0.52 s after; the
-    # count tells the two apart, and the bound leaves room for a slower host
+    # count tells the two apart, and the bound leaves room for a slower host.
+    # The stars, the facets through each cell and the structure are read off
+    # the sponge's int index, so no upper set is built
     import complexity_one.chardata as chardata
 
     text = canonical_json(chardata_to_dict(_cube_8_reduction()[0]))
@@ -437,8 +439,16 @@ def test_criterion_17_cube_8_checks_at_the_fixed_points(monkeypatch):
     stages = dict(_checks(cd))
     dt = time.monotonic() - t0
     failed = [stage for stage, report in stages.items() if not report.ok]
-    ok = not failed and len(calls) == 256 and dt < 1.0
-    _report(17, ok, f"checks of the reduced 8-cube read back: failed {failed}, {len(calls)} eliminations in {dt:.3f}s (bound 1.0s)", t0)
+    # the checks read the sponge's int index: no upper set is searched
+    searched = "_upper_sets" in vars(cd.sponge)
+    ok = not failed and len(calls) == 256 and not searched and dt < 1.0
+    _report(
+        17,
+        ok,
+        f"checks of the reduced 8-cube read back: failed {failed}, {len(calls)} eliminations, "
+        f"upper sets built: {searched}, in {dt:.3f}s (bound 1.0s)",
+        t0,
+    )
 
 
 def test_criterion_18_local_model_6_flip(monkeypatch):

@@ -603,18 +603,21 @@ class TestDataFromCharts:
             assert got.ambient == want.ambient
 
     def test_reads_each_ray_upper_set_once(self, monkeypatch):
+        # a ray's facets are read once, off the index: no upper set is searched
         ws = load("local-model-10").weight_systems["o"]
         rays = {f"c{i}" for i in range(1, 11)}
-        reads = []
-        upper_set = SpongeComplex.upper_set
+        reads, searched = [], []
+        facets_containing, upper_set = SpongeComplex.facets_containing, SpongeComplex.upper_set
 
         def counting(self, cell_id):
             reads.append(cell_id)
-            return upper_set(self, cell_id)
+            return facets_containing(self, cell_id)
 
-        monkeypatch.setattr(SpongeComplex, "upper_set", counting)
-        local_model_data(ws)
-        assert sum(r in rays for r in reads) == 10
+        monkeypatch.setattr(SpongeComplex, "facets_containing", counting)
+        monkeypatch.setattr(SpongeComplex, "upper_set", lambda s, c: searched.append(c) or upper_set(s, c))
+        cd = local_model_data(ws)
+        assert sorted(r for r in reads if r in rays) == sorted(rays)
+        assert searched == [] and "_upper_sets" not in vars(cd.sponge)
 
     def test_facet_needs_two_rays_outside_it(self):
         charts = {"o": Chart(DIAGONAL, ("c1", "c1", "c2"))}

@@ -368,9 +368,48 @@ def test_defects_found_once():
 
 
 def test_reduction_edges_from_covers():
-    # a 0-cell's edges come from the covers of the 1-cells; the closure walk
-    # serves only the index of top cells through each cell
-    assert {owner for module, owner in _function_uses("closure") if module == "quasitoric"} == {"_top_cells_by_cell"}
+    # a 0-cell's edges come from the covers of the 1-cells, and the top cells
+    # through a cell from the one mask builder: no closure walk is left, nor
+    # the sponge's per-cell facet filter (tests/oracles.py keeps both)
+    names = {"closure", "_top_cells_by_cell", "_facets_by_cell"}
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    ]
+    assert defined == []
+    for name in sorted(names):
+        assert _uses(name) == [], name
+
+
+def test_one_mask_builder():
+    # the facets above a sponge cell and the top cells above a manifold cell
+    # are one top-down bit-mask builder over the maximal cells, read back by
+    # one helper; the sponge's masks stand on its int index alone
+    assert set(_function_uses("_masks_above")) == {("sponge", "_facet_masks"), ("quasitoric", "_top_cell_masks")}
+    assert set(_function_uses("_masked")) == {("sponge", "facets_containing"), ("quasitoric", "top_cells_containing")}
+    assert set(_function_uses("_facet_masks")) == {("sponge", "facets_containing")}
+    assert set(_function_uses("_top_cell_masks")) == {("quasitoric", "top_cells_containing")}
+    masks = _method("sponge", "SpongeComplex", "_facet_masks")
+    loaded = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(masks)}
+    banned = {"cofaces", "upper_set", "_upper_sets", "by_id"}
+    assert not loaded & banned, sorted(loaded & banned)
+
+
+def test_upper_sets_only_off_the_valid_path():
+    # the valid path reads the index: an upper set is searched only for the
+    # star of a malformed complex, for the upper-counts loop behind a failed
+    # star, for facets_containing on a malformed complex, and for the rays
+    # of a chart on one; compare and the checks never name it
+    assert set(_function_uses("_upper_sets")) == {("sponge", "upper_set"), ("sponge", "_star_local_at")}
+    assert set(_function_uses("upper_set")) == {
+        ("sponge", "validation_report"),
+        ("sponge", "facets_containing"),
+        ("chardata", "data_from_charts"),
+    }
+    # the string-keyed cofaces serve only the upper-set search
+    assert set(_function_uses("cofaces")) == {("sponge", "_upper_sets")}
 
 
 def test_search_indices_built_once():

@@ -49,13 +49,17 @@ from complexity_one.sponge import (
 from complexity_one.weights import WeightSystem
 from oracles import (
     face_star_search,
+    facets_by_upper_sets,
     graph_betti,
     homology_by_smith,
     incidence_indices,
     propagate_signs_in_one_pass,
     signed_incidence_by_kernel,
     simplicial_betti,
+    top_cells_by_closure,
     upper_counts_by_cells,
+    upper_sets_by_search,
+    validation_report_by_walks,
 )
 from test_lattice import _shaped
 from test_quasitoric import torus_three_hexagons
@@ -929,6 +933,8 @@ class TestStarsAtFixedPoints:
             tested.clear()
             assert verify(entry).ok
             assert tested == [c.id for c in entry.data.sponge.cells_of_dim(0)], name
+            # each star is searched up the index's cofaces: no upper set is built
+            assert "_upper_sets" not in vars(entry.data.sponge), name
 
 
 # small complexes of n = 2 to 5, whose covers the strategy below changes
@@ -1027,3 +1033,180 @@ class TestChecksAtTheFixedPoints:
         assert _search_local(s, "o") is local
         assert face_star(s, "o") is local
         assert s.stars_local is local
+
+
+@st.composite
+def incidence_broken(draw):
+    """A complex of COVER_BASES with one defect that validation reports: one of _mutated's kinds,
+    a boundary entry naming no cell, a coefficient other than +-1, a 0-cell with a boundary, or a
+    cycle (a cell listed in the boundary of one of its faces)."""
+    s = STAR_CASES[draw(st.sampled_from(COVER_BASES))]()
+    cells, incidence = list(s.cells), {k: list(v) for k, v in s.incidence.items()}
+    keys = sorted(k for k, v in incidence.items() if v)
+    assume(keys)
+    kind = draw(st.sampled_from(MUTATIONS + ("unknown-entry", "coefficient", "point-boundary", "cycle")))
+    if kind in MUTATIONS:
+        return _mutated(s, kind, random.Random(draw(st.integers(0, 2**16))))
+    key = draw(st.sampled_from(keys))
+    if kind == "unknown-entry":
+        incidence[key].append(("nowhere", 1))
+    elif kind == "coefficient":
+        t = draw(st.integers(0, len(incidence[key]) - 1))
+        incidence[key][t] = (incidence[key][t][0], draw(st.sampled_from((0, 2, -3))))
+    elif kind == "point-boundary":
+        point = draw(st.sampled_from(s.cells_of_dim(0)))
+        incidence[point.id] = [(draw(st.sampled_from(cells)).id, 1)]
+    else:
+        sub = draw(st.sampled_from([x for x, _ in incidence[key]]))
+        incidence[sub] = incidence.get(sub, []) + [(key, 1)]
+    return SpongeComplex(s.n, tuple(cells), incidence)
+
+
+MANIFOLD_CASES = {
+    "torus": torus_three_hexagons,
+    "simplex-3": lambda: simplex_polytope().boundary,
+    "prism-3": lambda: _prism().boundary,
+    "cube-3": lambda: _cube(3).boundary,
+    "cube-4": lambda: _cube(4).boundary,
+}
+
+
+@st.composite
+def manifolds_changed(draw):
+    """A cell manifold under a renaming of its ids, with up to two defects: a cover naming no cell,
+    a cover listed twice, a cell of another dimension, a cycle (a cell covering itself or a cell
+    above it), a cover dropped, or a covers key that is no cell but is listed by a top cell."""
+    m = MANIFOLD_CASES[draw(st.sampled_from(sorted(MANIFOLD_CASES)))]()
+    ids = [c for c, _ in m.cells]
+    rename = dict(zip(ids, draw(st.permutations(ids))))
+    cells = [(rename[c], d) for c, d in m.cells]
+    covers = {rename[c]: [rename[x] for x in below] for c, below in m.covers.items()}
+    for step in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("unknown", "twice", "dim", "cycle", "drop", "ghost-key")))
+        key = draw(st.sampled_from(sorted(k for k, v in covers.items() if v)))
+        if kind == "unknown":
+            covers[key].append(f"zz{step}")
+        elif kind == "twice":
+            covers[key].append(draw(st.sampled_from(covers[key])))
+        elif kind == "dim":
+            t = draw(st.integers(0, len(cells) - 1))
+            cells[t] = (cells[t][0], draw(st.integers(-1, m.n)))
+        elif kind == "cycle":
+            sub = draw(st.sampled_from(covers[key] + [key]))
+            covers[sub] = covers.get(sub, []) + [key]
+        elif kind == "drop":
+            covers[key].pop(draw(st.integers(0, len(covers[key]) - 1)))
+        else:
+            covers[f"ghost{step}"] = [draw(st.sampled_from(cells))[0]]
+            covers[key].append(f"ghost{step}")
+    return CellManifold(m.n, tuple(cells), covers)
+
+
+INDEX_CASES = st.one_of(mutated_sponges(), covers_changed(), incidence_broken())
+
+
+class TestDenseIndex:
+    """The int index, its facet masks and the top-cell masks equal the former string-keyed walks
+    (tests/oracles.py), exceptions included, on malformed input too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=INDEX_CASES)
+    def test_facets_containing_filters_the_upper_sets(self, s):
+        want = facets_by_upper_sets(s)
+        for cid in [c.id for c in s.cells] + ["nowhere", "ghost"]:
+            if cid not in s.by_id:
+                with pytest.raises(InputFormatError, match=f"^unknown cell id {cid!r}$"):
+                    s.facets_containing(cid)
+            elif cid in want:
+                assert s.facets_containing(cid) == want[cid], cid
+            else:
+                with pytest.raises(KeyError):  # an upper-set id that is not a cell
+                    s.facets_containing(cid)
+        assert {c.id: s.upper_set(c.id) for c in s.cells} == upper_sets_by_search(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=INDEX_CASES)
+    def test_stars_are_the_search(self, s):
+        assert s.stars_local is all(_search_local(s, v.id) for v in s.cells_of_dim(0))
+        _assert_star_matches_search(s)
+        with pytest.raises(InputFormatError, match="^unknown cell id 'nowhere'$"):
+            face_star(s, "nowhere")
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=INDEX_CASES)
+    def test_validation_report_is_the_walks(self, s):
+        report = validate_sponge(s)
+        assert report == validation_report_by_walks(s)
+        # the index builds exactly where incidence-structure passes
+        structure_fails = CheckResult("incidence-structure", "pass") not in report.entries
+        assert (s._index is None) is structure_fails
+
+    @pytest.mark.parametrize("case", sorted(STAR_CASES))
+    def test_valid_complexes(self, case):
+        s = STAR_CASES[case]()
+        assert s._index is not None and s._index.ids == tuple(sorted(s.by_id))
+        want = facets_by_upper_sets(s)
+        assert {c.id: s.facets_containing(c.id) for c in s.cells} == want
+        assert validate_sponge(s) == validation_report_by_walks(s)
+        assert s._index.cof == [[s._index.pos[x] for x in s.cofaces[cid]] for cid in s._index.ids]
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=manifolds_changed())
+    def test_top_cells_containing_is_the_closure(self, m):
+        want = top_cells_by_closure(m)
+        named = {c for c, _ in m.cells} | set(m.covers) | {x for below in m.covers.values() for x in below}
+        for cid in sorted(named) + ["nope"]:
+            assert m.top_cells_containing(cid) == want.get(cid, ()), cid
+
+    def test_a_cycle_above_a_top_cell(self):
+        # t covers e, e covers v and e lists t back: the fixed point, not one pass
+        m = CellManifold(2, (("t", 1), ("e", 0), ("v", 0)), {"t": ["e"], "e": ["v", "t"], "v": ["e"]})
+        assert [m.top_cells_containing(c) for c in ("t", "e", "v", "nope")] == [("t",), ("t",), ("t",), ()]
+        assert top_cells_by_closure(m) == {"t": ("t",), "e": ("t",), "v": ("t",)}
+
+
+def _counting_upper_sets(monkeypatch) -> list:
+    """Record each SpongeComplex whose _upper_sets is built from now on."""
+    from functools import cached_property
+
+    built = []
+    search = vars(SpongeComplex)["_upper_sets"].func
+    probe = cached_property(lambda s: built.append(s) or search(s))
+    probe.__set_name__(SpongeComplex, "_upper_sets")
+    monkeypatch.setattr(SpongeComplex, "_upper_sets", probe)
+    return built
+
+
+class TestNoUpperSetsOnTheValidPath:
+    """Valid data's checks, compare and CLI reduce read the index and never search an upper set."""
+
+    def test_checks_and_compare(self, monkeypatch):
+        from complexity_one.chardata import _checks
+        from complexity_one.classify import compare
+        from complexity_one.io import chardata_from_dict, chardata_to_dict
+
+        built = _counting_upper_sets(monkeypatch)
+        for name in ("g42", "f3", "cp3-reduction", "local-model-5"):
+            cd = chardata_from_dict(chardata_to_dict(load(name).data))
+            assert all(report.ok for _, report in _checks(cd)), name
+            other = chardata_from_dict(chardata_to_dict(load(name).data))
+            assert compare(cd, other).equivalent, name
+        assert built == []
+        # the probe sees a malformed complex's upper sets
+        s = load("g42").data.sponge
+        broken = SpongeComplex(s.n, s.cells, {**s.incidence, "ghost": (("nowhere", 1),)})
+        assert not validate_sponge(broken).ok and face_star(broken, s.facet_ids[0]) and built == [broken]
+
+    def test_cli_reduce(self, tmp_path, monkeypatch, capsys):
+        from complexity_one import cli
+        from complexity_one.io import canonical_json, lambda_to_dict, polytope_to_dict
+
+        p = _cube(4)
+        lam = coloring_pullback(p, {f: int(f[:-1]) + 1 for f in p.facets})
+        (tmp_path / "p.json").write_text(canonical_json(polytope_to_dict(p)))
+        (tmp_path / "l.json").write_text(canonical_json(lambda_to_dict(lam)))
+        built = _counting_upper_sets(monkeypatch)
+        argv = ["reduce", "--polytope", str(tmp_path / "p.json"), "--lambda", str(tmp_path / "l.json")]
+        assert cli.main(argv + ["-o", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+        assert built == []
