@@ -94,6 +94,11 @@ class CharacteristicData:
         return self.mu[facet_id].scale(self.euler_sign[facet_id])
 
     @cached_property
+    def mu_defects(self) -> dict[str, str]:
+        """_mu_defect of each facet with a mu value, in id order: one pass for validate_mu and compatibility_check."""
+        return {f: _mu_defect(f, self.mu[f], self.n) for f in self.sponge.facet_ids if f in self.mu}
+
+    @cached_property
     def three_term_faces(self) -> tuple[tuple[str, tuple[str, ...], str, tuple[int, ...] | None], ...]:
         """_three_term_faces of the sponge and mu, read once for validate_mu, cocycle and the fingerprint.
 
@@ -119,7 +124,7 @@ class CharacteristicData:
             if pattern is None:
                 bad.append(f"face {face}: no +-1 combination of mu values vanishes")
                 continue
-            signs = [self.sponge.boundary_signs[f].get(face, 0) * self.euler_sign[f] for f in through]
+            signs = [(self.sponge._coefficient(f, face) or 0) * self.euler_sign[f] for f in through]
             if signs[1:] == [signs[0] * pattern[1], signs[0] * pattern[2]]:
                 continue  # the signs are a multiple of the pattern, whose combination vanishes
             mus = [self.mu[f].entries for f in through]
@@ -169,10 +174,7 @@ def validate_mu(cd: CharacteristicData) -> ValidationReport:
         domain_bad.append(f"facet {fid} has no mu value")
     for fid in sorted(set(cd.mu) - facets):
         domain_bad.append(f"mu defined on non-facet {fid}")
-    for fid in sorted(facets & set(cd.mu)):
-        defect = _mu_defect(fid, cd.mu[fid], cd.n)
-        if defect:
-            domain_bad.append(defect)
+    domain_bad += [defect for defect in cd.mu_defects.values() if defect]
     entries += CheckResult.from_violations("mu-domain", domain_bad)
     if domain_bad:
         return ValidationReport(tuple(entries))
@@ -233,8 +235,7 @@ def compatibility_check(cd: CharacteristicData) -> bool:
     facet has a primitive nonzero mu and a sign in {+1, -1}.
     """
     for fid in cd.sponge.facet_ids:
-        v = cd.mu.get(fid)
-        if v is None or _mu_defect(fid, v, cd.n):
+        if fid not in cd.mu or cd.mu_defects[fid]:
             return False
         if cd.euler_sign.get(fid) not in (1, -1):
             return False
@@ -394,7 +395,9 @@ def _euler_signs(
             raise ConsistencyError(defect)
         if pattern is None:
             raise ConsistencyError(f"face {face}: no +-1 vanishing combination of mu values")
-        inc = [sponge.boundary_signs[f][face] for f in through]
+        inc = [sponge._coefficient(f, face) for f in through]
+        if None in inc:
+            raise KeyError(face)  # a facet above the face that does not list it
         # need inc[t] * k[t] proportional to pattern[t]
         target = [pattern[t] * inc[t] for t in range(3)]
         for t in range(1, 3):
@@ -438,8 +441,6 @@ def data_from_charts(
     least facet.
     """
     found: dict[str, tuple[tuple[int, ...], int]] = {}
-    # the facets above each ray, off the index; a malformed sponge's whole upper sets
-    above = sponge.facets_containing if sponge._index is not None else sponge.upper_set
     for v in sponge.cells_of_dim(0):
         through = sponge.facets_containing(v.id)
         if not through:
@@ -447,7 +448,7 @@ def data_from_charts(
         chart = charts.get(v.id)
         if chart is None:
             raise ConsistencyError(f"0-cell {v.id} lies in a facet but has no chart")
-        uppers = [above(r) if r in sponge.by_id else () for r in chart.rays]
+        uppers = [sponge.facets_containing(r) if r in sponge.by_id else () for r in chart.rays]
         lines = None
         for fid in through:
             pair = [t for t, up in enumerate(uppers) if fid not in up]

@@ -112,8 +112,8 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
     data with itself yields the identity first.  Every cover is checked once
     its later cell is placed, so the set of bijections does not depend on the
     order.  counts["nodes"] counts the assignments made.  The search works on
-    the ints of both sponges' indices (int order is id order), so only a
-    complete bijection is mapped back to ids.
+    the ints of both sponges' indices (int order is id order) and yields each
+    bijection as {int of s1: int of s2} in placement order.
     """
     index1, index2 = s1._index, s2._index
     sig1, sig2_of = _signatures(s1), _signatures(s2)
@@ -179,23 +179,23 @@ def _poset_bijections(s1: SpongeComplex, s2: SpongeComplex, counts: dict[str, in
             stack.pop()
             continue
         if pos + 1 == len(order):
-            yield dict(zip(map(index1.ids.__getitem__, order), map(index2.ids.__getitem__, assign)))
+            yield dict(zip(order, assign))
         else:
             pos += 1
             stack.append((candidates(order[pos]), set(map(assign.__getitem__, nbrs_before[pos]))))
 
 
-def _solve_gauge(walk, relations, s2: SpongeComplex, mapping: Mapping[str, str]):
+def _solve_gauge(walk, relations, inc2: list[dict[int, int]], image: Mapping[int, int]):
     """Per-cell signs making the incidences agree; yields each consistent gauge.
 
     Constraints: inc2(b(C), b(D)) = gauge(C) * gauge(D) * inc1(C, D), one per
-    incidence (C, D, inc1) of relations, whose sign_walk is walk: compare
-    builds both once.  The gauge is determined up to one sign per connected
+    incidence (C, D, inc1) of relations, whose sign_walk is walk; compare
+    builds them and inc2, [C : D] per cell of s2, once, on index ints like the
+    bijection b (image).  The gauge is determined up to one sign per connected
     component of the incidence graph; all completions are enumerated, the
     first component's flip varying fastest.
     """
-    inc2 = s2.boundary_signs
-    rels = [sign1 * inc2[mapping[c]].get(mapping[d], 0) for c, d, sign1 in relations]
+    rels = [sign1 * inc2[image[c]].get(image[d], 0) for c, d, sign1 in relations]
     if 0 in rels:
         return  # mapping does not even preserve incidence
     components = signs_along(walk, rels)
@@ -216,43 +216,44 @@ class _SpanFactor:
     m1 has the Euler coefficients of the spanning facets (the first facets by
     id with independent directions) as columns; it is square and nonsingular,
     and m1 @ adj == det * I.  A m1 = m2 then has the unique rational solution
-    A = m2 @ adj / det.  adj holds the rows of the adjugate, adj_cols its
-    columns, and rest the other facets with their Euler coefficients, as
-    plain ints.
+    A = m2 @ adj / det.  span holds those facets' ints in the sponge's index,
+    adj the rows of the adjugate, adj_cols its columns, and rest the other
+    facets' ints with their Euler coefficients, as plain ints.
     """
 
-    span: tuple[str, ...]
+    span: tuple[int, ...]
     det: int
     adj: tuple[tuple[int, ...], ...]
     adj_cols: tuple[tuple[int, ...], ...]
-    rest: tuple[tuple[str, tuple[int, ...]], ...]
+    rest: tuple[tuple[int, tuple[int, ...]], ...]
 
     @classmethod
     def of(cls, cd: CharacteristicData) -> "_SpanFactor":
         k = cd.n - 1
-        facets = cd.sponge.facet_ids
-        span = tuple(facets[i] for i in independent_rows([cd.mu[f] for f in facets], k))
-        rest = tuple((f, cd.euler_coefficient(f).entries) for f in facets if f not in span)
+        facets, pos = cd.sponge.facet_ids, cd.sponge._index.pos
+        span = [facets[i] for i in independent_rows([cd.mu[f] for f in facets], k)]
+        rest = tuple((pos[f], cd.euler_coefficient(f).entries) for f in facets if f not in span)
         if not span:
             rows = tuple(map(tuple, IntMatrix.identity(k).row_list()))
-            return cls(span, 1, rows, rows, rest)
+            return cls((), 1, rows, rows, rest)
         if len(span) != k:
-            raise ConsistencyError(f"spanning facets {list(span)} do not span Q^{k}")
+            raise ConsistencyError(f"spanning facets {span} do not span Q^{k}")
         adj = adjugate(IntMatrix.from_cols([cd.euler_coefficient(f) for f in span]))
         rows = tuple(map(tuple, adj.adj.row_list()))
-        return cls(span, adj.det, rows, tuple(zip(*rows)), rest)
+        return cls(tuple(pos[f] for f in span), adj.det, rows, tuple(zip(*rows)), rest)
 
 
 def _solve_transform(
     factor: _SpanFactor,
-    euler2: Mapping[str, tuple[int, ...]],
-    mapping: Mapping[str, str],
-    gauge: Mapping[str, int],
+    euler2: Mapping[int, tuple[int, ...]],
+    image: Mapping[int, int],
+    gauge: Mapping[int, int],
     counts: dict[str, int],
 ) -> IntMatrix | None:
     """Unimodular A with A sigma1(F) = gauge(F) sigma2(b(F)) on all facets.
 
-    euler2 holds the Euler coefficients sigma2 of the second datum.
+    euler2 holds the Euler coefficients sigma2 of the second datum; it, the
+    bijection b (image) and the gauge are on the ints of the indices.
     counts["transforms"] counts the gauges whose spanning facets give an
     integral A.  The other facets are checked on plain ints before the
     determinant, which only a transform that fits every facet needs.
@@ -262,14 +263,14 @@ def _solve_transform(
         return IntMatrix.identity(k)
     # A = m2 @ adj / det row by row, m2 having gauge(F) sigma2(b(F)) as columns
     a = []
-    for m2_row in zip(*([gauge[f] * x for x in euler2[mapping[f]]] for f in factor.span)):
+    for m2_row in zip(*([gauge[f] * x for x in euler2[image[f]]] for f in factor.span)):
         row = [dot(m2_row, col) for col in factor.adj_cols]
         if any(x % factor.det for x in row):
             return None
         a.append([x // factor.det for x in row])
     counts["transforms"] += 1
     for fid, e1 in factor.rest:  # A m1 = m2 holds on the span by construction
-        g, e2 = gauge[fid], euler2[mapping[fid]]
+        g, e2 = gauge[fid], euler2[image[fid]]
         if any(dot(row, e1) != g * z for row, z in zip(a, e2)):
             return None
     transform = IntMatrix(k, k, tuple(x for row in a for x in row))
@@ -363,21 +364,24 @@ def compare(
                 certificate=f"invariant mismatch: {name} {getattr(f1, name)} vs {getattr(f2, name)}",
             )
 
-    inc1 = cd1.sponge.boundary_signs
-    relations = [(c, d, sign) for c, bnd in inc1.items() for d, sign in bnd.items()]
-    walk = sign_walk(inc1, relations)
+    index1, index2 = cd1.sponge._index, cd2.sponge._index
+    relations = [(c, d, sign) for c, bnd in enumerate(index1.bnd) for d, sign in bnd]
+    walk = sign_walk(range(len(index1.ids)), relations)
     first_half = max(1, (1 << len(walk)) >> 1)  # of each bijection's gauges; -g follows g
     factor = _SpanFactor.of(cd1)
-    euler2 = {f: cd2.euler_coefficient(f).entries for f in cd2.sponge.facet_ids}
-    for mapping in _poset_bijections(cd1.sponge, cd2.sponge, counts):
+    inc2 = [dict(bnd) for bnd in index2.bnd]
+    euler2 = {index2.pos[f]: cd2.euler_coefficient(f).entries for f in cd2.sponge.facet_ids}
+    ids1, ids2 = index1.ids, index2.ids
+    for image in _poset_bijections(cd1.sponge, cd2.sponge, counts):
         counts["bijections"] += 1
         gauges, transforms = counts["gauges"], counts["transforms"]
-        for gauge in islice(_solve_gauge(walk, relations, cd2.sponge, mapping), first_half):
+        for gauge in islice(_solve_gauge(walk, relations, inc2, image), first_half):
             counts["gauges"] += 1
-            a = _solve_transform(factor, euler2, mapping, gauge, counts)
+            a = _solve_transform(factor, euler2, image, gauge, counts)
             if a is None:
                 continue
-            witness = EquivalenceWitness(mapping=mapping, gauge=gauge, matrix=a)
+            mapping = {ids1[c]: ids2[x] for c, x in image.items()}
+            witness = EquivalenceWitness(mapping, {ids1[c]: sign for c, sign in gauge.items()}, a)
             if verify_witness(cd1, cd2, witness):
                 return ComparisonResult("equivalent", witness=witness)
         if walk:  # the negations of the gauges just tried, with their verdicts

@@ -115,46 +115,59 @@ def _masked(items: Sequence[str], mask: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _Index:
-    """A complex's cells and incidence on ints, cell i being the i-th id in sorted order.
+    """A complex's incidence on ints, built for every complex, valid or not.
 
-    So int order is id order.  bnd[i] is cell i's boundary as (cell, sign)
-    pairs in the order of its incidence entry, and cof[i] its cofaces in
-    ascending order.  Only a complex that passes incidence-structure has one.
+    Cell i is the i-th cell id in sorted order, so on the cells int order is
+    id order.  An id that is no cell but is an incidence key or listed in a
+    boundary gets an int past the cells, with dim None.  bnd[i] is i's
+    boundary as (int, sign) pairs in the order of its incidence entry, signs
+    as given and a cover listed twice twice; cof[i] holds the distinct ints
+    listing i, ascending.  structured says whether validation_report's
+    incidence-structure check passes.
     """
 
     ids: tuple[str, ...]
     pos: dict[str, int]
-    dims: list[int]
+    dims: list[int | None]
     bnd: list[tuple[tuple[int, int], ...]]
     cof: list[list[int]]
+    structured: bool
 
     @classmethod
-    def of(cls, by_id: Mapping[str, Cell], incidence: Mapping[str, Sequence[tuple[str, int]]]) -> _Index | None:
-        """The index, or None exactly where validation_report's incidence-structure check fails."""
-        if not by_id.keys() >= incidence.keys():
-            return None  # an incidence key that is not a cell
-        ids = tuple(sorted(by_id))
+    def of(cls, by_id: Mapping[str, Cell], incidence: Mapping[str, Sequence[tuple[str, int]]]) -> _Index:
+        ids = sorted(by_id)
+        cells = len(ids)
+        ids += [k for k in incidence if k not in by_id]
         pos = {c: i for i, c in enumerate(ids)}
-        dims = [by_id[c].dim for c in ids]
+        dims: list[int | None] = [by_id[c].dim for c in ids[:cells]] + [None] * (len(ids) - cells)
         bnd: list[tuple[tuple[int, int], ...]] = []
         cof: list[list[int]] = [[] for _ in ids]
-        for i, c in enumerate(ids):
-            entries = incidence.get(c, ())
+        structured = True
+        for i in range(len(ids)):  # the ids listed below that are no key have no boundary
+            entries = incidence.get(ids[i], ())
             d = dims[i]
-            if (d == 0) == bool(entries):
-                return None  # a 0-cell with a boundary, or another cell without one
+            if d is None or (d == 0) == bool(entries):
+                structured = False  # a key that is no cell, a 0-cell with a boundary, or another cell without one
+            low = None if d is None else d - 1
             row = []
             for sub, sign in entries:
                 j = pos.get(sub)
-                if j is None or dims[j] != d - 1 or sign not in (1, -1):
-                    return None
+                if j is None:
+                    j = pos[sub] = len(ids)
+                    ids.append(sub)
+                    dims.append(None)
+                    cof.append([])
                 up = cof[j]
                 if up and up[-1] == i:
-                    return None  # listed twice: the cells are filled in ascending order
-                up.append(i)
+                    structured = False  # listed twice: the ints are filled in ascending order
+                else:
+                    up.append(i)
+                if dims[j] != low or sign not in (1, -1):
+                    structured = False
                 row.append((j, sign))
             bnd.append(tuple(row))
-        return cls(ids, pos, dims, bnd, cof)
+        bnd += [()] * (len(ids) - len(bnd))
+        return cls(tuple(ids), pos, dims, bnd, cof, structured)
 
     @cached_property
     def neighbours(self) -> list[frozenset[int]]:
@@ -167,8 +180,9 @@ class SpongeComplex:
     """Regular cell complex of dimension n-2 with signed incidence.
 
     incidence maps each cell of dim >= 1 to ((subcell_id, +-1), ...) over its
-    boundary cells of one dimension lower.  The incidence indices below are
-    computed once, on first use, from cells and incidence alone; they are read-only.
+    boundary cells of one dimension lower.  Every structural query reads one
+    int index (_Index), built on first use from cells and incidence alone,
+    malformed or not; ids come back only in the answers and report texts.
     """
 
     n: int
@@ -228,75 +242,64 @@ class SpongeComplex:
         return self.incidence.get(cell_id, ())
 
     @cached_property
-    def boundary_signs(self) -> dict[str, dict[str, int]]:
-        """Each cell's boundary as {subcell id: sign}, in id order; empty for cells without incidence."""
-        return {cid: dict(self.boundary(cid)) for cid in sorted(self.by_id)}
+    def _index(self) -> _Index:
+        """The incidence on ints (_Index), built once."""
+        return _Index.of(self.by_id, self.incidence)
+
+    def _pos(self, cell_id: str) -> int:
+        """The int of a cell; InputFormatError for an id that is no cell."""
+        if cell_id not in self.by_id:
+            raise InputFormatError(f"unknown cell id {cell_id!r}")
+        return self._index.pos[cell_id]
 
     @cached_property
-    def cofaces(self) -> dict[str, tuple[str, ...]]:
-        """Each cell's cofaces: the incidence keys listing it, sorted by id."""
-        out: dict[str, list[str]] = {c.id: [] for c in self.cells}
-        for cid, bnd in self.incidence.items():
-            for sub, _ in bnd:
-                if sub in out:
-                    out[sub].append(cid)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    @cached_property
-    def _upper_sets(self) -> dict[str, frozenset[str]]:
-        # a search per cell, not a recursion over cofaces: a malformed
-        # incidence may be cyclic or name ids that are not cells.  Top
-        # dimension first, the search takes in the known upper set of a
-        # coface whole, as nothing above that coface lies outside it.
-        out: dict[str, frozenset[str]] = {}
-        for c in sorted(self.cells, key=lambda c: -c.dim):
-            seen = {c.id}
-            frontier = [c.id]
+    def _upper_sets(self) -> list[frozenset[str]]:
+        # per cell int, a search up the cofaces, not a recursion: a malformed
+        # incidence may be cyclic.  Only the checks of a failing complex read it.
+        index = self._index
+        cells = len(self.cells)
+        out = []
+        for c in range(cells):
+            seen, frontier = {c}, [c]
             while frontier:
-                for up in self.cofaces.get(frontier.pop(), ()):
-                    if up in seen:
-                        continue
-                    if up in out:
-                        seen |= out[up]
-                    else:
+                for up in index.cof[frontier.pop()]:
+                    if up not in seen:
                         seen.add(up)
-                        frontier.append(up)
-            out[c.id] = frozenset(seen)
+                        if up < cells:  # an id that is no cell leads nowhere
+                            frontier.append(up)
+            out.append(frozenset(map(index.ids.__getitem__, seen)))
         return out
 
     def upper_set(self, cell_id: str) -> frozenset[str]:
         """All cells whose closure contains the given cell (including itself)."""
-        if cell_id not in self._upper_sets:
-            raise InputFormatError(f"unknown cell id {cell_id!r}")
-        return self._upper_sets[cell_id]
-
-    @cached_property
-    def _index(self) -> _Index | None:
-        """The incidence on ints (_Index), built once; None decides that incidence-structure fails."""
-        return _Index.of(self.by_id, self.incidence)
+        return self._upper_sets[self._pos(cell_id)]
 
     @cached_property
     def _facet_masks(self) -> list[int]:
-        """Per cell of the index, the facets above it as a bit mask over facet_ids."""
+        """Per int, the facets and then the ids that are no cell above it, as a bit mask over both."""
         index = self._index
-        top = self.n - 2
-        order = sorted(range(len(index.ids)), key=index.dims.__getitem__, reverse=True)
-        facets = [i for i, d in enumerate(index.dims) if d == top]  # in id order, as facet_ids
-        # every coface is one dimension up, so descending dims are top-down
-        return _masks_above(order, index.cof, facets, top_down=True)
+        cells = len(self.cells)
+        order = sorted(range(cells), key=index.dims.__getitem__, reverse=True)
+        facets = [i for i in range(cells) if index.dims[i] == self.n - 2]  # in id order, as facet_ids
+        # where incidence-structure holds every coface is one dimension up, so
+        # descending dims are top-down; otherwise the masks are a fixed point
+        return _masks_above(order, index.cof, facets + list(range(cells, len(index.ids))), index.structured)
 
     def facets_containing(self, cell_id: str) -> tuple[str, ...]:
         """The facets (cells of dim n-2) in the upper set of the cell, sorted by id."""
+        mask = self._facet_masks[self._pos(cell_id)]
+        if mask >> len(self.facet_ids):
+            raise KeyError(cell_id)  # an upper-set id that is not a cell
+        return _masked(self.facet_ids, mask)
+
+    def _coefficient(self, cell_id: str, face_id: str) -> int | None:
+        """[cell : face], the sign the face is last listed with in the cell's boundary; None if it is not listed."""
         index = self._index
-        if index is None:  # malformed incidence: filter the upper set
-            up = self.upper_set(cell_id)
-            if not self.by_id.keys() >= up:
-                raise KeyError(cell_id)  # an upper-set id that is not a cell
-            return tuple(sorted(x for x in up if self.by_id[x].dim == self.n - 2))
-        i = index.pos.get(cell_id)
-        if i is None:
-            raise InputFormatError(f"unknown cell id {cell_id!r}")
-        return _masked(self.facet_ids, self._facet_masks[i])
+        j, found = index.pos[face_id], None
+        for sub, sign in index.bnd[index.pos[cell_id]]:
+            if sub == j:
+                found = sign
+        return found
 
     @cached_property
     def validation_report(self) -> ValidationReport:
@@ -304,10 +307,10 @@ class SpongeComplex:
         dim_bad = self.cell_dim_defects
         entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
-        # the index builds iff incidence-structure passes; only a failing
-        # complex is walked for its messages
+        # the index decides incidence-structure; only a failing complex is
+        # walked for its messages
         structure_bad = []
-        if self._index is None:
+        if not self._index.structured:
             for c in self.cells:
                 bnd = self.boundary(c.id)
                 if c.dim == 0:
@@ -389,43 +392,34 @@ class SpongeComplex:
         so at most t of them lie in t atoms, and the count of covers over
         the whole rank decides that each cell has t.
 
-        On the index the star is searched rank by rank up the cofaces, and
-        the search stops at the first rank of the wrong size.  On malformed
-        incidence the star is the upper set, a star member that is not a
-        cell fails it, and a cover listed twice counts once.
+        The star is searched rank by rank up the index's cofaces, where only
+        a coface one dimension up is a cover and a cover listed twice counts
+        once, and the search stops at the first rank of the wrong size.
+        Where incidence-structure holds every coface is a cover, so the
+        search reaches the whole star.  Otherwise a coface of another
+        dimension, or one that is no cell, lies in the star all the same,
+        and the star is local only if it holds just the cells found.
         """
-        k = self.by_id[x].dim
+        index = self._index
+        dims, up = index.dims, index.cof
+        x = index.pos[x]
+        k = dims[x]
         m = self.n - k
         # a local star has cells of the m - 1 ranks 0..m-2, so no star is
         # local when m - 1 exceeds the cells, and the binomials stay small
         if not 1 <= m - 1 <= len(self.cells):
             return False
         counts = [comb(m, t) for t in range(m - 1)]
-        index = self._index
-        if index is not None:
-            x, up = index.pos[x], index.cof
-        else:
-            star = self._upper_sets[x]
-            if len(star) != sum(counts):
-                return False
-            rank = {}
-            for y in star:
-                c = self.by_id.get(y)
-                if c is None or not 0 <= c.dim - k < len(counts):
-                    return False
-                rank[y] = c.dim - k
-            up = {y: [] for y in star}  # each star cell's cofaces one rank up in the star
-            for y, r in rank.items():
-                for z in {z for z, _ in self.boundary(y) if rank.get(z) == r - 1}:
-                    up[z].append(y)
         below = {x: 0}  # the atoms of the star's cells one rank down
         for t, want in enumerate(counts[1:] + [0], 1):  # and no cell one rank past the star
             atoms: dict = {}
             covers = 0
+            d = k + t
             for z, mask in below.items():
-                covers += len(up[z])
                 for y in up[z]:
-                    atoms[y] = atoms.get(y, 0) | mask
+                    if dims[y] == d:
+                        covers += 1
+                        atoms[y] = atoms.get(y, 0) | mask
             if len(atoms) != want:
                 return False
             if t == 1:
@@ -436,7 +430,7 @@ class SpongeComplex:
             if len(set(atoms.values())) != want:
                 return False
             below = atoms
-        return True
+        return index.structured or len(self._upper_sets[x]) == sum(counts)
 
     @cached_property
     def cell_dim_defects(self) -> tuple[str, ...]:
@@ -455,22 +449,19 @@ class SpongeComplex:
     def boundary_squared_defects(self) -> tuple[str, ...]:
         """One entry per cell of dimension >= 2, in id order, whose boundary has a nonzero boundary."""
         index = self._index
-        if index is not None:
-            cells = [i for i, d in enumerate(index.dims) if d >= 2]
-            faces, name = index.bnd.__getitem__, index.ids.__getitem__
-        else:  # malformed incidence, whose entries may name ids that are not cells
-            cells = [c.id for c in sorted(self.cells, key=lambda c: c.id) if c.dim >= 2]
-            faces, name = self.boundary, str
+        faces, name = index.bnd, index.ids.__getitem__
         out = []
-        for c in cells:
-            acc: dict = {}  # the nonzero coefficients of d(d(c)) so far
-            for sub, sign in faces(c):
-                for sub2, sign2 in faces(sub):
+        for c, d in enumerate(index.dims[: len(self.cells)]):
+            if d < 2:
+                continue
+            acc: dict[int, int] = {}  # the nonzero coefficients of d(d(c)) so far
+            for sub, sign in faces[c]:
+                for sub2, sign2 in faces[sub]:
                     v = acc.pop(sub2, 0) + sign * sign2
                     if v:
                         acc[sub2] = v
             if acc:
-                out.append(f"d(d({name(c)})) != 0 at {list(map(name, sorted(acc)))}")
+                out.append(f"d(d({name(c)})) != 0 at {sorted(map(name, acc))}")
         return tuple(out)
 
 
@@ -632,10 +623,13 @@ def homology(s: SpongeComplex) -> HomologyResult:
     if s.boundary_squared_defects:
         raise ValidationError("incidence is not a chain complex: " + "; ".join(s.boundary_squared_defects))
     top = s.n - 2
-    counts = [len(s.cells_of_dim(d)) for d in range(top + 1)]
+    index = s._index
+    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
+    for i in range(len(s.cells)):
+        by_dim[index.dims[i]].append(i)
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
-    pivoted: set[int] = set()
+    pivoted: set[int] = set()  # the cells of the last dimension taken as unit pivots
     for d in range(1, top + 1):
         # The boundary operator from d-chains to (d-1)-chains, one column per
         # d-cell, without the rows of the (d-1)-cells the last operator took
@@ -644,17 +638,17 @@ def homology(s: SpongeComplex) -> HomologyResult:
         # and maps the cycles onto a saturated sublattice: rank and torsion
         # stay (Kaczynski, Mischaikow and Mrozek, Computational Homology,
         # 2004, ch. 4).
-        index = {c.id: i for i, c in enumerate(s.cells_of_dim(d - 1)) if i not in pivoted}
         columns = []
-        for c in s.cells_of_dim(d):
+        for c in by_dim[d]:
             col: dict[int, int] = {}
-            for sub, sign in s.boundary(c.id):
-                if sub in index:
-                    col[index[sub]] = col.get(index[sub], 0) + sign
+            for sub, sign in index.bnd[c]:
+                if index.dims[sub] == d - 1 and sub not in pivoted:
+                    col[sub] = col.get(sub, 0) + sign
             columns.append(col)
-        ranks[d], torsion[d - 1], pivoted = _rank_and_torsion(columns)
+        ranks[d], torsion[d - 1], pivots = _rank_and_torsion(columns)
+        pivoted = {by_dim[d][j] for j in pivots}
     # the alternating sum of these Betti numbers is the Euler characteristic for any ranks
-    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+    betti = tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
     return HomologyResult(betti=betti, torsion=tuple(torsion))
 
 
@@ -730,6 +724,5 @@ def face_star(s: SpongeComplex, cell_id: str) -> bool:
     the 0-cells; stars_local holds the lemma by which, in a valid sponge,
     those stars decide every other.
     """
-    if cell_id not in s.by_id:
-        raise InputFormatError(f"unknown cell id {cell_id!r}")
+    s._pos(cell_id)  # InputFormatError for an id that is no cell
     return s._star_local_at(cell_id)

@@ -71,6 +71,11 @@ closure per top cell down the covers), are the references for the dense
 int index and its bit masks, and validation_report_by_walks, the sponge
 axioms as the package checked them on string ids with the upper-counts
 loop over every cell, for the report the index decides.
+string_incidence builds the package's former string-keyed boundary_signs
+and cofaces from a complex's cells and incidence alone; the oracles that
+walked those maps (poset_bijections_by_dim, poset_bijections_recursive,
+gauges_by_propagation, cocycle_report_by_vectors and upper_sets_by_search)
+read them there, so none of them shares the package's int index.
 """
 
 from collections import Counter
@@ -318,6 +323,22 @@ def incidence_indices(cells, incidence, n):
     return {"by_dim": by_dim, "boundary": boundary, "cofaces": cofaces, "upper": upper, "facets": facets}
 
 
+def string_incidence(s):
+    """SpongeComplex's former boundary_signs and cofaces, built from s.cells and s.incidence alone.
+
+    boundary_signs maps each cell, in id order, to its boundary as {subcell
+    id: sign}, the last listing winning; cofaces maps each cell to the
+    incidence keys listing it, sorted by id, a key once per listing.
+    """
+    boundary = {cid: dict(s.incidence.get(cid, ())) for cid in sorted(s.by_id)}
+    cofaces = {c.id: [] for c in s.cells}
+    for key, entries in s.incidence.items():
+        for sub, _ in entries:
+            if sub in cofaces:
+                cofaces[sub].append(key)
+    return boundary, {cid: tuple(sorted(keys)) for cid, keys in cofaces.items()}
+
+
 def face_star_search(s, cell_id):
     """face_star by backtracking: (base, cell_dims, relation, is_local).
 
@@ -411,7 +432,7 @@ def poset_bijections_by_dim(s1, s2):
         sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
     if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
         return
-    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
+    (bnd1, cof1), (bnd2, _) = string_incidence(s1), string_incidence(s2)
 
     assign = {}
     used = set()
@@ -455,7 +476,7 @@ def poset_bijections_recursive(s1, s2, counts):
         sig2.setdefault(_cell_signature(s2, c.id), []).append(c.id)
     if Counter(sig1.values()) != Counter({k: len(v) for k, v in sig2.items()}):
         return
-    bnd1, bnd2, cof1 = s1.boundary_signs, s2.boundary_signs, s1.cofaces
+    (bnd1, cof1), (bnd2, _) = string_incidence(s1), string_incidence(s2)
 
     order = []
     placed_nbrs = dict.fromkeys(sig1, 0)
@@ -534,7 +555,7 @@ def gauges_by_propagation(s1, s2, mapping):
     relation per incidence, propagated afresh; one sign per component is
     free, the first component's flip varying fastest.
     """
-    inc1, inc2 = s1.boundary_signs, s2.boundary_signs
+    inc1, inc2 = string_incidence(s1)[0], string_incidence(s2)[0]
     relations = []
     for c, bnd in inc1.items():
         for d, sign1 in bnd.items():
@@ -821,6 +842,7 @@ def cocycle_report_by_vectors(cd):
     codim1 = cd.sponge.cells_of_dim(cd.n - 3) if cd.n >= 3 else ()
     if not codim1:
         return ValidationReport((CheckResult("cocycle", "pass", "no codimension-one faces"),))
+    boundary_signs = string_incidence(cd.sponge)[0]
     bad = []
     for cell in codim1:
         through = cd.sponge.facets_containing(cell.id)
@@ -841,7 +863,7 @@ def cocycle_report_by_vectors(cd):
             continue
         total = mus[0].scale(0)
         for f, v in zip(through, mus):
-            inc = cd.sponge.boundary_signs[f].get(cell.id, 0)
+            inc = boundary_signs[f].get(cell.id, 0)
             total = total + v.scale(inc * cd.euler_sign[f])
         if not total.is_zero():
             bad.append(
@@ -1060,12 +1082,13 @@ def upper_sets_by_search(s):
     or name ids that are not cells.  Top dimension first, the search takes
     in the known upper set of a coface whole.
     """
+    cofaces = string_incidence(s)[1]
     out = {}
     for c in sorted(s.cells, key=lambda c: -c.dim):
         seen = {c.id}
         frontier = [c.id]
         while frontier:
-            for up in s.cofaces.get(frontier.pop(), ()):
+            for up in cofaces.get(frontier.pop(), ()):
                 if up in seen:
                     continue
                 if up in out:

@@ -478,3 +478,33 @@ def test_criterion_18_local_model_6_flip(monkeypatch):
         f"{len(determinants)} determinants in {dt:.3f}s (bound 0.6s)",
         t0,
     )
+
+
+def test_criterion_19_cube_8_read_back_self_compare(monkeypatch):
+    # compare reads both sponges through their int indices, one build each:
+    # the checks, the fingerprint and the search build no upper set, and the
+    # gauges are signed along one walk.  On a 2-vCPU VM, in 5 alternating
+    # process pairs, this compare took 0.82-0.91 s before the string-keyed
+    # incidence left the package and 0.75-0.98 s after; the bound leaves 2x
+    import complexity_one.classify as classify
+    import complexity_one.sponge as sponge
+
+    text = canonical_json(chardata_to_dict(_cube_8_reduction()[0]))
+    cd1, cd2 = chardata_from_dict(json.loads(text)), chardata_from_dict(json.loads(text))
+    builds, walks = [], []
+    build, walk = sponge._Index.of, classify.sign_walk
+    monkeypatch.setattr(sponge._Index, "of", staticmethod(lambda by_id, inc: builds.append(by_id) or build(by_id, inc)))
+    monkeypatch.setattr(classify, "sign_walk", lambda *args: walks.append(1) or walk(*args))
+    t0 = time.monotonic()
+    res = compare(cd1, cd2)
+    dt = time.monotonic() - t0
+    searched = [cd.sponge for cd in (cd1, cd2) if "_upper_sets" in vars(cd.sponge)]
+    per_sponge = len(builds) == 2 and {id(b) for b in builds} == {id(cd1.sponge.by_id), id(cd2.sponge.by_id)}
+    ok = res.equivalent and not searched and len(walks) == 1 and per_sponge and dt < 2.0
+    _report(
+        19,
+        ok,
+        f"compare(reduced 8-cube read back, itself) {res.verdict}: {len(searched)} upper sets built, "
+        f"{len(walks)} sign walks, {len(builds)} index builds in {dt:.3f}s (bound 2.0s)",
+        t0,
+    )

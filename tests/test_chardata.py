@@ -1,3 +1,4 @@
+import json
 import random
 from functools import cache
 from itertools import islice
@@ -83,6 +84,35 @@ class TestValidateMu:
         details = [e.detail for e in validate_mu(cd).failures()]
         assert any("no mu value" in d for d in details)
         assert any("not primitive" in d for d in details)
+
+    def test_domain_texts_in_order(self):
+        # missing values, then values off the facets, then each facet's
+        # defect in id order; compatibility fails on the same data
+        s = local_model_sponge(4)
+        mu = {"c1.2": vec(2, 0, 0), "c1.3": vec(0, 0, 0), "c1.4": vec(1, 0), "c2.3": vec(0, 1, 0), "o": vec(1, 0, 0)}
+        cd = CharacteristicData(sponge=s, mu=mu, euler_sign={f: 1 for f in s.facet_ids})
+        assert [e.detail for e in validate_mu(cd).failures()] == [
+            "facet c2.4 has no mu value",
+            "facet c3.4 has no mu value",
+            "mu defined on non-facet o",
+            "mu(c1.2) is not primitive",
+            "mu(c1.3) is zero",
+            "mu(c1.4) has dim 2, expected 3",
+        ]
+        assert not compatibility_check(cd)
+
+    def test_mu_defects_read_once(self, monkeypatch):
+        # validate_mu and compatibility_check share one pass over the facets:
+        # 21 calls for the 21 facets of local-model-7 read back, where a pass
+        # in each validator made 42
+        from complexity_one.io import canonical_json, chardata_from_dict, chardata_to_dict
+
+        cd = chardata_from_dict(json.loads(canonical_json(chardata_to_dict(load("local-model-7").data))))
+        calls = []
+        defect = chardata._mu_defect
+        monkeypatch.setattr(chardata, "_mu_defect", lambda fid, v, n: calls.append(fid) or defect(fid, v, n))
+        assert all(report.ok for _, report in chardata._checks(cd))
+        assert calls == list(cd.sponge.facet_ids) and len(calls) == 21
 
 
     def test_rank_decided_at_the_fixed_points(self, monkeypatch):

@@ -37,6 +37,13 @@ from test_chardata import _reduced_cube_data
 _solve_gauge = gauges_by_propagation
 
 
+def _bijections(s1, s2, counts):
+    """_poset_bijections' int bijections on the ids of the two sponges, in placement order."""
+    ids1, ids2 = s1._index.ids, s2._index.ids
+    for image in _poset_bijections(s1, s2, counts):
+        yield {ids1[c]: ids2[x] for c, x in image.items()}
+
+
 def shuffled_relabel(cd, rng):
     ids = [c.id for c in cd.sponge.cells]
     target = [f"cell{idx:03d}" for idx in range(len(ids))]
@@ -263,7 +270,7 @@ class TestSearchOracles:
         back = {v: k for k, v in relabel.items()}
         want_self = {frozenset((c, back[d]) for c, d in m) for m in want_moved}
         for other, want in ((cd, want_self), (moved, want_moved)):
-            got = list(_poset_bijections(cd.sponge, other.sponge, {"nodes": 0}))
+            got = list(_bijections(cd.sponge, other.sponge, {"nodes": 0}))
             assert len(got) == len(want) > 0
             assert _bijection_set(got) == want
 
@@ -276,7 +283,7 @@ class TestSearchOracles:
         relabelled = transformed(cd, relabel=shuffled_relabel(cd, random.Random(37)))
         for other in (cd, relabelled):
             got_counts, want_counts = {"nodes": 0}, {"nodes": 0}
-            got = islice(_poset_bijections(cd.sponge, other.sponge, got_counts), 60)
+            got = islice(_bijections(cd.sponge, other.sponge, got_counts), 60)
             want = islice(poset_bijections_recursive(cd.sponge, other.sponge, want_counts), 60)
             steps = 0
             for g, w in zip_longest(got, want):
@@ -296,12 +303,16 @@ class TestSearchOracles:
             a = random_unimodular(rng, cd.n - 1)
             other = transformed(cd, matrix=a, relabel=shuffled_relabel(cd, rng))
         factor = _SpanFactor.of(cd)
-        euler2 = {f: other.euler_coefficient(f).entries for f in other.sponge.facet_ids}
+        pos1, pos2 = cd.sponge._index.pos, other.sponge._index.pos
+        euler2 = {pos2[f]: other.euler_coefficient(f).entries for f in other.sponge.facet_ids}
+        span = [cd.sponge._index.ids[f] for f in factor.span]
         pairs = found = 0
-        for mapping in _poset_bijections(cd.sponge, other.sponge, {"nodes": 0}):
+        for mapping in _bijections(cd.sponge, other.sponge, {"nodes": 0}):
+            image = {pos1[c]: pos2[x] for c, x in mapping.items()}
             for gauge in _solve_gauge(cd.sponge, other.sponge, mapping):
-                got = _solve_transform(factor, euler2, mapping, gauge, {"transforms": 0})
-                assert got == solve_transform_by_rows(cd, other, mapping, gauge, list(factor.span))
+                signs = {pos1[c]: sign for c, sign in gauge.items()}
+                got = _solve_transform(factor, euler2, image, signs, {"transforms": 0})
+                assert got == solve_transform_by_rows(cd, other, mapping, gauge, span)
                 pairs += 1
                 found += got is not None
         assert pairs > 0
@@ -311,7 +322,7 @@ class TestSearchOracles:
         cd = load("local-model-5").data
         factor = _SpanFactor.of(cd)
         k = cd.n - 1
-        m1 = IntMatrix.from_cols([cd.euler_coefficient(f) for f in factor.span])
+        m1 = IntMatrix.from_cols([cd.euler_coefficient(cd.sponge._index.ids[f]) for f in factor.span])
         assert m1 @ IntMatrix.from_rows(factor.adj) == IntMatrix(k, k, tuple(factor.det * (i == j) for i in range(k) for j in range(k)))
 
     def test_too_few_spanning_facets_raise(self):
@@ -331,13 +342,18 @@ class TestSearchOracles:
 
 def _incidence_walk(s):
     """The incidences (C, D, inc(C, D)) of s and their sign_walk, as compare builds them."""
-    relations = [(c, d, sign) for c, bnd in s.boundary_signs.items() for d, sign in bnd.items()]
-    return relations, sign_walk(s.boundary_signs, relations)
+    index = s._index
+    relations = [(c, d, sign) for c, bnd in enumerate(index.bnd) for d, sign in bnd]
+    return relations, sign_walk(range(len(index.ids)), relations)
 
 
 def _gauges_along_walk(s1, s2, mapping):
     relations, walk = _incidence_walk(s1)
-    return list(_gauges_on_walk(walk, relations, s2, mapping))
+    index1, index2 = s1._index, s2._index
+    image = {index1.pos[c]: index2.pos[x] for c, x in mapping.items()}
+    inc2 = [dict(bnd) for bnd in index2.bnd]
+    gauges = _gauges_on_walk(walk, relations, inc2, image)
+    return [{index1.ids[c]: sign for c, sign in g.items()} for g in gauges]
 
 
 def _reoriented(s, cells):
@@ -353,7 +369,7 @@ def _assert_gauges_match(s1, s2, limit):
     # equal to the oracle's gauges in order and in key order; the last half
     # negates the first, in reverse: flips f and ~f, ~f the later
     bijections = 0
-    for mapping in islice(_poset_bijections(s1, s2, {"nodes": 0}), limit):
+    for mapping in islice(_bijections(s1, s2, {"nodes": 0}), limit):
         got = _gauges_along_walk(s1, s2, mapping)
         want = list(gauges_by_propagation(s1, s2, mapping))
         assert [list(g.items()) for g in got] == [list(w.items()) for w in want]
@@ -394,7 +410,7 @@ class TestGaugeWalk:
         s2 = _reoriented(s1, {"a0", "eb"})
         assert len(_incidence_walk(s1)[1]) == 3
         _assert_gauges_match(s1, s2, None)
-        assert {len(_gauges_along_walk(s1, s2, m)) for m in _poset_bijections(s1, s2, {"nodes": 0})} == {8}
+        assert {len(_gauges_along_walk(s1, s2, m)) for m in _bijections(s1, s2, {"nodes": 0})} == {8}
 
     def test_signs_conflicting_on_a_cycle(self):
         # a triangle whose 2-cell meets one edge with the wrong sign in s2:
@@ -406,7 +422,8 @@ class TestGaugeWalk:
         s2 = SpongeComplex(4, cells, {**edges, "f": (("ab", -1), ("bc", 1), ("ca", 1))})
         identity = dict(zip(dims, dims))
         relations, walk = _incidence_walk(s1)
-        rels = [sign * s2.boundary_signs[c][d] for c, d, sign in relations]
+        inc2 = [dict(bnd) for bnd in s2._index.bnd]  # s1 and s2 have the same cells
+        rels = [sign * inc2[c][d] for c, d, sign in relations]
         [(_, conflict)] = signs_along(walk, rels)
         assert conflict is not None
         assert _gauges_along_walk(s1, s2, identity) == list(gauges_by_propagation(s1, s2, identity)) == []

@@ -135,19 +135,28 @@ def test_one_sign_propagation():
     # cell orientations, Euler signs and compare's gauges share one walk,
     # sign_walk, and one signing pass along it, signs_along: propagate_signs
     # runs both for the orientations and the Euler signs, compare walks its
-    # first sponge once and _solve_gauge signs the walk per bijection
+    # first sponge once and _solve_gauge signs the walk per bijection.  The
+    # signs the Euler relations and the cocycle read, [F : face], come off
+    # the int index through one reader, and compare walks the index's ints
     assert set(_uses("propagate_signs")) == {
         ("sponge", "signed_incidence"),
         ("chardata", "_euler_signs"),
     }
     assert set(_uses("sign_walk")) == {("sponge", "propagate_signs"), ("classify", "compare")}
     assert set(_uses("signs_along")) == {("sponge", "propagate_signs"), ("classify", "_solve_gauge")}
+    assert set(_function_uses("_coefficient")) == {("chardata", "cocycle_report"), ("chardata", "_euler_signs")}
+    coefficient = _method("sponge", "SpongeComplex", "_coefficient")
+    assert _loads(coefficient) >= {"bnd", "pos"} and not _loads(coefficient) & {"incidence", "boundary", "by_id"}
+    [walk] = _calls(_function("classify", "compare"), "sign_walk")
+    assert _calls(walk.args[0], "range"), ast.unparse(walk)
 
 
 def test_compare_walks_once():
     # the incidence graph the gauges are signed on is the first sponge's
     # whatever the bijection: compare builds its relations and its walk
-    # before the search, and the per-bijection code only signs them
+    # before the search, and the per-bijection code only signs them.  The
+    # second sponge's signs per cell are built once too, and a bijection and
+    # its gauge become id dicts only for a witness
     compare = _function("classify", "compare")
     [search] = [
         node for node in ast.walk(compare) if isinstance(node, ast.For) and _calls(node.iter, "_poset_bijections")
@@ -156,6 +165,11 @@ def test_compare_walks_once():
     for name in ("_solve_gauge", "_solve_transform", "_poset_bijections"):
         assert _calls(_function("classify", name), "sign_walk") == [], name
         assert _calls(_function("classify", name), "propagate_signs") == [], name
+    assert _calls(compare, "dict") and _calls(search, "dict") == []
+    [witness] = _calls(search, "EquivalenceWitness")
+    [found] = [node for node in ast.walk(search) if isinstance(node, ast.If) and ast.unparse(node.test) == "a is None"]
+    id_reads = [node for node in ast.walk(search) if getattr(node, "id", None) in ("ids1", "ids2")]
+    assert id_reads and all(found.lineno < node.lineno <= witness.lineno for node in id_reads)
 
 
 def test_eliminations_read_plain_rows():
@@ -271,7 +285,9 @@ def test_one_owner_per_chardata_rule():
         ("classify", "canonical_invariants"),
     }
     assert {owner for module, owner in _uses("is_primitive") if module == "chardata"} == {"_mu_defect"}
-    assert set(_uses("_mu_defect")) == {("chardata", "validate_mu"), ("chardata", "compatibility_check")}
+    # one pass of it per datum, cached, which validate_mu and compatibility_check share
+    assert set(_uses("_mu_defect")) == {("chardata", "CharacteristicData")}
+    assert set(_uses("mu_defects")) == {("chardata", "validate_mu"), ("chardata", "compatibility_check")}
 
 
 def test_no_field_the_data_fix():
@@ -398,24 +414,28 @@ def test_one_mask_builder():
 
 
 def test_upper_sets_only_off_the_valid_path():
-    # the valid path reads the index: an upper set is searched only for the
-    # star of a malformed complex, for the upper-counts loop behind a failed
-    # star, for facets_containing on a malformed complex, and for the rays
-    # of a chart on one; compare and the checks never name it
+    # the valid path reads the index: the upper sets are one int search up
+    # its cofaces, made only for upper_set, which only the upper-counts loop
+    # behind a failed star calls, and for a star where incidence-structure
+    # fails; compare, the checks and the charts never name it, and facets
+    # are read off the masks, malformed complexes too
+    from complexity_one.sponge import local_model_sponge
+
     assert set(_function_uses("_upper_sets")) == {("sponge", "upper_set"), ("sponge", "_star_local_at")}
-    assert set(_function_uses("upper_set")) == {
-        ("sponge", "validation_report"),
-        ("sponge", "facets_containing"),
-        ("chardata", "data_from_charts"),
-    }
-    # the string-keyed cofaces serve only the upper-set search
-    assert set(_function_uses("cofaces")) == {("sponge", "_upper_sets")}
+    assert set(_function_uses("upper_set")) == {("sponge", "validation_report")}
+    search = _method("sponge", "SpongeComplex", "_upper_sets")
+    assert "cof" in _loads(search) and not _loads(search) & {"incidence", "boundary", "by_id", "cells_of_dim"}
+    assert type(local_model_sponge(4)._upper_sets) is list
+    star = _method("sponge", "SpongeComplex", "_star_local_at")
+    [guarded] = [node for node in ast.walk(star) if isinstance(node, ast.BoolOp) and "_upper_sets" in _loads(node)]
+    assert isinstance(guarded.op, ast.Or) and ast.unparse(guarded.values[0]) == "index.structured"
 
 
 def test_search_indices_built_once():
-    # the first datum's side of the gauge relations is its boundary_signs,
-    # built once per complex in id order, and each cell's candidates are a
-    # lazy walk of its signature class, not a sorted copy of it
+    # the gauge relations are read off the int indices, built once per
+    # complex in id order, and each cell's candidates are a lazy walk of its
+    # signature class, not a sorted copy of it; the bijections, the gauges
+    # and the transforms are ints throughout, with no id dict read per step
     assert _calls(_function("classify", "_solve_gauge"), "sorted") == []
     search = _function("classify", "_poset_bijections")
     assert _calls(search, "sorted") == []
@@ -425,6 +445,39 @@ def test_search_indices_built_once():
         if isinstance(node, ast.ListComp) and any(getattr(n, "id", None) == "sig2" for n in ast.walk(node))
     ]
     assert per_cell_lists == []
+    id_dicts = {"pos", "ids", "by_id", "boundary", "incidence", "cells_of_dim", "facet_ids", "mapping"}
+    for fn in (_function("classify", "_solve_gauge"), _function("classify", "_solve_transform"), _function("sponge", "homology")):
+        assert not _loads(fn) & id_dicts, (fn.name, sorted(_loads(fn) & id_dicts))
+
+
+def test_one_incidence_representation():
+    # the int index is the one incidence structure: it is built for every
+    # complex, and no string-keyed twin of it is left; each structural query
+    # has one body, with no branch on whether the index built
+    for name in ("boundary_signs", "cofaces"):
+        assert _uses(name) == [] and _function_uses(name) == [], name
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("boundary_signs", "cofaces")
+    ]
+    assert defined == []
+    for name in ("_star_local_at", "boundary_squared_defects", "facets_containing", "_facet_masks", "_upper_sets"):
+        fn = _method("sponge", "SpongeComplex", name)
+        none_tests = [
+            node.lineno
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare) and any(getattr(c, "value", 0) is None for c in node.comparators)
+        ]
+        assert none_tests == [] and not _loads(fn) & {"boundary", "incidence", "cells_of_dim"}, name
+    assert "_index" not in _loads(_function("chardata", "data_from_charts"))
+    assert "upper_set" not in _loads(_function("chardata", "data_from_charts"))
+
+
+def _loads(node):
+    """The names and attributes loaded anywhere under an AST node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} - {None}
 
 
 def _method(module, cls, name):

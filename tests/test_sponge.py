@@ -56,6 +56,7 @@ from oracles import (
     propagate_signs_in_one_pass,
     signed_incidence_by_kernel,
     simplicial_betti,
+    string_incidence,
     top_cells_by_closure,
     upper_counts_by_cells,
     upper_sets_by_search,
@@ -93,7 +94,7 @@ class TestLocalModel:
         assert frozenset({1, 2, 3}) not in faces and len(faces) == len(atoms)
         for cid, face in atoms.items():
             assert len(face) == s.by_id[cid].dim
-            assert {atoms[b] for b in s.boundary_signs[cid]} == {face - {x} for x in face}
+            assert {atoms[b] for b in string_incidence(s)[0][cid]} == {face - {x} for x in face}
 
     def test_sponge_realization_validates(self):
         for n in (2, 3, 4, 5):
@@ -679,14 +680,24 @@ INDEXED_SPONGES = {
 }
 
 
+def _index_on_ids(s: SpongeComplex) -> tuple[dict, dict]:
+    """The index's boundaries ({subcell id: sign}, the last listing winning) and cofaces of the cells, on ids."""
+    index = s._index
+    cells = range(len(s.cells))
+    boundary = {index.ids[i]: {index.ids[j]: sign for j, sign in index.bnd[i]} for i in cells}
+    cofaces = {index.ids[i]: tuple(sorted(index.ids[j] for j in index.cof[i])) for i in cells}
+    return boundary, cofaces
+
+
 def _assert_indices_match_oracle(s: SpongeComplex) -> None:
     want = incidence_indices([(c.id, c.dim) for c in s.cells], s.incidence, s.n)
     for d in range(-1, s.dim + 2):
         got = s.cells_of_dim(d)
         assert [c.id for c in got] == want["by_dim"].get(d, [])
         assert all(c is s.by_id[c.id] for c in got)
-    assert s.boundary_signs == want["boundary"]
-    assert s.cofaces == want["cofaces"]
+    boundary, cofaces = _index_on_ids(s)
+    assert boundary == want["boundary"]
+    assert cofaces == want["cofaces"]
     for c in s.cells:
         assert s.upper_set(c.id) == want["upper"][c.id]
         assert s.upper_set(c.id) is s.upper_set(c.id)  # computed once
@@ -1139,16 +1150,28 @@ class TestDenseIndex:
         assert report == validation_report_by_walks(s)
         # the index builds exactly where incidence-structure passes
         structure_fails = CheckResult("incidence-structure", "pass") not in report.entries
-        assert (s._index is None) is structure_fails
+        assert (not s._index.structured) is structure_fails
+
+    def test_boundary_squared_names_in_id_order(self):
+        # "nowhere" is no cell, so its int comes after every cell's, while its
+        # name sorts before the cell o: a d(d(x)) text lists names in id order
+        s = local_model_sponge(4)
+        broken = SpongeComplex(s.n, s.cells, {**s.incidence, "c1": (("o", 1), ("nowhere", 1))})
+        assert broken._index.pos["nowhere"] > broken._index.pos["o"]
+        report = validate_sponge(broken)
+        assert report == validation_report_by_walks(broken)
+        squared = [e.detail for e in report.failures() if e.check == "boundary-squared"]
+        assert squared and all(detail.endswith(" != 0 at ['nowhere', 'o']") for detail in squared)
 
     @pytest.mark.parametrize("case", sorted(STAR_CASES))
     def test_valid_complexes(self, case):
         s = STAR_CASES[case]()
-        assert s._index is not None and s._index.ids == tuple(sorted(s.by_id))
+        assert s._index.structured and s._index.ids == tuple(sorted(s.by_id))
         want = facets_by_upper_sets(s)
         assert {c.id: s.facets_containing(c.id) for c in s.cells} == want
         assert validate_sponge(s) == validation_report_by_walks(s)
-        assert s._index.cof == [[s._index.pos[x] for x in s.cofaces[cid]] for cid in s._index.ids]
+        cofaces = string_incidence(s)[1]
+        assert s._index.cof == [[s._index.pos[x] for x in cofaces[cid]] for cid in s._index.ids]
 
     @settings(max_examples=200, deadline=None)
     @given(m=manifolds_changed())
