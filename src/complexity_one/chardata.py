@@ -90,6 +90,15 @@ class CharacteristicData:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "euler_sign", signs)
 
+    @classmethod
+    def _from_checked(
+        cls, sponge: SpongeComplex, mu: dict[str, IntVector], euler_sign: dict[str, int], ambient: Ambient
+    ) -> CharacteristicData:
+        """The datum on fields that io has already checked, its vectors kept: __post_init__ does not run."""
+        cd = object.__new__(cls)
+        vars(cd).update(sponge=sponge, mu=mu, euler_sign=euler_sign, ambient=ambient, n=sponge.n)
+        return cd
+
     def euler_coefficient(self, facet_id: str) -> IntVector:
         return self.mu[facet_id].scale(self.euler_sign[facet_id])
 

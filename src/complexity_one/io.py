@@ -18,7 +18,7 @@ from typing import Any
 
 from .chardata import AMBIENT_KINDS, Ambient, CharacteristicData
 from .errors import InputFormatError
-from .lattice import IntVector
+from .lattice import IntVector, as_id
 from .quasitoric import CharacteristicFunction, SimplePolytope
 from .sponge import Cell, SpongeComplex
 from .weights import WeightSystem
@@ -161,7 +161,7 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
     n = _decode_int(data["n"], f"{where}.n")
     if not isinstance(data["cells"], list):
         raise InputFormatError(f"{where}.cells: expected a list")
-    cells = []
+    by_id = {}
     for i, c in enumerate(data["cells"]):
         if not isinstance(c, Mapping) or "id" not in c or "dim" not in c:
             raise InputFormatError(f"{where}.cells[{i}]: need 'id' and 'dim'")
@@ -170,14 +170,13 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
             at = f"{where}.cells[{i}]"
             label = _text(label, f"{at}.label")
             cid, dim = _text(cid, f"{at}.id"), _decode_int(dim, f"{at}.dim")
-        cells.append(Cell(cid, dim, label))
+        by_id[cid] = Cell(cid, dim, label)
     incidence = {}
     raw_inc = data.get("incidence", {})
     if not isinstance(raw_inc, Mapping):
         raise InputFormatError(f"{where}.incidence: expected an object")
-    ids = {c.id for c in cells}
     for cid, entries in raw_inc.items():
-        if cid not in ids:  # unknown subcells stay a validation failure
+        if cid not in by_id:  # unknown subcells stay a validation failure
             raise InputFormatError(f"{where}.incidence: key {cid!r} is not a cell id")
         if not isinstance(entries, list):
             raise InputFormatError(f"{where}.incidence[{cid}]: expected a list")
@@ -191,7 +190,9 @@ def sponge_from_dict(data: Mapping, where: str = "sponge") -> SpongeComplex:
                 raise InputFormatError(f"{at}: entries are [id, sign] pairs")
             pairs.append((_text(e[0], at), _decode_int(e[1], at)))
         incidence[cid] = tuple(pairs)
-    return SpongeComplex(n=n, cells=tuple(cells), incidence=incidence)
+    if len(by_id) != len(data["cells"]):
+        raise InputFormatError("duplicate cell ids")
+    return SpongeComplex._from_checked(n, by_id, incidence)
 
 
 def chardata_to_dict(cd: CharacteristicData) -> dict:
@@ -232,7 +233,10 @@ def chardata_from_dict(data: Mapping, where: str = "chardata") -> Characteristic
         ambient = Ambient(kind, boundary_trivial)
     except InputFormatError as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
-    return CharacteristicData(sponge=sponge, mu=mu, euler_sign=signs, ambient=ambient)
+    for keys, what in ((mu, "mu key"), (signs, "Euler sign key")):
+        for k in keys:
+            as_id(k, what)
+    return CharacteristicData._from_checked(sponge, mu, signs, ambient)
 
 
 def polytope_to_dict(p: SimplePolytope) -> dict:

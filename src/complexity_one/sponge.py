@@ -212,6 +212,15 @@ class SpongeComplex:
             raise InputFormatError("duplicate cell ids")
 
     @classmethod
+    def _from_checked(
+        cls, n: int, by_id: dict[str, Cell], incidence: dict[str, tuple[tuple[str, int], ...]]
+    ) -> SpongeComplex:
+        """The complex on the cells by id and the incidence that io has checked: __post_init__ does not run."""
+        s = object.__new__(cls)
+        vars(s).update(n=n, cells=tuple(by_id.values()), incidence=incidence, by_id=by_id)
+        return s
+
+    @classmethod
     def from_covers(
         cls, n: int, cells: Sequence[tuple[str, int]], covers: Mapping[str, Sequence[str]]
     ) -> SpongeComplex:
@@ -228,8 +237,10 @@ class SpongeComplex:
 
     @cached_property
     def _cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
-        ordered = sorted(self.cells, key=lambda c: c.id)
-        return {d: tuple(c for c in ordered if c.dim == d) for d in {c.dim for c in ordered}}
+        grouped: dict[int, list[Cell]] = {}
+        for c in sorted(self.cells, key=lambda c: c.id):
+            grouped.setdefault(c.dim, []).append(c)
+        return {d: tuple(cells) for d, cells in grouped.items()}
 
     def cells_of_dim(self, d: int) -> tuple[Cell, ...]:
         return self._cells_by_dim.get(d, ())

@@ -76,6 +76,9 @@ and cofaces from a complex's cells and incidence alone; the oracles that
 walked those maps (poset_bijections_by_dim, poset_bijections_recursive,
 gauges_by_propagation, cocycle_report_by_vectors and upper_sets_by_search)
 read them there, so none of them shares the package's int index.
+cells_by_dim_per_dimension, the former _cells_by_dim that scanned the
+id-sorted cells once per dimension, is the reference for the one-pass
+grouping.
 """
 
 from collections import Counter
@@ -1073,6 +1076,12 @@ def upper_counts_by_cells(s):
                 bad.append(f"cell {c.id} (dim {c.dim}) lies in {got[d]} cells of dim {d}, expected {want}")
                 break
     return bad
+
+
+def cells_by_dim_per_dimension(s):
+    """SpongeComplex's former _cells_by_dim: per dimension, a scan of the id-sorted cells for that dimension."""
+    ordered = sorted(s.cells, key=lambda c: c.id)
+    return {d: tuple(c for c in ordered if c.dim == d) for d in {c.dim for c in ordered}}
 
 
 def upper_sets_by_search(s):

@@ -508,3 +508,32 @@ def test_criterion_19_cube_8_read_back_self_compare(monkeypatch):
         f"{len(walks)} sign walks, {len(builds)} index builds in {dt:.3f}s (bound 2.0s)",
         t0,
     )
+
+
+def test_criterion_20_cube_8_reduce_sign_propagations(monkeypatch):
+    # reduce orients the 8-cube's boundary cell by cell, one propagation per
+    # cell of dim >= 2 through signed_incidence, and then solves the Euler
+    # signs with one more: 5,264 and 1 calls, the count that reading the
+    # orientation off the polytope would cut.  On a 2-vCPU VM, in 8
+    # alternating process pairs, the search and the reduce took 0.38-0.57 s
+    # (0.42-0.63 s in unpaired runs on a slower host); the bound leaves 2x
+    import complexity_one.chardata as chardata
+    import complexity_one.sponge as sponge
+
+    oriented, solved = [], []
+    for module, calls in ((sponge, oriented), (chardata, solved)):
+        propagate = module.propagate_signs
+        monkeypatch.setattr(module, "propagate_signs", lambda *args, f=propagate, c=calls: c.append(1) or f(*args))
+    cube, lam = _colored_cube(8)
+    t0 = time.monotonic()
+    cd = reduce(cube, lam, find_strict_subtorus(cube, lam)[0])
+    dt = time.monotonic() - t0
+    cells = len(cd.sponge.cells)
+    ok = cells == 6544 and len(oriented) == 5264 and len(solved) == 1 and dt < 1.5
+    _report(
+        20,
+        ok,
+        f"reduce(8-cube): {cells} cells, {len(oriented)} propagations in signed_incidence and "
+        f"{len(solved)} in the Euler sign solve in {dt:.3f}s (bound 1.5s)",
+        t0,
+    )

@@ -1,12 +1,13 @@
 """Every JSON format reads back what it writes: from_dict(to_dict(x)) is lossless."""
 
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from complexity_one.catalog import load, names, simplex_polytope
-from complexity_one.chardata import Ambient, CharacteristicData
+from complexity_one.chardata import Ambient, CharacteristicData, _checks
 from complexity_one.errors import InputFormatError
 from complexity_one.io import (
     canonical_json,
@@ -30,8 +31,9 @@ from complexity_one.quasitoric import (
     find_strict_subtorus,
     reduce,
 )
-from complexity_one.sponge import Cell, SpongeComplex
+from complexity_one.sponge import Cell, SpongeComplex, _Index
 from complexity_one.weights import WeightSystem
+from test_sponge import INDEX_CASES
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -208,3 +210,175 @@ def test_non_string_keys_rejected(key):
     for read, bad, what in cases:
         with pytest.raises(InputFormatError, match=f"^{what} is {key!r}, not a string$"):
             read(bad)
+
+
+# catalog data whose files the reader hands over
+HANDED_OVER = names() + ["local-model-5"]
+
+
+def _relabelled(data: dict, rename: dict) -> dict:
+    """Characteristic-data JSON with every cell id renamed."""
+    sponge = data["sponge"]
+    return {
+        **data,
+        "sponge": {
+            "n": sponge["n"],
+            "cells": [{**c, "id": rename[c["id"]]} for c in sponge["cells"]],
+            "incidence": {rename[k]: [[rename[x], sign] for x, sign in v] for k, v in sponge["incidence"].items()},
+        },
+        "mu": {rename[k]: v for k, v in data["mu"].items()},
+        "euler_sign": {rename[k]: v for k, v in data["euler_sign"].items()},
+    }
+
+
+def _edit_sponge(draw, sponge: dict) -> None:
+    """Up to two defects the reader leaves to validation, made in place: a subcell that is no cell, a
+    cover of the wrong dimension, a sign 0 or +-2, a cover listed twice, or a 0-cell with a boundary."""
+    cells, incidence = sponge["cells"], sponge["incidence"]
+    dims = {c["id"]: c["dim"] for c in cells}
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("unknown", "dim", "sign", "twice", "point")))
+        keys = sorted(k for k, v in incidence.items() if v)
+        if not keys:
+            return
+        key = draw(st.sampled_from(keys))
+        if kind == "unknown":
+            incidence[key].append(["nowhere", 1])
+        elif kind == "dim":
+            other = [c for c, d in dims.items() if d != dims[key] - 1]
+            if other:
+                incidence[key].append([draw(st.sampled_from(other)), draw(st.sampled_from((1, -1)))])
+        elif kind == "sign":
+            entry = draw(st.sampled_from(incidence[key]))
+            entry[1] = draw(st.sampled_from((0, 2, -2)))
+        elif kind == "twice":
+            incidence[key].append(list(draw(st.sampled_from(incidence[key]))))
+        else:
+            points = sorted(c for c, d in dims.items() if d == 0)
+            if points:
+                incidence[draw(st.sampled_from(points))] = [[draw(st.sampled_from(sorted(dims))), 1]]
+
+
+@st.composite
+def chardata_files(draw):
+    """Characteristic-data JSON the reader accepts: a catalog datum with its ids permuted, its cells
+    shuffled, and some sponge defects and some mu and Euler sign defects (a value dropped, one on a
+    cell that is no facet, a sign 0 or 2, a mu of the wrong dim or zero) that validation reports."""
+    data = loads(canonical_json(chardata_to_dict(load(draw(st.sampled_from(HANDED_OVER))).data)))
+    ids = [c["id"] for c in data["sponge"]["cells"]]
+    data = _relabelled(data, dict(zip(ids, draw(st.permutations(ids)))))
+    data["sponge"]["cells"] = draw(st.permutations(data["sponge"]["cells"]))
+    _edit_sponge(draw, data["sponge"])
+    mu, signs = data["mu"], data["euler_sign"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("drop", "extra", "sign", "dim", "zero")))
+        facet = draw(st.sampled_from(sorted(mu)))
+        if kind == "drop":
+            draw(st.sampled_from((mu, signs))).pop(facet, None)
+        elif kind == "extra":
+            cell = draw(st.sampled_from(sorted(ids)))
+            mu[cell], signs[cell] = mu[facet], 1
+        elif kind == "sign" and facet in signs:
+            signs[facet] = draw(st.sampled_from((0, 2)))
+        elif kind == "dim":
+            mu[facet] = mu[facet] + [1]
+        else:
+            mu[facet] = [0] * len(mu[facet])
+    return data
+
+
+READ_SPONGES = st.one_of(
+    chardata_files().map(lambda data: data["sponge"]),
+    # malformed complexes of the index tests whose incidence keys are cells, as the reader requires
+    INDEX_CASES.filter(lambda s: s.by_id.keys() >= s.incidence.keys()).map(sponge_to_dict),
+)
+
+
+def _checked_sponge(data: dict) -> SpongeComplex:
+    """The checking constructor on the fields of sponge JSON."""
+    cells = tuple(Cell(c["id"], c["dim"], c.get("label", "")) for c in data["cells"])
+    return SpongeComplex(data["n"], cells, {k: tuple(map(tuple, v)) for k, v in data["incidence"].items()})
+
+
+def _checked_chardata(data: dict) -> CharacteristicData:
+    """The checking constructors on the fields of characteristic-data JSON."""
+    return CharacteristicData(_checked_sponge(data["sponge"]), data["mu"], data["euler_sign"], Ambient(data["ambient"]))
+
+
+def _raised(build, data):
+    """The type and text of what build(data) raises."""
+    with pytest.raises(Exception) as exc:
+        build(data)
+    return type(exc.value), str(exc.value)
+
+
+class TestHandOver:
+    """The reader checks every field itself and hands its complex and datum over without a second
+    check: they equal what the checking constructors build on the same fields, reports included,
+    and whatever the constructors reject the reader rejects with the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=READ_SPONGES)
+    def test_read_sponge_is_the_checked_one(self, data):
+        read, built = sponge_from_dict(data), _checked_sponge(data)
+        assert (read.n, read.cells, read.incidence, read.by_id) == (built.n, built.cells, built.incidence, built.by_id)
+        for f in fields(_Index):
+            assert getattr(read._index, f.name) == getattr(built._index, f.name), f.name
+        assert read.validation_report == built.validation_report
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=chardata_files())
+    def test_read_datum_is_the_checked_one(self, data):
+        read, built = chardata_from_dict(data), _checked_chardata(data)
+        assert (read.mu, read.euler_sign, read.n) == (built.mu, built.euler_sign, built.n)
+        assert all(type(v) is IntVector for v in read.mu.values())
+        assert list(_checks(read)) == list(_checks(built))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=chardata_files(),
+        kind=st.sampled_from(("duplicate", "mu", "euler_sign")),
+        key=st.sampled_from((7, None, ("x",))),
+        pick=st.data(),
+    )
+    def test_rejected_alike(self, data, kind, key, pick):
+        if kind == "duplicate":
+            cells = data["sponge"]["cells"]
+            cells.append({**pick.draw(st.sampled_from(cells)), "dim": pick.draw(st.integers(0, 3))})
+        else:
+            data[kind] = _rekeyed(data[kind], key)
+        assert _raised(chardata_from_dict, data) == _raised(_checked_chardata, data)
+
+
+# edits of characteristic-data JSON that the reader rejects
+REJECTED = {
+    "duplicate-cell": lambda data: data["sponge"]["cells"].append(data["sponge"]["cells"][0]),
+    "list-entry": lambda data: data["sponge"]["incidence"].update({min(data["sponge"]["incidence"]): [[["x"], 1]]}),
+    "text-mu": lambda data: data["mu"].update({list(data["mu"])[-1]: "x"}),
+    "text-sign": lambda data: data["euler_sign"].update({list(data["euler_sign"])[-1]: "x"}),
+    "unknown-ambient": lambda data: data.update(ambient="torus"),
+    "int-mu-key": lambda data: data.update(mu=_rekeyed(data["mu"], 7)),
+    "int-sign-key": lambda data: data.update(euler_sign=_rekeyed(data["euler_sign"], 7)),
+}
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        # the incidence is read before the cell ids are counted; the mu and
+        # Euler sign values and the ambient are read before any key is checked
+        (("duplicate-cell", "list-entry"), "chardata.sponge.incidence["),
+        (("int-mu-key", "text-mu"), "chardata.mu["),
+        (("int-mu-key", "text-sign"), "chardata.euler_sign["),
+        (("int-mu-key", "unknown-ambient"), "chardata.ambient: unknown kind"),
+        (("int-sign-key", "int-mu-key"), "mu key is 7, not a string"),
+    ],
+    ids=["incidence-then-cell-count", "mu-then-keys", "sign-then-keys", "ambient-then-keys", "mu-key-first"],
+)
+def test_reader_errors_keep_their_order(edits, error):
+    data = chardata_to_dict(load("cp3-reduction").data)
+    for edit in edits:
+        REJECTED[edit](data)
+    with pytest.raises(InputFormatError) as exc:
+        chardata_from_dict(data)
+    assert str(exc.value).startswith(error), str(exc.value)

@@ -503,6 +503,15 @@ def test_constructors_own_their_ids():
         assert _calls(fn, "str") == [] and _calls(fn, "as_id"), fn.lineno
 
 
+def test_only_the_reader_skips_the_checks():
+    # the constructors that take checked fields without __post_init__ are
+    # called by io's readers alone, one each; every other caller checks
+    assert sorted(_uses("_from_checked")) == [("io", "chardata_from_dict"), ("io", "sponge_from_dict")]
+    # the reader hands over by_id, and the complex builds its index from it on
+    # first use: the reader builds no index of its own
+    assert "io" not in {module for module, _ in _uses("_Index") + _uses("_index")}
+
+
 def test_chart_lines_in_one_sweep():
     # data_from_charts checks a chart's strictness and reads its c and its
     # adjugate columns once, through _pair_lines, the one reader of the

@@ -48,6 +48,7 @@ from complexity_one.sponge import (
 )
 from complexity_one.weights import WeightSystem
 from oracles import (
+    cells_by_dim_per_dimension,
     face_star_search,
     facets_by_upper_sets,
     graph_betti,
@@ -1180,6 +1181,19 @@ class TestDenseIndex:
         named = {c for c, _ in m.cells} | set(m.covers) | {x for below in m.covers.values() for x in below}
         for cid in sorted(named) + ["nope"]:
             assert m.top_cells_containing(cid) == want.get(cid, ()), cid
+
+    @pytest.mark.parametrize("name", names() + ["local-model-7"])
+    def test_cells_of_dim_catalog(self, name):
+        s = load(name).data.sponge
+        assert s._cells_by_dim == cells_by_dim_per_dimension(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=INDEX_CASES)
+    def test_cells_of_dim_is_the_scan_per_dimension(self, s):
+        # one pass groups the id-sorted cells: the same tuples, in id order
+        want = cells_by_dim_per_dimension(s)
+        assert s._cells_by_dim == want
+        assert all(s.cells_of_dim(d) == want.get(d, ()) for d in range(-2, s.n + 2))
 
     def test_a_cycle_above_a_top_cell(self):
         # t covers e, e covers v and e lists t back: the fixed point, not one pass
