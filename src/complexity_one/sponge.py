@@ -119,19 +119,22 @@ class _Index:
 
     Cell i is the i-th cell id in sorted order, so on the cells int order is
     id order.  An id that is no cell but is an incidence key or listed in a
-    boundary gets an int past the cells, with dim None.  bnd[i] is i's
-    boundary as (int, sign) pairs in the order of its incidence entry, signs
-    as given and a cover listed twice twice; cof[i] holds the distinct ints
-    listing i, ascending.  structured says whether validation_report's
-    incidence-structure check passes.
+    boundary gets an int past the cells, with dim None.  by_dim groups the
+    cells by dim, each group ascending.  bnd[i] is i's boundary as (int,
+    sign) pairs in the order of its incidence entry, signs as given and a
+    cover listed twice twice; cof[i] holds the distinct ints listing i,
+    ascending.  faults holds validation_report's incidence-structure texts as
+    (int, text) pairs, in int order and each row's in the order of its
+    entries; structured says there are none.
     """
 
     ids: tuple[str, ...]
     pos: dict[str, int]
     dims: list[int | None]
+    by_dim: dict[int, list[int]]
     bnd: list[tuple[tuple[int, int], ...]]
     cof: list[list[int]]
-    structured: bool
+    faults: list[tuple[int, str]]
 
     @classmethod
     def of(cls, by_id: Mapping[str, Cell], incidence: Mapping[str, Sequence[tuple[str, int]]]) -> _Index:
@@ -140,15 +143,20 @@ class _Index:
         ids += [k for k in incidence if k not in by_id]
         pos = {c: i for i, c in enumerate(ids)}
         dims: list[int | None] = [by_id[c].dim for c in ids[:cells]] + [None] * (len(ids) - cells)
+        by_dim: dict[int, list[int]] = {d: [] for d in set(dims[:cells])}
         bnd: list[tuple[tuple[int, int], ...]] = []
         cof: list[list[int]] = [[] for _ in ids]
-        structured = True
+        faults: list[tuple[int, str]] = []
         for i in range(len(ids)):  # the ids listed below that are no key have no boundary
-            entries = incidence.get(ids[i], ())
-            d = dims[i]
-            if d is None or (d == 0) == bool(entries):
-                structured = False  # a key that is no cell, a 0-cell with a boundary, or another cell without one
-            low = None if d is None else d - 1
+            c, d = ids[i], dims[i]
+            entries = incidence.get(c, ())
+            if d is None:
+                faults.append((i, f"incidence key {c} is not a cell"))
+            else:
+                by_dim[d].append(i)  # ascending, as i
+                if (d == 0) == bool(entries):
+                    faults.append((i, f"0-cell {c} has boundary entries" if entries else f"{d}-cell {c} has no boundary"))
+            low = d - 1 if d else None
             row = []
             for sub, sign in entries:
                 j = pos.get(sub)
@@ -158,16 +166,32 @@ class _Index:
                     dims.append(None)
                     cof.append([])
                 up = cof[j]
-                if up and up[-1] == i:
-                    structured = False  # listed twice: the ints are filled in ascending order
+                if up and up[-1] == i or dims[j] != low or sign not in (1, -1):  # a fault; valid entries test once
+                    twice, e = bool(up) and up[-1] == i, dims[j]  # the ints are filled in ascending order
+                    if not twice:
+                        up.append(i)
+                    if low is None:
+                        pass  # the entries of a key that is no cell or of a 0-cell are not named
+                    elif e is None:
+                        faults.append((i, f"{c} references unknown cell {sub}"))
+                    else:
+                        if e != low:
+                            faults.append((i, f"{c} (dim {d}) lists {sub} of dim {e}"))
+                        if sign not in (1, -1):
+                            faults.append((i, f"incidence {c}->{sub} has coefficient {sign}"))
+                        if twice:
+                            faults.append((i, f"{c} lists {sub} twice"))
                 else:
                     up.append(i)
-                if dims[j] != low or sign not in (1, -1):
-                    structured = False
                 row.append((j, sign))
             bnd.append(tuple(row))
         bnd += [()] * (len(ids) - len(bnd))
-        return cls(tuple(ids), pos, dims, bnd, cof, structured)
+        return cls(tuple(ids), pos, dims, by_dim, bnd, cof, faults)
+
+    @property
+    def structured(self) -> bool:
+        """Whether validation_report's incidence-structure check passes."""
+        return not self.faults
 
     @cached_property
     def neighbours(self) -> list[frozenset[int]]:
@@ -233,14 +257,12 @@ class SpongeComplex:
 
     @cached_property
     def dim(self) -> int:
-        return max((c.dim for c in self.cells), default=0)
+        return max(self._index.by_dim, default=0)
 
     @cached_property
     def _cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
-        grouped: dict[int, list[Cell]] = {}
-        for c in sorted(self.cells, key=lambda c: c.id):
-            grouped.setdefault(c.dim, []).append(c)
-        return {d: tuple(cells) for d, cells in grouped.items()}
+        index, cell = self._index, self.by_id.__getitem__
+        return {d: tuple(cell(index.ids[i]) for i in group) for d, group in index.by_dim.items()}
 
     def cells_of_dim(self, d: int) -> tuple[Cell, ...]:
         return self._cells_by_dim.get(d, ())
@@ -290,10 +312,11 @@ class SpongeComplex:
         """Per int, the facets and then the ids that are no cell above it, as a bit mask over both."""
         index = self._index
         cells = len(self.cells)
-        order = sorted(range(cells), key=index.dims.__getitem__, reverse=True)
-        facets = [i for i in range(cells) if index.dims[i] == self.n - 2]  # in id order, as facet_ids
-        # where incidence-structure holds every coface is one dimension up, so
-        # descending dims are top-down; otherwise the masks are a fixed point
+        facets = index.by_dim.get(self.n - 2, [])  # in id order, as facet_ids
+        # where incidence-structure holds every coface is one dimension up and
+        # the dims run from self.dim down to 0, so descending dims are
+        # top-down; otherwise the masks are a fixed point, in any order
+        order = [i for d in range(self.dim, -1, -1) for i in index.by_dim.get(d, ())] if index.structured else range(cells)
         return _masks_above(order, index.cof, facets + list(range(cells, len(index.ids))), index.structured)
 
     def facets_containing(self, cell_id: str) -> tuple[str, ...]:
@@ -318,34 +341,11 @@ class SpongeComplex:
         dim_bad = self.cell_dim_defects
         entries = list(CheckResult.from_violations("cell-dims", dim_bad))
 
-        # the index decides incidence-structure; only a failing complex is
-        # walked for its messages
-        structure_bad = []
-        if not self._index.structured:
-            for c in self.cells:
-                bnd = self.boundary(c.id)
-                if c.dim == 0:
-                    if bnd:
-                        structure_bad.append(f"0-cell {c.id} has boundary entries")
-                    continue
-                if not bnd:
-                    structure_bad.append(f"{c.dim}-cell {c.id} has no boundary")
-                    continue
-                seen = set()
-                for sub, sign in bnd:
-                    if sub not in self.by_id:
-                        structure_bad.append(f"{c.id} references unknown cell {sub}")
-                        continue
-                    if self.by_id[sub].dim != c.dim - 1:
-                        structure_bad.append(f"{c.id} (dim {c.dim}) lists {sub} of dim {self.by_id[sub].dim}")
-                    if sign not in (1, -1):
-                        structure_bad.append(f"incidence {c.id}->{sub} has coefficient {sign}")
-                    if sub in seen:
-                        structure_bad.append(f"{c.id} lists {sub} twice")
-                    seen.add(sub)
-            for key in self.incidence:
-                if key not in self.by_id:
-                    structure_bad.append(f"incidence key {key} is not a cell")
+        # the index's walk names the incidence-structure faults: each cell's in
+        # the order of cells, then the keys that are no cell, past the cells
+        index = self._index
+        rank = {index.pos[c.id]: k for k, c in enumerate(self.cells)} if index.faults else {}
+        structure_bad = [text for _, text in sorted(index.faults, key=lambda f: rank.get(f[0], f[0]))]
         entries += CheckResult.from_violations("incidence-structure", structure_bad)
 
         entries += CheckResult.from_violations("boundary-squared", self.boundary_squared_defects)
@@ -635,9 +635,6 @@ def homology(s: SpongeComplex) -> HomologyResult:
         raise ValidationError("incidence is not a chain complex: " + "; ".join(s.boundary_squared_defects))
     top = s.n - 2
     index = s._index
-    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
-    for i in range(len(s.cells)):
-        by_dim[index.dims[i]].append(i)
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
     pivoted: set[int] = set()  # the cells of the last dimension taken as unit pivots
@@ -649,17 +646,18 @@ def homology(s: SpongeComplex) -> HomologyResult:
         # and maps the cycles onto a saturated sublattice: rank and torsion
         # stay (Kaczynski, Mischaikow and Mrozek, Computational Homology,
         # 2004, ch. 4).
+        cells = index.by_dim.get(d, [])
         columns = []
-        for c in by_dim[d]:
+        for c in cells:
             col: dict[int, int] = {}
             for sub, sign in index.bnd[c]:
                 if index.dims[sub] == d - 1 and sub not in pivoted:
                     col[sub] = col.get(sub, 0) + sign
             columns.append(col)
         ranks[d], torsion[d - 1], pivots = _rank_and_torsion(columns)
-        pivoted = {by_dim[d][j] for j in pivots}
+        pivoted = {cells[j] for j in pivots}
     # the alternating sum of these Betti numbers is the Euler characteristic for any ranks
-    betti = tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
+    betti = tuple(len(index.by_dim.get(d, [])) - ranks[d] - ranks[d + 1] for d in range(top + 1))
     return HomologyResult(betti=betti, torsion=tuple(torsion))
 
 

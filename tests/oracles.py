@@ -1079,7 +1079,8 @@ def upper_counts_by_cells(s):
 
 
 def cells_by_dim_per_dimension(s):
-    """SpongeComplex's former _cells_by_dim: per dimension, a scan of the id-sorted cells for that dimension."""
+    """The reference for the index's grouping by dimension (_Index.by_dim, read by _cells_by_dim):
+    per dimension, a scan of the id-sorted cells for that dimension."""
     ordered = sorted(s.cells, key=lambda c: c.id)
     return {d: tuple(c for c in ordered if c.dim == d) for d in {c.dim for c in ordered}}
 
@@ -1144,11 +1145,14 @@ def top_cells_by_closure(m):
 def validation_report_by_walks(s):
     """validation_report as the package built it on string ids, its entries in order.
 
-    incidence-structure walks every cell's boundary, boundary-squared sums
-    each d(d(c)) in a dict, and upper-counts runs upper_counts_by_cells
-    whenever cell-dims and incidence-structure pass: with local stars at
-    the 0-cells that loop finds nothing (SpongeComplex.stars_local), which
-    is where the package skips it.
+    incidence-structure walks every cell's boundary in the order of cells,
+    then the keys that are no cell: the reference for the texts that the
+    index's walk names (_Index.faults) and for their order in the report,
+    which follows cells, not the ints.  boundary-squared sums each d(d(c))
+    in a dict, and upper-counts runs upper_counts_by_cells whenever
+    cell-dims and incidence-structure pass: with local stars at the 0-cells
+    that loop finds nothing (SpongeComplex.stars_local), which is where the
+    package skips it.
     """
     dim_bad = [f"n must be >= 2, got {s.n}"] if s.n < 2 else []
     dim_bad += [f"cell {c.id} has dim {c.dim} outside 0..{s.n - 2}" for c in s.cells if not 0 <= c.dim <= s.n - 2]

@@ -561,3 +561,79 @@ def test_reduction_reads_plain_rows():
     assert not induced & {"scale", "is_zero"}, sorted(induced & {"scale", "is_zero"})
     matmul = _method("lattice", "IntMatrix", "__matmul__")
     assert not [node for node in ast.walk(matmul) if getattr(node, "attr", None) == "row_list"]
+
+
+def _literal_templates():
+    """(module, Class.function or function, text) of every string literal in the package, a
+    formatted value of an f-string as {}."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in child.values)
+                found.append((module, owner, text))
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                found.append((module, owner, child.value))
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            elif isinstance(child, ast.FunctionDef):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            visit(child, module, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_one_walk_names_the_incidence_structure():
+    # the index's walk decides incidence-structure and formats each of its
+    # texts, once, as it finds the fault; validation_report only orders them
+    # and walks the incidence no second time
+    from complexity_one.sponge import SpongeComplex, local_model_sponge
+
+    texts = {
+        "0-cell {} has boundary entries",
+        "{}-cell {} has no boundary",
+        "{} references unknown cell {}",
+        "{} (dim {}) lists {} of dim {}",
+        "incidence {}->{} has coefficient {}",
+        "{} lists {} twice",
+        "incidence key {} is not a cell",
+    }
+    literals = _literal_templates()
+    for text in sorted(texts):
+        assert [(m, o) for m, o, t in literals if t == text] == [("sponge", "_Index.of")], text
+    for phrase in ("has boundary entries", "has no boundary", "references unknown cell", "has coefficient"):
+        assert [(m, o) for m, o, t in literals if phrase in t] == [("sponge", "_Index.of")], phrase
+    assert not _loads(_method("sponge", "SpongeComplex", "validation_report")) & {"boundary", "incidence"}
+    # structured stays the index's attribute: no faults
+    s = local_model_sponge(4)
+    broken = SpongeComplex(s.n, s.cells, {**s.incidence, "ghost": ()})
+    assert s._index.structured is True and s._index.faults == []
+    assert broken._index.structured is False and broken._index.faults == [(len(s.cells), "incidence key ghost is not a cell")]
+
+
+def test_one_grouping_by_dimension():
+    # the index's walk groups the cells by dimension, in id order; the
+    # complex's dimension, its cells per dimension, its facet masks and its
+    # homology read that grouping and sort or filter no cell again
+    for fn in (
+        _method("sponge", "SpongeComplex", "dim"),
+        _method("sponge", "SpongeComplex", "_cells_by_dim"),
+        _method("sponge", "SpongeComplex", "_facet_masks"),
+        _function("sponge", "homology"),
+    ):
+        assert "by_dim" in _loads(fn) and _calls(fn, "sorted") == [], fn.name
+        # no loop or comprehension runs over the cells or filters them by dim
+        scans = [
+            node.lineno
+            for loop in ast.walk(fn)
+            if isinstance(loop, (ast.For, ast.comprehension))
+            for part in [loop.iter, *getattr(loop, "ifs", ())]
+            for node in ast.walk(part)
+            if isinstance(node, ast.Attribute) and node.attr in ("cells", "dims", "cells_of_dim")
+        ]
+        assert scans == [], (fn.name, scans)

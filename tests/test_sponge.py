@@ -23,6 +23,7 @@ from complexity_one.catalog import (
     verify,
 )
 from complexity_one.chardata import CharacteristicData, Chart
+from complexity_one.io import sponge_from_dict, sponge_to_dict
 from complexity_one.lattice import IntMatrix, integer_kernel, smith_normal_form, vec
 from complexity_one.quasitoric import (
     CellManifold,
@@ -1152,6 +1153,19 @@ class TestDenseIndex:
         # the index builds exactly where incidence-structure passes
         structure_fails = CheckResult("incidence-structure", "pass") not in report.entries
         assert (not s._index.structured) is structure_fails
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=INDEX_CASES, data=st.data())
+    def test_structure_faults_in_the_order_of_cells(self, s, data):
+        # the index walks the cells in id order, and the report lists each
+        # cell's faults in the order of cells: shuffled, and as a file lists
+        # them, in (dim, id) order; the keys that are no cell come last
+        shuffled = SpongeComplex(s.n, tuple(data.draw(st.permutations(s.cells))), s.incidence)
+        assert validate_sponge(shuffled) == validation_report_by_walks(shuffled)
+        if s.by_id.keys() >= s.incidence.keys():  # the reader requires every key to be a cell
+            read = sponge_from_dict(sponge_to_dict(s))
+            assert [c.id for c in read.cells] == [c.id for c in sorted(s.cells, key=lambda c: (c.dim, c.id))]
+            assert validate_sponge(read) == validation_report_by_walks(read)
 
     def test_boundary_squared_names_in_id_order(self):
         # "nowhere" is no cell, so its int comes after every cell's, while its
